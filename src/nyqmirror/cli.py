@@ -7,19 +7,22 @@ a metadata header; runs are bit-reproducible (no wall clock, no RNG).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
-Output formats: CSV (RFC 4180 body preceded by ``# key=value`` metadata
-lines), TFR1 binary (magic ``TFR1``, little-endian uint64 dims
+Output formats: CSV (metadata lines starting with ``#``, ``# key=value``,
+then an RFC 4180 body: numbers printed as ``%.17g``, rows ending in
+CRLF), TFR1 binary (magic ``TFR1``, little-endian uint64 dims
 ``freq_bins, frames``, float64 frequency axis, float64 time axis, then
-row-major float64 magnitudes), and 8-bit binary PGM (P5) images of the
-log-scale display matrix (1e-2 maps to 0, the display maximum to 255,
-linear in between; row 0 is the highest frequency).
+row-major float64 magnitudes; the reader checks the file length against
+the dims), and 8-bit binary PGM (P5) images of the log-scale display
+matrix (1e-2 maps to 0, the display maximum to 255, linear in between;
+row 0 is the highest frequency).  Every artifact gets mode
+``0666 & ~umask``, as a plain ``open`` would give it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
-import io
 import json
 import os
 import sys
@@ -269,17 +272,28 @@ def scenario_from_config(obj) -> Scenario:
 # output files
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, data: bytes):
+@contextlib.contextmanager
+def _atomic_write(path: Path):
+    """Yield a binary temp file beside ``path``; on success give it mode
+    ``0666 & ~umask`` and rename it over ``path``, on failure remove it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp created it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: Path, obj: dict):
+    with _atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _fmt(x: float) -> str:
@@ -300,14 +314,12 @@ def _cell(value) -> str:
 
 
 def write_curve_csv(path: Path, columns: dict[str, np.ndarray], meta: dict):
-    buf = io.StringIO()
-    buf.write(_meta_lines(meta))
     names = list(columns)
-    buf.write(",".join(names) + "\r\n")
     arrays = [np.asarray(columns[n]) for n in names]
-    for row in zip(*arrays):
-        buf.write(",".join(_cell(v) for v in row) + "\r\n")
-    _atomic_write(path, buf.getvalue().encode("utf-8"))
+    with _atomic_write(path) as fh:
+        fh.write((_meta_lines(meta) + ",".join(names) + "\r\n").encode("utf-8"))
+        for row in zip(*arrays):
+            fh.write((",".join(_cell(v) for v in row) + "\r\n").encode("utf-8"))
 
 
 def read_uniform_csv(path: Path) -> UniformSignal:
@@ -345,38 +357,71 @@ def write_uniform_csv(path: Path, sig: UniformSignal, meta: dict):
 
 
 def write_tfr_binary(path: Path, tfr: TFRepresentation):
-    mag = np.abs(tfr.matrix).astype("<f8")
-    buf = io.BytesIO()
-    buf.write(b"TFR1")
-    buf.write(np.asarray(mag.shape, dtype="<u8").tobytes())
-    buf.write(tfr.freq_axis.astype("<f8").tobytes())
-    buf.write(tfr.time_axis.astype("<f8").tobytes())
-    buf.write(np.ascontiguousarray(mag).tobytes())
-    _atomic_write(path, buf.getvalue())
+    mag = np.ascontiguousarray(np.abs(tfr.matrix), dtype="<f8")
+    with _atomic_write(path) as fh:
+        fh.write(b"TFR1")
+        fh.write(np.asarray(mag.shape, dtype="<u8").tobytes())
+        fh.write(tfr.freq_axis.astype("<f8").tobytes())
+        fh.write(tfr.time_axis.astype("<f8").tobytes())
+        fh.write(mag)
 
 
 def read_tfr_binary(path: Path):
     raw = path.read_bytes()
-    if raw[:4] != b"TFR1":
+    if len(raw) < 20 or raw[:4] != b"TFR1":
         raise ValueError(f"{path} is not a TFR1 file")
-    bins, frames = np.frombuffer(raw, dtype="<u8", count=2, offset=4)
+    bins, frames = (int(n) for n in np.frombuffer(raw, dtype="<u8", count=2,
+                                                   offset=4))
+    want = 20 + 8 * (bins + frames + bins * frames)
+    if len(raw) != want:
+        raise ValueError(f"{path}: a {bins} x {frames} TFR1 file has {want} "
+                         f"bytes, this one has {len(raw)}")
     off = 4 + 16
-    freq = np.frombuffer(raw, dtype="<f8", count=int(bins), offset=off)
-    off += int(bins) * 8
-    times = np.frombuffer(raw, dtype="<f8", count=int(frames), offset=off)
-    off += int(frames) * 8
-    mat = np.frombuffer(raw, dtype="<f8", offset=off).reshape(int(bins), int(frames))
+    freq = np.frombuffer(raw, dtype="<f8", count=bins, offset=off)
+    off += bins * 8
+    times = np.frombuffer(raw, dtype="<f8", count=frames, offset=off)
+    off += frames * 8
+    mat = np.frombuffer(raw, dtype="<f8", offset=off).reshape(bins, frames)
     return mat, freq, times
 
 
+# rows formatted per bulk ``%`` call in write_tfr_csv: large enough to
+# amortise the per-block numpy calls, small enough that a block's text
+# (about 3 MB at 640 frames) stays far below the matrix itself
+_CSV_BLOCK_ROWS = 256
+
+
 def write_tfr_csv(path: Path, tfr: TFRepresentation, meta: dict):
-    buf = io.StringIO()
-    buf.write(_meta_lines(meta))
-    buf.write("freq_hz," + ",".join(_fmt(t) for t in tfr.time_axis) + "\r\n")
     mag = np.abs(tfr.matrix)
-    for i, freq in enumerate(tfr.freq_axis):
-        buf.write(_fmt(freq) + "," + ",".join(_fmt(v) for v in mag[i]) + "\r\n")
-    _atomic_write(path, buf.getvalue().encode("utf-8"))
+    rows, frames = mag.shape
+    # A block's text is one ``%`` call on a template holding "%.17g" per
+    # cell, except that cells equal to the matrix minimum hold its
+    # formatted text: sharpened and masked matrices are mostly zeros and
+    # display matrices mostly their floor.  Equal floats format alike once
+    # np.abs has turned -0.0 into 0.0; fmin skips NaN cells, which equal
+    # no value and so take the "%.17g" path.
+    low = np.fmin.reduce(mag, axis=None) if mag.size else np.nan
+    low_cell = "," + _fmt(low)
+    template = np.empty((min(rows, _CSV_BLOCK_ROWS), frames + 2), dtype=object)
+    template[:, 0] = "%.17g"
+    template[:, 1:-1] = ",%.17g"
+    template[:, -1] = "\r\n"
+    with _atomic_write(path) as fh:
+        fh.write((_meta_lines(meta) + "freq_hz,"
+                  + ",".join(_fmt(t) for t in tfr.time_axis) + "\r\n")
+                 .encode("utf-8"))
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            block = mag[start:start + _CSV_BLOCK_ROWS]
+            is_low = block == low
+            cells = template[:len(block)].copy()
+            cells[:, 1:-1][is_low] = low_cell
+            values = np.empty((len(block), frames + 1))
+            values[:, 0] = tfr.freq_axis[start:start + len(block)]
+            values[:, 1:] = block
+            keep = np.ones(values.shape, dtype=bool)
+            np.logical_not(is_low, out=keep[:, 1:])
+            text = "".join(cells.ravel().tolist()) % tuple(values[keep].tolist())
+            fh.write(text.encode("utf-8"))
 
 
 def write_pgm(path: Path, display, meta: dict | None = None) -> None:
@@ -393,7 +438,9 @@ def write_pgm(path: Path, display, meta: dict | None = None) -> None:
                          if k in meta)
         comment += f" {brief}" if brief else ""
     header = f"P5\n{comment}\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + pixels.tobytes())
+    with _atomic_write(path) as fh:
+        fh.write(header)
+        fh.write(pixels.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +523,9 @@ def _tfr_meta(cfg, tfr, **extra) -> dict:
 
 
 def _write_tfr_products(cfg, out: Path, stem: str, tfr: TFRepresentation,
-                        meta: dict, written: list[Path]):
+                        meta: dict, written: list[Path], display=None):
+    """TFR1, CSV and PGM products of ``tfr``; ``display`` is its
+    ``log_display`` when the caller has already computed it."""
     formats = cfg["output"]["formats"]
     if "tfr1" in formats:
         path = out / f"{stem}.tfr1"
@@ -488,7 +537,8 @@ def _write_tfr_products(cfg, out: Path, stem: str, tfr: TFRepresentation,
         written.append(path)
     if "pgm" in formats:
         path = out / f"{stem}.pgm"
-        write_pgm(path, log_display(tfr), meta)
+        write_pgm(path, log_display(tfr) if display is None else display,
+                  meta)
         written.append(path)
 
 
@@ -569,14 +619,16 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
                                 float(lp["transition_hz"]))
     tfr = _run_analysis(cfg, sig)
     meta = _tfr_meta(cfg, tfr, lowpass=bool(cfg["mitigation"]["lowpass"]))
-    _write_tfr_products(cfg, out, "tfr", tfr, meta, written)
-    if "csv" in cfg["output"]["formats"]:
+    formats = cfg["output"]["formats"]
+    disp = log_display(tfr) if "csv" in formats or "pgm" in formats else None
+    _write_tfr_products(cfg, out, "tfr", tfr, meta, written, disp)
+    if "csv" in formats:
         path = out / "display.csv"
-        disp = log_display(tfr)
-        masked_for_csv = TFRepresentation(disp.matrix, tfr.freq_axis,
-                                          tfr.time_axis, tfr.method,
-                                          tfr.window_meta)
-        write_tfr_csv(path, masked_for_csv, {**meta, "quantile_q": _fmt(disp.quantile_q)})
+        display_tfr = TFRepresentation(disp.matrix, tfr.freq_axis,
+                                       tfr.time_axis, tfr.method,
+                                       tfr.window_meta)
+        write_tfr_csv(path, display_tfr,
+                      {**meta, "quantile_q": _fmt(disp.quantile_q)})
         written.append(path)
     if scenario is not None:
         inf_curve = scenario.scheme.inf
@@ -593,10 +645,10 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
             _write_tfr_products(cfg, out, "tfr_masked", masked,
                                 {**meta, "inf_mask": True}, written)
             path = out / "mask_report.json"
-            _atomic_write(path, json.dumps({
+            _write_json(path, {
                 "above_inf_ratio_before": ratio_before,
                 "above_inf_ratio_after": ratio_after,
-            }, indent=2, sort_keys=True).encode() + b"\n")
+            })
             written.append(path)
     return written
 
@@ -626,14 +678,14 @@ def cmd_predict(cfg: dict, out: Path) -> list[Path]:
         scenario.resample_hz, (0.0, scenario.duration_s),
     )
     path = out / "residual_report.json"
-    _atomic_write(path, json.dumps({
+    _write_json(path, {
         "residual": report.residual,
         "order": report.order,
         "k_max": report.k_max,
         "rate_hz": report.rate,
         "span_s": list(report.span),
         "trimmed_span_s": list(report.trimmed_span),
-    }, indent=2, sort_keys=True).encode() + b"\n")
+    })
     written.append(path)
     return written
 
@@ -708,10 +760,10 @@ def cmd_physio(cfg: dict, out: Path) -> list[Path]:
         _write_tfr_products(cfg, out, f"{stem}_tfr_masked", masked,
                             {**tmeta, "inf_mask": True}, written)
         path = out / "mask_report.json"
-        _atomic_write(path, json.dumps({
+        _write_json(path, {
             "above_inf_ratio_before": above_inf_energy_ratio(tfr, est.inf),
             "above_inf_ratio_after": above_inf_energy_ratio(masked, est.inf),
-        }, indent=2, sort_keys=True).encode() + b"\n")
+        })
         written.append(path)
     return written
 

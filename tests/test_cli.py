@@ -1,19 +1,27 @@
 """CLI commands: file products, determinism, exit codes, formats."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from nyqmirror import __version__
 from nyqmirror.cli import (
+    _CSV_BLOCK_ROWS,
+    _atomic_write,
     DEFAULT_CONFIG,
     load_config,
     main,
     read_tfr_binary,
     read_uniform_csv,
     scenario_from_config,
+    write_tfr_binary,
+    write_tfr_csv,
     ConfigError,
 )
+from nyqmirror.tf_analysis import TFRepresentation, WindowMeta
 
 SMALL_SCENARIO = {
     "signal": {"kind": "harmonic", "freq_hz": 1.2, "amp": 1.0},
@@ -271,3 +279,105 @@ def test_physio_two_peak_csv_is_data_error(tmp_path):
 def test_physio_without_input_or_synth_is_config_error(tmp_path):
     rc = main(["physio", "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def reference_tfr_csv(tfr, meta) -> bytes:
+    """The dense TFR CSV as the per-cell writer produced it: one
+    ``format(x, ".17g")`` call per cell, whole file built in memory."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    lines = [f"# artifact=nyqmirror {__version__}"]
+    lines += [f"# {key}={meta[key]}" for key in sorted(meta)]
+    text = "\n".join(lines) + "\n"
+    text += "freq_hz," + ",".join(fmt(t) for t in tfr.time_axis) + "\r\n"
+    mag = np.abs(tfr.matrix)
+    for i, freq in enumerate(tfr.freq_axis):
+        text += fmt(freq) + "," + ",".join(fmt(v) for v in mag[i]) + "\r\n"
+    return text.encode("utf-8")
+
+
+def _tfr_of(matrix):
+    matrix = np.asarray(matrix)
+    rows, frames = matrix.shape
+    return TFRepresentation(matrix, np.linspace(0.0, 4.0, rows),
+                            np.arange(frames) / 8.0 + 0.125, "stft",
+                            WindowMeta("gaussian", 3.0, 2, 1))
+
+
+def _special_values():
+    rng = np.random.default_rng(3)
+    mat = rng.lognormal(-3.0, 4.0, (9, 11)) * rng.choice([-1.0, 1.0], (9, 11))
+    mat[rng.random((9, 11)) < 0.4] = 0.0
+    mat[1, :4] = [-0.0, 5e-324, 2.2250738585072014e-309, 1e300]
+    mat[2, :5] = [np.inf, -np.inf, np.nan, 0.1, 0.1]
+    mat[3, :] = 0.1
+    return mat
+
+
+def _block_crossing():
+    rng = np.random.default_rng(4)
+    mat = rng.random((_CSV_BLOCK_ROWS + 5, 6))
+    mat[mat < 0.5] = 1e-2
+    return mat
+
+
+@pytest.mark.parametrize("matrix", [
+    _special_values(),
+    np.full((5, 4), 0.3),                                        # all minimum
+    np.random.default_rng(5).random((1, 13)),                    # one row
+    _block_crossing(),                                           # > 1 block
+    np.random.default_rng(6).random((7, 8)),                     # dense
+    np.random.default_rng(7).random((4, 6)) * np.exp(1j * 0.7),  # complex
+], ids=["specials", "all_equal", "one_row", "block_crossing", "dense",
+        "complex"])
+def test_tfr_csv_matches_per_cell_reference(tmp_path, matrix):
+    tfr = _tfr_of(matrix)
+    meta = {"method": "stft", "hop": 2, "quantile_q": "0.5"}
+    write_tfr_csv(tmp_path / "m.csv", tfr, meta)
+    assert (tmp_path / "m.csv").read_bytes() == reference_tfr_csv(tfr, meta)
+
+
+def test_artifacts_get_mode_from_umask(tmp_path, small_config):
+    out = tmp_path / "modes"
+    old = os.umask(0o027)
+    try:
+        for command in ("simulate", "tfr", "predict"):
+            rc = main([command, "--config", str(small_config), "--out", str(out),
+                       "--set", "mitigation.inf_mask=true",
+                       "--set", "predict.k_max=1"])
+            assert rc == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert {name.rsplit(".", 1)[1] for name in modes} == {"csv", "tfr1", "pgm",
+                                                          "json"}
+    assert set(modes.values()) == {0o640}
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "kept.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with _atomic_write(path) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("writer failed")
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.bin"]
+    assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "padded"])
+def test_tfr1_reader_checks_length(tmp_path, change):
+    path = tmp_path / "m.tfr1"
+    write_tfr_binary(path, _tfr_of(np.random.default_rng(8).random((3, 5))))
+    raw = path.read_bytes()
+    assert len(raw) == 20 + 8 * (3 + 5 + 15)
+    mat, _, _ = read_tfr_binary(path)
+    assert mat.shape == (3, 5)
+    path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+    with pytest.raises(ValueError, match=f"{len(raw)}.*{len(raw) + change}"):
+        read_tfr_binary(path)

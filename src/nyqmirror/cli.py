@@ -106,7 +106,6 @@ DEFAULT_CONFIG = {
         "directory": "out",
         "formats": ["csv", "tfr1", "pgm"],
     },
-    "seed": 0,
 }
 
 _SCENARIO_KEYS = {"signal", "scheme", "duration_s", "resample_hz"}
@@ -447,13 +446,12 @@ def write_pgm(path: Path, display, meta: dict | None = None) -> None:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _interp_factory(cfg):
+def _interpolate(cfg, samples):
     scheme = cfg["interpolation"]["scheme"]
-    order = int(cfg["interpolation"]["order"])
     if scheme == "bspline":
-        return lambda samples: interpolate_nonuniform(samples, order), order
+        return interpolate_nonuniform(samples, int(cfg["interpolation"]["order"]))
     if scheme == "pchip":
-        return lambda samples: interpolate_pchip(samples), "pchip"
+        return interpolate_pchip(samples)
     raise ConfigError(f"unknown interpolation scheme {scheme!r}")
 
 
@@ -490,11 +488,10 @@ def _scenario_pipeline(cfg):
     scenario = scenario_from_config(cfg["scenario"])
     samples = sample_signal(scenario.signal, scenario.scheme, 0.0,
                             scenario.duration_s)
-    build, order = _interp_factory(cfg)
-    interp = build(samples)
+    interp = _interpolate(cfg, samples)
     sig = resample_uniform(interp, scenario.resample_hz,
                            samples.times[0], samples.times[-1])
-    return scenario, samples, sig, order
+    return scenario, samples, interp, sig
 
 
 def _base_meta(cfg, **extra) -> dict:
@@ -502,7 +499,6 @@ def _base_meta(cfg, **extra) -> dict:
         "scenario": cfg["scenario"] if isinstance(cfg["scenario"], str) else "custom",
         "interpolation": cfg["interpolation"]["scheme"],
         "order": cfg["interpolation"]["order"],
-        "seed": cfg["seed"],
     }
     meta.update(extra)
     return meta
@@ -547,20 +543,32 @@ def _ridge_products(cfg, out: Path, tfr, inf_curve, written: list[Path], meta):
     if "csv" not in cfg["output"]["formats"]:
         return
     inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
-    mag = np.abs(tfr.matrix)
-    lo_band_max = float(inf_vals.min())
-    above = np.where(tfr.freq_axis[:, None] > inf_vals[None, :], mag, 0.0)
-    above.setflags(write=False)
-    masked = TFRepresentation(above, tfr.freq_axis, tfr.time_axis, "mt_sst",
-                              tfr.window_meta)
     df = tfr.freq_axis[1] - tfr.freq_axis[0]
-    ridge_lo = ridge_extract(tfr, df, max(lo_band_max, 2 * df), 0.0)
-    ridge_hi = ridge_extract(masked, df, float(tfr.freq_axis[-1]), 0.0)
-    path = out / "ridge_below_inf.csv"
-    write_curve_csv(path, {"time_s": tfr.time_axis, "freq_hz": ridge_lo}, meta)
-    written.append(path)
-    path = out / "ridge_above_inf.csv"
-    write_curve_csv(path, {"time_s": tfr.time_axis, "freq_hz": ridge_hi}, meta)
+    top = float(tfr.freq_axis[-1])
+    ridge_lo = ridge_extract(tfr, df, max(float(inf_vals.min()), 2 * df), 0.0)
+    # each frame's band starts strictly above its INF; a frame whose INF
+    # reaches the top bin (resampled at or below the ISR) keeps that bin
+    ridge_hi = ridge_extract(tfr, np.minimum(np.nextafter(inf_vals, np.inf), top),
+                             top, 0.0)
+    for name, ridge in (("ridge_below_inf.csv", ridge_lo),
+                        ("ridge_above_inf.csv", ridge_hi)):
+        path = out / name
+        write_curve_csv(path, {"time_s": tfr.time_axis, "freq_hz": ridge}, meta)
+        written.append(path)
+
+
+def _mask_products(cfg, out: Path, stem: str, tfr, inf_curve, meta: dict,
+                   written: list[Path]):
+    """Products of ``tfr`` masked above the INF, under ``{stem}_masked``,
+    then ``mask_report.json`` with the above-INF ratio before and after."""
+    masked = inf_hard_threshold(tfr, inf_curve)
+    _write_tfr_products(cfg, out, f"{stem}_masked", masked,
+                        {**meta, "inf_mask": True}, written)
+    path = out / "mask_report.json"
+    _write_json(path, {
+        "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
+        "above_inf_ratio_after": above_inf_energy_ratio(masked, inf_curve),
+    })
     written.append(path)
 
 
@@ -569,7 +577,7 @@ def _ridge_products(cfg, out: Path, tfr, inf_curve, written: list[Path], meta):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, out: Path) -> list[Path]:
-    scenario, samples, sig, order = _scenario_pipeline(cfg)
+    scenario, samples, interp, sig = _scenario_pipeline(cfg)
     meta = _base_meta(cfg)
     written = []
     grid = np.linspace(0.0, scenario.duration_s, 801)
@@ -588,8 +596,6 @@ def cmd_simulate(cfg: dict, out: Path) -> list[Path]:
 
     # debugging dump of the interpolant internals (long format: the knot
     # sequence and, for B-splines, the basis coefficients)
-    build, _ = _interp_factory(cfg)
-    interp = build(samples)
     kinds = ["knot"] * len(interp.knots)
     indices = list(range(len(interp.knots)))
     values = list(np.asarray(interp.knots, dtype=float))
@@ -612,7 +618,7 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
     if cfg["input"]:
         sig = read_uniform_csv(Path(cfg["input"]))
     else:
-        scenario, _, sig, _ = _scenario_pipeline(cfg)
+        scenario, _, _, sig = _scenario_pipeline(cfg)
     if cfg["mitigation"]["lowpass"]:
         lp = cfg["mitigation"]["lowpass"]
         sig = lowpass_prefilter(sig, float(lp["cutoff_hz"]),
@@ -639,17 +645,7 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
             written.append(path)
         _ridge_products(cfg, out, tfr, inf_curve, written, meta)
         if cfg["mitigation"]["inf_mask"]:
-            masked = inf_hard_threshold(tfr, inf_curve)
-            ratio_before = above_inf_energy_ratio(tfr, inf_curve)
-            ratio_after = above_inf_energy_ratio(masked, inf_curve)
-            _write_tfr_products(cfg, out, "tfr_masked", masked,
-                                {**meta, "inf_mask": True}, written)
-            path = out / "mask_report.json"
-            _write_json(path, {
-                "above_inf_ratio_before": ratio_before,
-                "above_inf_ratio_after": ratio_after,
-            })
-            written.append(path)
+            _mask_products(cfg, out, "tfr", tfr, inf_curve, meta, written)
     return written
 
 
@@ -756,15 +752,7 @@ def cmd_physio(cfg: dict, out: Path) -> list[Path]:
     tmeta = _tfr_meta(cfg, tfr, edr_scheme=str(phys["edr_scheme"]))
     _write_tfr_products(cfg, out, f"{stem}_tfr", tfr, tmeta, written)
     if cfg["mitigation"]["inf_mask"]:
-        masked = inf_hard_threshold(tfr, est.inf)
-        _write_tfr_products(cfg, out, f"{stem}_tfr_masked", masked,
-                            {**tmeta, "inf_mask": True}, written)
-        path = out / "mask_report.json"
-        _write_json(path, {
-            "above_inf_ratio_before": above_inf_energy_ratio(tfr, est.inf),
-            "above_inf_ratio_after": above_inf_energy_ratio(masked, est.inf),
-        })
-        written.append(path)
+        _mask_products(cfg, out, f"{stem}_tfr", tfr, est.inf, tmeta, written)
     return written
 
 

@@ -6,7 +6,6 @@ prefiltering.  The third countermeasure, raising the spline order, is just
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,37 +14,33 @@ from scipy.signal import filtfilt, firwin, kaiserord
 from .spline_interp import UniformSignal
 from .tf_analysis import TFRepresentation
 
-__all__ = ["MaskedTFR", "inf_hard_threshold", "lowpass_prefilter"]
+__all__ = ["above_inf", "inf_hard_threshold", "lowpass_prefilter"]
 
 
-@dataclass(frozen=True, eq=False)
-class MaskedTFR(TFRepresentation):
-    """TF representation with everything above the INF curve zeroed."""
+def above_inf(tfr: TFRepresentation,
+              inf_curve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Boolean (bins x frames) mask of the cells strictly above the INF.
 
-    inf_curve: Callable[[np.ndarray], np.ndarray] = None
+    ``inf_curve`` is evaluated on the time axis; a scalar result applies to
+    every frame.  A cell exactly at the INF is not above it.
+    """
+    inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
+    return tfr.freq_axis[:, None] > np.broadcast_to(inf_vals, tfr.time_axis.shape)
 
 
 def inf_hard_threshold(tfr: TFRepresentation,
-                       inf_curve: Callable[[np.ndarray], np.ndarray]) -> MaskedTFR:
+                       inf_curve: Callable[[np.ndarray], np.ndarray]
+                       ) -> TFRepresentation:
     """Zero every cell strictly above the INF curve; keep the rest verbatim.
 
     The boundary cell at the INF itself is kept (frequencies <= INF pass).
     Idempotent, bitwise: masking a masked representation changes nothing.
+    The result keeps the method and window metadata of ``tfr``.
     """
-    inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
-    if inf_vals.shape != tfr.time_axis.shape:
-        inf_vals = np.broadcast_to(inf_vals, tfr.time_axis.shape)
-    keep = tfr.freq_axis[:, None] <= inf_vals[None, :]
-    masked = np.where(keep, tfr.matrix, 0.0)
+    masked = np.where(above_inf(tfr, inf_curve), 0.0, tfr.matrix)
     masked.setflags(write=False)
-    return MaskedTFR(
-        matrix=masked,
-        freq_axis=tfr.freq_axis,
-        time_axis=tfr.time_axis,
-        method=tfr.method,
-        window_meta=tfr.window_meta,
-        inf_curve=inf_curve,
-    )
+    return TFRepresentation(masked, tfr.freq_axis, tfr.time_axis, tfr.method,
+                            tfr.window_meta)
 
 
 def lowpass_prefilter(sig: UniformSignal, cutoff_hz: float,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,8 @@ class RPeakRecord:
         t = np.asarray(self.times, dtype=float).copy()
         if t.ndim != 1 or t.size < 2:
             raise ValueError("an R-peak record needs at least 2 peaks")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("R-peak times must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("R-peak times must be strictly increasing")
         t.setflags(write=False)
@@ -51,6 +54,8 @@ class RPeakRecord:
             a = np.asarray(self.amplitudes, dtype=float).copy()
             if a.shape != t.shape:
                 raise ValueError("amplitudes must match times in length")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("R-peak amplitudes must be finite")
             a.setflags(write=False)
             object.__setattr__(self, "amplitudes", a)
 
@@ -61,8 +66,8 @@ class RPeakRecord:
 def parse_rpeaks(data: bytes | str) -> RPeakRecord:
     """Parse an R-peak CSV: header ``time_s`` or ``time_s,amplitude``.
 
-    Raises ValueError naming the offending row for malformed or
-    non-monotone input; an empty file is an error.
+    Raises ValueError naming the offending row for malformed, non-finite
+    or non-monotone input; an empty file is an error.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     rows = list(csv.reader(io.StringIO(text)))
@@ -75,25 +80,24 @@ def parse_rpeaks(data: bytes | str) -> RPeakRecord:
             "header must be 'time_s' or 'time_s,amplitude', got "
             + ",".join(header)
         )
-    with_amp = len(header) == 2
-    times, amps = [], []
+    peaks = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValueError(f"row {lineno}: expected {len(header)} fields")
         try:
-            times.append(float(row[0]))
-            if with_amp:
-                amps.append(float(row[1]))
+            values = [float(cell) for cell in row]
         except ValueError:
             raise ValueError(f"row {lineno}: non-numeric value") from None
-        if len(times) >= 2 and times[-1] <= times[-2]:
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"row {lineno}: non-finite value")
+        if peaks and values[0] <= peaks[-1][0]:
             raise ValueError(f"row {lineno}: non-increasing time")
-    if len(times) < 2:
+        peaks.append(values)
+    if len(peaks) < 2:
         raise ValueError("an R-peak file needs at least 2 peaks")
-    return RPeakRecord(
-        times=np.asarray(times),
-        amplitudes=np.asarray(amps) if with_amp else None,
-    )
+    table = np.asarray(peaks)
+    return RPeakRecord(times=table[:, 0],
+                       amplitudes=table[:, 1] if len(header) == 2 else None)
 
 
 def rri_series(rec: RPeakRecord) -> SampleSet:

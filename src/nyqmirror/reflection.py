@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .mitigation import above_inf
 from .sampling import SamplingScheme, sample_signal
 from .signal_model import IMTSignal, Scenario
 from .spline_interp import (
@@ -224,12 +225,9 @@ def above_inf_energy_ratio(tfr: TFRepresentation,
 
     Returns 0 for an all-zero matrix.
     """
-    inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
-    if inf_vals.shape != tfr.time_axis.shape:
-        inf_vals = np.broadcast_to(inf_vals, tfr.time_axis.shape)
+    above = above_inf(tfr, inf_curve)
     mag = np.abs(tfr.matrix)
     total = float(mag.sum())
     if total == 0.0:
         return 0.0
-    above = tfr.freq_axis[:, None] > inf_vals[None, :]
     return float(mag[above].sum()) / total

@@ -16,6 +16,8 @@ from typing import Callable, TYPE_CHECKING
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .spline_interp import clip_to_domain
+
 if TYPE_CHECKING:  # pragma: no cover
     from .signal_model import IMTSignal
 
@@ -74,6 +76,8 @@ class SampleSet:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if t.size < 2:
             raise ValueError("a sample set needs at least 2 points")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("sample times and values must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
         t.setflags(write=False)
@@ -183,19 +187,13 @@ def estimate_isr(times) -> IsrEstimate:
     spline = CubicSpline(knots, rates, extrapolate=False)
     lo, hi = float(knots[0]), float(knots[-1])
 
-    def _eval(x, half=False):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        slack = 1e-12 * max(abs(lo), abs(hi), hi - lo)
-        if np.any(xa < lo - slack) or np.any(xa > hi + slack):
-            raise ValueError(f"ISR estimate queried outside [{lo}, {hi}]")
-        out = spline(np.clip(xa, lo, hi))
-        if half:
-            out = out / 2.0
+    def isr(x):
+        out = spline(clip_to_domain(x, (lo, hi), "ISR estimate query"))
         return float(out[0]) if np.ndim(x) == 0 else out
 
     return IsrEstimate(
-        isr=lambda x: _eval(x),
-        inf=lambda x: _eval(x, half=True),
+        isr=isr,
+        inf=lambda x: isr(x) / 2.0,
         domain=(lo, hi),
         knot_times=knots,
         knot_rates=rates,

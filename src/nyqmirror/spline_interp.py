@@ -3,14 +3,15 @@ cardinal-spline spectrum, interpolation on arbitrary strictly increasing
 knots, shape-preserving (PCHIP) interpolation, and uniform resampling.
 
 Production basis evaluation uses the Cox-de Boor recursion; the explicit
-truncated-power formulas are kept as independent oracles (they suffer
-catastrophic cancellation for order >~ 6 and are only trusted for n <= 5).
+truncated-power formulas are kept as independent oracles (the cardinal one
+cancels catastrophically for order >~ 6; the non-uniform one sums exactly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -22,6 +23,7 @@ __all__ = [
     "SplineInterpolant",
     "UniformSignal",
     "cardinal_bspline",
+    "clip_to_domain",
     "fundamental_spline_spectrum",
     "interpolate_nonuniform",
     "interpolate_pchip",
@@ -29,10 +31,6 @@ __all__ = [
     "nonuniform_bspline_truncated_power",
     "resample_uniform",
 ]
-
-# Relative slack accepted at domain edges before "outside domain" is raised.
-# Resampling grids can overshoot the last knot by a few ulps.
-_DOMAIN_RTOL = 1e-12
 
 _COND_LIMIT = 1e12
 
@@ -84,7 +82,10 @@ def nonuniform_bspline_truncated_power(n: int, j: int, knots, x) -> np.ndarray |
                  (x - t_k)_+^n / prod_{l != k} (t_l - t_k)
 
     ``knots`` must supply t_j .. t_{j+n+1}; ``j`` indexes into it.  Kept as
-    the independent oracle for the Cox-de Boor path (n <= 5 only).
+    the independent oracle for the Cox-de Boor path.  The alternating sum
+    is taken in exact rationals (every float is one), so its cancellation
+    costs nothing and each value is the correctly rounded B-spline.  One
+    Python evaluation per point: meant for tests, not production sizes.
     """
     t = np.asarray(knots, dtype=float)
     sup = t[j:j + n + 2]
@@ -93,13 +94,17 @@ def nonuniform_bspline_truncated_power(n: int, j: int, knots, x) -> np.ndarray |
     if np.any(np.diff(sup) <= 0.0):
         raise ValueError("repeated or decreasing knots in the support")
     xa = np.asarray(x, dtype=float)
-    acc = np.zeros_like(xa)
-    for k in range(n + 2):
-        denom = np.prod(np.delete(sup, k) - sup[k])
-        tp = np.where(xa - sup[k] > 0.0, xa - sup[k], 0.0) ** n
-        acc += tp / denom
-    out = (sup[-1] - sup[0]) * acc
-    out = np.where((xa <= sup[0]) | (xa >= sup[-1]), 0.0, out)
+    exact = [Fraction(v) for v in sup]
+    weights = [(exact[-1] - exact[0]) / prod(e - tk for e in exact if e != tk)
+               for tk in exact]
+
+    def value(point: float) -> float:
+        xq = Fraction(point)
+        return float(sum(w * (xq - tk) ** n
+                         for tk, w in zip(exact, weights) if xq > tk))
+
+    out = np.array([value(v) if sup[0] < v < sup[-1] else 0.0
+                    for v in xa.ravel()]).reshape(xa.shape)
     return out if out.ndim else float(out)
 
 
@@ -230,6 +235,8 @@ class UniformSignal:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("uniform signal needs a 1-d array of length >= 2")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("uniform signal values must be finite")
         if not self.rate > 0.0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         v = v.copy()
@@ -251,6 +258,21 @@ class UniformSignal:
 # ---------------------------------------------------------------------------
 # interpolants
 # ---------------------------------------------------------------------------
+
+def clip_to_domain(x, domain: tuple[float, float], what: str) -> np.ndarray:
+    """``x`` as a 1-d float array clipped into ``domain``, never extrapolated.
+
+    Points beyond the domain by more than a relative 1e-12 slack raise
+    ValueError("``what`` outside domain [lo, hi]"); points within it are
+    clipped, since resampling grids can overshoot the last knot by ulps.
+    """
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = domain
+    slack = 1e-12 * max(abs(lo), abs(hi), hi - lo)
+    if np.any(xa < lo - slack) or np.any(xa > hi + slack):
+        raise ValueError(f"{what} outside domain [{lo}, {hi}]")
+    return np.clip(xa, lo, hi)
+
 
 def _basis_matrix_rows(ext_knots: np.ndarray, n: int, x: np.ndarray,
                        span: np.ndarray) -> np.ndarray:
@@ -305,14 +327,7 @@ class SplineInterpolant:
             object.__setattr__(self, name, a)
 
     def __call__(self, x) -> np.ndarray | float:
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain
-        slack = _DOMAIN_RTOL * max(abs(lo), abs(hi), hi - lo)
-        if np.any(xa < lo - slack) or np.any(xa > hi + slack):
-            raise ValueError(
-                f"evaluation outside interpolant domain [{lo}, {hi}]"
-            )
-        xa = np.clip(xa, lo, hi)
+        xa = clip_to_domain(x, self.domain, "spline evaluation")
         n = self.order
         spans = _find_spans(self.knots, n, xa)
         vals = _basis_matrix_rows(self.knots, n, xa, spans)
@@ -457,14 +472,7 @@ class PchipInterpolant:
         self._pchip = PchipInterpolator(times, values, extrapolate=False)
 
     def __call__(self, x) -> np.ndarray | float:
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain
-        slack = _DOMAIN_RTOL * max(abs(lo), abs(hi), hi - lo)
-        if np.any(xa < lo - slack) or np.any(xa > hi + slack):
-            raise ValueError(
-                f"evaluation outside interpolant domain [{lo}, {hi}]"
-            )
-        out = self._pchip(np.clip(xa, lo, hi))
+        out = self._pchip(clip_to_domain(x, self.domain, "PCHIP evaluation"))
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -495,13 +503,8 @@ def resample_uniform(interp, rate: float, t_start: float,
         raise ValueError(f"rate must be positive, got {rate}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    lo, hi = interp.domain
-    slack = _DOMAIN_RTOL * max(abs(lo), abs(hi), hi - lo)
-    if t_start < lo - slack or t_end > hi + slack:
-        raise ValueError(
-            f"resampling span [{t_start}, {t_end}] outside interpolant "
-            f"domain [{lo}, {hi}]"
-        )
+    clip_to_domain([t_start, t_end], interp.domain,
+                   f"resampling span [{t_start}, {t_end}]")
     count = int(np.floor((t_end - t_start) * rate + 1e-9)) + 1
     grid = t_start + np.arange(count) / rate
     return UniformSignal(values=np.asarray(interp(grid), dtype=float),

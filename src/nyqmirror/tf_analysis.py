@@ -398,22 +398,31 @@ def _max_plus_l1(prev: np.ndarray, penalty: float) -> np.ndarray:
     return np.maximum(left, right)
 
 
-def ridge_extract(tfr: TFRepresentation, freq_min: float, freq_max: float,
+def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
                   jump_penalty: float = 0.0) -> np.ndarray:
     """Maximum-magnitude frequency ridge within a band, smoothed by dynamic
     programming with an L1 jump cost per frame.
 
+    ``freq_min`` and ``freq_max`` are scalars or one value per frame; the
+    ridge only visits cells inside each frame's band, which must hold a bin.
     Returns the ridge frequency in Hz per frame.  Ties break toward the
     lower frequency, so a zero matrix yields the lowest band bin.
     """
     if jump_penalty < 0.0:
         raise ValueError("jump_penalty must be >= 0")
-    band = np.nonzero((tfr.freq_axis >= freq_min) & (tfr.freq_axis <= freq_max))[0]
-    if band.size == 0:
-        raise ValueError(
-            f"band [{freq_min}, {freq_max}] Hz contains no frequency bins"
-        )
-    mag = np.abs(tfr.matrix[band, :])
+    frames = tfr.time_axis.shape
+    lo = np.broadcast_to(np.asarray(freq_min, dtype=float), frames)
+    hi = np.broadcast_to(np.asarray(freq_max, dtype=float), frames)
+    inside = (tfr.freq_axis[:, None] >= lo) & (tfr.freq_axis[:, None] <= hi)
+    has_bin = inside.any(axis=0)
+    if not has_bin.all():
+        t = int(np.argmin(has_bin))
+        raise ValueError(f"frame {t}: band [{lo[t]}, {hi[t]}] Hz holds no bin")
+    # the run of rows any band reaches: row offsets stay bin distances
+    used = np.nonzero(inside.any(axis=1))[0]
+    rows = slice(used[0], used[-1] + 1)
+    mag = np.abs(tfr.matrix[rows])
+    mag[~inside[rows]] = -np.inf
     n_frames = mag.shape[1]
 
     acc = np.empty_like(mag)
@@ -423,9 +432,9 @@ def ridge_extract(tfr: TFRepresentation, freq_min: float, freq_max: float,
 
     path = np.empty(n_frames, dtype=np.intp)
     path[-1] = int(np.argmax(acc[:, -1]))
-    offsets = np.arange(band.size)
+    offsets = np.arange(mag.shape[0])
     for t in range(n_frames - 2, -1, -1):
         path[t] = int(np.argmax(
             acc[:, t] - jump_penalty * np.abs(offsets - path[t + 1])
         ))
-    return tfr.freq_axis[band[path]]
+    return tfr.freq_axis[rows][path]

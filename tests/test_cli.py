@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from nyqmirror import __version__
+from nyqmirror import __version__, cli
 from nyqmirror.cli import (
     _CSV_BLOCK_ROWS,
     _atomic_write,
@@ -73,6 +73,12 @@ def test_set_overrides_and_validates():
         load_config(None, ["no-equals-sign"])
 
 
+def test_seed_key_removed(tmp_path, capsys):
+    rc = main(["simulate", "--set", "seed=0", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "unknown config key: seed" in capsys.readouterr().err
+
+
 def test_scenario_roundtrip_through_config():
     sc1 = scenario_from_config(SMALL_SCENARIO)
     sc2 = scenario_from_config(json.loads(json.dumps(SMALL_SCENARIO)))
@@ -103,6 +109,19 @@ def test_simulate_writes_five_files_deterministically(tmp_path, small_config):
     assert main(["simulate", "--config", str(small_config)]) == 0
     second = read_all(out)
     assert first == second  # byte-identical across runs
+
+
+def test_simulate_solves_the_spline_once(tmp_path, small_config, monkeypatch):
+    calls = []
+    solve = cli.interpolate_nonuniform
+
+    def counting(samples, n):
+        calls.append(n)
+        return solve(samples, n)
+
+    monkeypatch.setattr(cli, "interpolate_nonuniform", counting)
+    assert main(["simulate", "--config", str(small_config)]) == 0
+    assert calls == [3]
 
 
 def test_simulate_records_order_in_metadata(tmp_path, small_config):
@@ -161,6 +180,18 @@ def test_tfr_products_and_mask_report(tmp_path, small_config):
         curve = np.asarray(rows, dtype=float)
         inner = (curve[:, 0] > 3.0) & (curve[:, 0] < 9.0)
         assert np.median(curve[inner, 1]) == pytest.approx(target, abs=0.15)
+
+
+def test_tfr_inf_at_grid_nyquist_writes_every_product(tmp_path):
+    # resampled at the sampling rate: the INF is the top bin in every
+    # frame, so no bin lies strictly above it
+    scenario = {**SMALL_SCENARIO, "resample_hz": 5.0}
+    out = tmp_path / "edge"
+    rc = main(["tfr", "--set", f"scenario={json.dumps(scenario)}",
+               "--set", "analysis.window_s=4.0", "--set", "mitigation.inf_mask=true",
+               "--out", str(out)])
+    assert rc == 0
+    assert {"ridge_above_inf.csv", "mask_report.json"} <= {p.name for p in out.iterdir()}
 
 
 def test_tfr_zero_signal_all_zero_pgm(tmp_path):
@@ -274,6 +305,18 @@ def test_physio_two_peak_csv_is_data_error(tmp_path):
     src.write_text("time_s,amplitude\n0.0,1.0\n0.8,1.1\n")
     rc = main(["physio", "--set", f"input={src}", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_physio_non_finite_row_is_data_error(tmp_path, capsys):
+    # 60 beats, one at time nan: the parser names its row instead of
+    # letting the NaN reach the interval spline
+    rows = [f"{0.8 * k!r},1.0" for k in range(60)]
+    rows[30] = "nan,1.0"
+    src = tmp_path / "peaks.csv"
+    src.write_text("time_s,amplitude\n" + "\n".join(rows) + "\n")
+    rc = main(["physio", "--set", f"input={src}", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "row 32: non-finite value" in capsys.readouterr().err
 
 
 def test_physio_without_input_or_synth_is_config_error(tmp_path):

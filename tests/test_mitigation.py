@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nyqmirror import UniformSignal
-from nyqmirror.mitigation import inf_hard_threshold, lowpass_prefilter
+from nyqmirror.mitigation import above_inf, inf_hard_threshold, lowpass_prefilter
 from nyqmirror.reflection import above_inf_energy_ratio
 from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, make_windows, synchrosqueeze
 
@@ -43,6 +43,16 @@ def test_mask_keeps_boundary_bin():
     masked = inf_hard_threshold(toy_tfr(mat), lambda t: np.full_like(t, 3.0))
     np.testing.assert_array_equal(masked.matrix[3, :], 1.0)
     np.testing.assert_array_equal(masked.matrix[4, :], 0.0)
+
+
+def test_mask_scalar_curve_broadcast_and_plain_result():
+    tfr = toy_tfr(np.ones((6, 4)))
+    np.testing.assert_array_equal(above_inf(tfr, lambda t: 3.0),
+                                  np.arange(6)[:, None] > np.full((1, 4), 3.0))
+    masked = inf_hard_threshold(tfr, lambda t: 3.0)
+    assert type(masked) is TFRepresentation and masked.method == "rm"
+    np.testing.assert_array_equal(masked.matrix[:4], 1.0)
+    np.testing.assert_array_equal(masked.matrix[4:], 0.0)
 
 
 def test_mask_idempotent_bitwise():

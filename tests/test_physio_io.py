@@ -43,6 +43,21 @@ def test_parse_reports_bad_row():
         parse_rpeaks(b"time_s\n0.0\n0.8\n0.5\n")
 
 
+def test_parse_rejects_non_finite_row():
+    with pytest.raises(ValueError, match="row 3: non-finite"):
+        parse_rpeaks(b"time_s\n0.0\nnan\n1.7\n")
+    with pytest.raises(ValueError, match="row 4: non-finite"):
+        parse_rpeaks(b"time_s,amplitude\n0.0,1.0\n0.8,1.1\n1.7,inf\n")
+
+
+def test_record_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        RPeakRecord(times=np.array([0.0, np.nan, 1.7]))
+    with pytest.raises(ValueError, match="finite"):
+        RPeakRecord(times=np.array([0.0, 0.8, 1.7]),
+                    amplitudes=np.array([1.0, np.nan, 1.0]))
+
+
 def test_parse_empty_and_bad_header():
     with pytest.raises(ValueError, match="empty"):
         parse_rpeaks(b"")

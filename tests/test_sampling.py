@@ -130,6 +130,15 @@ def test_sampleset_rejects_mismatched_lengths():
         SampleSet(times=np.array([0.0, 1.0]), values=np.zeros(3))
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0]),
+], ids=["nan_time", "inf_value"])
+def test_sampleset_rejects_non_finite(times, values):
+    with pytest.raises(ValueError, match="finite"):
+        SampleSet(times=np.array(times), values=np.array(values))
+
+
 def test_sampleset_immutable():
     s = SampleSet(times=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

@@ -360,6 +360,28 @@ def test_ridge_tracks_linear_chirp():
 def test_ridge_empty_band_rejected():
     with pytest.raises(ValueError):
         ridge_extract(zero_tfr(), 100.0, 200.0)
+    lo = np.full(8, 2.0)
+    lo[5] = 15.5  # above the last bin (15 Hz)
+    with pytest.raises(ValueError, match="frame 5"):
+        ridge_extract(zero_tfr(), lo, 20.0)
+
+
+def test_ridge_per_frame_band():
+    # the strongest cell of every frame lies below its band's lower edge;
+    # the ridge must take the strongest cell inside the band instead
+    from nyqmirror.tf_analysis import WindowMeta
+
+    mat = np.zeros((16, 8))
+    mat[2, :] = 10.0
+    lows = 4.0 + np.arange(8)
+    mat[(lows + 1).astype(int), np.arange(8)] = 1.0
+    tfr = TFRepresentation(mat, np.arange(16.0), np.arange(8) * 0.5, "rm",
+                           WindowMeta("gaussian", 1.0, 1, 1))
+    for penalty in (0.0, 0.5):
+        ridge = ridge_extract(tfr, lows, 15.0, jump_penalty=penalty)
+        np.testing.assert_array_equal(ridge, lows + 1)
+    # a zero band falls to each frame's lowest band bin
+    np.testing.assert_array_equal(ridge_extract(zero_tfr(), lows, 15.0), lows)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,7 @@ DEFAULT_CONFIG = {
     },
 }
 
+_FORMATS = ("csv", "tfr1", "pgm")
 _SCENARIO_KEYS = {"signal", "scheme", "duration_s", "resample_hz"}
 _LOWPASS_KEYS = {"cutoff_hz", "transition_hz"}
 _SYNTH_KEYS = {"ihr_hz", "resp_hz", "duration_s", "modulation_depth"}
@@ -163,17 +164,20 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
         keys = dotted.split(".")
         probe = DEFAULT_CONFIG
-        for key in keys[:-1]:
+        for key in keys:
             if not isinstance(probe, dict) or key not in probe:
                 raise ConfigError(f"unknown config key: {dotted}")
             probe = probe[key]
-            node = node.setdefault(key, {})
-        if not isinstance(probe, dict) or keys[-1] not in probe:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node[keys[-1]] = value
+        # merged like a config file, so a section must stay an object
+        for key in reversed(keys):
+            value = {key: value}
+        cfg = _merge_checked(cfg, value)
+    formats = cfg["output"]["formats"]
+    if not isinstance(formats, list) or any(f not in _FORMATS for f in formats):
+        raise ConfigError(f"output.formats must be a list drawn from "
+                          f"{', '.join(_FORMATS)}, got {json.dumps(formats)}")
     _check_free_section(
         cfg["scenario"] if isinstance(cfg["scenario"], dict) else None,
         _SCENARIO_KEYS, "scenario",
@@ -539,7 +543,11 @@ def _write_tfr_products(cfg, out: Path, stem: str, tfr: TFRepresentation,
 
 
 def _ridge_products(cfg, out: Path, tfr, inf_curve, written: list[Path], meta):
-    """Ridge curves below and strictly above the INF overlay."""
+    """Ridge curves below and strictly above the INF overlay.
+
+    A frame whose INF reaches the top bin has no bin above it; its
+    above-INF ridge is written as NaN.
+    """
     if "csv" not in cfg["output"]["formats"]:
         return
     inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
@@ -548,8 +556,10 @@ def _ridge_products(cfg, out: Path, tfr, inf_curve, written: list[Path], meta):
     ridge_lo = ridge_extract(tfr, df, max(float(inf_vals.min()), 2 * df), 0.0)
     # each frame's band starts strictly above its INF; a frame whose INF
     # reaches the top bin (resampled at or below the ISR) keeps that bin
+    # for the ridge search and is then written as NaN
     ridge_hi = ridge_extract(tfr, np.minimum(np.nextafter(inf_vals, np.inf), top),
                              top, 0.0)
+    ridge_hi = np.where(inf_vals >= top, np.nan, ridge_hi)
     for name, ridge in (("ridge_below_inf.csv", ridge_lo),
                         ("ridge_above_inf.csv", ridge_hi)):
         path = out / name

@@ -25,7 +25,7 @@ from .sampling import SamplingScheme, sample_signal
 from .signal_model import IMTSignal, Scenario
 from .spline_interp import (
     UniformSignal,
-    _sinc_power_periodization,
+    fundamental_spline_spectrum,
     interpolate_nonuniform,
     resample_uniform,
 )
@@ -41,9 +41,6 @@ __all__ = [
     "verify_reflection_theorem",
 ]
 
-_L_MAX = 4096
-
-
 @dataclass(frozen=True)
 class PredictedComponent:
     """One image component of the interpolated signal.
@@ -57,12 +54,6 @@ class PredictedComponent:
     if_curve: Callable[[np.ndarray], np.ndarray]
     amp_curve: Callable[[np.ndarray], np.ndarray]
     peak_amp: float
-
-
-def _kernel_amplitude(n: int, k: int, beta: np.ndarray) -> np.ndarray:
-    # eta_hat has a 1-periodic, even denominator: evaluate it once at beta
-    denom = _sinc_power_periodization(n, beta, _L_MAX)
-    return np.sinc(k - beta) ** (n + 1) / denom
 
 
 def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
@@ -93,7 +84,7 @@ def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
             beta = np.asarray(signal.iff(ta), dtype=float) \
                 / np.asarray(scheme.psi_prime(ta), dtype=float)
             return np.asarray(signal.am(ta), dtype=float) \
-                * _kernel_amplitude(n, k, beta)
+                * fundamental_spline_spectrum(n, k - beta)
         return amp
 
     components = []
@@ -141,12 +132,11 @@ def synthesize_prediction(signal: IMTSignal, scheme: SamplingScheme, n: int,
     iff = np.asarray(signal.iff(t), dtype=float)
     psi = np.asarray(scheme.psi(t), dtype=float)
     beta = iff / np.asarray(scheme.psi_prime(t), dtype=float)
-    denom = _sinc_power_periodization(n, beta, _L_MAX)
 
     total = np.zeros_like(t)
     for k in range(-k_max, k_max + 1):
-        coeff = np.sinc(k - beta) ** (n + 1) / denom
-        total += coeff * np.cos(2.0 * np.pi * (k * psi - phi))
+        total += fundamental_spline_spectrum(n, k - beta) \
+            * np.cos(2.0 * np.pi * (k * psi - phi))
     return UniformSignal(values=am * total, rate=float(rate), t_start=t0)
 
 

@@ -158,23 +158,17 @@ def nonuniform_bspline(n: int, j: int, knots, x) -> np.ndarray | float:
 # fundamental cardinal spline spectrum
 # ---------------------------------------------------------------------------
 
-def _sinc_power_periodization(n: int, xi: np.ndarray, l_max: int) -> np.ndarray:
-    """sum_{|l| <= l_max} sinc(xi - l)^(n+1), chunked to bound memory."""
-    shifts = np.arange(-l_max, l_max + 1, dtype=float)
-    flat = np.ravel(xi)
-    out = np.empty_like(flat)
-    step = max(1, 2_000_000 // shifts.size)
-    for a in range(0, flat.size, step):
-        blk = flat[a:a + step, None] - shifts[None, :]
-        out[a:a + step] = np.sum(np.sinc(blk) ** (n + 1), axis=1)
-    return out.reshape(np.shape(xi))
-
-
-def fundamental_spline_spectrum(n: int, xi, l_max: int = 4096) -> np.ndarray | float:
+def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
     """Fourier transform of the order-``n`` fundamental cardinal spline.
 
-    eta_hat_n(xi) = sinc(xi)^(n+1) / sum_{|l| <= l_max} sinc(xi - l)^(n+1)
+    eta_hat_n(xi) = sinc(xi)^(n+1) / sum_l sinc(xi - l)^(n+1)
     with sinc(u) = sin(pi u)/(pi u) and sinc(0) = 1.
+
+    By Poisson summation the periodized denominator is the finite cosine
+    series b(0) + 2 sum_{m=1}^{floor((n+1)/2)} b(m) cos(2 pi m xi), where
+    b(m) is the centred order-``n`` B-spline at the integer m (the
+    Euler-Frobenius polynomial; Unser, Aldroubi & Eden, IEEE TSP 1993), so
+    the spectrum is exact rather than a truncated sum.
 
     Parameters
     ----------
@@ -182,9 +176,6 @@ def fundamental_spline_spectrum(n: int, xi, l_max: int = 4096) -> np.ndarray | f
         Spline order, n >= 1.
     xi : float or array_like
         Frequency in cycles per sample.
-    l_max : int
-        Periodization truncation, >= 64.  The truncation error of the
-        denominator is O(l_max**-n).
 
     Returns
     -------
@@ -193,12 +184,15 @@ def fundamental_spline_spectrum(n: int, xi, l_max: int = 4096) -> np.ndarray | f
     """
     if n < 1:
         raise ValueError(f"spline order must be >= 1, got {n}")
-    if l_max < 64:
-        raise ValueError(f"l_max must be >= 64, got {l_max}")
     xa = np.asarray(xi, dtype=float)
-    num = np.sinc(xa) ** (n + 1)
-    den = _sinc_power_periodization(n, xa, l_max)
-    out = num / den
+    m = np.arange((n + 1) // 2 + 1)
+    # Cox-de Boor, not cardinal_bspline: the truncated-power form loses
+    # about 1e-10 to cancellation at n = 12
+    b = nonuniform_bspline(n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0)
+    den = np.full_like(xa, b[0])
+    for mi in m[1:]:
+        den += 2.0 * b[mi] * np.cos(2.0 * np.pi * mi * xa)
+    out = np.sinc(xa) ** (n + 1) / den
     return out if out.ndim else float(out)
 
 
@@ -207,16 +201,13 @@ class KernelSpectrum:
     """Evaluable spectrum of the fundamental cardinal spline of one order."""
 
     order: int
-    l_max: int = 4096
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"spline order must be >= 1, got {self.order}")
-        if self.l_max < 64:
-            raise ValueError(f"l_max must be >= 64, got {self.l_max}")
 
     def __call__(self, xi) -> np.ndarray | float:
-        return fundamental_spline_spectrum(self.order, xi, self.l_max)
+        return fundamental_spline_spectrum(self.order, xi)
 
 
 # ---------------------------------------------------------------------------

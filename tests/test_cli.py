@@ -6,8 +6,10 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nyqmirror import __version__, cli
+from nyqmirror import UniformSignal, __version__, cli
 from nyqmirror.cli import (
     _CSV_BLOCK_ROWS,
     _atomic_write,
@@ -19,6 +21,7 @@ from nyqmirror.cli import (
     scenario_from_config,
     write_tfr_binary,
     write_tfr_csv,
+    write_uniform_csv,
     ConfigError,
 )
 from nyqmirror.tf_analysis import TFRepresentation, WindowMeta
@@ -71,6 +74,24 @@ def test_set_overrides_and_validates():
         load_config(None, ["analysis.bogus=1"])
     with pytest.raises(ConfigError):
         load_config(None, ["no-equals-sign"])
+
+
+@pytest.mark.parametrize("assignment", [
+    "interpolation=3", "output=1", "analysis=null", "output.formats=5",
+    'output.formats="csv"', 'output.formats=["csv", "svg"]',
+])
+def test_malformed_set_is_config_error(tmp_path, capsys, assignment):
+    rc = main(["simulate", "--set", assignment, "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_set_section_object_merges_like_config_file():
+    cfg = load_config(None, ['interpolation={"order": 5}'])
+    assert cfg["interpolation"] == {"scheme": "bspline", "order": 5}
 
 
 def test_seed_key_removed(tmp_path, capsys):
@@ -192,6 +213,11 @@ def test_tfr_inf_at_grid_nyquist_writes_every_product(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert {"ridge_above_inf.csv", "mask_report.json"} <= {p.name for p in out.iterdir()}
+    # no frame has a bin above its INF, so no frame has a ridge there
+    lines = (out / "ridge_above_inf.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0] == ["time_s", "freq_hz"] and len(rows) > 1
+    assert {freq for _, freq in rows[1:]} == {"nan"}
 
 
 def test_tfr_zero_signal_all_zero_pgm(tmp_path):
@@ -411,6 +437,48 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
             raise RuntimeError("writer failed")
     assert [p.name for p in tmp_path.iterdir()] == ["kept.bin"]
     assert path.read_bytes() == b"old"
+
+
+def _bits(values):
+    return np.asarray(values, dtype="<f8").view("<u8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=2, max_size=40),
+       rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       t_start=st.floats(allow_nan=False, allow_infinity=False))
+@example(values=[-0.0, 5e-324, -2.2250738585072014e-309, 1e308],
+         rate=2.5e-310, t_start=-0.0)
+def test_uniform_csv_roundtrip(tmp_path_factory, values, rate, t_start):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_uniform_csv(path, UniformSignal(values, rate, t_start),
+                          {"method": "x"})
+    back = read_uniform_csv(path)
+    np.testing.assert_array_equal(_bits(back.values), _bits(values))
+    assert _bits([back.rate, back.t_start]).tolist() \
+        == _bits([rate, t_start]).tolist()
+
+
+def _increasing(size):
+    return st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=size, max_size=size, unique=True).map(sorted) \
+        .filter(lambda v: np.all(np.diff(v) > 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 6), frames=st.integers(1, 6))
+def test_tfr1_roundtrip(tmp_path_factory, data, bins, frames):
+    matrix = data.draw(arrays("<f8", (bins, frames)))
+    freq, times = data.draw(_increasing(bins)), data.draw(_increasing(frames))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.tfr1"
+    write_tfr_binary(path, TFRepresentation(matrix, freq, times, "stft",
+                                            WindowMeta("gaussian", 3.0, 2, 1)))
+    mat, f, t = read_tfr_binary(path)
+    np.testing.assert_array_equal(_bits(mat), _bits(np.abs(matrix)))
+    np.testing.assert_array_equal(_bits(f), _bits(freq))
+    np.testing.assert_array_equal(_bits(t), _bits(times))
 
 
 @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "padded"])

@@ -58,6 +58,19 @@ def test_harmonic_uniform_components():
     assert comps[0].k == 0
 
 
+def test_harmonic_uniform_components_order_12():
+    sc = builtin_scenario("fig1")
+    comps = predict_components(sc.signal, uniform_scheme(6.0), 12, (-2, 2), GRID)
+    by_k = {c.k: c for c in comps}
+    beta = 2.5 / 6.0
+    t = np.array([1.0, 40.0])
+    for k in (0, 1, -1, 2):
+        np.testing.assert_allclose(
+            by_k[k].amp_curve(t), fundamental_spline_spectrum(12, k - beta),
+            rtol=1e-9,
+        )
+
+
 def test_fig2_first_image_frequency():
     sc = builtin_scenario("fig2")
     comps = predict_components(sc.signal, sc.scheme, 3, (0, 1), GRID)

@@ -140,8 +140,16 @@ def test_spectrum_dc_and_integer_zeros():
 def test_spectrum_half_sample_closed_form():
     # sum_l sinc(1/2 - l)^4 = 1/3 via sum over odd m of m^-4 = pi^4/96,
     # hence eta_hat_3(1/2) = 48/pi^4
-    got = fundamental_spline_spectrum(3, 0.5, 10_000)
+    got = fundamental_spline_spectrum(3, 0.5)
     assert got == pytest.approx(48.0 / np.pi**4, abs=1e-10)
+
+
+def test_spectrum_order_one_is_sinc_squared():
+    # the linear B-spline is 1 at 0 and 0 at every other integer, so the
+    # periodized denominator is exactly 1
+    xi = np.linspace(-3.3, 3.7, 301)
+    got = fundamental_spline_spectrum(1, xi)
+    assert np.max(np.abs(got - np.sinc(xi) ** 2)) <= 1e-15
 
 
 def test_spectrum_even_symmetry():
@@ -154,19 +162,36 @@ def test_spectrum_even_symmetry():
 
 def test_spectrum_poisson_cross_check():
     # The periodized sinc power equals the finite cosine series of centered
-    # cardinal B-spline samples (Poisson summation): an exact, independent
-    # oracle for the truncated sum.
+    # cardinal B-spline samples (Poisson summation); here the samples come
+    # from the exact-rational truncated-power oracle, not Cox-de Boor.
     xi = np.linspace(-1.3, 1.7, 41)
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 13):
         m = np.arange(-(n + 1) // 2 - 1, (n + 1) // 2 + 2)
-        bsamp = cardinal_bspline(n, m + (n + 1) / 2.0)
+        bsamp = nonuniform_bspline_truncated_power(
+            n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0
+        )
         denom_exact = np.array(
             [np.sum(bsamp * np.cos(2.0 * np.pi * m * x)) for x in xi]
         )
         want = np.sinc(xi) ** (n + 1) / denom_exact
-        got = fundamental_spline_spectrum(n, xi, 20_000)
-        # truncated-sum error is O(l_max^-n)
-        assert np.max(np.abs(got - want)) < max(1e-10, 2.0 * 20_000.0 ** -n)
+        got = fundamental_spline_spectrum(n, xi)
+        assert np.max(np.abs(got - want)) < 1e-12, n
+
+
+def sinc_power_periodization(n, xi, l_max):
+    """sum_{|l| <= l_max} sinc(xi - l)^(n+1): the truncated sum."""
+    shifts = np.arange(-l_max, l_max + 1, dtype=float)
+    return np.sum(np.sinc(xi[:, None] - shifts[None, :]) ** (n + 1), axis=1)
+
+
+def test_spectrum_matches_truncated_periodization():
+    # the definition, summed directly: its truncation error is O(l_max^-n)
+    xi = np.linspace(-1.3, 1.7, 41)
+    l_max = 20_000
+    for n in (1, 2, 3, 4, 5, 8, 12):
+        want = np.sinc(xi) ** (n + 1) / sinc_power_periodization(n, xi, l_max)
+        got = fundamental_spline_spectrum(n, xi)
+        assert np.max(np.abs(got - want)) < max(1e-10, 2.0 * l_max ** -float(n))
 
 
 def test_spectrum_order_limit_toward_ideal_filter():
@@ -179,9 +204,11 @@ def test_spectrum_order_limit_toward_ideal_filter():
     assert all(a > b for a, b in zip(stop_val, stop_val[1:]))
 
 
-def test_spectrum_rejects_small_l_max():
-    with pytest.raises(ValueError):
-        fundamental_spline_spectrum(3, 0.5, 32)
+def test_spectrum_rejects_order_zero():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        fundamental_spline_spectrum(0, 0.5)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        KernelSpectrum(order=0)
 
 
 def test_kernel_spectrum_object():

@@ -1,9 +1,10 @@
 """Command-line surface: ``nyqmirror simulate|tfr|predict|physio``.
 
-Runs are driven by a JSON config with documented defaults (below); CLI
-``--set key=value`` assignments override config keys, ``--out`` overrides
-the output directory.  Every output file is written atomically and embeds
-a metadata header; runs are bit-reproducible (no wall clock, no RNG).
+Runs are driven by a JSON config, overridden by ``--set key=value``
+assignments and ``--out``.  Every key has a default, a type and, where
+it applies, choices and bounds (see the README); a value outside them is
+a config error that names the key.  Output files are written atomically,
+embed a metadata header and are bit-reproducible (no wall clock, no RNG).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,83 +73,154 @@ class ConfigError(Exception):
     """Unusable configuration or command line (exit code 1)."""
 
 
-# Every key and its default; unknown keys are rejected.
-DEFAULT_CONFIG = {
-    "scenario": "fig1",
-    "input": None,
-    "interpolation": {
-        "scheme": "bspline",   # bspline | pchip
-        "order": 3,
-    },
-    "analysis": {
-        "method": "sst",       # stft | sst | rm | mt_sst | mt_rm
-        "window": "gaussian",  # gaussian | hermite
-        "window_s": 10.0,
-        "hop": None,           # samples; None -> 8 frames per second
-        "nfft": None,          # None -> next power of two >= 16x window
-        "tapers": 3,
-        "threshold": 1e-8,
-    },
-    "mitigation": {
-        "inf_mask": False,
-        "lowpass": None,       # {"cutoff_hz": ..., "transition_hz": ...}
-    },
-    "physio": {
-        "rate_hz": 8.0,
-        "edr_scheme": "cubic",  # cubic | pchip | integer order
-        "synth": None,          # {"ihr_hz", "resp_hz", "duration_s",
-                                #  "modulation_depth"}
-    },
-    "predict": {
-        "k_min": -1,
-        "k_max": 3,
-    },
-    "output": {
-        "directory": "out",
-        "formats": ["csv", "tfr1", "pgm"],
-    },
-}
-
-_FORMATS = ("csv", "tfr1", "pgm")
-_SCENARIO_KEYS = {"signal", "scheme", "duration_s", "resample_hz"}
-_LOWPASS_KEYS = {"cutoff_hz", "transition_hz"}
-_SYNTH_KEYS = {"ihr_hz", "resp_hz", "duration_s", "modulation_depth"}
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
-def _merge_checked(defaults, override, path=""):
-    if not isinstance(override, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
-    merged = copy.deepcopy(defaults)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict) and key not in (
-            "scenario", "lowpass", "synth"
-        ):
-            merged[key] = _merge_checked(defaults[key], value, where)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+_MISSING = object()  # the value of an object key left out, if it has no default
 
 
-def _check_free_section(obj, allowed, where):
-    if obj is None:
-        return
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be null or an object")
-    unknown = set(obj) - allowed
+class _Leaf(NamedTuple):
+    """One config value: its default, its ``kind`` (a tuple of types; by
+    default the type of the default), the ``choices`` of a string or of
+    each list item, the inclusive bounds ``lo``/``hi`` of a number
+    (``positive``: above 0), and the keys of an object, as ``fields`` or
+    as ``variants`` picked by its ``kind`` key.  It may be null only if
+    its default is.  ``_typed`` checks a value against it."""
+
+    default: object
+    kind: tuple = ()
+    choices: tuple = ()
+    lo: float = -math.inf
+    hi: float = math.inf
+    positive: bool = False
+    fields: dict | None = None
+    variants: dict | None = None
+
+
+_POSITIVE = _Leaf(_MISSING, (float,), positive=True)
+_SCENARIO_FIELDS = {
+    "signal": _Leaf(_MISSING, (dict,), variants={"harmonic": {
+        "freq_hz": _Leaf(1.0, positive=True), "amp": _Leaf(1.0, positive=True),
+    }}),
+    "scheme": _Leaf(_MISSING, (dict,), variants={
+        "uniform": {"rate_hz": _Leaf(8.0, positive=True)},
+        "cosine": {"base_hz": _Leaf(8.0), "depth_hz": _Leaf(0.5),
+                   "period_s": _Leaf(20.0, positive=True)},
+        "quadratic": {"base_hz": _Leaf(6.0, positive=True),
+                      "quad_denom": _Leaf(800.0, positive=True),
+                      "t_center": _Leaf(0.0)},
+    }),
+    "duration_s": _POSITIVE,
+    "resample_hz": _POSITIVE,
+}
+
+# Every config key, "section.key" or a top-level key; unknown keys are rejected.
+_LEAVES = {
+    "scenario": _Leaf("fig1", (str, dict), ("fig1", "fig2"),
+                      fields=_SCENARIO_FIELDS),
+    "input": _Leaf(None, (str,)),
+    "interpolation.scheme": _Leaf("bspline", choices=("bspline", "pchip")),
+    "interpolation.order": _Leaf(3, lo=1),
+    "analysis.method": _Leaf("sst", choices=("stft", "sst", "rm", "mt_sst", "mt_rm")),
+    "analysis.window": _Leaf("gaussian", choices=("gaussian", "hermite")),
+    "analysis.window_s": _Leaf(10.0, positive=True),
+    "analysis.hop": _Leaf(None, (int,), lo=1, hi=sys.maxsize),   # None: 8 frames/s
+    "analysis.nfft": _Leaf(None, (int,), lo=1, hi=sys.maxsize),  # None: >= 16x window
+    "analysis.tapers": _Leaf(3, lo=2, hi=10),
+    "analysis.threshold": _Leaf(1e-8, lo=0.0),
+    "mitigation.inf_mask": _Leaf(False),
+    "mitigation.lowpass": _Leaf(None, (dict,), fields={"cutoff_hz": _POSITIVE,
+                                                    "transition_hz": _POSITIVE}),
+    "physio.rate_hz": _Leaf(8.0, positive=True),
+    "physio.edr_scheme": _Leaf("cubic", (str, int), ("cubic", "pchip"), lo=1),
+    "physio.synth": _Leaf(None, (dict,), fields={
+        "ihr_hz": _Leaf(1.4, positive=True), "resp_hz": _Leaf(0.5),
+        "duration_s": _Leaf(240.0, positive=True), "modulation_depth": _Leaf(0.1),
+    }),
+    "predict.k_min": _Leaf(-1, hi=0),
+    "predict.k_max": _Leaf(3, lo=0),
+    "output.directory": _Leaf("out"),
+    "output.formats": _Leaf(["csv", "tfr1", "pgm"], choices=("csv", "tfr1", "pgm")),
+}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _nest(flat: dict) -> dict:
+    """``{"section.key": value}`` as ``{"section": {"key": value}}``."""
+    nested = {}
+    for where, value in flat.items():
+        section, _, key = where.rpartition(".")
+        (nested.setdefault(section, {}) if section else nested)[key] = value
+    return nested
+
+
+DEFAULT_CONFIG = _nest({where: leaf.default for where, leaf in _LEAVES.items()})
+
+
+def _typed(value, leaf: _Leaf, where: str):
+    """``value`` as the type ``leaf`` allows (an integral number as an int,
+    an int as a float, an object with its defaults filled in) and within
+    its choices and bounds; anything else is a ConfigError naming ``where``."""
+    kinds = leaf.kind or (type(leaf.default),)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and float in kinds and abs(value) <= sys.float_info.max:
+        value = float(value)
+    elif number and int in kinds and (isinstance(value, int) or value.is_integer()):
+        value = int(value)
+    elif isinstance(value, list) and list in kinds:
+        item = _Leaf(_MISSING, (str,), leaf.choices)
+        return [_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(value, dict) and dict in kinds:
+        return _typed_object(value, leaf, where)
+    elif number or not (value is None and leaf.default is None or type(value) in kinds):
+        names = [_KIND_NAMES[k] for k in kinds] + ["null"] * (leaf.default is None)
+        got = "nothing" if value is _MISSING else json.dumps(value)
+        raise ConfigError(f"{where} must be {' or '.join(names)}, got {got}")
+    if isinstance(value, str) and leaf.choices and value not in leaf.choices:
+        raise ConfigError(f"{where} must be one of {', '.join(leaf.choices)}, "
+                          f"got {json.dumps(value)}")
+    if number and (not leaf.lo <= value <= leaf.hi or leaf.positive and value <= 0):
+        bounds = "> 0" if leaf.positive else f"in [{leaf.lo}, {leaf.hi}]"
+        raise ConfigError(f"{where} must be {bounds}, got {value}")
+    return value
+
+
+def _typed_object(obj: dict, leaf: _Leaf, where: str) -> dict:
+    fields = leaf.fields
+    if leaf.variants:
+        kind = _Leaf(_MISSING, (str,), tuple(leaf.variants))
+        picked = _typed(obj.get("kind", _MISSING), kind, f"{where}.kind")
+        fields = {"kind": kind, **leaf.variants[picked]}
+    unknown = sorted(set(obj) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown config key: {where}.{sorted(unknown)[0]}")
+        raise ConfigError(f"unknown config key: {where}.{unknown[0]}")
+    return {key: _typed(obj.get(key, field.default), field, f"{where}.{key}")
+            for key, field in fields.items()}
+
+
+def _assign(flat: dict, where: str, value):
+    """Set the leaf ``where`` of the flat config ``flat``, or each key of
+    the section ``where`` ("" for the root), as a config file sets it."""
+    if where in flat:
+        flat[where] = value
+    elif where and not isinstance(DEFAULT_CONFIG.get(where), dict):
+        raise ConfigError(f"unknown config key: {where}")
+    elif not isinstance(value, dict):
+        raise ConfigError(f"config section {where or '<root>'} must be an object")
+    else:
+        for key, item in value.items():
+            name = f"{where}.{key}" if where else key
+            if "." in key:  # dotted names are for --set only
+                raise ConfigError(f"unknown config key: {name}")
+            _assign(flat, name, item)
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
-    """Defaults, overlaid with a JSON file and then key=value assignments."""
-    user = {}
+    """Defaults, overlaid with a JSON file and then key=value assignments;
+    each leaf of the result is then checked once against its ``_LEAVES`` row."""
+    flat = {where: leaf.default for where, leaf in _LEAVES.items()}
     if path is not None:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -155,7 +228,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    cfg = _merge_checked(DEFAULT_CONFIG, user)
+        _assign(flat, "", user)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -164,77 +237,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        keys = dotted.split(".")
-        probe = DEFAULT_CONFIG
-        for key in keys:
-            if not isinstance(probe, dict) or key not in probe:
-                raise ConfigError(f"unknown config key: {dotted}")
-            probe = probe[key]
-        # merged like a config file, so a section must stay an object
-        for key in reversed(keys):
-            value = {key: value}
-        cfg = _merge_checked(cfg, value)
-    formats = cfg["output"]["formats"]
-    if not isinstance(formats, list) or any(f not in _FORMATS for f in formats):
-        raise ConfigError(f"output.formats must be a list drawn from "
-                          f"{', '.join(_FORMATS)}, got {json.dumps(formats)}")
-    _check_free_section(
-        cfg["scenario"] if isinstance(cfg["scenario"], dict) else None,
-        _SCENARIO_KEYS, "scenario",
-    )
-    _check_free_section(cfg["mitigation"]["lowpass"], _LOWPASS_KEYS,
-                        "mitigation.lowpass")
-    _check_free_section(cfg["physio"]["synth"], _SYNTH_KEYS, "physio.synth")
-    return cfg
+        _assign(flat, dotted, value)  # like a config file: a section stays an object
+    return _nest({where: _typed(flat[where], leaf, where)
+                  for where, leaf in _LEAVES.items()})
 
 
-def _signal_from_config(obj) -> IMTSignal:
-    if not isinstance(obj, dict) or obj.get("kind") != "harmonic":
-        raise ConfigError("scenario.signal supports {'kind': 'harmonic', ...}")
-    freq = float(obj.get("freq_hz", 1.0))
-    amp = float(obj.get("amp", 1.0))
-    if freq <= 0.0 or amp <= 0.0:
-        raise ConfigError("harmonic signal needs positive freq_hz and amp")
-    return IMTSignal(
-        am=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
-        phase=lambda t: freq * np.asarray(t, dtype=float),
-        iff=lambda t: np.full_like(np.asarray(t, dtype=float), freq),
-        model_params=(min(amp, freq), max(amp, freq), 0.01),
-    )
-
-
-def _scheme_from_config(obj) -> SamplingScheme:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("scenario.scheme needs a 'kind'")
-    kind = obj["kind"]
-    if kind == "uniform":
-        rate = float(obj.get("rate_hz", 8.0))
-        if rate <= 0.0:
-            raise ConfigError("uniform scheme needs positive rate_hz")
-        return SamplingScheme(
-            psi=lambda t: rate * np.asarray(t, dtype=float),
-            psi_prime=lambda t: np.full_like(np.asarray(t, dtype=float), rate),
-            scheme_params=(rate, 0.0),
-        )
-    if kind == "cosine":
-        base = float(obj.get("base_hz", 8.0))
-        depth = float(obj.get("depth_hz", 0.5))
-        period = float(obj.get("period_s", 20.0))
-        if base - abs(depth) <= 0.0 or period <= 0.0:
-            raise ConfigError("cosine scheme needs base_hz > |depth_hz|, period_s > 0")
-        w = 2.0 * np.pi / period
-        return SamplingScheme(
-            psi=lambda t: base * np.asarray(t, dtype=float)
-            + depth / w * np.sin(w * np.asarray(t, dtype=float)),
-            psi_prime=lambda t: base + depth * np.cos(w * np.asarray(t, dtype=float)),
-            scheme_params=(base - abs(depth), abs(depth) * w / (base - abs(depth))),
-        )
-    if kind == "quadratic":
-        base = float(obj.get("base_hz", 6.0))
-        denom = float(obj.get("quad_denom", 800.0))
-        center = float(obj.get("t_center", 0.0))
-        if base <= 0.0 or denom <= 0.0:
-            raise ConfigError("quadratic scheme needs positive base_hz, quad_denom")
+def _scheme_from_config(obj: dict) -> SamplingScheme:
+    if obj["kind"] == "quadratic":
+        base, denom, center = obj["base_hz"], obj["quad_denom"], obj["t_center"]
         return SamplingScheme(
             psi=lambda t: base * np.asarray(t, dtype=float)
             + ((np.asarray(t, dtype=float) - center) ** 3 + center**3)
@@ -243,32 +253,35 @@ def _scheme_from_config(obj) -> SamplingScheme:
             + (np.asarray(t, dtype=float) - center) ** 2 / denom,
             scheme_params=(base, 0.0),
         )
-    raise ConfigError(f"unknown scheme kind {kind!r}")
+    # uniform sampling is the cosine warp of depth 0, to the last bit
+    base, depth, period = ((obj["rate_hz"], 0.0, 1.0) if obj["kind"] == "uniform"
+                           else (obj["base_hz"], obj["depth_hz"], obj["period_s"]))
+    if base - abs(depth) <= 0.0:
+        raise ConfigError("scenario.scheme needs base_hz > |depth_hz|")
+    w = 2.0 * np.pi / period
+    return SamplingScheme(
+        psi=lambda t: base * np.asarray(t, dtype=float)
+        + depth / w * np.sin(w * np.asarray(t, dtype=float)),
+        psi_prime=lambda t: base + depth * np.cos(w * np.asarray(t, dtype=float)),
+        scheme_params=(base - abs(depth), abs(depth) * w / (base - abs(depth))),
+    )
 
 
 def scenario_from_config(obj) -> Scenario:
-    """Scenario from its config form: a builtin name or a parametric object."""
+    """Scenario from its config form, a builtin name or a parametric
+    object, after checking it against the ``scenario`` row of ``_LEAVES``."""
+    obj = _typed(obj, _LEAVES["scenario"], "scenario")
     if isinstance(obj, str):
-        try:
-            return builtin_scenario(obj)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario must be a name or an object")
-    missing = _SCENARIO_KEYS - set(obj)
-    if missing:
-        raise ConfigError(f"scenario object missing keys: {sorted(missing)}")
-    duration = float(obj["duration_s"])
-    resample = float(obj["resample_hz"])
-    if duration <= 0.0 or resample <= 0.0:
-        raise ConfigError("scenario needs positive duration_s and resample_hz")
-    return Scenario(
-        name="custom",
-        signal=_signal_from_config(obj["signal"]),
-        scheme=_scheme_from_config(obj["scheme"]),
-        duration_s=duration,
-        resample_hz=resample,
+        return builtin_scenario(obj)
+    freq, amp = obj["signal"]["freq_hz"], obj["signal"]["amp"]
+    signal = IMTSignal(
+        am=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
+        phase=lambda t: freq * np.asarray(t, dtype=float),
+        iff=lambda t: np.full_like(np.asarray(t, dtype=float), freq),
+        model_params=(min(amp, freq), max(amp, freq), 0.01),
     )
+    return Scenario("custom", signal, _scheme_from_config(obj["scheme"]),
+                    obj["duration_s"], obj["resample_hz"])
 
 
 # ---------------------------------------------------------------------------
@@ -451,41 +464,36 @@ def write_pgm(path: Path, display, meta: dict | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def _interpolate(cfg, samples):
-    scheme = cfg["interpolation"]["scheme"]
-    if scheme == "bspline":
-        return interpolate_nonuniform(samples, int(cfg["interpolation"]["order"]))
-    if scheme == "pchip":
+    if cfg["interpolation"]["scheme"] == "pchip":
         return interpolate_pchip(samples)
-    raise ConfigError(f"unknown interpolation scheme {scheme!r}")
+    return interpolate_nonuniform(samples, cfg["interpolation"]["order"])
 
 
 def _analysis_params(cfg, rate):
     ana = cfg["analysis"]
-    window_s = float(ana["window_s"])
-    w_len = int(round(window_s * rate)) | 1
-    hop = ana["hop"]
-    hop = max(1, int(round(rate / 8.0))) if hop is None else int(hop)
-    nfft = ana["nfft"]
-    nfft = 1 << int(np.ceil(np.log2(16 * w_len))) if nfft is None else int(nfft)
-    return window_s, hop, nfft
+    w_len = int(round(ana["window_s"] * rate)) | 1
+    hop = ana["hop"] or max(1, int(round(rate / 8.0)))
+    nfft = ana["nfft"] or 1 << int(np.ceil(np.log2(16 * w_len)))
+    if nfft < w_len:
+        raise ConfigError(f"analysis.nfft must be >= the window length "
+                          f"({w_len} samples), got {nfft}")
+    return ana["window_s"], hop, nfft
 
 
 def _run_analysis(cfg, sig: UniformSignal) -> TFRepresentation:
     ana = cfg["analysis"]
     method = ana["method"]
     window_s, hop, nfft = _analysis_params(cfg, sig.rate)
-    threshold = float(ana["threshold"])
+    threshold = ana["threshold"]
     if method in ("mt_sst", "mt_rm"):
-        return multitaper(sig, window_s, int(ana["tapers"]), hop, nfft,
+        return multitaper(sig, window_s, ana["tapers"], hop, nfft,
                           method.removeprefix("mt_"), threshold)
     window = make_windows(ana["window"], window_s, sig.rate)[0]
     if method == "stft":
         return stft(sig, window, hop, nfft)
     if method == "sst":
         return synchrosqueeze(sig, window, hop, nfft, threshold)
-    if method == "rm":
-        return reassign(sig, window, hop, nfft, threshold)
-    raise ConfigError(f"unknown analysis method {method!r}")
+    return reassign(sig, window, hop, nfft, threshold)
 
 
 def _scenario_pipeline(cfg):
@@ -629,10 +637,8 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
         sig = read_uniform_csv(Path(cfg["input"]))
     else:
         scenario, _, _, sig = _scenario_pipeline(cfg)
-    if cfg["mitigation"]["lowpass"]:
-        lp = cfg["mitigation"]["lowpass"]
-        sig = lowpass_prefilter(sig, float(lp["cutoff_hz"]),
-                                float(lp["transition_hz"]))
+    if (lp := cfg["mitigation"]["lowpass"]) is not None:
+        sig = lowpass_prefilter(sig, lp["cutoff_hz"], lp["transition_hz"])
     tfr = _run_analysis(cfg, sig)
     meta = _tfr_meta(cfg, tfr, lowpass=bool(cfg["mitigation"]["lowpass"]))
     formats = cfg["output"]["formats"]
@@ -661,9 +667,8 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
 
 def cmd_predict(cfg: dict, out: Path) -> list[Path]:
     scenario = scenario_from_config(cfg["scenario"])
-    order = int(cfg["interpolation"]["order"])
-    k_min = int(cfg["predict"]["k_min"])
-    k_max = int(cfg["predict"]["k_max"])
+    order = cfg["interpolation"]["order"]
+    k_min, k_max = cfg["predict"]["k_min"], cfg["predict"]["k_max"]
     grid = np.linspace(0.0, scenario.duration_s, 801)
     comps = predict_components(scenario.signal, scenario.scheme, order,
                                (k_min, k_max), grid)
@@ -701,22 +706,17 @@ def cmd_physio(cfg: dict, out: Path) -> list[Path]:
     if cfg["input"]:
         rec = parse_rpeaks(Path(cfg["input"]).read_bytes())
         synthesized = False
-    elif phys["synth"]:
-        synth = phys["synth"]
-        ihr = float(synth.get("ihr_hz", 1.4))
-        resp = float(synth.get("resp_hz", 0.5))
-        duration = float(synth.get("duration_s", 240.0))
-        depth = float(synth.get("modulation_depth", 0.1))
+    elif (synth := phys["synth"]) is not None:
         rec = synth_rpeaks(
-            lambda t: np.full_like(np.asarray(t, dtype=float), ihr),
-            lambda t: np.full_like(np.asarray(t, dtype=float), resp),
-            duration, depth,
+            lambda t: np.full_like(np.asarray(t, dtype=float), synth["ihr_hz"]),
+            lambda t: np.full_like(np.asarray(t, dtype=float), synth["resp_hz"]),
+            synth["duration_s"], synth["modulation_depth"],
         )
         synthesized = True
     else:
         raise ConfigError("physio needs either input (R-peak CSV) or physio.synth")
 
-    rate = float(phys["rate_hz"])
+    rate = phys["rate_hz"]
     meta = _base_meta(cfg, edr_scheme=phys["edr_scheme"])
     written = []
     csv_on = "csv" in cfg["output"]["formats"]
@@ -744,10 +744,7 @@ def cmd_physio(cfg: dict, out: Path) -> list[Path]:
         written.append(path)
 
     if rec.amplitudes is not None:
-        scheme = phys["edr_scheme"]
-        if isinstance(scheme, str) and scheme.isdigit():
-            scheme = int(scheme)
-        target = edr_signal(rec, rate, scheme)
+        target = edr_signal(rec, rate, phys["edr_scheme"])
         stem = "edr"
         if csv_on:
             path = out / "edr.csv"

@@ -267,8 +267,8 @@ def synchrosqueeze(sig: UniformSignal, window: Window, hop: int, nfft: int,
     threshold the per-column sums equal the STFT column sums.  Columns are
     reassigned independently, so results are bit-identical for any chunk.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     centers, freqs, times = _frame_plan(sig, window, hop, nfft)
     df = sig.rate / nfft
     n_bins = freqs.size
@@ -301,8 +301,8 @@ def reassign(sig: UniformSignal, window: Window, hop: int, nfft: int,
     is accumulated in one fixed global (frame, bin) order, so results are
     bit-identical for any chunk size.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     centers, freqs, times = _frame_plan(sig, window, hop, nfft)
     df = sig.rate / nfft
     n_bins, n_frames = freqs.size, centers.size
@@ -408,8 +408,8 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     Returns the ridge frequency in Hz per frame.  Ties break toward the
     lower frequency, so a zero matrix yields the lowest band bin.
     """
-    if jump_penalty < 0.0:
-        raise ValueError("jump_penalty must be >= 0")
+    if not jump_penalty >= 0.0:
+        raise ValueError(f"jump_penalty must be >= 0, got {jump_penalty}")
     frames = tfr.time_axis.shape
     lo = np.broadcast_to(np.asarray(freq_min, dtype=float), frames)
     hi = np.broadcast_to(np.asarray(freq_max, dtype=float), frames)
@@ -428,7 +428,8 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     acc = np.empty_like(mag)
     acc[:, 0] = mag[:, 0]
     for t in range(1, n_frames):
-        acc[:, t] = mag[:, t] + _max_plus_l1(acc[:, t - 1], jump_penalty)
+        prev = acc[:, t - 1] - acc[:, t - 1].max()  # bounded: no late-frame rounding
+        acc[:, t] = mag[:, t] + _max_plus_l1(prev, jump_penalty)
 
     path = np.empty(n_frames, dtype=np.intp)
     path[-1] = int(np.argmax(acc[:, -1]))

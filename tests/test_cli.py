@@ -1,8 +1,10 @@
 """CLI commands: file products, determinism, exit codes, formats."""
 
 import json
+import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,203 @@ def test_builtin_scenarios_by_name():
     assert scenario_from_config("fig1").name == "fig1"
     with pytest.raises(ConfigError):
         scenario_from_config("fig9")
+
+
+def _scenario_with(**parts):
+    return "scenario=" + json.dumps({**SMALL_SCENARIO, **parts})
+
+
+_SYNTH = 'physio.synth={"duration_s": 60}'
+
+
+@pytest.mark.parametrize("command, assignment, key", [
+    ("predict", "predict.k_max=[1]", "predict.k_max"),
+    ("predict", "predict.k_max=2.7", "predict.k_max"),
+    ("predict", "predict.k_min=5", "predict.k_min"),
+    ("tfr", "analysis.tapers=2.5", "analysis.tapers"),
+    ("simulate", "interpolation.order=true", "interpolation.order"),
+    ("tfr", "analysis.threshold=nan", "analysis.threshold"),
+    ("tfr", "analysis.window_s=ten", "analysis.window_s"),
+    ("tfr", "analysis.hop=0", "analysis.hop"),
+    ("tfr", "analysis.nfft=32", "analysis.nfft"),  # below the 49-sample window
+    ("tfr", _scenario_with(scheme={"kind": "uniform", "rate": 4}),
+     "scenario.scheme.rate"),
+    ("tfr", _scenario_with(signal={"kind": "harmonic", "ampp": 2.0}),
+     "scenario.signal.ampp"),
+    ("tfr", _scenario_with(scheme="x"), "scenario.scheme"),
+    ("tfr", "mitigation.lowpass=x", "mitigation.lowpass"),
+    ("physio", "physio.synth=x", "physio.synth"),
+    ("physio", "physio.rate_hz=nan", "physio.rate_hz"),
+    ("physio", "physio.edr_scheme=cubicc", "physio.edr_scheme"),
+    ("physio", 'physio.edr_scheme="12"', "physio.edr_scheme"),
+])
+def test_bad_leaf_is_config_error(tmp_path, capsys, small_config, command,
+                                  assignment, key):
+    out = tmp_path / "x"
+    rc = main([command, "--config", str(small_config), "--set", _SYNTH,
+               "--set", assignment, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_keys_are_not_dotted(tmp_path):
+    path = tmp_path / "dotted.json"
+    path.write_text(json.dumps({"analysis.window_s": 4.0}))
+    with pytest.raises(ConfigError, match="unknown config key: analysis.window_s"):
+        load_config(str(path), [])
+
+
+def test_free_sections_fill_defaults_and_need_required_keys():
+    cfg = load_config(None, ['physio.synth={"ihr_hz": 2}'])
+    assert cfg["physio"]["synth"] == {"ihr_hz": 2.0, "resp_hz": 0.5,
+                                      "duration_s": 240.0,
+                                      "modulation_depth": 0.1}
+    sc = scenario_from_config({**SMALL_SCENARIO, "scheme": {"kind": "cosine"}})
+    assert sc.scheme.psi_prime(5.0) == pytest.approx(8.0 + 0.5 * math.cos(math.pi / 2))
+    with pytest.raises(ConfigError, match="mitigation.lowpass.transition_hz"):
+        load_config(None, ['mitigation.lowpass={"cutoff_hz": 1}'])
+    with pytest.raises(ConfigError, match="scenario.resample_hz"):
+        scenario_from_config({k: v for k, v in SMALL_SCENARIO.items()
+                              if k != "resample_hz"})
+    with pytest.raises(ConfigError, match="scenario.scheme.kind"):
+        scenario_from_config({**SMALL_SCENARIO, "scheme": {"rate_hz": 4.0}})
+
+
+def test_readme_config_defaults_match():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config defaults", 1)[1].split("```json", 1)[1]
+    assert json.loads(block.split("```", 1)[0]) == DEFAULT_CONFIG
+
+
+def _table_words(fields) -> set:
+    """Every key, variant name and choice the leaf table mentions."""
+    words = set()
+    for key, leaf in fields.items():
+        words |= {key.rpartition(".")[2], *map(str, leaf.choices)}
+        words |= _table_words(leaf.fields or {})
+        for kind, variant in (leaf.variants or {}).items():
+            words |= {"kind", kind} | _table_words(variant)
+    return words
+
+
+_WORDS = sorted(_table_words(cli._LEAVES) | {"bogus"})
+_SET_KEYS = sorted(set(cli._LEAVES) | set(DEFAULT_CONFIG)
+                   | {"seed", "analysis.bogus", "mitigation.lowpass.cutoff_hz"})
+
+
+def _good(leaf):
+    """Values that ``leaf`` allows, numbers within 40 of zero."""
+    kinds = leaf.kind or (type(leaf.default),)
+    options = [] if leaf.default is cli._MISSING else [st.just(leaf.default)]
+    if str in kinds:
+        options.append(st.sampled_from(leaf.choices) if leaf.choices else st.text())
+    if list in kinds:
+        options.append(st.lists(st.sampled_from(leaf.choices), max_size=3))
+    if int in kinds:
+        options.append(st.integers(max(-40, leaf.lo), min(40, leaf.hi)))
+    if float in kinds:
+        options.append(st.floats(0.0 if leaf.positive else max(-40.0, leaf.lo),
+                                 min(40.0, leaf.hi), exclude_min=leaf.positive))
+    if bool in kinds:
+        options.append(st.booleans())
+    for kind, fields in ([(None, leaf.fields)] if leaf.fields else []) \
+            + list((leaf.variants or {}).items()):
+        options.append(_object(fields, _good, kind))
+    return st.one_of(options)
+
+
+def _object(fields, values, kind=None, bogus=st.nothing()):
+    """Objects with ``fields``' required keys and some of the others."""
+    required = {key: values(field) for key, field in fields.items()
+                if field.default is cli._MISSING}
+    optional = {key: values(field) for key, field in fields.items()
+                if key not in required}
+    if kind is not None:
+        required["kind"] = st.just(kind)
+    return st.fixed_dictionaries(required, optional={**optional, "bogus": bogus})
+
+
+def _values(leaf, numbers):
+    """JSON values for ``leaf`` (None: a key outside the table): allowed
+    ones, any JSON, and objects with a bad key or a bad value."""
+    words = st.sampled_from(_WORDS)
+    scalars = st.none() | st.booleans() | numbers | words
+    options = [numbers, scalars,
+               st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(words, inner, max_size=4),
+                            max_leaves=8)]
+    if leaf is None:
+        return st.one_of(options)
+    for kind, fields in ([(None, leaf.fields)] if leaf.fields else []) \
+            + list((leaf.variants or {}).items()):
+        options.append(_object(fields, lambda field: _values(field, numbers),
+                               kind, bogus=scalars))
+    return _good(leaf) | st.one_of(options)
+
+
+def _values_for(key, numbers):
+    if key in DEFAULT_CONFIG and isinstance(DEFAULT_CONFIG[key], dict):
+        fields = {where.partition(".")[2]: leaf for where, leaf in cli._LEAVES.items()
+                  if where.startswith(key + ".")}
+        return _object(fields, lambda leaf: _values(leaf, numbers))
+    return _values(cli._LEAVES.get(key), numbers)
+
+
+_SMALL = (st.integers(-3, 40) | st.floats(-3.0, 40.0)
+          | st.sampled_from([math.nan, math.inf]))
+_ANY_SIZE = _SMALL | st.sampled_from([2.5, -math.inf, 1e300, 10**30, -10**30])
+
+
+def _satisfies(value, leaf) -> bool:
+    """Whether ``value`` is what ``leaf`` allows, read off the table row."""
+    if value is None:
+        return leaf.default is None
+    if type(value) not in (leaf.kind or (type(leaf.default),)):
+        return False
+    if isinstance(value, str):
+        return not leaf.choices or value in leaf.choices
+    if isinstance(value, list):
+        return all(isinstance(v, str) and v in leaf.choices for v in value)
+    if isinstance(value, dict):
+        fields = leaf.fields or {"kind": None,
+                                 **leaf.variants.get(value.get("kind"), {})}
+        return set(value) == set(fields) and all(
+            _satisfies(value[key], field) for key, field in fields.items()
+            if field is not None)
+    if isinstance(value, bool):
+        return True
+    return (math.isfinite(value) and leaf.lo <= value <= leaf.hi
+            and (value > 0 or not leaf.positive))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), key=st.sampled_from(_SET_KEYS))
+def test_loaded_config_satisfies_the_table(data, key):
+    value = data.draw(_values_for(key, _ANY_SIZE), label="value")
+    try:
+        cfg = load_config(None, [f"{key}={json.dumps(value)}"])
+    except ConfigError:
+        return
+    for where, leaf in cli._LEAVES.items():
+        section, _, name = where.rpartition(".")
+        assert _satisfies((cfg[section] if section else cfg)[name], leaf), where
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), key=st.sampled_from([k for k in _SET_KEYS if k != "scenario"]))
+def test_main_turns_any_assignment_into_an_exit_code(tmp_path_factory, data, key):
+    # small inputs and numbers, so that an accepted assignment runs quickly
+    value = data.draw(_values_for(key, _SMALL), label="value")
+    command = {"physio": "physio", "predict": "predict"}.get(key.split(".")[0], "tfr")
+    rc = main([command, "--set", f"scenario={json.dumps(SMALL_SCENARIO)}",
+               "--set", 'physio.synth={"duration_s": 30}',
+               "--set", "analysis.window_s=3", "--set", "output.formats=[]",
+               "--set", f"{key}={json.dumps(value)}",
+               "--out", str(tmp_path_factory.mktemp("run"))])
+    assert rc in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,32 @@ def test_ridge_tracks_linear_chirp():
     assert np.max(np.abs(ridge[keep] - truth[keep])) <= 2.0 * rate / nfft
 
 
+def test_ridge_keeps_small_differences_after_a_large_frame():
+    # frames [1e17, 0, 0, 0], [1, 2, 3, 1], [0, 0, 0, 1]: at penalty 0 the
+    # ridge is each frame's argmax, although 1e17 + 1, + 2 and + 3 round
+    # to one float
+    from nyqmirror.tf_analysis import WindowMeta
+
+    mat = np.array([[1e17, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0],
+                    [0.0, 1.0, 1.0]])
+    tfr = TFRepresentation(mat, np.arange(4.0), np.arange(3.0), "rm",
+                           WindowMeta("gaussian", 1.0, 1, 1))
+    np.testing.assert_array_equal(ridge_extract(tfr, 0.0, 3.0, 0.0), [0.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_negative_or_nan_threshold_and_penalty_rejected(bad):
+    sig = tone(2.5, duration=4.0)
+    win = make_windows("gaussian", 1.0, RATE)[0]
+    for transform in (synchrosqueeze, reassign):
+        with pytest.raises(ValueError, match="threshold"):
+            transform(sig, win, 8, 128, threshold=bad)
+    with pytest.raises(ValueError, match="threshold"):
+        multitaper(sig, 1.0, 2, 8, 128, "rm", threshold=bad)
+    with pytest.raises(ValueError, match="jump_penalty"):
+        ridge_extract(zero_tfr(), 3.0, 10.0, jump_penalty=bad)
+
+
 def test_ridge_empty_band_rejected():
     with pytest.raises(ValueError):
         ridge_extract(zero_tfr(), 100.0, 200.0)

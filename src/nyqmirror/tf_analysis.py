@@ -1,16 +1,18 @@
 """Time-frequency analysis: STFT, synchrosqueezed STFT, reassigned
-spectrogram, Hermite multitaper variants, the log-scale display transform,
-and penalized ridge extraction.
+spectrogram, Hermite multitaper variants, log display and ridge extraction.
 
-All transforms share one frame convention: frame centers sit on the sample
-grid every ``hop`` samples, the window is centered with odd length, and the
-FFT phase is referenced to the frame center, so the frequency-derivative
-estimate Im[V_dg / V_g] is direct.  Everything is deterministic: identical
-inputs give bit-identical matrices regardless of the internal chunk size.
+One framing generator serves every transform: frame centers sit on the
+sample grid every ``hop`` samples, each odd-length window is centered, FFT
+phase is referenced to the frame center (so Im[V_dg / V_g] is direct), and
+one gather and one batched FFT per block of frames give all windows' spectra
+frames-major.  A block holds about ``_BLOCK_CELLS`` cells whatever the bin
+count, so the reductions' temporaries stay in cache.  Identical inputs give
+bit-identical matrices for any block size.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,21 +21,17 @@ import numpy as np
 from .spline_interp import UniformSignal
 
 __all__ = [
-    "DisplayMatrix",
-    "TFRepresentation",
-    "Window",
-    "WindowMeta",
-    "log_display",
-    "make_windows",
-    "multitaper",
-    "reassign",
-    "ridge_extract",
-    "stft",
+    "DisplayMatrix", "TFRepresentation", "Window", "WindowMeta", "log_display",
+    "make_windows", "multitaper", "reassign", "ridge_extract", "stft",
     "synchrosqueeze",
 ]
 
 _METHODS = ("stft", "sst", "rm", "mt_sst", "mt_rm")
 _MAX_TAPERS = 10
+# spectrum cells per block of frames: keeps a block's temporaries in cache
+_BLOCK_CELLS = 1 << 15
+# bytes per cell of the matrices live at once in the largest transform
+_LIVE_BYTES_PER_CELL = 56
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,27 +89,15 @@ def _hermite_functions(x: np.ndarray, count: int) -> list[np.ndarray]:
 
 def make_windows(family: str, duration_s: float, rate: float,
                  taper_count: int = 1) -> list[Window]:
-    """Build analysis windows of one family.
+    """Build ``taper_count`` analysis windows of one family, each with unit
+    discrete L2 norm, spanning ``duration_s`` seconds (at least 16 samples
+    at ``rate`` Hz).
 
-    Parameters
-    ----------
-    family : {'gaussian', 'hermite'}
-        ``gaussian`` is exp(-pi u^2 / sigma^2) with sigma = duration/6,
-        truncated at the duration; ``hermite`` gives the first
-        ``taper_count`` Hermite functions on the matching scale (taper 0
-        is the same Gaussian shape), mutually orthogonal.
-    duration_s : float
-        Window support in seconds; duration * rate must be >= 16 samples.
-    rate : float
-        Sample rate in Hz.
-    taper_count : int
-        Number of tapers; must be 1 for ``gaussian``, and at most 10
-        (higher Hermite tapers leak past the truncation).
-
-    Returns
-    -------
-    list of Window
-        ``taper_count`` windows, each with unit discrete L2 norm.
+    ``gaussian`` is exp(-pi u^2 / sigma^2) with sigma = duration/6,
+    truncated at the duration, and has a single taper.  ``hermite`` gives
+    the first ``taper_count`` Hermite functions on the matching scale
+    (taper 0 is the same Gaussian shape), mutually orthogonal; at most 10,
+    because higher Hermite tapers leak past the truncation.
     """
     n_samp = int(round(duration_s * rate))
     if n_samp < 16:
@@ -184,42 +170,50 @@ class TFRepresentation:
         return self.matrix.shape
 
 
-def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int):
-    length = len(sig)
-    w_len = len(window)
+def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
+                chunk: int):
+    """Axes and frames per block (about ``_BLOCK_CELLS`` cells, at most
+    ``chunk``); refuses, before allocating, a transform over physical memory."""
+    length, w_len = len(sig), len(window)
     if hop < 1:
         raise ValueError("hop must be >= 1 sample")
     if nfft < w_len:
         raise ValueError(f"nfft ({nfft}) must be >= window length ({w_len})")
     if length < w_len:
-        raise ValueError(
-            f"signal ({length} samples) shorter than window ({w_len})"
-        )
-    centers = np.arange(0, length, hop)
-    freqs = np.arange(nfft // 2 + 1) * (sig.rate / nfft)
-    times = sig.t_start + centers / sig.rate
-    return centers, freqs, times
+        raise ValueError(f"signal ({length} samples) shorter than window ({w_len})")
+    n_bins, n_frames = nfft // 2 + 1, -(-length // hop)
+    need = _LIVE_BYTES_PER_CELL * n_bins * n_frames
+    have = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else need)
+    if need > have:
+        raise ValueError(f"{n_bins} x {n_frames} cells need ~{need} bytes, over the {have}"
+                         f" bytes of memory: raise hop ({hop}) or lower nfft ({nfft})")
+    freqs = np.arange(n_bins) * (sig.rate / nfft)
+    times = sig.t_start + np.arange(0, length, hop) / sig.rate
+    return freqs, times, max(1, min(chunk, _BLOCK_CELLS // n_bins))
 
 
-def _stft_columns(values: np.ndarray, taps: np.ndarray, centers: np.ndarray,
-                  nfft: int, chunk: int):
-    """Yield (start, V_block) with V_block of shape (bins, frames_in_block).
-
-    The window is centered on each frame and the FFT buffer is rotated so
-    phase is measured from the frame center.
-    """
-    w_len = taps.size
+def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int,
+             step: int, out: np.ndarray | None = None):
+    """Yield (start, spec) per block of ``step`` frames: ``spec[k]`` is the
+    C-contiguous (frames, bins) STFT block of window ``taps[k]``, in the
+    rows of ``out[k]`` if given, else in a buffer the next block reuses.
+    One gather of frames and one batched FFT serve all windows; the FFT
+    buffer is rotated so that phase is measured from the frame center."""
+    count, w_len = taps.shape
     half = (w_len - 1) // 2
     padded = np.zeros(values.size + 2 * half)
     padded[half:half + values.size] = values
-    for start in range(0, centers.size, chunk):
-        blk = centers[start:start + chunk]
-        idx = blk[:, None] + np.arange(w_len)[None, :]
-        frames = padded[idx] * taps[None, :]
-        buf = np.zeros((blk.size, nfft))
-        buf[:, :half + 1] = frames[:, half:]
-        buf[:, nfft - half:] = frames[:, :half]
-        yield start, np.fft.rfft(buf, axis=1).T
+    frames = np.lib.stride_tricks.sliding_window_view(padded, w_len)[::hop]
+    buf = np.zeros((count, step, nfft))
+    spec = np.empty((count, step, nfft // 2 + 1), dtype=complex) if out is None else out
+    for start in range(0, frames.shape[0], step):
+        blk = frames[start:start + step]
+        n = blk.shape[0]
+        np.multiply(blk[:, half:], taps[:, None, half:], out=buf[:, :n, :half + 1])
+        np.multiply(blk[:, :half], taps[:, None, :half], out=buf[:, :n, nfft - half:])
+        dest = spec[:, :n] if out is None else out[:, start:start + n]
+        yield start, np.fft.rfft(buf[:, :n], axis=-1, out=dest)
 
 
 def stft(sig: UniformSignal, window: Window, hop: int, nfft: int,
@@ -230,31 +224,84 @@ def stft(sig: UniformSignal, window: Window, hop: int, nfft: int,
     on the one-sided frequency axis 0 .. rate/2; boundary frames see zeros
     outside the signal.  ``chunk`` only bounds working memory.
     """
-    centers, freqs, times = _frame_plan(sig, window, hop, nfft)
-    out = np.empty((freqs.size, centers.size), dtype=complex)
-    for start, block in _stft_columns(sig.values, window.samples, centers,
-                                      nfft, chunk):
-        out[:, start:start + block.shape[1]] = block
+    freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
+    out = np.empty((freqs.size, times.size), dtype=complex)
+    for start, spec in _spectra(sig.values, window.samples[None], hop, nfft, step):
+        out[:, start:start + spec.shape[1]] = spec[0].T
     out.setflags(write=False)
     meta = WindowMeta(window.family, window.duration_s, hop, 1)
     return TFRepresentation(out, freqs, times, "stft", meta)
 
 
-def _frequency_targets(v_blk: np.ndarray, vd_blk: np.ndarray,
-                       freqs: np.ndarray, df: float, floor: float):
-    """Target bins and kept weights for one (frames, bins) block.
+def _nearest(est: np.ndarray, own, count: int) -> np.ndarray:
+    """Round grid-unit target estimates in place to indices 0 .. count - 1:
+    beyond the grid they clip to its edge, and a NaN one (a ratio over a
+    subnormal V_g) stays at ``own``, its own cell, so no mass is lost."""
+    np.rint(est, out=est)
+    np.clip(est, 0, count - 1, out=est)
+    np.copyto(est, own, where=np.isnan(est))
+    return est
 
-    Dropped coefficients (|V| <= floor) keep weight zero; reassignment
-    estimates beyond the grid clip to the edge bins, so relocation never
-    loses mass.
-    """
-    mask = np.abs(v_blk) > floor
+
+def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
+               threshold: float, chunk: int, method: str) -> TFRepresentation:
+    """Synchrosqueezed ('sst') or reassigned ('rm') transform.  The base
+    pass keeps V_g and |V_g| frames-major for the floor threshold * max|V_g|;
+    a second pass makes V_dg (and V_tg) per block and adds each kept
+    coefficient (for rm its mass, in one final bincount) into its target
+    cell, while a dropped one goes to a trash slot past the matrix."""
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
+    n_bins, n_frames = freqs.size, times.size
+    v_all = np.empty((n_frames, n_bins), dtype=complex)
+    mag = np.empty((n_frames, n_bins))
+    for start, spec in _spectra(sig.values, window.samples[None], hop, nfft,
+                                step, v_all[None]):
+        np.abs(spec[0], out=mag[start:start + spec.shape[1]])
+    floor = threshold * float(mag.max()) if threshold > 0.0 else 0.0
+
+    sst = method == "sst"
+    est, ratio = np.empty((2, step, n_bins)), np.empty((step, n_bins), dtype=complex)
+    # sst adds V_g's real and imaginary parts into interleaved slots of the
+    # block's bins-major sums; rm keeps every cell's (bin, frame) index
+    flat = np.empty((step, n_bins, 2) if sst else (n_frames, n_bins), dtype=np.intp)
+    out = np.empty((n_bins, n_frames), dtype=complex) if sst else None
+    taps = np.stack([window.derivative, window.t_weighted][:1 if sst else 2])
+    grid = np.arange(max(n_bins, n_frames), dtype=float)  # own bin or frame index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = vd_blk / np.where(mask, v_blk, 1.0)
-        omega = freqs[None, :] - np.imag(ratio) / (2.0 * np.pi)
-    omega = np.where(mask, omega, 0.0)
-    tbin = np.clip(np.rint(omega / df), 0, freqs.size - 1).astype(np.intp)
-    return tbin, mask, ratio
+        for start, spec in _spectra(sig.values, taps, hop, nfft, step):
+            n = spec.shape[1]
+            frames = slice(start, start + n)
+            v, m, fbin, col, r = (v_all[frames], mag[frames], est[0, :n],
+                                  est[1, :n], ratio[:n])
+            np.divide(spec[0], v, out=r)  # kept cells: as V_dg / where(kept, V_g, 1)
+            np.subtract(freqs, np.divide(r.imag, 2.0 * np.pi, out=fbin), out=fbin)
+            _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
+            if sst:
+                stride, col = 2 * n, 2.0 * np.arange(n)[:, None]
+            else:
+                stride = n_frames
+                np.add(times[frames, None], np.divide(spec[1], v, out=r).real, out=col)
+                np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
+                _nearest(np.divide(col, hop, out=col), grid[frames, None], n_frames)
+            np.add(np.multiply(fbin, stride, out=fbin), col, out=fbin)
+            np.copyto(fbin, stride * n_bins, where=~(m > floor))
+            np.copyto(flat[:n, :, 0] if sst else flat[frames], fbin, casting="unsafe")
+            if sst:
+                np.add(flat[:n, :, 0], 1, out=flat[:n, :, 1])
+                sums = np.bincount(flat[:n].ravel(), v.view(float).ravel(),
+                                   minlength=2 * n_bins * n + 2)
+                out[:, frames] = sums[:-2].view(complex).reshape(n_bins, n)
+            else:
+                np.square(m, out=m)
+    if not sst:
+        del v_all
+        out = np.bincount(flat.ravel(), mag.ravel(), minlength=mag.size + 1)
+        out = out[:-1].reshape(n_bins, n_frames)
+    out.setflags(write=False)
+    meta = WindowMeta(window.family, window.duration_s, hop, 1)
+    return TFRepresentation(out, freqs, times, method, meta)
 
 
 def synchrosqueeze(sig: UniformSignal, window: Window, hop: int, nfft: int,
@@ -267,28 +314,7 @@ def synchrosqueeze(sig: UniformSignal, window: Window, hop: int, nfft: int,
     threshold the per-column sums equal the STFT column sums.  Columns are
     reassigned independently, so results are bit-identical for any chunk.
     """
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    centers, freqs, times = _frame_plan(sig, window, hop, nfft)
-    df = sig.rate / nfft
-    n_bins = freqs.size
-    base = stft(sig, window, hop, nfft, chunk)
-    floor = threshold * float(np.max(np.abs(base.matrix))) if threshold > 0.0 else 0.0
-
-    out = np.zeros((n_bins, centers.size), dtype=complex)
-    for start, vd in _stft_columns(sig.values, window.derivative, centers,
-                                   nfft, chunk):
-        width = vd.shape[1]
-        v_blk = base.matrix[:, start:start + width].T
-        tbin, mask, _ = _frequency_targets(v_blk, vd.T, freqs, df, floor)
-        weights = np.where(mask, v_blk, 0.0)
-        flat = (np.arange(width)[:, None] * n_bins + tbin).ravel()
-        re = np.bincount(flat, weights.real.ravel(), minlength=width * n_bins)
-        im = np.bincount(flat, weights.imag.ravel(), minlength=width * n_bins)
-        out[:, start:start + width] = (re + 1j * im).reshape(width, n_bins).T
-    out.setflags(write=False)
-    meta = WindowMeta(window.family, window.duration_s, hop, 1)
-    return TFRepresentation(out, freqs, times, "sst", meta)
+    return _sharpened(sig, window, hop, nfft, threshold, chunk, "sst")
 
 
 def reassign(sig: UniformSignal, window: Window, hop: int, nfft: int,
@@ -301,36 +327,7 @@ def reassign(sig: UniformSignal, window: Window, hop: int, nfft: int,
     is accumulated in one fixed global (frame, bin) order, so results are
     bit-identical for any chunk size.
     """
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    centers, freqs, times = _frame_plan(sig, window, hop, nfft)
-    df = sig.rate / nfft
-    n_bins, n_frames = freqs.size, centers.size
-    base = stft(sig, window, hop, nfft, chunk)
-    floor = threshold * float(np.max(np.abs(base.matrix))) if threshold > 0.0 else 0.0
-
-    flat_all = np.empty(n_frames * n_bins, dtype=np.intp)
-    mass_all = np.empty(n_frames * n_bins)
-    gen_t = _stft_columns(sig.values, window.t_weighted, centers, nfft, chunk)
-    for (start, vd), (_, vt) in zip(
-            _stft_columns(sig.values, window.derivative, centers, nfft, chunk),
-            gen_t):
-        width = vd.shape[1]
-        v_blk = base.matrix[:, start:start + width].T
-        tbin, mask, _ = _frequency_targets(v_blk, vd.T, freqs, df, floor)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shift = np.real(np.where(mask, vt.T, 0.0) / np.where(mask, v_blk, 1.0))
-        that = times[start:start + width, None] + np.where(mask, shift, 0.0)
-        tfrm = np.clip(np.rint((that - sig.t_start) * sig.rate / hop),
-                       0, n_frames - 1).astype(np.intp)
-        sl = slice(start * n_bins, (start + width) * n_bins)
-        flat_all[sl] = (tbin * n_frames + tfrm).ravel()
-        mass_all[sl] = np.where(mask, np.abs(v_blk) ** 2, 0.0).ravel()
-    out = np.bincount(flat_all, mass_all,
-                      minlength=n_bins * n_frames).reshape(n_bins, n_frames)
-    out.setflags(write=False)
-    meta = WindowMeta(window.family, window.duration_s, hop, 1)
-    return TFRepresentation(out, freqs, times, "rm", meta)
+    return _sharpened(sig, window, hop, nfft, threshold, chunk, "rm")
 
 
 def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
@@ -339,28 +336,23 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     """Hermite multitaper average of synchrosqueezed or reassigned STFTs.
 
     The output is the elementwise arithmetic mean over tapers of the
-    magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.
+    magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.  Tapers
+    run one at a time, so one taper's spectra are live at once.
     """
     if taper_count < 2:
         raise ValueError("multitaper needs at least 2 tapers")
     if method not in ("sst", "rm"):
         raise ValueError(f"method must be 'sst' or 'rm', got {method!r}")
     windows = make_windows("hermite", duration_s, sig.rate, taper_count)
-    acc = None
-    axes = None
+    freqs, times, _ = _frame_plan(sig, windows[0], hop, nfft, chunk)
+    part = np.abs if method == "sst" else np.asarray
+    acc = 0.0  # 0.0 + the first layer is that layer: the mean keeps its bits
     for win in windows:
-        if method == "sst":
-            tfr = synchrosqueeze(sig, win, hop, nfft, threshold, chunk)
-            layer = np.abs(tfr.matrix)
-        else:
-            tfr = reassign(sig, win, hop, nfft, threshold, chunk)
-            layer = tfr.matrix
-        acc = layer if acc is None else acc + layer
-        axes = (tfr.freq_axis, tfr.time_axis)
+        acc = acc + part(_sharpened(sig, win, hop, nfft, threshold, chunk,
+                                    method).matrix)
     meta = WindowMeta("hermite", float(duration_s), hop, taper_count)
-    avg = acc / taper_count
-    avg.setflags(write=False)
-    return TFRepresentation(avg, axes[0], axes[1], f"mt_{method}", meta)
+    np.divide(acc, taper_count, out=acc).setflags(write=False)
+    return TFRepresentation(acc, freqs, times, f"mt_{method}", meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,9 +396,11 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     programming with an L1 jump cost per frame.
 
     ``freq_min`` and ``freq_max`` are scalars or one value per frame; the
-    ridge only visits cells inside each frame's band, which must hold a bin.
-    Returns the ridge frequency in Hz per frame.  Ties break toward the
-    lower frequency, so a zero matrix yields the lowest band bin.
+    ridge only visits cells inside each frame's band, which must hold a bin
+    and no NaN magnitude.  Returns the ridge frequency in Hz per frame.
+    Ties break toward the lower frequency, so a zero matrix yields the
+    lowest band bin.  A zero penalty makes the ridge each frame's band
+    maximum, found directly.
     """
     if not jump_penalty >= 0.0:
         raise ValueError(f"jump_penalty must be >= 0, got {jump_penalty}")
@@ -423,6 +417,12 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     rows = slice(used[0], used[-1] + 1)
     mag = np.abs(tfr.matrix[rows])
     mag[~inside[rows]] = -np.inf
+    peak = mag.max(axis=0)  # NaN where a band holds a NaN magnitude
+    if np.isnan(peak).any():
+        t = int(np.argmax(np.isnan(peak)))
+        raise ValueError(f"frame {t}: NaN magnitude inside the band")
+    if jump_penalty == 0.0:  # the first row at the peak: argmax(axis=0) strides
+        return tfr.freq_axis[rows][np.argmax(mag == peak, axis=0)]
     n_frames = mag.shape[1]
 
     acc = np.empty_like(mag)

@@ -449,6 +449,22 @@ def test_tfr_missing_input_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("method", ["stft", "sst", "mt_rm"])
+def test_tfr_too_large_for_memory_is_data_error(tmp_path, capsys, small_config,
+                                                 method):
+    # the size check runs before the first nfft-sized allocation, so this
+    # allocates nothing: it used to end in numpy's "Unable to allocate 3.47 EiB"
+    out = tmp_path / "x"
+    rc = main(["tfr", "--config", str(small_config), "--out", str(out),
+               "--set", f"analysis.method={method}",
+               "--set", "analysis.nfft=1000000000000000000"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and "bytes of memory" in err
+    assert "hop (" in err and "nfft (1000000000000000000)" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

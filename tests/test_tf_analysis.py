@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nyqmirror import UniformSignal
 from nyqmirror.tf_analysis import (
@@ -273,6 +275,16 @@ def test_bit_identical_across_runs_and_chunks(method):
         np.testing.assert_array_equal(ref, fn(sig, win, 4, 256, chunk=chunk).matrix)
 
 
+@pytest.mark.parametrize("method", ["sst", "rm"])
+def test_multitaper_bit_identical_across_chunks(method):
+    rng = np.random.default_rng(22)
+    sig = UniformSignal(rng.normal(size=700), rate=RATE)
+    ref = multitaper(sig, 2.0, 3, 4, 256, method, 1e-8, chunk=128).matrix
+    for chunk in (1, 7, 64, 4096):
+        got = multitaper(sig, 2.0, 3, 4, 256, method, 1e-8, chunk=chunk).matrix
+        np.testing.assert_array_equal(ref.view(np.uint64), got.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # log display
 # ---------------------------------------------------------------------------
@@ -381,6 +393,64 @@ def test_negative_or_nan_threshold_and_penalty_rejected(bad):
         multitaper(sig, 1.0, 2, 8, 128, "rm", threshold=bad)
     with pytest.raises(ValueError, match="jump_penalty"):
         ridge_extract(zero_tfr(), 3.0, 10.0, jump_penalty=bad)
+
+
+def dp_ridge_rows(mag, penalty):
+    """Row per column of the penalized DP path (the path ridge_extract takes
+    for a penalty above 0), on a band-masked magnitude matrix."""
+    from nyqmirror.tf_analysis import _max_plus_l1
+
+    acc = np.empty_like(mag)
+    acc[:, 0] = mag[:, 0]
+    for t in range(1, mag.shape[1]):
+        prev = acc[:, t - 1] - acc[:, t - 1].max()
+        acc[:, t] = mag[:, t] + _max_plus_l1(prev, penalty)
+    path = np.empty(mag.shape[1], dtype=np.intp)
+    path[-1] = int(np.argmax(acc[:, -1]))
+    offsets = np.arange(mag.shape[0])
+    for t in range(mag.shape[1] - 2, -1, -1):
+        path[t] = int(np.argmax(acc[:, t] - penalty * np.abs(offsets - path[t + 1])))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 9), frames=st.integers(1, 8),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e300]))
+def test_ridge_zero_penalty_matches_dp(data, bins, frames, scale):
+    # small integer levels make ties common; 1e+-300 scales probe the
+    # renormalised accumulator at both ends of the float range
+    levels = data.draw(arrays(np.float64, (bins, frames),
+                              elements=st.integers(0, 3).map(float)), label="levels")
+    lo = data.draw(arrays(np.float64, frames, elements=st.integers(0, bins - 1)
+                          .map(float)), label="lo")
+    width = data.draw(arrays(np.float64, frames, elements=st.integers(0, bins)
+                             .map(float)), label="width")
+    from nyqmirror.tf_analysis import WindowMeta
+
+    tfr = TFRepresentation(levels * scale, np.arange(float(bins)),
+                           np.arange(float(frames)), "rm",
+                           WindowMeta("gaussian", 1.0, 1, 1))
+    got = ridge_extract(tfr, lo, lo + width, 0.0)
+    inside = (tfr.freq_axis[:, None] >= lo) & (tfr.freq_axis[:, None] <= lo + width)
+    used = np.nonzero(inside.any(axis=1))[0]
+    rows = slice(used[0], used[-1] + 1)
+    mag = np.where(inside, tfr.matrix, -np.inf)[rows]
+    np.testing.assert_array_equal(got, tfr.freq_axis[rows][dp_ridge_rows(mag, 0.0)])
+
+
+def test_ridge_rejects_nan_inside_the_band():
+    from nyqmirror.tf_analysis import WindowMeta
+
+    mat = np.zeros((6, 4))
+    mat[5, 1] = np.nan  # outside the band [0, 3]: ignored
+    meta = WindowMeta("gaussian", 1.0, 1, 1)
+    tfr = TFRepresentation(mat, np.arange(6.0), np.arange(4.0), "sst", meta)
+    np.testing.assert_array_equal(ridge_extract(tfr, 0.0, 3.0), [0.0] * 4)
+    mat[2, 3] = np.nan
+    tfr = TFRepresentation(mat, np.arange(6.0), np.arange(4.0), "sst", meta)
+    for penalty in (0.0, 0.5):
+        with pytest.raises(ValueError, match="frame 3: NaN"):
+            ridge_extract(tfr, 0.0, 3.0, penalty)
 
 
 def test_ridge_empty_band_rejected():

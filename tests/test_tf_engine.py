@@ -1,0 +1,233 @@
+"""The frames-major transform engine against the per-window transforms it
+replaced, kept here as the bit-exact oracle, and its non-finite targets."""
+
+import numpy as np
+import pytest
+
+from nyqmirror import UniformSignal
+from nyqmirror.tf_analysis import (
+    Window,
+    _nearest,
+    make_windows,
+    multitaper,
+    reassign,
+    stft,
+    synchrosqueeze,
+)
+
+RATE = 64.0
+
+
+# ---------------------------------------------------------------------------
+# oracle: one gather, one FFT and one bins-major matrix per window
+# ---------------------------------------------------------------------------
+
+def _oracle_plan(sig, window, hop, nfft):
+    centers = np.arange(0, len(sig), hop)
+    freqs = np.arange(nfft // 2 + 1) * (sig.rate / nfft)
+    times = sig.t_start + centers / sig.rate
+    return centers, freqs, times
+
+
+def _stft_columns(values, taps, centers, nfft, chunk):
+    w_len = taps.size
+    half = (w_len - 1) // 2
+    padded = np.zeros(values.size + 2 * half)
+    padded[half:half + values.size] = values
+    for start in range(0, centers.size, chunk):
+        blk = centers[start:start + chunk]
+        idx = blk[:, None] + np.arange(w_len)[None, :]
+        frames = padded[idx] * taps[None, :]
+        buf = np.zeros((blk.size, nfft))
+        buf[:, :half + 1] = frames[:, half:]
+        buf[:, nfft - half:] = frames[:, :half]
+        yield start, np.fft.rfft(buf, axis=1).T
+
+
+def oracle_stft(sig, window, hop, nfft, chunk=128):
+    centers, freqs, _ = _oracle_plan(sig, window, hop, nfft)
+    out = np.empty((freqs.size, centers.size), dtype=complex)
+    for start, block in _stft_columns(sig.values, window.samples, centers,
+                                      nfft, chunk):
+        out[:, start:start + block.shape[1]] = block
+    return out
+
+
+def _oracle_targets(v_blk, vd_blk, freqs, df, floor):
+    mask = np.abs(v_blk) > floor
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = vd_blk / np.where(mask, v_blk, 1.0)
+        omega = freqs[None, :] - np.imag(ratio) / (2.0 * np.pi)
+    omega = np.where(mask, omega, 0.0)
+    tbin = np.clip(np.rint(omega / df), 0, freqs.size - 1).astype(np.intp)
+    return tbin, mask
+
+
+def oracle_synchrosqueeze(sig, window, hop, nfft, threshold=0.0, chunk=128):
+    centers, freqs, _ = _oracle_plan(sig, window, hop, nfft)
+    df = sig.rate / nfft
+    n_bins = freqs.size
+    base = oracle_stft(sig, window, hop, nfft, chunk)
+    floor = threshold * float(np.max(np.abs(base))) if threshold > 0.0 else 0.0
+    out = np.zeros((n_bins, centers.size), dtype=complex)
+    for start, vd in _stft_columns(sig.values, window.derivative, centers,
+                                   nfft, chunk):
+        width = vd.shape[1]
+        v_blk = base[:, start:start + width].T
+        tbin, mask = _oracle_targets(v_blk, vd.T, freqs, df, floor)
+        weights = np.where(mask, v_blk, 0.0)
+        flat = (np.arange(width)[:, None] * n_bins + tbin).ravel()
+        re = np.bincount(flat, weights.real.ravel(), minlength=width * n_bins)
+        im = np.bincount(flat, weights.imag.ravel(), minlength=width * n_bins)
+        out[:, start:start + width] = (re + 1j * im).reshape(width, n_bins).T
+    return out
+
+
+def oracle_reassign(sig, window, hop, nfft, threshold=0.0, chunk=128):
+    centers, freqs, times = _oracle_plan(sig, window, hop, nfft)
+    df = sig.rate / nfft
+    n_bins, n_frames = freqs.size, centers.size
+    base = oracle_stft(sig, window, hop, nfft, chunk)
+    floor = threshold * float(np.max(np.abs(base))) if threshold > 0.0 else 0.0
+    flat_all = np.empty(n_frames * n_bins, dtype=np.intp)
+    mass_all = np.empty(n_frames * n_bins)
+    gen_t = _stft_columns(sig.values, window.t_weighted, centers, nfft, chunk)
+    for (start, vd), (_, vt) in zip(
+            _stft_columns(sig.values, window.derivative, centers, nfft, chunk),
+            gen_t):
+        width = vd.shape[1]
+        v_blk = base[:, start:start + width].T
+        tbin, mask = _oracle_targets(v_blk, vd.T, freqs, df, floor)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = np.real(np.where(mask, vt.T, 0.0) / np.where(mask, v_blk, 1.0))
+        that = times[start:start + width, None] + np.where(mask, shift, 0.0)
+        tfrm = np.clip(np.rint((that - sig.t_start) * sig.rate / hop),
+                       0, n_frames - 1).astype(np.intp)
+        sl = slice(start * n_bins, (start + width) * n_bins)
+        flat_all[sl] = (tbin * n_frames + tfrm).ravel()
+        mass_all[sl] = np.where(mask, np.abs(v_blk) ** 2, 0.0).ravel()
+    return np.bincount(flat_all, mass_all,
+                       minlength=n_bins * n_frames).reshape(n_bins, n_frames)
+
+
+def oracle_multitaper(sig, duration_s, taper_count, hop, nfft, method="sst",
+                      threshold=0.0, chunk=128):
+    acc = None
+    for win in make_windows("hermite", duration_s, sig.rate, taper_count):
+        if method == "sst":
+            layer = np.abs(oracle_synchrosqueeze(sig, win, hop, nfft,
+                                                 threshold, chunk))
+        else:
+            layer = oracle_reassign(sig, win, hop, nfft, threshold, chunk)
+        acc = layer if acc is None else acc + layer
+    return acc / taper_count
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# bit equality with the oracle
+# ---------------------------------------------------------------------------
+
+def chirp_noise(length, seed=3):
+    rng = np.random.default_rng(seed)
+    t = np.arange(length) / RATE
+    values = np.cos(2.0 * np.pi * (3.0 * t + 0.2 * t * t)) + 0.3 * rng.normal(size=length)
+    return UniformSignal(values, rate=RATE, t_start=1.25)
+
+
+WINDOWS = {
+    "gaussian": make_windows("gaussian", 1.0, RATE)[0],
+    "hermite2": make_windows("hermite", 1.0, RATE, 3)[2],
+}
+
+# (signal length, hop, nfft); hop 40 is longer than the 65-sample window
+PLANS = [(701, 4, 256), (333, 40, 128), (517, 1, 1024)]
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("chunk", [1, 7, 32, 4096])
+def test_stft_matches_oracle(window, plan, chunk):
+    length, hop, nfft = plan
+    sig, win = chirp_noise(length), WINDOWS[window]
+    assert_same_bits(stft(sig, win, hop, nfft, chunk=chunk).matrix,
+                     oracle_stft(sig, win, hop, nfft))
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("threshold", [0.0, 1e-8, 0.5])
+@pytest.mark.parametrize("chunk", [1, 7, 32, 4096])
+def test_sst_and_rm_match_oracle(window, plan, threshold, chunk):
+    length, hop, nfft = plan
+    sig, win = chirp_noise(length), WINDOWS[window]
+    assert_same_bits(
+        synchrosqueeze(sig, win, hop, nfft, threshold, chunk=chunk).matrix,
+        oracle_synchrosqueeze(sig, win, hop, nfft, threshold))
+    assert_same_bits(
+        reassign(sig, win, hop, nfft, threshold, chunk=chunk).matrix,
+        oracle_reassign(sig, win, hop, nfft, threshold))
+
+
+@pytest.mark.parametrize("method", ["sst", "rm"])
+@pytest.mark.parametrize("threshold", [0.0, 1e-8])
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_multitaper_matches_oracle(method, threshold, chunk):
+    sig = chirp_noise(611)
+    assert_same_bits(
+        multitaper(sig, 1.0, 3, 4, 256, method, threshold, chunk=chunk).matrix,
+        oracle_multitaper(sig, 1.0, 3, 4, 256, method, threshold))
+
+
+def test_zero_signal_matches_oracle():
+    # every coefficient is dropped at threshold 0: 0/0 targets stay unused
+    sig = UniformSignal(np.zeros(300), rate=RATE)
+    win = WINDOWS["gaussian"]
+    assert_same_bits(synchrosqueeze(sig, win, 4, 128).matrix,
+                     oracle_synchrosqueeze(sig, win, 4, 128))
+    assert_same_bits(reassign(sig, win, 4, 128).matrix,
+                     oracle_reassign(sig, win, 4, 128))
+
+
+# ---------------------------------------------------------------------------
+# non-finite reassignment targets
+# ---------------------------------------------------------------------------
+
+def test_nan_estimates_stay_in_their_own_cell():
+    # (1+0j) / (5e-324+0j) has imaginary part 0 * inf = nan, and so has
+    # the frequency estimate of that cell
+    with np.errstate(all="ignore"):
+        assert np.isnan((np.array([1.0 + 0j]) / np.array([5e-324 + 0j])).imag[0])
+    est = np.array([[np.nan, 1.2, 7.0], [-3.0, np.nan, 0.4]])
+    own = np.arange(3, dtype=float)
+    np.testing.assert_array_equal(_nearest(est, own, 3), [[0, 1, 2], [0, 1, 0]])
+    est = np.array([[np.nan, np.inf], [-np.inf, np.nan]])
+    own = np.array([[4.0], [5.0]])  # frames 4 and 5 of 9
+    np.testing.assert_array_equal(_nearest(est, own, 9), [[4, 8], [0, 5]])
+
+
+def test_subnormal_coefficients_conserve_mass():
+    # frames that see only the subnormal sample have subnormal V_g, whose
+    # ratios are nan at threshold 0; those cells keep their own cell
+    values = np.zeros(400)
+    values[100], values[300] = 1.0, 1e-310
+    sig = UniformSignal(values, rate=RATE)
+    win = WINDOWS["gaussian"]
+    base = stft(sig, win, 4, 128).matrix
+    deriv = Window(win.derivative, win.derivative, win.t_weighted, "gaussian",
+                   win.duration_s, RATE)
+    with np.errstate(all="ignore"):
+        ratio = stft(sig, deriv, 4, 128).matrix / base
+    assert np.isnan(ratio[base != 0]).any()
+
+    sst = synchrosqueeze(sig, win, 4, 128, threshold=0.0).matrix
+    ref = base.sum(axis=0)
+    assert np.max(np.abs(sst.sum(axis=0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    rm = reassign(sig, win, 4, 128, threshold=0.0).matrix
+    mass = np.sum(np.abs(base) ** 2)
+    assert np.all(np.isfinite(rm)) and rm.sum() == pytest.approx(mass, rel=1e-12)

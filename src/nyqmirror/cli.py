@@ -78,6 +78,10 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 _MISSING = object()  # the value of an object key left out, if it has no default
+# bounds on work: spline collocation fails its 1e12 condition check near
+# order 40 on fig2, and predict costs about 10 ms per reflection order k
+_MAX_ORDER = 31
+_MAX_K = 64
 
 
 class _Leaf(NamedTuple):
@@ -121,7 +125,7 @@ _LEAVES = {
                       fields=_SCENARIO_FIELDS),
     "input": _Leaf(None, (str,)),
     "interpolation.scheme": _Leaf("bspline", choices=("bspline", "pchip")),
-    "interpolation.order": _Leaf(3, lo=1),
+    "interpolation.order": _Leaf(3, lo=1, hi=_MAX_ORDER),
     "analysis.method": _Leaf("sst", choices=("stft", "sst", "rm", "mt_sst", "mt_rm")),
     "analysis.window": _Leaf("gaussian", choices=("gaussian", "hermite")),
     "analysis.window_s": _Leaf(10.0, positive=True),
@@ -133,13 +137,14 @@ _LEAVES = {
     "mitigation.lowpass": _Leaf(None, (dict,), fields={"cutoff_hz": _POSITIVE,
                                                     "transition_hz": _POSITIVE}),
     "physio.rate_hz": _Leaf(8.0, positive=True),
-    "physio.edr_scheme": _Leaf("cubic", (str, int), ("cubic", "pchip"), lo=1),
+    "physio.edr_scheme": _Leaf("cubic", (str, int), ("cubic", "pchip"), lo=1,
+                               hi=_MAX_ORDER),
     "physio.synth": _Leaf(None, (dict,), fields={
         "ihr_hz": _Leaf(1.4, positive=True), "resp_hz": _Leaf(0.5),
         "duration_s": _Leaf(240.0, positive=True), "modulation_depth": _Leaf(0.1),
     }),
-    "predict.k_min": _Leaf(-1, hi=0),
-    "predict.k_max": _Leaf(3, lo=0),
+    "predict.k_min": _Leaf(-1, lo=-_MAX_K, hi=0),
+    "predict.k_max": _Leaf(3, lo=0, hi=_MAX_K),
     "output.directory": _Leaf("out"),
     "output.formats": _Leaf(["csv", "tfr1", "pgm"], choices=("csv", "tfr1", "pgm")),
 }

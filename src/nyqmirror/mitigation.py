@@ -62,7 +62,11 @@ def lowpass_prefilter(sig: UniformSignal, cutoff_hz: float,
         )
     # single-pass design for 66 dB / half the net ripple; filtfilt squares
     # the magnitude response
-    numtaps, beta = kaiserord(66.0, transition_hz / (sig.rate / 2.0))
+    try:
+        numtaps, beta = kaiserord(66.0, transition_hz / (sig.rate / 2.0))
+    except (ZeroDivisionError, OverflowError):  # the band width underflows
+        raise ValueError(f"transition_hz ({transition_hz}) is too narrow for a "
+                         f"filter at {sig.rate} Hz") from None
     numtaps |= 1
     if len(sig) <= 3 * numtaps:
         raise ValueError(

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .sampling import SampleSet, SamplingScheme, sampling_times
 from .spline_interp import (
     UniformSignal,
     interpolate_nonuniform,
     interpolate_pchip,
+    physical_memory,
     resample_uniform,
 )
 
@@ -31,6 +31,12 @@ __all__ = [
     "rri_series",
     "synth_rpeaks",
 ]
+
+# bytes per warp panel for the size check of synth_rpeaks: the quadrature
+# nodes and curve values of every panel (64 B each), the prefix sums and
+# the root scan peak at 200 to 250 B on a 1 h train; twice that leaves
+# room for the temporaries of the caller's curves
+_BYTES_PER_PANEL = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +157,45 @@ def edr_signal(rec: RPeakRecord, rate: float = 8.0,
     return UniformSignal(values=centered, rate=sig.rate, t_start=sig.t_start)
 
 
-def _antiderivative(curve: Callable[[np.ndarray], np.ndarray],
-                    t_end: float, step: float = 1e-3):
-    """Smooth antiderivative of a positive rate curve on [0, t_end]."""
-    grid = np.linspace(0.0, t_end, max(int(np.ceil(t_end / step)), 8) + 1)
-    vals = np.asarray(curve(grid), dtype=float)
-    if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape)
-    spline = CubicSpline(grid, vals)
-    return spline.antiderivative(), spline
+def _curve_values(curve: Callable[[np.ndarray], np.ndarray], t, name: str):
+    """``curve(t)`` as a float array of t's shape; a non-finite value is a
+    ValueError naming ``name`` and the time."""
+    t = np.asarray(t, dtype=float)
+    vals = np.broadcast_to(np.asarray(curve(t), dtype=float), t.shape)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise ValueError(f"{name} must be finite, got {vals[bad][0]}"
+                         f" at t = {t[bad][0]} s")
+    return vals
+
+
+def _antiderivative(curve: Callable[[np.ndarray], np.ndarray], t_end: float,
+                    n_panels: int, name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """psi(t) = integral of ``curve`` over [0, t] for t in [0, t_end]:
+    prefix sums of the Gauss-Legendre integrals of ``n_panels`` equal
+    panels, plus one rule from t's panel start to t.  The prefix sums run
+    in extended precision: summed in float64, a constant 1.4 Hz over 3600 s
+    ends 3.9e-10 short of 5040, beyond the 1e-10 root polish of
+    ``sampling_times``."""
+    # built here, not at import: its eigensolve costs every command 0.5 MB
+    nodes, weights = np.polynomial.legendre.leggauss(8)  # exact to degree 15
+
+    def gauss(lo, hi):
+        """The rule for the integral of ``curve`` over each [lo, hi]."""
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * nodes
+        return half * (_curve_values(curve, x, name) @ weights)
+
+    edges = np.linspace(0.0, t_end, n_panels + 1)
+    sums = np.cumsum(gauss(edges[:-1], edges[1:]), dtype=np.longdouble)
+    prefix = np.concatenate(([0.0], sums.astype(float)))
+
+    def psi(t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, n_panels - 1)
+        return prefix[k] + gauss(edges[k], t)
+
+    return psi
 
 
 def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
@@ -167,22 +203,37 @@ def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
                  duration: float, modulation_depth: float = 0.1) -> RPeakRecord:
     """Synthetic R-peak train with known instantaneous rate and modulation.
 
-    Peak instants are the integer crossings of the antiderivative of
+    Peak instants are the integer crossings of psi, the antiderivative of
     ``ihr_curve`` (the same root machinery as sample-time generation);
-    amplitudes are 1 + depth * cos(2 pi * integral of resp_if).  Stands in
-    for clinical recordings in closed-loop tests.
+    amplitudes are 1 + depth * cos(2 pi * integral of resp_if).  Both
+    integrals are composite Gauss-Legendre on panels of the root scan's
+    step, 0.5 / max rate, and psi' is ``ihr_curve`` itself.  Stands in for
+    clinical recordings in closed-loop tests.
+
+    Raises ValueError for a non-finite or non-positive ``duration``, a
+    non-finite curve value, a rate that is not strictly positive, and, before
+    allocating, a train whose panels would not fit in physical memory.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     probe = np.linspace(0.0, duration, 1025)
-    rates = np.asarray(ihr_curve(probe), dtype=float)
+    rates = _curve_values(ihr_curve, probe, "ihr_curve")
     if np.any(rates <= 0.0):
         raise ValueError("ihr_curve must be strictly positive")
+    _curve_values(resp_if, probe, "resp_if")
 
-    warp, rate_spline = _antiderivative(ihr_curve, duration)
-    scheme = SamplingScheme(psi=warp, psi_prime=rate_spline)
+    panels = duration * 2.0 * float(np.max(rates))
+    need, have = _BYTES_PER_PANEL * panels, physical_memory()
+    if need > have:
+        raise ValueError(f"{panels:.3g} warp panels need ~{need:.3g} bytes, over the"
+                         f" {have} bytes of memory: lower duration_s ({duration})")
+    n_panels = max(1, math.ceil(panels))
+
+    warp = _antiderivative(ihr_curve, duration, n_panels, "ihr_curve")
+    scheme = SamplingScheme(
+        psi=warp, psi_prime=lambda t: _curve_values(ihr_curve, t, "ihr_curve"))
     peaks = sampling_times(scheme, 0.0, duration)
 
-    resp_phase, _ = _antiderivative(resp_if, duration)
+    resp_phase = _antiderivative(resp_if, duration, n_panels, "resp_if")
     amplitudes = 1.0 + modulation_depth * np.cos(2.0 * np.pi * resp_phase(peaks))
     return RPeakRecord(times=peaks, amplitudes=amplitudes)

@@ -9,6 +9,7 @@ cancels catastrophically for order >~ 6; the non-uniform one sums exactly).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -29,6 +30,7 @@ __all__ = [
     "interpolate_pchip",
     "nonuniform_bspline",
     "nonuniform_bspline_truncated_power",
+    "physical_memory",
     "resample_uniform",
 ]
 
@@ -244,6 +246,14 @@ class UniformSignal:
     @property
     def duration(self) -> float:
         return (self.values.size - 1) / self.rate
+
+
+def physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say:
+    the bound a size check compares its estimate with before allocating."""
+    if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()):
+        return float("inf")
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 # ---------------------------------------------------------------------------

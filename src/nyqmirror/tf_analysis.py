@@ -12,13 +12,12 @@ bit-identical matrices for any block size.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .spline_interp import UniformSignal
+from .spline_interp import UniformSignal, physical_memory
 
 __all__ = [
     "DisplayMatrix", "TFRepresentation", "Window", "WindowMeta", "log_display",
@@ -183,8 +182,7 @@ def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
         raise ValueError(f"signal ({length} samples) shorter than window ({w_len})")
     n_bins, n_frames = nfft // 2 + 1, -(-length // hop)
     need = _LIVE_BYTES_PER_CELL * n_bins * n_frames
-    have = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-            if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else need)
+    have = physical_memory()
     if need > have:
         raise ValueError(f"{n_bins} x {n_frames} cells need ~{need} bytes, over the {have}"
                          f" bytes of memory: raise hop ({hop}) or lower nfft ({nfft})")

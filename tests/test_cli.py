@@ -72,6 +72,10 @@ def test_set_overrides_and_validates():
     cfg = load_config(None, ["analysis.method=rm", "interpolation.order=12"])
     assert cfg["analysis"]["method"] == "rm"
     assert cfg["interpolation"]["order"] == 12
+    edges = load_config(None, ["interpolation.order=31", "physio.edr_scheme=31",
+                               "predict.k_min=-64", "predict.k_max=64"])
+    assert (edges["interpolation"]["order"], edges["physio"]["edr_scheme"],
+            edges["predict"]["k_min"], edges["predict"]["k_max"]) == (31, 31, -64, 64)
     with pytest.raises(ConfigError):
         load_config(None, ["analysis.bogus=1"])
     with pytest.raises(ConfigError):
@@ -128,6 +132,10 @@ _SYNTH = 'physio.synth={"duration_s": 60}'
     ("predict", "predict.k_max=[1]", "predict.k_max"),
     ("predict", "predict.k_max=2.7", "predict.k_max"),
     ("predict", "predict.k_min=5", "predict.k_min"),
+    ("predict", "predict.k_max=300", "predict.k_max"),
+    ("predict", "predict.k_min=-300", "predict.k_min"),
+    ("simulate", "interpolation.order=1000", "interpolation.order"),
+    ("physio", "physio.edr_scheme=1000", "physio.edr_scheme"),
     ("tfr", "analysis.tapers=2.5", "analysis.tapers"),
     ("simulate", "interpolation.order=true", "interpolation.order"),
     ("tfr", "analysis.threshold=nan", "analysis.threshold"),
@@ -558,6 +566,20 @@ def test_physio_non_finite_row_is_data_error(tmp_path, capsys):
     rc = main(["physio", "--set", f"input={src}", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "row 32: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration", ["1e9", "1e308"])
+def test_physio_synth_too_long_for_memory_is_data_error(tmp_path, capsys, duration):
+    # refused before the warp panels are allocated: 1e9 s used to end in
+    # numpy's "Unable to allocate 7.28 TiB", 1e308 s in an OverflowError
+    out = tmp_path / "x"
+    rc = main(["physio", "--out", str(out),
+               "--set", f'physio.synth={{"duration_s": {duration}}}'])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and "bytes of memory" in err
+    assert "duration_s (" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_physio_without_input_or_synth_is_config_error(tmp_path):

@@ -133,3 +133,11 @@ def test_lowpass_invalid_band():
         lowpass_prefilter(sig, 15.0, 2.0)
     with pytest.raises(ValueError):
         lowpass_prefilter(sig, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("transition_hz", [5e-324, 1e-320])
+def test_lowpass_underflowing_transition_is_value_error(transition_hz):
+    # the band width underflows: kaiserord divided by zero or overflowed
+    sig = UniformSignal(np.zeros(4096), rate=32.0)
+    with pytest.raises(ValueError, match="transition_hz"):
+        lowpass_prefilter(sig, 1.0, transition_hz)

@@ -178,6 +178,63 @@ def test_synth_rejects_nonpositive_rate():
         synth_rpeaks(const(1.0), const(0.3), -1.0, 0.1)
 
 
+@pytest.mark.parametrize("ihr, duration", [(1.4, 3600.0), (1.25, 61.3)])
+def test_synth_constant_rate_closed_form(ihr, duration):
+    # psi(t) = ihr * t: the peaks are m / ihr for m = 0 .. duration * ihr,
+    # the one at t = duration included when duration * ihr is an integer
+    rec = synth_rpeaks(const(ihr), const(0.3), duration, 0.1)
+    m = np.arange(int(np.floor(duration * ihr + 1e-9)) + 1)
+    assert len(rec) == m.size
+    np.testing.assert_allclose(rec.times, m / ihr, rtol=0.0, atol=1e-12)
+
+
+def test_synth_sinusoidal_rate_closed_form():
+    # rate a + b sin(2 pi f t): psi(t) = a t - b / (2 pi f) (cos 2 pi f t - 1);
+    # respiration 0.3 + 0.05 cos(2 pi g t) has phase 0.3 t + 0.05 / (2 pi g) sin 2 pi g t
+    a, b, f, g, depth, duration = 1.3, 0.15, 0.04, 0.01, 0.2, 3600.0
+    w, v = 2.0 * np.pi * f, 2.0 * np.pi * g
+    rec = synth_rpeaks(lambda t: a + b * np.sin(w * np.asarray(t)),
+                       lambda t: 0.3 + 0.05 * np.cos(v * np.asarray(t)),
+                       duration, depth)
+    psi = a * rec.times - b / w * (np.cos(w * rec.times) - 1.0)
+    assert len(rec) == int(a * duration - b / w * (np.cos(w * duration) - 1.0)) + 1
+    np.testing.assert_allclose(psi, np.arange(len(rec)), rtol=0.0, atol=1e-9)
+    phase = 0.3 * rec.times + 0.05 / v * np.sin(v * rec.times)
+    np.testing.assert_allclose(rec.amplitudes, 1.0 + depth * np.cos(2.0 * np.pi * phase),
+                               rtol=0.0, atol=1e-9)
+
+
+def _nan_between_probes(value):
+    # NaN on (100.2, 100.8) s only: the 1025 probes of a 1024 s train sit
+    # on whole seconds, so only the quadrature nodes meet it
+    def curve(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t > 100.2) & (t < 100.8), np.nan, value)
+    return curve
+
+
+@pytest.mark.parametrize("ihr, resp, duration, name", [
+    (const(1.4), const(0.3), np.nan, "duration"),
+    (const(1.4), const(0.3), np.inf, "duration"),
+    (const(1.4), const(0.3), 0.0, "duration"),
+    (const(np.nan), const(0.3), 1024.0, "ihr_curve"),
+    (_nan_between_probes(1.4), const(0.3), 1024.0, "ihr_curve"),
+    (const(1.4), const(np.inf), 1024.0, "resp_if"),
+    (const(1.4), _nan_between_probes(0.3), 1024.0, "resp_if"),
+], ids=["nan-duration", "inf-duration", "zero-duration", "nan-ihr-at-probe",
+        "nan-ihr-at-nodes", "inf-resp-at-probe", "nan-resp-at-nodes"])
+def test_synth_rejects_non_finite_input(ihr, resp, duration, name):
+    with pytest.raises(ValueError, match=name):
+        synth_rpeaks(ihr, resp, duration, 0.1)
+
+
+@pytest.mark.parametrize("duration", [1e9, 1e308])
+def test_synth_too_long_for_memory_is_refused(duration):
+    # refused from duration x max rate before the panels are allocated
+    with pytest.raises(ValueError, match=r"bytes of memory: lower duration_s"):
+        synth_rpeaks(const(1.4), const(0.3), duration, 0.1)
+
+
 def test_synth_isr_matches_rate_curve():
     rate_curve = lambda t: 1.3 + 0.15 * np.sin(2.0 * np.pi * 0.04 * np.asarray(t))
     rec = synth_rpeaks(rate_curve, const(0.3), 150.0, 0.1)

@@ -11,7 +11,9 @@ from .sampling import (
     SamplingScheme,
     check_inr,
     check_isr_identifiability,
+    cosine_warp,
     estimate_isr,
+    quadratic_warp,
     sample_signal,
     sampling_times,
 )
@@ -22,14 +24,13 @@ from .signal_model import (
     builtin_scenario,
     evaluate_imt,
     fig2_variant,
+    harmonic,
     validate_imt,
 )
 from .spline_interp import (
-    KernelSpectrum,
     PchipInterpolant,
     SplineInterpolant,
     UniformSignal,
-    cardinal_bspline,
     fundamental_spline_spectrum,
     interpolate_nonuniform,
     interpolate_pchip,

@@ -41,8 +41,8 @@ from .reflection import (
     predict_components,
     verify_reflection_theorem,
 )
-from .sampling import SamplingScheme, estimate_isr, sample_signal
-from .signal_model import IMTSignal, Scenario, builtin_scenario
+from .sampling import cosine_warp, estimate_isr, quadratic_warp, sample_signal
+from .signal_model import Scenario, builtin_scenario, harmonic
 from .spline_interp import (
     UniformSignal,
     interpolate_nonuniform,
@@ -247,46 +247,25 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                   for where, leaf in _LEAVES.items()})
 
 
-def _scheme_from_config(obj: dict) -> SamplingScheme:
-    if obj["kind"] == "quadratic":
-        base, denom, center = obj["base_hz"], obj["quad_denom"], obj["t_center"]
-        return SamplingScheme(
-            psi=lambda t: base * np.asarray(t, dtype=float)
-            + ((np.asarray(t, dtype=float) - center) ** 3 + center**3)
-            / (3.0 * denom),
-            psi_prime=lambda t: base
-            + (np.asarray(t, dtype=float) - center) ** 2 / denom,
-            scheme_params=(base, 0.0),
-        )
-    # uniform sampling is the cosine warp of depth 0, to the last bit
-    base, depth, period = ((obj["rate_hz"], 0.0, 1.0) if obj["kind"] == "uniform"
-                           else (obj["base_hz"], obj["depth_hz"], obj["period_s"]))
-    if base - abs(depth) <= 0.0:
-        raise ConfigError("scenario.scheme needs base_hz > |depth_hz|")
-    w = 2.0 * np.pi / period
-    return SamplingScheme(
-        psi=lambda t: base * np.asarray(t, dtype=float)
-        + depth / w * np.sin(w * np.asarray(t, dtype=float)),
-        psi_prime=lambda t: base + depth * np.cos(w * np.asarray(t, dtype=float)),
-        scheme_params=(base - abs(depth), abs(depth) * w / (base - abs(depth))),
-    )
-
-
 def scenario_from_config(obj) -> Scenario:
     """Scenario from its config form, a builtin name or a parametric
-    object, after checking it against the ``scenario`` row of ``_LEAVES``."""
+    object, after checking it against the ``scenario`` row of ``_LEAVES``;
+    the keys of a scheme object are its warp constructor's parameters."""
     obj = _typed(obj, _LEAVES["scenario"], "scenario")
     if isinstance(obj, str):
         return builtin_scenario(obj)
-    freq, amp = obj["signal"]["freq_hz"], obj["signal"]["amp"]
-    signal = IMTSignal(
-        am=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
-        phase=lambda t: freq * np.asarray(t, dtype=float),
-        iff=lambda t: np.full_like(np.asarray(t, dtype=float), freq),
-        model_params=(min(amp, freq), max(amp, freq), 0.01),
-    )
-    return Scenario("custom", signal, _scheme_from_config(obj["scheme"]),
-                    obj["duration_s"], obj["resample_hz"])
+    kind, scheme = obj["scheme"]["kind"], dict(obj["scheme"])
+    del scheme["kind"]
+    if kind == "quadratic":
+        warp = quadratic_warp(**scheme)
+    elif kind == "uniform":
+        warp = cosine_warp(scheme["rate_hz"], 0.0, 1.0)
+    elif scheme["base_hz"] <= abs(scheme["depth_hz"]):
+        raise ConfigError("scenario.scheme needs base_hz > |depth_hz|")
+    else:
+        warp = cosine_warp(**scheme)
+    signal = harmonic(obj["signal"]["freq_hz"], obj["signal"]["amp"])
+    return Scenario("custom", signal, warp, obj["duration_s"], obj["resample_hz"])
 
 
 # ---------------------------------------------------------------------------

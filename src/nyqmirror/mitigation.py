@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.signal import filtfilt, firwin, kaiserord
 
 from .spline_interp import UniformSignal
 from .tf_analysis import TFRepresentation
@@ -53,6 +52,9 @@ def lowpass_prefilter(sig: UniformSignal, cutoff_hz: float,
     for signals that are not band-limited this perturbs rather than
     removes interpolation images, so it is not part of default pipelines.
     """
+    # imported here: scipy.signal would add ~0.45 s to every import
+    from scipy.signal import filtfilt, firwin, kaiserord
+
     if cutoff_hz <= 0.0 or transition_hz <= 0.0:
         raise ValueError("cutoff and transition must be positive")
     if cutoff_hz + transition_hz >= sig.rate / 2.0:

@@ -17,9 +17,9 @@ import numpy as np
 from .sampling import SampleSet, SamplingScheme, sampling_times
 from .spline_interp import (
     UniformSignal,
+    check_memory,
     interpolate_nonuniform,
     interpolate_pchip,
-    physical_memory,
     resample_uniform,
 )
 
@@ -121,8 +121,6 @@ def ihr_signal(rec: RPeakRecord, rate: float = 8.0) -> UniformSignal:
     Follows the convention of interpolating the interval values
     themselves (seconds), not their reciprocals.
     """
-    if len(rec) < 6:
-        raise ValueError("IHR needs at least 6 peaks")
     rri = rri_series(rec)
     interp = interpolate_nonuniform(rri, 3)
     return resample_uniform(interp, rate, rri.times[0], rri.times[-1])
@@ -146,9 +144,6 @@ def edr_signal(rec: RPeakRecord, rate: float = 8.0,
     else:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
 
-    need = 3 if order is None else order + 2
-    if len(rec) < need:
-        raise ValueError(f"EDR with scheme {scheme!r} needs >= {need} peaks")
     samples = SampleSet(times=rec.times, values=rec.amplitudes)
     interp = interpolate_pchip(samples) if order is None \
         else interpolate_nonuniform(samples, order)
@@ -223,10 +218,8 @@ def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
     _curve_values(resp_if, probe, "resp_if")
 
     panels = duration * 2.0 * float(np.max(rates))
-    need, have = _BYTES_PER_PANEL * panels, physical_memory()
-    if need > have:
-        raise ValueError(f"{panels:.3g} warp panels need ~{need:.3g} bytes, over the"
-                         f" {have} bytes of memory: lower duration_s ({duration})")
+    check_memory(_BYTES_PER_PANEL * panels, f"{panels:.3g} warp panels",
+                 f"lower duration_s ({duration})")
     n_panels = max(1, math.ceil(panels))
 
     warp = _antiderivative(ihr_curve, duration, n_panels, "ihr_curve")

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .spline_interp import clip_to_domain
+from .spline_interp import check_memory, interpolate_nonuniform
 
 if TYPE_CHECKING:  # pragma: no cover
     from .signal_model import IMTSignal
@@ -29,37 +28,54 @@ __all__ = [
     "SamplingScheme",
     "check_inr",
     "check_isr_identifiability",
+    "cosine_warp",
     "estimate_isr",
+    "quadratic_warp",
     "sample_signal",
     "sampling_times",
 ]
 
 _ROOT_TOL = 1e-10
+# bytes per cell of the root scan in sampling_times: measured up to 59 B
+# (the grid, the warp on it and its temporaries, the roots' brackets)
+_BYTES_PER_CELL = 128
 
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Evaluable sampling warp psi with its rate psi_prime.
-
-    ``scheme_params = (c, eps)``: c is a lower bound on the ISR, eps bounds
-    the relative rate-of-change |psi''| / psi' on the working span.
-    """
+    """Evaluable sampling warp psi with its rate psi_prime."""
 
     psi: Callable[[np.ndarray], np.ndarray]
     psi_prime: Callable[[np.ndarray], np.ndarray]
-    scheme_params: tuple[float, float] = (1.0, 0.0)
-
-    @property
-    def c(self) -> float:
-        return self.scheme_params[0]
-
-    @property
-    def eps(self) -> float:
-        return self.scheme_params[1]
 
     def inf(self, t) -> np.ndarray | float:
         """Instantaneous Nyquist frequency psi'(t)/2."""
         return np.asarray(self.psi_prime(t)) / 2.0
+
+
+def quadratic_warp(base_hz: float, quad_denom: float, t_center: float) -> SamplingScheme:
+    """The warp of ISR base_hz + (t - t_center)^2 / quad_denom, anchored at
+    psi(0) = 0: psi(t) = base_hz t + ((t - t_center)^3 + t_center^3) / (3 quad_denom)."""
+    return SamplingScheme(
+        psi=lambda t: base_hz * np.asarray(t, dtype=float)
+        + ((np.asarray(t, dtype=float) - t_center) ** 3 + t_center ** 3)
+        / (3.0 * quad_denom),
+        psi_prime=lambda t: base_hz
+        + (np.asarray(t, dtype=float) - t_center) ** 2 / quad_denom,
+    )
+
+
+def cosine_warp(base_hz: float, depth_hz: float, period_s: float) -> SamplingScheme:
+    """The warp of ISR base_hz + depth_hz cos(2 pi t / period_s), anchored at
+    psi(0) = 0: psi(t) = base_hz t + depth_hz period_s / (2 pi) sin(2 pi t / period_s).
+    Uniform sampling at rate r is ``cosine_warp(r, 0, 1)``, to the last bit."""
+    amp = depth_hz * period_s / (2.0 * np.pi)
+    return SamplingScheme(
+        psi=lambda t: base_hz * np.asarray(t, dtype=float)
+        + amp * np.sin(2.0 * np.pi * np.asarray(t, dtype=float) / period_s),
+        psi_prime=lambda t: base_hz
+        + depth_hz * np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period_s),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +115,8 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
     Raises
     ------
     ValueError
-        If t_start >= t_end or psi' is non-positive at any probe point.
+        If t_start >= t_end, psi' is non-positive at any probe point, or
+        the scan grid would not fit in physical memory.
     """
     if not t_end > t_start:
         raise ValueError("t_start must be strictly less than t_end")
@@ -109,7 +126,11 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
         bad = float(probe[int(np.argmin(rates))])
         raise ValueError(f"sampling warp is non-monotone: psi'({bad}) <= 0")
 
-    step = 0.5 / float(np.max(rates))
+    max_rate = float(np.max(rates))
+    cells = (t_end - t_start) * 2.0 * max_rate  # at the step 0.5 / max_rate
+    check_memory(_BYTES_PER_CELL * cells, f"{cells:.3g} scan cells",
+                 f"shorten the span [{t_start}, {t_end}] or lower the rate")
+    step = 0.5 / max_rate
     n_cells = max(2, int(np.ceil((t_end - t_start) / step)))
     grid = np.linspace(t_start, t_end, n_cells + 1)
     pg = np.asarray(scheme.psi(grid), dtype=float)
@@ -157,7 +178,7 @@ def sample_signal(signal: "IMTSignal", scheme: SamplingScheme,
 
 @dataclass(frozen=True)
 class IsrEstimate:
-    """Cubic-spline ISR estimate from observed sample times.
+    """Not-a-knot cubic-spline ISR estimate from observed sample times.
 
     ``isr`` and ``inf`` are evaluable on ``domain`` only; inf = isr / 2.
     """
@@ -170,7 +191,8 @@ class IsrEstimate:
 
 
 def estimate_isr(times) -> IsrEstimate:
-    """Estimate the ISR from sample times as the cubic spline through
+    """Estimate the ISR from sample times as the order-3
+    ``interpolate_nonuniform`` spline (the not-a-knot cubic) through
     (t_i, 1/(t_{i+1} - t_i)), the rate anchored at the left endpoint.
 
     The estimate is restricted to [t_1, t_{N-1}] rather than extrapolated.
@@ -182,22 +204,10 @@ def estimate_isr(times) -> IsrEstimate:
     gaps = np.diff(t)
     if np.any(gaps <= 0.0):
         raise ValueError("times must be strictly increasing")
-    knots = t[:-1]
-    rates = 1.0 / gaps
-    spline = CubicSpline(knots, rates, extrapolate=False)
-    lo, hi = float(knots[0]), float(knots[-1])
-
-    def isr(x):
-        out = spline(clip_to_domain(x, (lo, hi), "ISR estimate query"))
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    return IsrEstimate(
-        isr=isr,
-        inf=lambda x: isr(x) / 2.0,
-        domain=(lo, hi),
-        knot_times=knots,
-        knot_rates=rates,
-    )
+    rates = SampleSet(t[:-1], 1.0 / gaps)
+    isr = interpolate_nonuniform(rates, 3)
+    return IsrEstimate(isr=isr, inf=lambda x: isr(x) / 2.0, domain=isr.domain,
+                       knot_times=rates.times, knot_rates=rates.values)
 
 
 @dataclass(frozen=True)

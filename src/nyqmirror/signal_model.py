@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import SamplingScheme
+from .sampling import SamplingScheme, cosine_warp, quadratic_warp
 
 __all__ = [
     "IMTSignal",
@@ -23,6 +23,7 @@ __all__ = [
     "builtin_scenario",
     "evaluate_imt",
     "fig2_variant",
+    "harmonic",
     "validate_imt",
 ]
 
@@ -168,25 +169,14 @@ class Scenario:
     resample_hz: float
 
 
-_T0 = 80.0 / np.pi  # time of the slowest sampling in the first scenario
-
-
-def _fig1_signal() -> IMTSignal:
+def harmonic(freq_hz: float, amp: float) -> IMTSignal:
+    """The pure tone amp * cos(2*pi*freq_hz*t), with class constants
+    (min(amp, freq_hz), max(amp, freq_hz), 0.01)."""
     return IMTSignal(
-        am=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        phase=lambda t: 2.5 * np.asarray(t, dtype=float),
-        iff=lambda t: np.full_like(np.asarray(t, dtype=float), 2.5),
-        model_params=(1.0, 2.5, 0.01),
-    )
-
-
-def _fig1_scheme() -> SamplingScheme:
-    # psi(t) = 6t + ((t - T0)^3 + T0^3) / 2400, anchored at psi(0) = 0
-    return SamplingScheme(
-        psi=lambda t: 6.0 * np.asarray(t, dtype=float)
-        + ((np.asarray(t, dtype=float) - _T0) ** 3 + _T0 ** 3) / 2400.0,
-        psi_prime=lambda t: 6.0 + (np.asarray(t, dtype=float) - _T0) ** 2 / 800.0,
-        scheme_params=(6.0, 0.015),
+        am=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
+        phase=lambda t: freq_hz * np.asarray(t, dtype=float),
+        iff=lambda t: np.full_like(np.asarray(t, dtype=float), freq_hz),
+        model_params=(min(amp, freq_hz), max(amp, freq_hz), 0.01),
     )
 
 
@@ -203,16 +193,6 @@ def _fig2_signal(if_mod_scale: float = 1.0) -> IMTSignal:
     )
 
 
-def _fig2_scheme() -> SamplingScheme:
-    # psi(t) = 8t + (5/pi) sin(pi t / 10), anchored at psi(0) = 0
-    return SamplingScheme(
-        psi=lambda t: 8.0 * np.asarray(t, dtype=float)
-        + (5.0 / np.pi) * np.sin(np.pi * np.asarray(t, dtype=float) / 10.0),
-        psi_prime=lambda t: 8.0 + 0.5 * np.cos(np.pi * np.asarray(t, dtype=float) / 10.0),
-        scheme_params=(7.5, 0.021),
-    )
-
-
 def builtin_scenario(name: str) -> Scenario:
     """Return one of the two built-in demonstration scenarios.
 
@@ -223,9 +203,10 @@ def builtin_scenario(name: str) -> Scenario:
     the warp anchors are fixed at psi(0) = 0 for reproducibility.
     """
     if name == "fig1":
-        return Scenario("fig1", _fig1_signal(), _fig1_scheme(), 80.0, 64.0)
+        return Scenario("fig1", harmonic(2.5, 1.0),
+                        quadratic_warp(6.0, 800.0, 80.0 / np.pi), 80.0, 64.0)
     if name == "fig2":
-        return Scenario("fig2", _fig2_signal(), _fig2_scheme(), 80.0, 64.0)
+        return Scenario("fig2", _fig2_signal(), cosine_warp(8.0, 0.5, 20.0), 80.0, 64.0)
     raise ValueError(f"unknown scenario {name!r}; expected 'fig1' or 'fig2'")
 
 
@@ -238,10 +219,5 @@ def fig2_variant(if_mod_scale: float) -> Scenario:
     """
     if not 0.0 <= if_mod_scale <= 1.0:
         raise ValueError("if_mod_scale must lie in [0, 1]")
-    return Scenario(
-        f"fig2@{if_mod_scale:g}",
-        _fig2_signal(if_mod_scale),
-        _fig2_scheme(),
-        80.0,
-        64.0,
-    )
+    return Scenario(f"fig2@{if_mod_scale:g}", _fig2_signal(if_mod_scale),
+                    cosine_warp(8.0, 0.5, 20.0), 80.0, 64.0)

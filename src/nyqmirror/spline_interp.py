@@ -1,10 +1,13 @@
-"""B-spline machinery: cardinal and non-uniform bases, the fundamental
+"""B-spline machinery: the non-uniform basis, the fundamental
 cardinal-spline spectrum, interpolation on arbitrary strictly increasing
-knots, shape-preserving (PCHIP) interpolation, and uniform resampling.
+knots (one order-n Schoenberg-Whitney solve, which for n = 3 is the
+not-a-knot cubic that ``sampling.estimate_isr`` uses too),
+shape-preserving (PCHIP) interpolation, uniform resampling, and the
+size check that the package's large allocations pass first.
 
-Production basis evaluation uses the Cox-de Boor recursion; the explicit
-truncated-power formulas are kept as independent oracles (the cardinal one
-cancels catastrophically for order >~ 6; the non-uniform one sums exactly).
+Basis evaluation uses the Cox-de Boor recursion; the explicit
+truncated-power formula is kept as an independent oracle that sums
+exactly in rationals.
 """
 
 from __future__ import annotations
@@ -12,18 +15,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import prod
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import lapack as _lapack
 
 __all__ = [
-    "KernelSpectrum",
     "PchipInterpolant",
     "SplineInterpolant",
     "UniformSignal",
-    "cardinal_bspline",
+    "check_memory",
     "clip_to_domain",
     "fundamental_spline_spectrum",
     "interpolate_nonuniform",
@@ -40,42 +41,6 @@ _COND_LIMIT = 1e12
 # ---------------------------------------------------------------------------
 # basis functions
 # ---------------------------------------------------------------------------
-
-def cardinal_bspline(n: int, x) -> np.ndarray | float:
-    """Cardinal B-spline of order ``n`` via the truncated-power formula.
-
-    N_n(x) = (1/n!) * sum_{k=0}^{n+1} (-1)^k C(n+1, k) (x - k)_+^n,
-    supported on [0, n+1].
-
-    Parameters
-    ----------
-    n : int
-        Spline order (polynomial degree), n >= 1.
-    x : float or array_like
-        Evaluation points.
-
-    Returns
-    -------
-    float or ndarray
-        N_n(x); zero outside the support.
-
-    Notes
-    -----
-    The alternating sum loses roughly ``n`` bits to cancellation, so this
-    form is only used directly for small orders and as a test oracle.
-    """
-    if n < 1:
-        raise ValueError(f"spline order must be >= 1, got {n}")
-    xa = np.asarray(x, dtype=float)
-    out = np.zeros_like(xa)
-    for k in range(n + 2):
-        t = xa - k
-        out += (-1.0) ** k * comb(n + 1, k) * np.where(t > 0.0, t, 0.0) ** n
-    out /= factorial(n)
-    # clamp the cancellation dust outside the support
-    out = np.where((xa <= 0.0) | (xa >= n + 1.0), 0.0, out)
-    return out if out.ndim else float(out)
-
 
 def nonuniform_bspline_truncated_power(n: int, j: int, knots, x) -> np.ndarray | float:
     """Non-uniform B-spline N_{n,j} by the explicit truncated-power formula.
@@ -188,7 +153,7 @@ def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
         raise ValueError(f"spline order must be >= 1, got {n}")
     xa = np.asarray(xi, dtype=float)
     m = np.arange((n + 1) // 2 + 1)
-    # Cox-de Boor, not cardinal_bspline: the truncated-power form loses
+    # Cox-de Boor, not the cardinal truncated-power sum: that one loses
     # about 1e-10 to cancellation at n = 12
     b = nonuniform_bspline(n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0)
     den = np.full_like(xa, b[0])
@@ -196,20 +161,6 @@ def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
         den += 2.0 * b[mi] * np.cos(2.0 * np.pi * mi * xa)
     out = np.sinc(xa) ** (n + 1) / den
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class KernelSpectrum:
-    """Evaluable spectrum of the fundamental cardinal spline of one order."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"spline order must be >= 1, got {self.order}")
-
-    def __call__(self, xi) -> np.ndarray | float:
-        return fundamental_spline_spectrum(self.order, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +205,16 @@ def physical_memory() -> float:
     if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()):
         return float("inf")
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(need: float, what: str, remedy: str) -> None:
+    """Refuse, before allocating, work of about ``need`` bytes (inf or NaN
+    included) beyond physical memory: a ValueError saying that ``what``
+    needs them and how to ``remedy`` it."""
+    have = physical_memory()
+    if not need <= have:
+        raise ValueError(f"{what} need ~{need:.3g} bytes, over the {have} bytes"
+                         f" of memory: {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +354,9 @@ def interpolate_nonuniform(samples, n: int) -> SplineInterpolant:
     Parameters
     ----------
     samples : SampleSet
-        Strictly increasing times with one value each; needs >= n+2 points.
+        Strictly increasing times with one value each; needs >= n+1 points
+        (with exactly n+1 there is no interior knot, and the spline is
+        the interpolating polynomial).
     n : int
         Spline order, n >= 1.
 
@@ -412,9 +375,9 @@ def interpolate_nonuniform(samples, n: int) -> SplineInterpolant:
     values = np.asarray(samples.values, dtype=float)
     if n < 1:
         raise ValueError(f"spline order must be >= 1, got {n}")
-    if times.size < n + 2:
+    if times.size < n + 1:
         raise ValueError(
-            f"order-{n} interpolation needs at least {n + 2} samples, "
+            f"order-{n} interpolation needs at least {n + 1} samples, "
             f"got {times.size}"
         )
     if np.any(np.diff(times) <= 0.0):
@@ -470,6 +433,8 @@ class PchipInterpolant:
     def __init__(self, times: np.ndarray, values: np.ndarray):
         self.knots = times
         self.domain = (float(times[0]), float(times[-1]))
+        # imported here: scipy.interpolate would add ~0.3 s to every import
+        from scipy.interpolate import PchipInterpolator
         self._pchip = PchipInterpolator(times, values, extrapolate=False)
 
     def __call__(self, x) -> np.ndarray | float:
@@ -498,7 +463,8 @@ def resample_uniform(interp, rate: float, t_start: float,
     """Evaluate an interpolant on the uniform grid t_start + k/rate.
 
     The grid covers k = 0 .. floor((t_end - t_start) * rate); the whole
-    span must lie inside the interpolant domain.
+    span must lie inside the interpolant domain, and a grid too large for
+    physical memory is refused before it is allocated.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
@@ -506,7 +472,11 @@ def resample_uniform(interp, rate: float, t_start: float,
         raise ValueError("t_end must exceed t_start")
     clip_to_domain([t_start, t_end], interp.domain,
                    f"resampling span [{t_start}, {t_end}]")
-    count = int(np.floor((t_end - t_start) * rate + 1e-9)) + 1
+    count = np.floor((t_end - t_start) * rate + 1e-9) + 1.0
+    # measured 24 (n + 1) + 56 bytes per point at order n; allow over twice that
+    check_memory(count * 64.0 * (interp.order + 2), f"{count:.3g} resampled points",
+                 f"lower the rate ({rate}) or the span [{t_start}, {t_end}]")
+    count = int(count)
     grid = t_start + np.arange(count) / rate
     return UniformSignal(values=np.asarray(interp(grid), dtype=float),
                          rate=float(rate), t_start=float(t_start))

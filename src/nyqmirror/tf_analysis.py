@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spline_interp import UniformSignal, physical_memory
+from .spline_interp import UniformSignal, check_memory
 
 __all__ = [
     "DisplayMatrix", "TFRepresentation", "Window", "WindowMeta", "log_display",
@@ -181,11 +181,8 @@ def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
     if length < w_len:
         raise ValueError(f"signal ({length} samples) shorter than window ({w_len})")
     n_bins, n_frames = nfft // 2 + 1, -(-length // hop)
-    need = _LIVE_BYTES_PER_CELL * n_bins * n_frames
-    have = physical_memory()
-    if need > have:
-        raise ValueError(f"{n_bins} x {n_frames} cells need ~{need} bytes, over the {have}"
-                         f" bytes of memory: raise hop ({hop}) or lower nfft ({nfft})")
+    check_memory(_LIVE_BYTES_PER_CELL * n_bins * n_frames, f"{n_bins} x {n_frames} cells",
+                 f"raise hop ({hop}) or lower nfft ({nfft})")
     freqs = np.arange(n_bins) * (sig.rate / nfft)
     times = sig.t_start + np.arange(0, length, hop) / sig.rate
     return freqs, times, max(1, min(chunk, _BLOCK_CELLS // n_bins))

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +125,30 @@ def test_builtin_scenarios_by_name():
 
 def _scenario_with(**parts):
     return "scenario=" + json.dumps({**SMALL_SCENARIO, **parts})
+
+
+def test_cli_import_leaves_scipy_signal_and_interpolate_unloaded():
+    # both load on first use only (the low-pass filter, PCHIP), so no
+    # default command pays for their import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, nyqmirror.cli; print(sorted(m for m in sys.modules"
+            " if m in ('scipy.signal', 'scipy.interpolate')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("depth", [8.0, -9.5])
+def test_cosine_scheme_needs_base_above_depth(tmp_path, capsys, depth):
+    scheme = {"kind": "cosine", "base_hz": 8.0, "depth_hz": depth}
+    out = tmp_path / "x"
+    rc = main(["simulate", "--out", str(out), "--set", _scenario_with(scheme=scheme)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and "scenario.scheme" in err
+    assert not out.exists()
 
 
 _SYNTH = 'physio.synth={"duration_s": 60}'
@@ -476,6 +502,19 @@ def test_tfr_too_large_for_memory_is_data_error(tmp_path, capsys, small_config,
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key, what", [("duration_s", "scan cells"),
+                                       ("resample_hz", "resampled points")])
+def test_scenario_too_large_for_memory_is_data_error(tmp_path, capsys, key, what):
+    # refused before the scan or resampling grid is allocated: each used
+    # to end in numpy's _ArrayMemoryError traceback
+    out = tmp_path / "x"
+    rc = main(["simulate", "--out", str(out), "--set", _scenario_with(**{key: 1e15})])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and f"{what} need ~" in err and "bytes of memory" in err
+    assert "Traceback" not in err and not out.exists()
+
 
 def test_predict_components_and_residual(tmp_path, small_config):
     out = tmp_path / "pred"

@@ -29,7 +29,6 @@ def uniform_scheme(rate):
     return SamplingScheme(
         psi=lambda t: rate * np.asarray(t, dtype=float),
         psi_prime=lambda t: np.full_like(np.asarray(t, dtype=float), float(rate)),
-        scheme_params=(float(rate), 0.0),
     )
 
 

@@ -22,7 +22,6 @@ def linear_scheme(k, offset=0.0):
     return SamplingScheme(
         psi=lambda t: k * np.asarray(t, dtype=float) + offset,
         psi_prime=lambda t: np.full_like(np.asarray(t, dtype=float), float(k)),
-        scheme_params=(float(k), 0.0),
     )
 
 
@@ -171,6 +170,24 @@ def test_estimate_isr_knot_exactness():
     est = estimate_isr(times)
     rel = np.abs(est.isr(est.knot_times) - est.knot_rates) / est.knot_rates
     assert np.max(rel) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["fig1", "five_times"])
+def test_estimate_isr_matches_scipy_not_a_knot_cubic(case):
+    # the order-3 Schoenberg-Whitney spline on the generalized not-a-knot
+    # knots is the not-a-knot cubic (de Boor, A Practical Guide to Splines,
+    # ch. IV); on 4 knots both are the interpolating cubic
+    from scipy.interpolate import CubicSpline
+
+    if case == "fig1":
+        times = sampling_times(builtin_scenario("fig1").scheme, 0.0, 80.0)
+    else:
+        times = np.array([0.0, 0.5, 0.95, 1.5, 2.0])
+    est = estimate_isr(times)
+    oracle = CubicSpline(times[:-1], 1.0 / np.diff(times))
+    g = np.linspace(est.domain[0], est.domain[1], 20001)
+    want = oracle(g)
+    assert np.max(np.abs(est.isr(g) - want) / np.abs(want)) <= 1e-12
 
 
 def test_estimate_isr_needs_five_times():

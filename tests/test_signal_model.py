@@ -153,6 +153,27 @@ def test_scenarios_oversample_their_signal():
         assert margin.min() > 0.0
 
 
+def test_builtin_scenarios_are_bit_equal_to_their_closed_forms():
+    # the warp and tone constructors must reproduce the figures' formulas
+    # as written out here to the last bit: every figure artifact hangs on them
+    g = np.linspace(-10.0, 100.0, 200001)
+    T0 = 80.0 / np.pi  # time of the slowest sampling in the first scenario
+    fig1, fig2 = builtin_scenario("fig1"), builtin_scenario("fig2")
+    forms = [
+        (fig1.scheme.psi, 6.0 * g + ((g - T0) ** 3 + T0 ** 3) / 2400.0),
+        (fig1.scheme.psi_prime, 6.0 + (g - T0) ** 2 / 800.0),
+        (fig1.signal.am, np.ones_like(g)),
+        (fig1.signal.phase, 2.5 * g),
+        (fig1.signal.iff, np.full_like(g, 2.5)),
+        (fig2.scheme.psi, 8.0 * g + (5.0 / np.pi) * np.sin(np.pi * g / 10.0)),
+        (fig2.scheme.psi_prime, 8.0 + 0.5 * np.cos(np.pi * g / 10.0)),
+        (fig2_variant(0.5).scheme.psi, 8.0 * g + (5.0 / np.pi) * np.sin(np.pi * g / 10.0)),
+    ]
+    for got, want in forms:
+        assert np.array_equal(got(g), want)
+    assert fig1.signal.model_params == (1.0, 2.5, 0.01)
+
+
 def test_fig2_variant_scales_modulation():
     sc = fig2_variant(0.5)
     g = np.linspace(0.0, 80.0, 1001)

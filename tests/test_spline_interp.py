@@ -1,19 +1,19 @@
 """Basis functions, kernel spectrum, and interpolation schemes."""
 
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nyqmirror import (
     SampleSet,
-    cardinal_bspline,
     fundamental_spline_spectrum,
     interpolate_nonuniform,
     interpolate_pchip,
     nonuniform_bspline,
     nonuniform_bspline_truncated_power,
     resample_uniform,
-    KernelSpectrum,
     UniformSignal,
     estimate_isr,
 )
@@ -28,8 +28,28 @@ def random_knots(rng, count, lo=0.0, hi=10.0, min_gap=0.02):
 
 
 # ---------------------------------------------------------------------------
-# cardinal B-spline
+# cardinal B-spline (the truncated-power oracle)
 # ---------------------------------------------------------------------------
+
+def cardinal_bspline(n: int, x):
+    """Cardinal B-spline of order ``n`` via the truncated-power formula.
+
+    N_n(x) = (1/n!) * sum_{k=0}^{n+1} (-1)^k C(n+1, k) (x - k)_+^n,
+    supported on [0, n+1].  The alternating sum loses roughly ``n`` bits
+    to cancellation, so it is an oracle for small orders only.
+    """
+    if n < 1:
+        raise ValueError(f"spline order must be >= 1, got {n}")
+    xa = np.asarray(x, dtype=float)
+    out = np.zeros_like(xa)
+    for k in range(n + 2):
+        t = xa - k
+        out += (-1.0) ** k * comb(n + 1, k) * np.where(t > 0.0, t, 0.0) ** n
+    out /= factorial(n)
+    # clamp the cancellation dust outside the support
+    out = np.where((xa <= 0.0) | (xa >= n + 1.0), 0.0, out)
+    return out if out.ndim else float(out)
+
 
 def test_cardinal_hat_peak():
     assert cardinal_bspline(1, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -207,15 +227,6 @@ def test_spectrum_order_limit_toward_ideal_filter():
 def test_spectrum_rejects_order_zero():
     with pytest.raises(ValueError, match="order must be >= 1"):
         fundamental_spline_spectrum(0, 0.5)
-    with pytest.raises(ValueError, match="order must be >= 1"):
-        KernelSpectrum(order=0)
-
-
-def test_kernel_spectrum_object():
-    spec = KernelSpectrum(order=3)
-    assert spec(0.0) == pytest.approx(1.0, abs=1e-12)
-    xi = np.array([0.25, 0.5])
-    np.testing.assert_allclose(spec(xi), fundamental_spline_spectrum(3, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +301,22 @@ def test_too_few_samples_raises():
     t = np.array([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         interpolate_nonuniform(SampleSet(times=t, values=np.sin(t)), 3)
+    for n in range(2, 8):  # n samples are one short at order n
+        t = np.arange(float(n))
+        with pytest.raises(ValueError, match=f"at least {n + 1} samples, got {n}"):
+            interpolate_nonuniform(SampleSet(times=t, values=np.sin(t)), n)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_n_plus_one_samples_give_the_interpolating_polynomial(n):
+    # n+1 samples leave the not-a-knot sequence no interior knot, so the
+    # order-n spline is the degree-n polynomial through them
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 2.0, n + 1) + rng.uniform(-0.3, 0.3, n + 1) / (n + 1)
+    poly = np.polynomial.Polynomial(rng.normal(size=n + 1))
+    interp = interpolate_nonuniform(SampleSet(times=t, values=poly(t)), n)
+    g = np.linspace(t[0], t[-1], 501)
+    assert np.max(np.abs(interp(g) - poly(g))) <= 1e-10 * np.max(np.abs(poly(g)))
 
 
 def test_ill_conditioned_knots_raise_with_span():

@@ -3,8 +3,10 @@
 Runs are driven by a JSON config, overridden by ``--set key=value``
 assignments and ``--out``.  Every key has a default, a type and, where
 it applies, choices and bounds (see the README); a value outside them is
-a config error that names the key.  Output files are written atomically,
-embed a metadata header and are bit-reproducible (no wall clock, no RNG).
+a config error that names the key.  Every command writes only the files
+whose format is in ``output.formats``, plus its JSON reports, and prints
+their paths in write order.  Output files are written atomically, embed
+a metadata header and are bit-reproducible (no wall clock, no RNG).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
@@ -443,6 +445,31 @@ def write_pgm(path: Path, display, meta: dict | None = None) -> None:
         fh.write(pixels.tobytes())
 
 
+class _Outputs:
+    """The run's output sink: the directory, the requested
+    ``output.formats`` and the paths written so far, in write order.
+    ``write`` writes a file only if its suffix is a requested format;
+    JSON reports are always written."""
+
+    def __init__(self, cfg: dict):
+        self.directory = Path(cfg["output"]["directory"])
+        self.formats = {*cfg["output"]["formats"], "json"}
+        self.written: list[Path] = []
+
+    def wants(self, *formats: str) -> bool:
+        """Whether any of ``formats`` is requested: for skipping the work
+        behind files that would not be written."""
+        return not self.formats.isdisjoint(formats)
+
+    def write(self, name: str, writer, *args):
+        """``writer(directory / name, *args)``, if ``name``'s suffix is a
+        requested format."""
+        path = self.directory / name
+        if self.wants(path.suffix[1:]):
+            writer(path, *args)
+            self.written += [path]
+
+
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
@@ -514,33 +541,24 @@ def _tfr_meta(cfg, tfr, **extra) -> dict:
     return meta
 
 
-def _write_tfr_products(cfg, out: Path, stem: str, tfr: TFRepresentation,
-                        meta: dict, written: list[Path], display=None):
+def _write_tfr_products(outputs: _Outputs, stem: str, tfr: TFRepresentation,
+                        meta: dict, display=None):
     """TFR1, CSV and PGM products of ``tfr``; ``display`` is its
     ``log_display`` when the caller has already computed it."""
-    formats = cfg["output"]["formats"]
-    if "tfr1" in formats:
-        path = out / f"{stem}.tfr1"
-        write_tfr_binary(path, tfr)
-        written.append(path)
-    if "csv" in formats:
-        path = out / f"{stem}.csv"
-        write_tfr_csv(path, tfr, meta)
-        written.append(path)
-    if "pgm" in formats:
-        path = out / f"{stem}.pgm"
-        write_pgm(path, log_display(tfr) if display is None else display,
-                  meta)
-        written.append(path)
+    outputs.write(f"{stem}.tfr1", write_tfr_binary, tfr)
+    outputs.write(f"{stem}.csv", write_tfr_csv, tfr, meta)
+    if outputs.wants("pgm"):
+        outputs.write(f"{stem}.pgm", write_pgm,
+                      log_display(tfr) if display is None else display, meta)
 
 
-def _ridge_products(cfg, out: Path, tfr, inf_curve, written: list[Path], meta):
+def _ridge_products(outputs: _Outputs, tfr, inf_curve, meta):
     """Ridge curves below and strictly above the INF overlay.
 
     A frame whose INF reaches the top bin has no bin above it; its
     above-INF ridge is written as NaN.
     """
-    if "csv" not in cfg["output"]["formats"]:
+    if not outputs.wants("csv"):
         return
     inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
     df = tfr.freq_axis[1] - tfr.freq_axis[0]
@@ -554,47 +572,36 @@ def _ridge_products(cfg, out: Path, tfr, inf_curve, written: list[Path], meta):
     ridge_hi = np.where(inf_vals >= top, np.nan, ridge_hi)
     for name, ridge in (("ridge_below_inf.csv", ridge_lo),
                         ("ridge_above_inf.csv", ridge_hi)):
-        path = out / name
-        write_curve_csv(path, {"time_s": tfr.time_axis, "freq_hz": ridge}, meta)
-        written.append(path)
+        outputs.write(name, write_curve_csv,
+                      {"time_s": tfr.time_axis, "freq_hz": ridge}, meta)
 
 
-def _mask_products(cfg, out: Path, stem: str, tfr, inf_curve, meta: dict,
-                   written: list[Path]):
+def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
     """Products of ``tfr`` masked above the INF, under ``{stem}_masked``,
     then ``mask_report.json`` with the above-INF ratio before and after."""
     masked = inf_hard_threshold(tfr, inf_curve)
-    _write_tfr_products(cfg, out, f"{stem}_masked", masked,
-                        {**meta, "inf_mask": True}, written)
-    path = out / "mask_report.json"
-    _write_json(path, {
+    _write_tfr_products(outputs, f"{stem}_masked", masked, {**meta, "inf_mask": True})
+    outputs.write("mask_report.json", _write_json, {
         "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
         "above_inf_ratio_after": above_inf_energy_ratio(masked, inf_curve),
     })
-    written.append(path)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: dict, out: Path) -> list[Path]:
+def cmd_simulate(cfg: dict, outputs: _Outputs):
     scenario, samples, interp, sig = _scenario_pipeline(cfg)
     meta = _base_meta(cfg)
-    written = []
     grid = np.linspace(0.0, scenario.duration_s, 801)
-    files = [
-        ("samples.csv", {"time_s": samples.times, "value": samples.values}),
-        ("truth_if.csv", {"time_s": grid, "if_hz": scenario.signal.iff(grid)}),
-        ("truth_isr.csv", {"time_s": grid, "isr_hz": scenario.scheme.psi_prime(grid)}),
-    ]
-    for name, cols in files:
-        path = out / name
-        write_curve_csv(path, cols, meta)
-        written.append(path)
-    path = out / "interpolated.csv"
-    write_uniform_csv(path, sig, meta)
-    written.append(path)
+    outputs.write("samples.csv", write_curve_csv,
+                  {"time_s": samples.times, "value": samples.values}, meta)
+    outputs.write("truth_if.csv", write_curve_csv,
+                  {"time_s": grid, "if_hz": scenario.signal.iff(grid)}, meta)
+    outputs.write("truth_isr.csv", write_curve_csv,
+                  {"time_s": grid, "isr_hz": scenario.scheme.psi_prime(grid)}, meta)
+    outputs.write("interpolated.csv", write_uniform_csv, sig, meta)
 
     # debugging dump of the interpolant internals (long format: the knot
     # sequence and, for B-splines, the basis coefficients)
@@ -606,18 +613,18 @@ def cmd_simulate(cfg: dict, out: Path) -> list[Path]:
         kinds += ["coefficient"] * len(coeffs)
         indices += list(range(len(coeffs)))
         values += list(np.asarray(coeffs, dtype=float))
-    path = out / "interpolant.csv"
-    write_curve_csv(path, {"kind": np.asarray(kinds, dtype=object),
-                           "index": np.asarray(indices),
-                           "value": np.asarray(values)}, meta)
-    written.append(path)
-    return written
+    outputs.write("interpolant.csv", write_curve_csv,
+                  {"kind": np.asarray(kinds, dtype=object),
+                   "index": np.asarray(indices),
+                   "value": np.asarray(values)}, meta)
 
 
-def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
-    written = []
+def cmd_tfr(cfg: dict, outputs: _Outputs):
     scenario = None
     if cfg["input"]:
+        if cfg["mitigation"]["inf_mask"]:
+            raise ConfigError("mitigation.inf_mask needs a scenario: an input "
+                              "signal has no INF to mask above")
         sig = read_uniform_csv(Path(cfg["input"]))
     else:
         scenario, _, _, sig = _scenario_pipeline(cfg)
@@ -625,31 +632,24 @@ def cmd_tfr(cfg: dict, out: Path) -> list[Path]:
         sig = lowpass_prefilter(sig, lp["cutoff_hz"], lp["transition_hz"])
     tfr = _run_analysis(cfg, sig)
     meta = _tfr_meta(cfg, tfr, lowpass=bool(cfg["mitigation"]["lowpass"]))
-    formats = cfg["output"]["formats"]
-    disp = log_display(tfr) if "csv" in formats or "pgm" in formats else None
-    _write_tfr_products(cfg, out, "tfr", tfr, meta, written, disp)
-    if "csv" in formats:
-        path = out / "display.csv"
-        display_tfr = TFRepresentation(disp.matrix, tfr.freq_axis,
-                                       tfr.time_axis, tfr.method,
-                                       tfr.window_meta)
-        write_tfr_csv(path, display_tfr,
+    disp = log_display(tfr) if outputs.wants("csv", "pgm") else None
+    _write_tfr_products(outputs, "tfr", tfr, meta, disp)
+    if outputs.wants("csv"):
+        outputs.write("display.csv", write_tfr_csv,
+                      TFRepresentation(disp.matrix, tfr.freq_axis, tfr.time_axis,
+                                       tfr.method, tfr.window_meta),
                       {**meta, "quantile_q": _fmt(disp.quantile_q)})
-        written.append(path)
     if scenario is not None:
         inf_curve = scenario.scheme.inf
-        if "csv" in cfg["output"]["formats"]:
-            path = out / "inf.csv"
-            write_curve_csv(path, {"time_s": tfr.time_axis,
-                                   "inf_hz": inf_curve(tfr.time_axis)}, meta)
-            written.append(path)
-        _ridge_products(cfg, out, tfr, inf_curve, written, meta)
+        outputs.write("inf.csv", write_curve_csv,
+                      {"time_s": tfr.time_axis, "inf_hz": inf_curve(tfr.time_axis)},
+                      meta)
+        _ridge_products(outputs, tfr, inf_curve, meta)
         if cfg["mitigation"]["inf_mask"]:
-            _mask_products(cfg, out, "tfr", tfr, inf_curve, meta, written)
-    return written
+            _mask_products(outputs, "tfr", tfr, inf_curve, meta)
 
 
-def cmd_predict(cfg: dict, out: Path) -> list[Path]:
+def cmd_predict(cfg: dict, outputs: _Outputs):
     scenario = scenario_from_config(cfg["scenario"])
     order = cfg["interpolation"]["order"]
     k_min, k_max = cfg["predict"]["k_min"], cfg["predict"]["k_max"]
@@ -657,23 +657,20 @@ def cmd_predict(cfg: dict, out: Path) -> list[Path]:
     comps = predict_components(scenario.signal, scenario.scheme, order,
                                (k_min, k_max), grid)
     meta = _base_meta(cfg, k_min=k_min, k_max=k_max)
-    written = []
-    if "csv" in cfg["output"]["formats"]:
+    if outputs.wants("csv"):
         cols = {"k": [], "time_s": [], "if_hz": [], "amplitude": []}
         for comp in sorted(comps, key=lambda c: c.k):
             cols["k"].extend([comp.k] * grid.size)
             cols["time_s"].extend(grid)
             cols["if_hz"].extend(np.asarray(comp.if_curve(grid)))
             cols["amplitude"].extend(np.asarray(comp.amp_curve(grid)))
-        path = out / "components.csv"
-        write_curve_csv(path, {k: np.asarray(v) for k, v in cols.items()}, meta)
-        written.append(path)
+        outputs.write("components.csv", write_curve_csv,
+                      {k: np.asarray(v) for k, v in cols.items()}, meta)
     report = verify_reflection_theorem(
         scenario.signal, scenario.scheme, order, max(abs(k_min), abs(k_max)),
         scenario.resample_hz, (0.0, scenario.duration_s),
     )
-    path = out / "residual_report.json"
-    _write_json(path, {
+    outputs.write("residual_report.json", _write_json, {
         "residual": report.residual,
         "order": report.order,
         "k_max": report.k_max,
@@ -681,59 +678,38 @@ def cmd_predict(cfg: dict, out: Path) -> list[Path]:
         "span_s": list(report.span),
         "trimmed_span_s": list(report.trimmed_span),
     })
-    written.append(path)
-    return written
 
 
-def cmd_physio(cfg: dict, out: Path) -> list[Path]:
+def cmd_physio(cfg: dict, outputs: _Outputs):
     phys = cfg["physio"]
+    meta = _base_meta(cfg, edr_scheme=phys["edr_scheme"])
     if cfg["input"]:
         rec = parse_rpeaks(Path(cfg["input"]).read_bytes())
-        synthesized = False
     elif (synth := phys["synth"]) is not None:
         rec = synth_rpeaks(
             lambda t: np.full_like(np.asarray(t, dtype=float), synth["ihr_hz"]),
             lambda t: np.full_like(np.asarray(t, dtype=float), synth["resp_hz"]),
             synth["duration_s"], synth["modulation_depth"],
         )
-        synthesized = True
+        outputs.write("rpeaks.csv", write_curve_csv,
+                      {"time_s": rec.times, "amplitude": rec.amplitudes}, meta)
     else:
         raise ConfigError("physio needs either input (R-peak CSV) or physio.synth")
 
     rate = phys["rate_hz"]
-    meta = _base_meta(cfg, edr_scheme=phys["edr_scheme"])
-    written = []
-    csv_on = "csv" in cfg["output"]["formats"]
-
-    if synthesized and csv_on:
-        path = out / "rpeaks.csv"
-        write_curve_csv(path, {"time_s": rec.times, "amplitude": rec.amplitudes},
-                        meta)
-        written.append(path)
-
     est = estimate_isr(rec.times)
     grid = np.linspace(est.domain[0], est.domain[1], 801)
-    if csv_on:
-        path = out / "isr_estimate.csv"
-        write_curve_csv(path, {"time_s": grid, "isr_hz": est.isr(grid)}, meta)
-        written.append(path)
-        path = out / "inf_estimate.csv"
-        write_curve_csv(path, {"time_s": grid, "inf_hz": est.inf(grid)}, meta)
-        written.append(path)
+    outputs.write("isr_estimate.csv", write_curve_csv,
+                  {"time_s": grid, "isr_hz": est.isr(grid)}, meta)
+    outputs.write("inf_estimate.csv", write_curve_csv,
+                  {"time_s": grid, "inf_hz": est.inf(grid)}, meta)
 
     ihr_sig = ihr_signal(rec, rate)
-    if csv_on:
-        path = out / "ihr.csv"
-        write_uniform_csv(path, ihr_sig, meta)
-        written.append(path)
-
+    outputs.write("ihr.csv", write_uniform_csv, ihr_sig, meta)
     if rec.amplitudes is not None:
         target = edr_signal(rec, rate, phys["edr_scheme"])
         stem = "edr"
-        if csv_on:
-            path = out / "edr.csv"
-            write_uniform_csv(path, target, meta)
-            written.append(path)
+        outputs.write("edr.csv", write_uniform_csv, target, meta)
     else:
         target = UniformSignal(ihr_sig.values - np.mean(ihr_sig.values),
                                rate=ihr_sig.rate, t_start=ihr_sig.t_start)
@@ -741,10 +717,9 @@ def cmd_physio(cfg: dict, out: Path) -> list[Path]:
 
     tfr = _run_analysis(cfg, target)
     tmeta = _tfr_meta(cfg, tfr, edr_scheme=str(phys["edr_scheme"]))
-    _write_tfr_products(cfg, out, f"{stem}_tfr", tfr, tmeta, written)
+    _write_tfr_products(outputs, f"{stem}_tfr", tfr, tmeta)
     if cfg["mitigation"]["inf_mask"]:
-        _mask_products(cfg, out, f"{stem}_tfr", tfr, est.inf, tmeta, written)
-    return written
+        _mask_products(outputs, f"{stem}_tfr", tfr, est.inf, tmeta)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +752,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.set)
         if args.out is not None:
             cfg["output"]["directory"] = args.out
-        out = Path(cfg["output"]["directory"])
-        written = args.fn(cfg, out)
+        outputs = _Outputs(cfg)
+        args.fn(cfg, outputs)
     except ConfigError as exc:
         print(f"nyqmirror: config error: {exc}", file=sys.stderr)
         return 1
@@ -788,7 +763,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"nyqmirror: i/o error: {exc}", file=sys.stderr)
         return 2
-    for path in written:
+    for path in outputs.written:
         print(path)
     return 0
 

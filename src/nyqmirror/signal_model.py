@@ -48,18 +48,6 @@ class IMTSignal:
     def evaluate(self, t) -> np.ndarray | float:
         return evaluate_imt(self, t)
 
-    @property
-    def c1(self) -> float:
-        return self.model_params[0]
-
-    @property
-    def c2(self) -> float:
-        return self.model_params[1]
-
-    @property
-    def eps(self) -> float:
-        return self.model_params[2]
-
 
 def evaluate_imt(signal: IMTSignal, t) -> np.ndarray | float:
     """Evaluate am(t) * cos(2*pi*phase(t)); total in t, no side effects."""

@@ -181,8 +181,10 @@ class UniformSignal:
             raise ValueError("uniform signal needs a 1-d array of length >= 2")
         if not np.all(np.isfinite(v)):
             raise ValueError("uniform signal values must be finite")
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < np.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        if not np.isfinite(self.t_start):
+            raise ValueError(f"t_start must be finite, got {self.t_start}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

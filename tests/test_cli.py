@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,57 @@ def test_simulate_interpolated_roundtrip(tmp_path, small_config):
     assert np.max(np.abs(sig.values[inner] - truth)) < 0.05
 
 
+# every product of each command at the default formats, in write order
+_PRODUCTS = {
+    "simulate": (["simulate"], [
+        "samples.csv", "truth_if.csv", "truth_isr.csv", "interpolated.csv",
+        "interpolant.csv"]),
+    "tfr": (["tfr", "--set", "mitigation.inf_mask=true"], [
+        "tfr.tfr1", "tfr.csv", "tfr.pgm", "display.csv", "inf.csv",
+        "ridge_below_inf.csv", "ridge_above_inf.csv", "tfr_masked.tfr1",
+        "tfr_masked.csv", "tfr_masked.pgm", "mask_report.json"]),
+    "predict": (["predict", "--set", "predict.k_max=1"], [
+        "components.csv", "residual_report.json"]),
+    "physio": (["physio", "--set", 'physio.synth={"duration_s": 60}',
+                "--set", "analysis.window_s=8", "--set", "mitigation.inf_mask=true"], [
+        "rpeaks.csv", "isr_estimate.csv", "inf_estimate.csv", "ihr.csv", "edr.csv",
+        "edr_tfr.tfr1", "edr_tfr.csv", "edr_tfr.pgm", "edr_tfr_masked.tfr1",
+        "edr_tfr_masked.csv", "edr_tfr_masked.pgm", "mask_report.json"]),
+}
+
+
+@pytest.mark.parametrize("formats", [None, [], ["csv"], ["tfr1"], ["pgm"]],
+                         ids=["default", "none", "csv", "tfr1", "pgm"])
+@pytest.mark.parametrize("command", sorted(_PRODUCTS))
+def test_outputs_follow_formats(tmp_path, capsys, monkeypatch, small_config,
+                                command, formats):
+    # every command honours output.formats (simulate used to write its CSVs
+    # whatever was asked), JSON reports are always written, and the printed
+    # list is the files opened for writing, in write order
+    opened = []
+    atomic_write = cli._atomic_write
+
+    def recording(path):
+        opened.append(str(path))
+        return atomic_write(path)
+
+    monkeypatch.setattr(cli, "_atomic_write", recording)
+    argv, products = _PRODUCTS[command]
+    out = tmp_path / "run"
+    argv = [*argv, "--config", str(small_config), "--out", str(out)]
+    if formats is not None:
+        argv += ["--set", f"output.formats={json.dumps(formats)}"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == opened
+    assert sorted(printed) == sorted(str(p) for p in out.glob("*"))
+    allowed = {"json", *(DEFAULT_CONFIG["output"]["formats"] if formats is None
+                         else formats)}
+    names = [Path(p).name for p in printed]
+    assert {name.rsplit(".", 1)[1] for name in names} <= allowed
+    assert names == [name for name in products if name.rsplit(".", 1)[1] in allowed]
+
+
 # ---------------------------------------------------------------------------
 # tfr
 # ---------------------------------------------------------------------------
@@ -483,6 +535,38 @@ def test_tfr_missing_input_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("header, message", [
+    (["# rate_hz=inf", "# t_start_s=0"], "rate must be positive and finite, got inf"),
+    (["# rate_hz=16", "# t_start_s=nan"], "t_start must be finite, got nan"),
+], ids=["rate_inf", "t_start_nan"])
+def test_tfr_non_finite_input_metadata_is_data_error(tmp_path, capsys, header,
+                                                     message):
+    # a rate of inf used to end in an OverflowError traceback, and a
+    # t_start of nan in a NaN time axis in every artifact
+    src = tmp_path / "sig.csv"
+    src.write_text("\n".join([*header, "time_s,value",
+                              *(f"{k / 16.0},{math.cos(k / 3.0)!r}" for k in range(160))]))
+    out = tmp_path / "x"
+    rc = main(["tfr", "--set", f"input={src}", "--set", "analysis.window_s=3.0",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tfr_inf_mask_needs_a_scenario(tmp_path, capsys):
+    # an input signal has no INF: the mask and its report used to be
+    # skipped without a word; the input is not even read
+    out = tmp_path / "x"
+    rc = main(["tfr", "--set", f"input={tmp_path / 'missing.csv'}",
+               "--set", "mitigation.inf_mask=true", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and "mitigation.inf_mask" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["stft", "sst", "mt_rm"])
 def test_tfr_too_large_for_memory_is_data_error(tmp_path, capsys, small_config,
                                                  method):
@@ -514,6 +598,20 @@ def test_scenario_too_large_for_memory_is_data_error(tmp_path, capsys, key, what
     assert rc == 2
     assert "data error" in err and f"{what} need ~" in err and "bytes of memory" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_overflowing_scenario_rate_is_data_error_without_warning(tmp_path, capsys):
+    # psi' of the quadratic warp overflows at the probe points: the memory
+    # check refuses the infinite rate, and numpy's overflow warning used to
+    # be printed first
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--out", str(out), "--set",
+                   _scenario_with(scheme={"kind": "quadratic"}, duration_s=1e300)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and "inf scan cells" in err and not out.exists()
 
 
 def test_predict_components_and_residual(tmp_path, small_config):

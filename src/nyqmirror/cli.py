@@ -7,6 +7,9 @@ a config error that names the key.  Every command writes only the files
 whose format is in ``output.formats``, plus its JSON reports, and prints
 their paths in write order.  Output files are written atomically, embed
 a metadata header and are bit-reproducible (no wall clock, no RNG).
+Every product of a TF matrix is a magnitude: a complex transform's
+magnitude is taken once, right after it, and the run keeps that one real
+matrix.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
@@ -332,7 +335,7 @@ def read_uniform_csv(path: Path) -> UniformSignal:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     meta = {}
     values = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
             if "=" in line:
                 key, _, val = line[1:].partition("=")
@@ -340,15 +343,26 @@ def read_uniform_csv(path: Path) -> UniformSignal:
             continue
         if not line or line.startswith("time_s"):
             continue
-        parts = line.split(",")
-        values.append(float(parts[-1]))
+        value = line.split(",")[-1]
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: value {value!r} is not a "
+                             f"number") from None
     if "rate_hz" not in meta:
         raise ValueError(f"{path} lacks the rate_hz metadata of a uniform signal")
-    return UniformSignal(
-        values=np.asarray(values),
-        rate=float(meta["rate_hz"]),
-        t_start=float(meta.get("t_start_s", 0.0)),
-    )
+    header = {}
+    for key in ("rate_hz", "t_start_s"):
+        try:
+            header[key] = float(meta.get(key, 0.0))
+        except ValueError:
+            raise ValueError(f"{path}: {key}={meta[key]} is not a number") from None
+    try:
+        return UniformSignal(np.asarray(values), header["rate_hz"], header["t_start_s"])
+    except ValueError as exc:
+        # name the header lines whose values the signal refused
+        bad = [f"{k}={meta[k]}" for k, v in header.items() if not math.isfinite(v)]
+        raise ValueError(": ".join([str(path), *bad, str(exc)])) from None
 
 
 def write_uniform_csv(path: Path, sig: UniformSignal, meta: dict):
@@ -387,9 +401,10 @@ def read_tfr_binary(path: Path):
     return mat, freq, times
 
 
-# rows formatted per bulk ``%`` call in write_tfr_csv: large enough to
-# amortise the per-block numpy calls, small enough that a block's text
-# (about 3 MB at 640 frames) stays far below the matrix itself
+# rows per block in write_tfr_csv's bulk ``%`` calls and write_pgm's
+# scaling: large enough to amortise the per-block numpy calls, small
+# enough that a block's text (about 3 MB at 640 frames) stays far below
+# the matrix itself
 _CSV_BLOCK_ROWS = 256
 
 
@@ -429,10 +444,15 @@ def write_tfr_csv(path: Path, tfr: TFRepresentation, meta: dict):
 def write_pgm(path: Path, display, meta: dict | None = None) -> None:
     mat = display.matrix
     span = float(mat.max() - 1e-2)
-    if span <= 0.0:
-        pixels = np.zeros(mat.shape, dtype=np.uint8)
-    else:
-        pixels = np.rint((mat - 1e-2) / span * 255.0).astype(np.uint8)
+    pixels = np.zeros(mat.shape, dtype=np.uint8)
+    if not span <= 0.0:
+        # rint((mat - 1e-2) / span * 255) in place, a block of rows at a
+        # time: no full-size float temporary
+        for start in range(0, len(mat), _CSV_BLOCK_ROWS):
+            scaled = np.subtract(mat[start:start + _CSV_BLOCK_ROWS], 1e-2)
+            np.divide(scaled, span, out=scaled)
+            np.multiply(scaled, 255.0, out=scaled)
+            pixels[start:start + _CSV_BLOCK_ROWS] = np.rint(scaled, out=scaled)
     pixels = pixels[::-1, :]  # highest frequency on top
     comment = f"# artifact=nyqmirror {__version__}"
     if meta:
@@ -500,11 +520,17 @@ def _run_analysis(cfg, sig: UniformSignal) -> TFRepresentation:
         return multitaper(sig, window_s, ana["tapers"], hop, nfft,
                           method.removeprefix("mt_"), threshold)
     window = make_windows(ana["window"], window_s, sig.rate)[0]
+    if method == "rm":
+        return reassign(sig, window, hop, nfft, threshold)
     if method == "stft":
-        return stft(sig, window, hop, nfft)
-    if method == "sst":
-        return synchrosqueeze(sig, window, hop, nfft, threshold)
-    return reassign(sig, window, hop, nfft, threshold)
+        tfr = stft(sig, window, hop, nfft)
+    else:
+        tfr = synchrosqueeze(sig, window, hop, nfft, threshold)
+    # every product is a magnitude: take it once, and let the complex go
+    mag = np.abs(tfr.matrix)
+    mag.setflags(write=False)
+    return TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, tfr.method,
+                            tfr.window_meta)
 
 
 def _scenario_pipeline(cfg):
@@ -639,6 +665,7 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
                       TFRepresentation(disp.matrix, tfr.freq_axis, tfr.time_axis,
                                        tfr.method, tfr.window_meta),
                       {**meta, "quantile_q": _fmt(disp.quantile_q)})
+    del disp  # the masked products below need its room
     if scenario is not None:
         inf_curve = scenario.scheme.inf
         outputs.write("inf.csv", write_curve_csv,

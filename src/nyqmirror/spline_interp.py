@@ -25,13 +25,11 @@ __all__ = [
     "SplineInterpolant",
     "UniformSignal",
     "check_memory",
-    "clip_to_domain",
     "fundamental_spline_spectrum",
     "interpolate_nonuniform",
     "interpolate_pchip",
     "nonuniform_bspline",
     "nonuniform_bspline_truncated_power",
-    "physical_memory",
     "resample_uniform",
 ]
 
@@ -201,7 +199,7 @@ class UniformSignal:
         return (self.values.size - 1) / self.rate
 
 
-def physical_memory() -> float:
+def _physical_memory() -> float:
     """Bytes of physical memory, or inf where the platform does not say:
     the bound a size check compares its estimate with before allocating."""
     if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()):
@@ -213,7 +211,7 @@ def check_memory(need: float, what: str, remedy: str) -> None:
     """Refuse, before allocating, work of about ``need`` bytes (inf or NaN
     included) beyond physical memory: a ValueError saying that ``what``
     needs them and how to ``remedy`` it."""
-    have = physical_memory()
+    have = _physical_memory()
     if not need <= have:
         raise ValueError(f"{what} need ~{need:.3g} bytes, over the {have} bytes"
                          f" of memory: {remedy}")
@@ -223,7 +221,7 @@ def check_memory(need: float, what: str, remedy: str) -> None:
 # interpolants
 # ---------------------------------------------------------------------------
 
-def clip_to_domain(x, domain: tuple[float, float], what: str) -> np.ndarray:
+def _clip_to_domain(x, domain: tuple[float, float], what: str) -> np.ndarray:
     """``x`` as a 1-d float array clipped into ``domain``, never extrapolated.
 
     Points beyond the domain by more than a relative 1e-12 slack raise
@@ -291,7 +289,7 @@ class SplineInterpolant:
             object.__setattr__(self, name, a)
 
     def __call__(self, x) -> np.ndarray | float:
-        xa = clip_to_domain(x, self.domain, "spline evaluation")
+        xa = _clip_to_domain(x, self.domain, "spline evaluation")
         n = self.order
         spans = _find_spans(self.knots, n, xa)
         vals = _basis_matrix_rows(self.knots, n, xa, spans)
@@ -440,7 +438,7 @@ class PchipInterpolant:
         self._pchip = PchipInterpolator(times, values, extrapolate=False)
 
     def __call__(self, x) -> np.ndarray | float:
-        out = self._pchip(clip_to_domain(x, self.domain, "PCHIP evaluation"))
+        out = self._pchip(_clip_to_domain(x, self.domain, "PCHIP evaluation"))
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -472,7 +470,7 @@ def resample_uniform(interp, rate: float, t_start: float,
         raise ValueError(f"rate must be positive, got {rate}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    clip_to_domain([t_start, t_end], interp.domain,
+    _clip_to_domain([t_start, t_end], interp.domain,
                    f"resampling span [{t_start}, {t_end}]")
     count = np.floor((t_end - t_start) * rate + 1e-9) + 1.0
     # measured 24 (n + 1) + 56 bytes per point at order n; allow over twice that

@@ -241,23 +241,27 @@ def _nearest(est: np.ndarray, own, count: int) -> np.ndarray:
 def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
                threshold: float, chunk: int, method: str) -> TFRepresentation:
     """Synchrosqueezed ('sst') or reassigned ('rm') transform.  The base
-    pass keeps V_g and |V_g| frames-major for the floor threshold * max|V_g|;
-    a second pass makes V_dg (and V_tg) per block and adds each kept
+    pass keeps V_g frames-major and a running max|V_g| for the floor
+    threshold * max|V_g| (rm also keeps every |V_g|, for its masses); a
+    second pass makes V_dg (and V_tg) per block and adds each kept
     coefficient (for rm its mass, in one final bincount) into its target
     cell, while a dropped one goes to a trash slot past the matrix."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
     n_bins, n_frames = freqs.size, times.size
+    sst = method == "sst"
     v_all = np.empty((n_frames, n_bins), dtype=complex)
-    mag = np.empty((n_frames, n_bins))
+    mag = np.empty((step if sst else n_frames, n_bins))
+    peak = -np.inf
     for start, spec in _spectra(sig.values, window.samples[None], hop, nfft,
                                 step, v_all[None]):
-        np.abs(spec[0], out=mag[start:start + spec.shape[1]])
-    floor = threshold * float(mag.max()) if threshold > 0.0 else 0.0
+        n = spec.shape[1]
+        m = np.abs(spec[0], out=mag[:n] if sst else mag[start:start + n])
+        peak = np.maximum(peak, m.max())  # NaN passes, as in ndarray.max
+    floor = threshold * float(peak) if threshold > 0.0 else 0.0
 
-    sst = method == "sst"
-    est, ratio = np.empty((2, step, n_bins)), np.empty((step, n_bins), dtype=complex)
+    est = np.empty((1 if sst else 2, step, n_bins))  # bin (and frame) targets
     # sst adds V_g's real and imaginary parts into interleaved slots of the
     # block's bins-major sums; rm keeps every cell's (bin, frame) index
     flat = np.empty((step, n_bins, 2) if sst else (n_frames, n_bins), dtype=np.intp)
@@ -268,16 +272,17 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
         for start, spec in _spectra(sig.values, taps, hop, nfft, step):
             n = spec.shape[1]
             frames = slice(start, start + n)
-            v, m, fbin, col, r = (v_all[frames], mag[frames], est[0, :n],
-                                  est[1, :n], ratio[:n])
-            np.divide(spec[0], v, out=r)  # kept cells: as V_dg / where(kept, V_g, 1)
+            v, fbin = v_all[frames], est[0, :n]
+            m = np.abs(v, out=mag[:n]) if sst else mag[frames]
+            # each ratio overwrites its spectrum; kept cells: as V_dg / where(kept, V_g, 1)
+            r = np.divide(spec[0], v, out=spec[0])
             np.subtract(freqs, np.divide(r.imag, 2.0 * np.pi, out=fbin), out=fbin)
             _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
             if sst:
                 stride, col = 2 * n, 2.0 * np.arange(n)[:, None]
             else:
-                stride = n_frames
-                np.add(times[frames, None], np.divide(spec[1], v, out=r).real, out=col)
+                stride, col = n_frames, est[1, :n]
+                np.add(times[frames, None], np.divide(spec[1], v, out=spec[1]).real, out=col)
                 np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
                 _nearest(np.divide(col, hop, out=col), grid[frames, None], n_frames)
             np.add(np.multiply(fbin, stride, out=fbin), col, out=fbin)
@@ -368,11 +373,13 @@ def log_display(tfr: TFRepresentation, quantile: float = 0.998) -> DisplayMatrix
     The quantile runs over all entries of |R| (zeros included) with linear
     interpolation between order statistics.
     """
-    mag = np.abs(tfr.matrix)
-    if mag.size == 0:
+    out = np.abs(tfr.matrix)
+    if out.size == 0:
         raise ValueError("empty TF matrix")
-    q = float(np.quantile(mag.ravel(), quantile))
-    out = np.maximum(1e-2, np.log1p(np.minimum(mag, q)))
+    q = float(np.quantile(out.ravel(), quantile))
+    np.minimum(out, q, out=out)
+    np.maximum(1e-2, np.log1p(out, out=out), out=out)
+    out.setflags(write=False)
     return DisplayMatrix(matrix=out, quantile_q=q)
 
 
@@ -402,24 +409,44 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     frames = tfr.time_axis.shape
     lo = np.broadcast_to(np.asarray(freq_min, dtype=float), frames)
     hi = np.broadcast_to(np.asarray(freq_max, dtype=float), frames)
-    inside = (tfr.freq_axis[:, None] >= lo) & (tfr.freq_axis[:, None] <= hi)
-    has_bin = inside.any(axis=0)
+    # each frame's band is the rows first .. end - 1; a NaN edge holds no bin
+    first = np.searchsorted(tfr.freq_axis, lo, "left")
+    end = np.searchsorted(tfr.freq_axis, hi, "right")
+    has_bin = (first < end) & (lo <= hi)
     if not has_bin.all():
         t = int(np.argmin(has_bin))
         raise ValueError(f"frame {t}: band [{lo[t]}, {hi[t]}] Hz holds no bin")
     # the run of rows any band reaches: row offsets stay bin distances
-    used = np.nonzero(inside.any(axis=1))[0]
-    rows = slice(used[0], used[-1] + 1)
-    mag = np.abs(tfr.matrix[rows])
-    mag[~inside[rows]] = -np.inf
-    peak = mag.max(axis=0)  # NaN where a band holds a NaN magnitude
-    if np.isnan(peak).any():
-        t = int(np.argmax(np.isnan(peak)))
-        raise ValueError(f"frame {t}: NaN magnitude inside the band")
-    if jump_penalty == 0.0:  # the first row at the peak: argmax(axis=0) strides
-        return tfr.freq_axis[rows][np.argmax(mag == peak, axis=0)]
-    n_frames = mag.shape[1]
+    rows = slice(int(first.min()), int(end.max()))
+    n_frames = frames[0]
 
+    def band(r0: int, r1: int) -> np.ndarray:
+        """|matrix| rows r0 .. r1 - 1, at -inf outside each frame's band;
+        only the rows where the frames' bands differ need that mask."""
+        mag = np.abs(tfr.matrix[r0:r1])
+        for a, b in ((r0, min(r1, int(first.max()))), (max(r0, int(end.min())), r1)):
+            if a < b:
+                r = np.arange(a, b)[:, None]
+                mag[a - r0:b - r0][(r < first) | (r >= end)] = -np.inf
+        return mag
+
+    # each frame's band maximum, a block of rows at a time so that the
+    # temporaries stay in cache; a tie keeps the first row
+    peak, hit = np.full(n_frames, -np.inf), np.zeros(n_frames, dtype=np.intp)
+    nan = np.zeros(n_frames, dtype=bool)
+    for r0 in range(rows.start, rows.stop, 256):
+        mag = band(r0, min(r0 + 256, rows.stop))
+        top = mag.max(axis=0)
+        nan |= np.isnan(top)
+        new = top > peak
+        hit[new] = r0 + np.argmax(mag[:, new] == top[new], axis=0)
+        peak[new] = top[new]
+    if nan.any():
+        raise ValueError(f"frame {int(np.argmax(nan))}: NaN magnitude inside the band")
+    if jump_penalty == 0.0:
+        return tfr.freq_axis[hit]
+
+    mag = band(rows.start, rows.stop)
     acc = np.empty_like(mag)
     acc[:, 0] = mag[:, 0]
     for t in range(1, n_frames):

@@ -535,24 +535,62 @@ def test_tfr_missing_input_is_data_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("header, message", [
-    (["# rate_hz=inf", "# t_start_s=0"], "rate must be positive and finite, got inf"),
-    (["# rate_hz=16", "# t_start_s=nan"], "t_start must be finite, got nan"),
-], ids=["rate_inf", "t_start_nan"])
-def test_tfr_non_finite_input_metadata_is_data_error(tmp_path, capsys, header,
+@pytest.mark.parametrize("header, body, message", [
+    (["# rate_hz=inf", "# t_start_s=0"], None,
+     "rate_hz=inf: rate must be positive and finite, got inf"),
+    (["# rate_hz=16", "# t_start_s=nan"], None, "t_start_s=nan: t_start must be finite, got nan"),
+    (["# rate_hz=fast", "# t_start_s=0"], None, "rate_hz=fast is not a number"),
+    (["# rate_hz=16", "# t_start_s=soon"], None, "t_start_s=soon is not a number"),
+    (["# rate_hz=16", "# t_start_s=0"], "0.0625,x", "line 5: value 'x' is not a number"),
+], ids=["rate_inf", "t_start_nan", "rate_text", "t_start_text", "body_text"])
+def test_tfr_non_finite_input_metadata_is_data_error(tmp_path, capsys, header, body,
                                                      message):
     # a rate of inf used to end in an OverflowError traceback, and a
-    # t_start of nan in a NaN time axis in every artifact
+    # t_start of nan in a NaN time axis in every artifact; the message
+    # names the file and the header key, or the line of a body value
     src = tmp_path / "sig.csv"
-    src.write_text("\n".join([*header, "time_s,value",
-                              *(f"{k / 16.0},{math.cos(k / 3.0)!r}" for k in range(160))]))
+    rows = [f"{k / 16.0},{math.cos(k / 3.0)!r}" for k in range(160)]
+    if body is not None:
+        rows[1] = body  # line 5: after two headers, the column names and row 0
+    src.write_text("\n".join([*header, "time_s,value", *rows]))
     out = tmp_path / "x"
     rc = main(["tfr", "--set", f"input={src}", "--set", "analysis.window_s=3.0",
                "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "data error" in err and message in err and "Traceback" not in err
+    assert f"data error: {src}" in err and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_tfr_products_need_no_more_memory_than_the_transform(tmp_path):
+    # the run keeps one real magnitude of the SST and frees every
+    # full-size temporary once used: masking, display and writing all fit
+    # in what the transform itself needed (8193 bins x 96 frames here)
+    import tracemalloc
+
+    from nyqmirror.tf_analysis import make_windows, synchrosqueeze
+
+    sets = ["scenario=" + json.dumps({**SMALL_SCENARIO, "scheme": {
+                "kind": "cosine", "base_hz": 5.0, "depth_hz": 0.5, "period_s": 6.0}}),
+            "analysis.window_s=3.0", "analysis.nfft=16384",
+            "mitigation.inf_mask=true", 'output.formats=["tfr1","pgm"]']
+    cfg = load_config(None, sets)
+    _, _, _, sig = cli._scenario_pipeline(cfg)
+    window_s, hop, nfft = cli._analysis_params(cfg, sig.rate)
+    window = make_windows("gaussian", window_s, sig.rate)[0]
+    argv = ["tfr", "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    peaks = []
+    for run in (lambda: synchrosqueeze(sig, window, hop, nfft, 1e-8), lambda: main(argv)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    transform, whole_run = peaks
+    assert whole_run <= 1.05 * transform
 
 
 def test_tfr_inf_mask_needs_a_scenario(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_ihr_tracks_known_warp():
     assert rms <= 0.02 * np.mean(truth)
 
 
-def test_ihr_needs_six_peaks():
+def test_ihr_needs_five_peaks():
     with pytest.raises(ValueError):
         ihr_signal(RPeakRecord(times=np.arange(4, dtype=float)))
 

@@ -480,6 +480,82 @@ def test_ridge_per_frame_band():
     np.testing.assert_array_equal(ridge_extract(zero_tfr(), lows, 15.0), lows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 9), frames=st.integers(1, 8),
+       penalty=st.sampled_from([0.0, 0.5]))
+def test_ridge_band_edges_between_bins_match_full_mask(data, bins, frames, penalty):
+    # edges fall between bins, beyond the axis or on NaN; the ridge must
+    # pick the rows a full per-cell band mask picks, and refuse the same
+    # frames
+    edge = st.one_of(st.floats(-1.5, bins + 0.5), st.just(np.nan))
+    lo = data.draw(arrays(np.float64, frames, elements=edge), label="lo")
+    hi = data.draw(arrays(np.float64, frames, elements=edge), label="hi")
+    levels = data.draw(arrays(np.float64, (bins, frames),
+                              elements=st.integers(0, 3).map(float)), label="levels")
+    from nyqmirror.tf_analysis import WindowMeta
+
+    tfr = TFRepresentation(levels, np.arange(float(bins)), np.arange(float(frames)),
+                           "rm", WindowMeta("gaussian", 1.0, 1, 1))
+    inside = (tfr.freq_axis[:, None] >= lo) & (tfr.freq_axis[:, None] <= hi)
+    if not inside.any(axis=0).all():
+        with pytest.raises(ValueError, match="holds no bin"):
+            ridge_extract(tfr, lo, hi, penalty)
+        return
+    used = np.nonzero(inside.any(axis=1))[0]
+    rows = slice(used[0], used[-1] + 1)
+    mag = np.where(inside, tfr.matrix, -np.inf)[rows]
+    np.testing.assert_array_equal(ridge_extract(tfr, lo, hi, penalty),
+                                  tfr.freq_axis[rows][dp_ridge_rows(mag, penalty)])
+
+
+# ---------------------------------------------------------------------------
+# memory: traced heap peaks against the matrix they produce
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn, *args):
+    """(result, peak bytes of Python heap allocations while ``fn`` ran)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# at hop 1: 2049 bins x 512 frames, about 1 M cells
+MEMORY_SIG = tone(6.0, duration=8.0)
+MEMORY_NFFT = 4096
+
+
+def test_sst_peak_is_about_its_base_spectrum_and_output():
+    # V_g kept frames-major plus the complex output is 2x the output; a
+    # full |V_g| matrix would add 0.5x.  The per-block buffers (about
+    # 3 MB) are 0.07x at these 4097 x 640 cells.
+    win = make_windows("gaussian", 4.0, RATE)[0]
+    tfr, peak = traced_peak(synchrosqueeze, tone(6.0, duration=10.0), win, 1,
+                            8192, 1e-8)
+    assert tfr.matrix.size >= 2_500_000
+    assert peak <= 2.1 * tfr.matrix.nbytes
+
+
+@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
+def test_transform_peak_within_memory_refusal_estimate(method):
+    # the memory refusal multiplies the cell count by _LIVE_BYTES_PER_CELL:
+    # no transform may need more
+    from nyqmirror.tf_analysis import _LIVE_BYTES_PER_CELL
+
+    if method.startswith("mt_"):
+        tfr, peak = traced_peak(multitaper, MEMORY_SIG, 4.0, 3, 1, MEMORY_NFFT,
+                                method[3:], 1e-8)
+    else:
+        win = make_windows("gaussian", 4.0, RATE)[0]
+        fn = synchrosqueeze if method == "sst" else reassign
+        tfr, peak = traced_peak(fn, MEMORY_SIG, win, 1, MEMORY_NFFT, 1e-8)
+    assert peak <= _LIVE_BYTES_PER_CELL * tfr.matrix.size
+
+
 # ---------------------------------------------------------------------------
 # TFRepresentation validation
 # ---------------------------------------------------------------------------

@@ -132,7 +132,6 @@ _LEAVES = {
     "interpolation.scheme": _Leaf("bspline", choices=("bspline", "pchip")),
     "interpolation.order": _Leaf(3, lo=1, hi=_MAX_ORDER),
     "analysis.method": _Leaf("sst", choices=("stft", "sst", "rm", "mt_sst", "mt_rm")),
-    "analysis.window": _Leaf("gaussian", choices=("gaussian", "hermite")),
     "analysis.window_s": _Leaf(10.0, positive=True),
     "analysis.hop": _Leaf(None, (int,), lo=1, hi=sys.maxsize),   # None: 8 frames/s
     "analysis.nfft": _Leaf(None, (int,), lo=1, hi=sys.maxsize),  # None: >= 16x window
@@ -312,19 +311,55 @@ def _meta_lines(meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, (str, np.str_)):
-        return value
-    return _fmt(value)
+# rows per block in _write_csv's bulk ``%`` calls and write_pgm's
+# scaling: large enough to amortise the per-block numpy calls, small
+# enough that a block's text (about 3 MB at 640 frames) stays far below
+# the matrix itself
+_CSV_BLOCK_ROWS = 256
+
+
+def _write_csv(path: Path, meta: dict, header: str, first: np.ndarray,
+               body: np.ndarray, low: float = math.nan):
+    """Every CSV: the metadata lines, the ``header`` row, then one row per
+    entry of the column ``first`` followed by that row of the float matrix
+    ``body``.  A block's text is one ``%`` call on a template holding
+    "%.17g" per cell, except where the template already holds the text: a
+    ``body`` cell equal to ``low`` (sharpened and masked matrices are
+    mostly zeros, display matrices mostly their floor; NaN equals no
+    value) and a text ``first`` column (which must not hold "%")."""
+    rows, cols = body.shape
+    text_first = first.dtype.kind == "U"
+    low_cell = "," + _fmt(low)
+    template = np.empty((min(rows, _CSV_BLOCK_ROWS), cols + 2), dtype=object)
+    template[:, 0] = "%.17g"
+    template[:, 1:-1] = ",%.17g"
+    template[:, -1] = "\r\n"
+    with _atomic_write(path) as fh:
+        fh.write((_meta_lines(meta) + header + "\r\n").encode("utf-8"))
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            block = body[start:start + _CSV_BLOCK_ROWS]
+            lead = first[start:start + len(block)]
+            is_low = block == low
+            cells = template[:len(block)].copy()
+            cells[:, 1:-1][is_low] = low_cell
+            values = np.empty((len(block), cols + 1))
+            values[:, 1:] = block
+            keep = np.ones(values.shape, dtype=bool)
+            np.logical_not(is_low, out=keep[:, 1:])
+            if text_first:
+                cells[:, 0] = lead
+                keep[:, 0] = False
+            else:
+                values[:, 0] = lead
+            text = "".join(cells.ravel().tolist()) % tuple(values[keep].tolist())
+            fh.write(text.encode("utf-8"))
 
 
 def write_curve_csv(path: Path, columns: dict[str, np.ndarray], meta: dict):
+    """Equal-length columns, in order; only the first may hold text."""
     names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    with _atomic_write(path) as fh:
-        fh.write((_meta_lines(meta) + ",".join(names) + "\r\n").encode("utf-8"))
-        for row in zip(*arrays):
-            fh.write((",".join(_cell(v) for v in row) + "\r\n").encode("utf-8"))
+    body = np.column_stack([np.asarray(columns[n], dtype=float) for n in names[1:]])
+    _write_csv(path, meta, ",".join(names), np.asarray(columns[names[0]]), body)
 
 
 def read_uniform_csv(path: Path) -> UniformSignal:
@@ -401,44 +436,13 @@ def read_tfr_binary(path: Path):
     return mat, freq, times
 
 
-# rows per block in write_tfr_csv's bulk ``%`` calls and write_pgm's
-# scaling: large enough to amortise the per-block numpy calls, small
-# enough that a block's text (about 3 MB at 640 frames) stays far below
-# the matrix itself
-_CSV_BLOCK_ROWS = 256
-
-
 def write_tfr_csv(path: Path, tfr: TFRepresentation, meta: dict):
     mag = np.abs(tfr.matrix)
-    rows, frames = mag.shape
-    # A block's text is one ``%`` call on a template holding "%.17g" per
-    # cell, except that cells equal to the matrix minimum hold its
-    # formatted text: sharpened and masked matrices are mostly zeros and
-    # display matrices mostly their floor.  Equal floats format alike once
-    # np.abs has turned -0.0 into 0.0; fmin skips NaN cells, which equal
-    # no value and so take the "%.17g" path.
+    # equal floats format alike once np.abs has turned -0.0 into 0.0; fmin
+    # skips NaN cells
     low = np.fmin.reduce(mag, axis=None) if mag.size else np.nan
-    low_cell = "," + _fmt(low)
-    template = np.empty((min(rows, _CSV_BLOCK_ROWS), frames + 2), dtype=object)
-    template[:, 0] = "%.17g"
-    template[:, 1:-1] = ",%.17g"
-    template[:, -1] = "\r\n"
-    with _atomic_write(path) as fh:
-        fh.write((_meta_lines(meta) + "freq_hz,"
-                  + ",".join(_fmt(t) for t in tfr.time_axis) + "\r\n")
-                 .encode("utf-8"))
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            block = mag[start:start + _CSV_BLOCK_ROWS]
-            is_low = block == low
-            cells = template[:len(block)].copy()
-            cells[:, 1:-1][is_low] = low_cell
-            values = np.empty((len(block), frames + 1))
-            values[:, 0] = tfr.freq_axis[start:start + len(block)]
-            values[:, 1:] = block
-            keep = np.ones(values.shape, dtype=bool)
-            np.logical_not(is_low, out=keep[:, 1:])
-            text = "".join(cells.ravel().tolist()) % tuple(values[keep].tolist())
-            fh.write(text.encode("utf-8"))
+    _write_csv(path, meta, "freq_hz," + ",".join(_fmt(t) for t in tfr.time_axis),
+               tfr.freq_axis, mag, low)
 
 
 def write_pgm(path: Path, display, meta: dict | None = None) -> None:
@@ -519,7 +523,7 @@ def _run_analysis(cfg, sig: UniformSignal) -> TFRepresentation:
     if method in ("mt_sst", "mt_rm"):
         return multitaper(sig, window_s, ana["tapers"], hop, nfft,
                           method.removeprefix("mt_"), threshold)
-    window = make_windows(ana["window"], window_s, sig.rate)[0]
+    window = make_windows("gaussian", window_s, sig.rate)[0]
     if method == "rm":
         return reassign(sig, window, hop, nfft, threshold)
     if method == "stft":
@@ -543,19 +547,19 @@ def _scenario_pipeline(cfg):
     return scenario, samples, interp, sig
 
 
-def _base_meta(cfg, **extra) -> dict:
-    meta = {
+def _scenario_meta(cfg, **extra) -> dict:
+    """Metadata of an artifact made from the configured scenario."""
+    return {
         "scenario": cfg["scenario"] if isinstance(cfg["scenario"], str) else "custom",
         "interpolation": cfg["interpolation"]["scheme"],
         "order": cfg["interpolation"]["order"],
+        **extra,
     }
-    meta.update(extra)
-    return meta
 
 
 def _tfr_meta(cfg, tfr, **extra) -> dict:
-    meta = _base_meta(cfg, **extra)
-    meta.update({
+    return {
+        **extra,
         "method": tfr.method,
         "window": tfr.window_meta.family,
         "window_s": _fmt(tfr.window_meta.duration_s),
@@ -563,8 +567,7 @@ def _tfr_meta(cfg, tfr, **extra) -> dict:
         "tapers": tfr.window_meta.taper_count,
         "nfft_bins": tfr.freq_axis.size,
         "threshold": _fmt(cfg["analysis"]["threshold"]),
-    })
-    return meta
+    }
 
 
 def _write_tfr_products(outputs: _Outputs, stem: str, tfr: TFRepresentation,
@@ -619,7 +622,7 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
 
 def cmd_simulate(cfg: dict, outputs: _Outputs):
     scenario, samples, interp, sig = _scenario_pipeline(cfg)
-    meta = _base_meta(cfg)
+    meta = _scenario_meta(cfg)
     grid = np.linspace(0.0, scenario.duration_s, 801)
     outputs.write("samples.csv", write_curve_csv,
                   {"time_s": samples.times, "value": samples.values}, meta)
@@ -631,18 +634,14 @@ def cmd_simulate(cfg: dict, outputs: _Outputs):
 
     # debugging dump of the interpolant internals (long format: the knot
     # sequence and, for B-splines, the basis coefficients)
-    kinds = ["knot"] * len(interp.knots)
-    indices = list(range(len(interp.knots)))
-    values = list(np.asarray(interp.knots, dtype=float))
-    coeffs = getattr(interp, "coefficients", None)
-    if coeffs is not None:
-        kinds += ["coefficient"] * len(coeffs)
-        indices += list(range(len(coeffs)))
-        values += list(np.asarray(coeffs, dtype=float))
+    parts = [np.asarray(interp.knots, dtype=float)]
+    if (coeffs := getattr(interp, "coefficients", None)) is not None:
+        parts.append(np.asarray(coeffs, dtype=float))
     outputs.write("interpolant.csv", write_curve_csv,
-                  {"kind": np.asarray(kinds, dtype=object),
-                   "index": np.asarray(indices),
-                   "value": np.asarray(values)}, meta)
+                  {"kind": np.repeat(["knot", "coefficient"][:len(parts)],
+                                     [len(part) for part in parts]),
+                   "index": np.concatenate([np.arange(len(part)) for part in parts]),
+                   "value": np.concatenate(parts)}, meta)
 
 
 def cmd_tfr(cfg: dict, outputs: _Outputs):
@@ -657,7 +656,8 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
     if (lp := cfg["mitigation"]["lowpass"]) is not None:
         sig = lowpass_prefilter(sig, lp["cutoff_hz"], lp["transition_hz"])
     tfr = _run_analysis(cfg, sig)
-    meta = _tfr_meta(cfg, tfr, lowpass=bool(cfg["mitigation"]["lowpass"]))
+    meta = _tfr_meta(cfg, tfr, lowpass=bool(cfg["mitigation"]["lowpass"]),
+                     **({} if scenario is None else _scenario_meta(cfg)))
     disp = log_display(tfr) if outputs.wants("csv", "pgm") else None
     _write_tfr_products(outputs, "tfr", tfr, meta, disp)
     if outputs.wants("csv"):
@@ -683,16 +683,15 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
     grid = np.linspace(0.0, scenario.duration_s, 801)
     comps = predict_components(scenario.signal, scenario.scheme, order,
                                (k_min, k_max), grid)
-    meta = _base_meta(cfg, k_min=k_min, k_max=k_max)
+    meta = _scenario_meta(cfg, k_min=k_min, k_max=k_max)
     if outputs.wants("csv"):
-        cols = {"k": [], "time_s": [], "if_hz": [], "amplitude": []}
-        for comp in sorted(comps, key=lambda c: c.k):
-            cols["k"].extend([comp.k] * grid.size)
-            cols["time_s"].extend(grid)
-            cols["if_hz"].extend(np.asarray(comp.if_curve(grid)))
-            cols["amplitude"].extend(np.asarray(comp.amp_curve(grid)))
-        outputs.write("components.csv", write_curve_csv,
-                      {k: np.asarray(v) for k, v in cols.items()}, meta)
+        comps = sorted(comps, key=lambda c: c.k)
+        outputs.write("components.csv", write_curve_csv, {
+            "k": np.repeat([comp.k for comp in comps], grid.size),
+            "time_s": np.tile(grid, len(comps)),
+            "if_hz": np.concatenate([comp.if_curve(grid) for comp in comps]),
+            "amplitude": np.concatenate([comp.amp_curve(grid) for comp in comps]),
+        }, meta)
     report = verify_reflection_theorem(
         scenario.signal, scenario.scheme, order, max(abs(k_min), abs(k_max)),
         scenario.resample_hz, (0.0, scenario.duration_s),
@@ -709,7 +708,7 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
 
 def cmd_physio(cfg: dict, outputs: _Outputs):
     phys = cfg["physio"]
-    meta = _base_meta(cfg, edr_scheme=phys["edr_scheme"])
+    meta = {"edr_scheme": phys["edr_scheme"]}
     if cfg["input"]:
         rec = parse_rpeaks(Path(cfg["input"]).read_bytes())
     elif (synth := phys["synth"]) is not None:

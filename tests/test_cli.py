@@ -24,6 +24,7 @@ from nyqmirror.cli import (
     read_tfr_binary,
     read_uniform_csv,
     scenario_from_config,
+    write_curve_csv,
     write_tfr_binary,
     write_tfr_csv,
     write_uniform_csv,
@@ -169,6 +170,7 @@ _SYNTH = 'physio.synth={"duration_s": 60}'
     ("tfr", "analysis.window_s=ten", "analysis.window_s"),
     ("tfr", "analysis.hop=0", "analysis.hop"),
     ("tfr", "analysis.nfft=32", "analysis.nfft"),  # below the 49-sample window
+    ("tfr", "analysis.window=gaussian", "analysis.window"),  # removed key
     ("tfr", _scenario_with(scheme={"kind": "uniform", "rate": 4}),
      "scenario.scheme.rate"),
     ("tfr", _scenario_with(signal={"kind": "harmonic", "ampp": 2.0}),
@@ -724,6 +726,26 @@ def test_physio_synth_products(tmp_path):
     assert abs(float(np.mean(edr.values))) < 1e-9
 
 
+def test_scenario_metadata_only_on_scenario_artifacts(tmp_path, small_config):
+    # physio and tfr on an input CSV use no scenario: their CSVs used to
+    # carry the configured scenario, interpolation and order anyway
+    src = tmp_path / "signal.csv"
+    write_uniform_csv(src, UniformSignal(np.cos(np.arange(160) / 3.0), 16.0, 0.0),
+                      {})
+    runs = {"scenario": ["tfr", "--config", str(small_config)],
+            "input": ["tfr", "--set", f"input={src}", "--set", "analysis.window_s=3"],
+            "physio": ["physio", "--set", _SYNTH, "--set", "analysis.window_s=8"]}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        csvs = sorted((tmp_path / name).glob("*.csv"))
+        assert len(csvs) >= 2
+        for path in csvs:
+            head = path.read_text().split("\r\n", 1)[0]
+            found = [key in head for key in ("# scenario=", "# interpolation=",
+                                             "# order=")]
+            assert found == [name == "scenario"] * 3, path.name
+
+
 def test_physio_two_peak_csv_is_data_error(tmp_path):
     src = tmp_path / "peaks.csv"
     src.write_text("time_s,amplitude\n0.0,1.0\n0.8,1.1\n")
@@ -766,19 +788,17 @@ def test_physio_without_input_or_synth_is_config_error(tmp_path):
 # output files
 # ---------------------------------------------------------------------------
 
-def reference_tfr_csv(tfr, meta) -> bytes:
-    """The dense TFR CSV as the per-cell writer produced it: one
-    ``format(x, ".17g")`` call per cell, whole file built in memory."""
-    def fmt(x):
-        return format(float(x), ".17g")
+def reference_csv(meta, header, rows) -> bytes:
+    """A CSV as the per-cell writers produced it: one ``format(x, ".17g")``
+    call per number, text cells as they are, one joined row at a time."""
+    def cell(x):
+        return x if isinstance(x, str) else format(float(x), ".17g")
 
     lines = [f"# artifact=nyqmirror {__version__}"]
     lines += [f"# {key}={meta[key]}" for key in sorted(meta)]
-    text = "\n".join(lines) + "\n"
-    text += "freq_hz," + ",".join(fmt(t) for t in tfr.time_axis) + "\r\n"
-    mag = np.abs(tfr.matrix)
-    for i, freq in enumerate(tfr.freq_axis):
-        text += fmt(freq) + "," + ",".join(fmt(v) for v in mag[i]) + "\r\n"
+    text = "\n".join(lines) + "\n" + header + "\r\n"
+    for row in rows:
+        text += ",".join(cell(v) for v in row) + "\r\n"
     return text.encode("utf-8")
 
 
@@ -807,20 +827,46 @@ def _block_crossing():
     return mat
 
 
-@pytest.mark.parametrize("matrix", [
+def _curve_specials():
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e300, 0.1])
+    return {"time_s": np.arange(8) / 3.0, "value": values, "other": values[::-1]}
+
+
+_LONG = 2 * _CSV_BLOCK_ROWS + 3
+
+
+@pytest.mark.parametrize("data", [
     _special_values(),
     np.full((5, 4), 0.3),                                        # all minimum
     np.random.default_rng(5).random((1, 13)),                    # one row
     _block_crossing(),                                           # > 1 block
     np.random.default_rng(6).random((7, 8)),                     # dense
     np.random.default_rng(7).random((4, 6)) * np.exp(1j * 0.7),  # complex
+    # curves: the first column is a dict's first key
+    {"kind": np.repeat(["knot", "coefficient"], [4, 3]), "index": np.r_[0:4, 0:3],
+     "value": np.random.default_rng(9).normal(size=7)},
+    {"k": np.repeat([-2, 0, 3], 3), "time_s": np.tile([0.0, 0.5, 2 / 3], 3),
+     "count": np.array([1, 2, -3, 2**53 + 1, 2**60, 0, 7, 8, 9])},
+    _curve_specials(),
+    {"time_s": np.array([0.25]), "if_hz": np.array([np.pi])},
+    {"time_s": np.arange(_LONG) / 7.0,
+     "value": np.random.default_rng(10).lognormal(0.0, 5.0, _LONG)},
 ], ids=["specials", "all_equal", "one_row", "block_crossing", "dense",
-        "complex"])
-def test_tfr_csv_matches_per_cell_reference(tmp_path, matrix):
-    tfr = _tfr_of(matrix)
+        "complex", "curve_text_first", "curve_integers", "curve_specials",
+        "curve_one_row", "curve_block_crossing"])
+def test_tfr_csv_matches_per_cell_reference(tmp_path, data):
     meta = {"method": "stft", "hop": 2, "quantile_q": "0.5"}
-    write_tfr_csv(tmp_path / "m.csv", tfr, meta)
-    assert (tmp_path / "m.csv").read_bytes() == reference_tfr_csv(tfr, meta)
+    path = tmp_path / "m.csv"
+    if isinstance(data, dict):
+        write_curve_csv(path, data, meta)
+        want = reference_csv(meta, ",".join(data), zip(*data.values()))
+    else:
+        tfr = _tfr_of(data)
+        write_tfr_csv(path, tfr, meta)
+        want = reference_csv(meta, "freq_hz," + ",".join(
+            format(t, ".17g") for t in tfr.time_axis),
+            ([f, *row] for f, row in zip(tfr.freq_axis, np.abs(tfr.matrix))))
+    assert path.read_bytes() == want
 
 
 def test_artifacts_get_mode_from_umask(tmp_path, small_config):

@@ -6,7 +6,8 @@ it applies, choices and bounds (see the README); a value outside them is
 a config error that names the key.  Every command writes only the files
 whose format is in ``output.formats``, plus its JSON reports, and prints
 their paths in write order.  Output files are written atomically, embed
-a metadata header and are bit-reproducible (no wall clock, no RNG).
+a metadata header naming what ran (each pipeline stage returns its own)
+and are bit-reproducible (no wall clock, no RNG).
 Every product of a TF matrix is a magnitude: a complex transform's
 magnitude is taken once, right after it, and the run keeps that one real
 matrix.
@@ -498,76 +499,66 @@ class _Outputs:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _interpolate(cfg, samples):
-    if cfg["interpolation"]["scheme"] == "pchip":
-        return interpolate_pchip(samples)
-    return interpolate_nonuniform(samples, cfg["interpolation"]["order"])
-
-
 def _analysis_params(cfg, rate):
     ana = cfg["analysis"]
-    w_len = int(round(ana["window_s"] * rate)) | 1
+    # capped at sys.maxsize (the product may be inf); make_windows refuses it
+    w_len = int(round(min(ana["window_s"] * rate, sys.maxsize))) | 1
     hop = ana["hop"] or max(1, int(round(rate / 8.0)))
-    nfft = ana["nfft"] or 1 << int(np.ceil(np.log2(16 * w_len)))
+    nfft = ana["nfft"] or 1 << int(np.ceil(np.log2(16.0 * w_len)))
     if nfft < w_len:
         raise ConfigError(f"analysis.nfft must be >= the window length "
                           f"({w_len} samples), got {nfft}")
     return ana["window_s"], hop, nfft
 
 
-def _run_analysis(cfg, sig: UniformSignal) -> TFRepresentation:
-    ana = cfg["analysis"]
-    method = ana["method"]
+def _run_analysis(cfg, sig: UniformSignal) -> tuple[TFRepresentation, dict]:
+    """The analysing commands' one TF stage: ``mitigation.lowpass``, the
+    configured method and its magnitude, with the metadata of what ran."""
+    ana, lowpass = cfg["analysis"], cfg["mitigation"]["lowpass"]
+    if lowpass is not None:
+        sig = lowpass_prefilter(sig, lowpass["cutoff_hz"], lowpass["transition_hz"])
+    method, threshold = ana["method"], ana["threshold"]
     window_s, hop, nfft = _analysis_params(cfg, sig.rate)
-    threshold = ana["threshold"]
     if method in ("mt_sst", "mt_rm"):
-        return multitaper(sig, window_s, ana["tapers"], hop, nfft,
-                          method.removeprefix("mt_"), threshold)
-    window = make_windows("gaussian", window_s, sig.rate)[0]
-    if method == "rm":
-        return reassign(sig, window, hop, nfft, threshold)
-    if method == "stft":
-        tfr = stft(sig, window, hop, nfft)
+        tfr = multitaper(sig, window_s, ana["tapers"], hop, nfft,
+                         method.removeprefix("mt_"), threshold)
     else:
-        tfr = synchrosqueeze(sig, window, hop, nfft, threshold)
-    # every product is a magnitude: take it once, and let the complex go
-    mag = np.abs(tfr.matrix)
-    mag.setflags(write=False)
-    return TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, tfr.method,
-                            tfr.window_meta)
+        window = make_windows("gaussian", window_s, sig.rate)[0]
+        tfr = (stft(sig, window, hop, nfft) if method == "stft" else
+               reassign(sig, window, hop, nfft, threshold) if method == "rm" else
+               synchrosqueeze(sig, window, hop, nfft, threshold))
+    if np.iscomplexobj(tfr.matrix):
+        # every product is a magnitude: take it once, and let the complex go
+        mag = np.abs(tfr.matrix)
+        mag.setflags(write=False)
+        tfr = TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, tfr.method,
+                               tfr.window_meta)
+    ran = tfr.window_meta
+    meta = {"method": tfr.method, "window": ran.family,
+            "window_s": _fmt(ran.duration_s), "hop": ran.hop,
+            "tapers": ran.taper_count, "nfft_bins": tfr.freq_axis.size,
+            "lowpass": lowpass is not None}
+    if tfr.method != "stft":  # the only method without a threshold
+        meta["threshold"] = _fmt(threshold)
+    return tfr, meta
 
 
 def _scenario_pipeline(cfg):
+    """The configured scenario, its samples, the interpolant, the resampled
+    signal and the metadata naming the scenario and the interpolant (its
+    order only for a B-spline)."""
     scenario = scenario_from_config(cfg["scenario"])
     samples = sample_signal(scenario.signal, scenario.scheme, 0.0,
                             scenario.duration_s)
-    interp = _interpolate(cfg, samples)
+    meta = {"scenario": scenario.name, "interpolation": cfg["interpolation"]["scheme"]}
+    if meta["interpolation"] == "pchip":
+        interp = interpolate_pchip(samples)
+    else:
+        meta["order"] = cfg["interpolation"]["order"]
+        interp = interpolate_nonuniform(samples, meta["order"])
     sig = resample_uniform(interp, scenario.resample_hz,
                            samples.times[0], samples.times[-1])
-    return scenario, samples, interp, sig
-
-
-def _scenario_meta(cfg, **extra) -> dict:
-    """Metadata of an artifact made from the configured scenario."""
-    return {
-        "scenario": cfg["scenario"] if isinstance(cfg["scenario"], str) else "custom",
-        "interpolation": cfg["interpolation"]["scheme"],
-        "order": cfg["interpolation"]["order"],
-        **extra,
-    }
-
-
-def _tfr_meta(cfg, tfr, **extra) -> dict:
-    return {
-        **extra,
-        "method": tfr.method,
-        "window": tfr.window_meta.family,
-        "window_s": _fmt(tfr.window_meta.duration_s),
-        "hop": tfr.window_meta.hop,
-        "tapers": tfr.window_meta.taper_count,
-        "nfft_bins": tfr.freq_axis.size,
-        "threshold": _fmt(cfg["analysis"]["threshold"]),
-    }
+    return scenario, samples, interp, sig, meta
 
 
 def _write_tfr_products(outputs: _Outputs, stem: str, tfr: TFRepresentation,
@@ -621,8 +612,7 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, outputs: _Outputs):
-    scenario, samples, interp, sig = _scenario_pipeline(cfg)
-    meta = _scenario_meta(cfg)
+    scenario, samples, interp, sig, meta = _scenario_pipeline(cfg)
     grid = np.linspace(0.0, scenario.duration_s, 801)
     outputs.write("samples.csv", write_curve_csv,
                   {"time_s": samples.times, "value": samples.values}, meta)
@@ -645,19 +635,16 @@ def cmd_simulate(cfg: dict, outputs: _Outputs):
 
 
 def cmd_tfr(cfg: dict, outputs: _Outputs):
-    scenario = None
+    scenario, source = None, {}
     if cfg["input"]:
         if cfg["mitigation"]["inf_mask"]:
             raise ConfigError("mitigation.inf_mask needs a scenario: an input "
                               "signal has no INF to mask above")
         sig = read_uniform_csv(Path(cfg["input"]))
     else:
-        scenario, _, _, sig = _scenario_pipeline(cfg)
-    if (lp := cfg["mitigation"]["lowpass"]) is not None:
-        sig = lowpass_prefilter(sig, lp["cutoff_hz"], lp["transition_hz"])
-    tfr = _run_analysis(cfg, sig)
-    meta = _tfr_meta(cfg, tfr, lowpass=bool(cfg["mitigation"]["lowpass"]),
-                     **({} if scenario is None else _scenario_meta(cfg)))
+        scenario, _, _, sig, source = _scenario_pipeline(cfg)
+    tfr, meta = _run_analysis(cfg, sig)
+    meta.update(source)
     disp = log_display(tfr) if outputs.wants("csv", "pgm") else None
     _write_tfr_products(outputs, "tfr", tfr, meta, disp)
     if outputs.wants("csv"):
@@ -683,7 +670,10 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
     grid = np.linspace(0.0, scenario.duration_s, 801)
     comps = predict_components(scenario.signal, scenario.scheme, order,
                                (k_min, k_max), grid)
-    meta = _scenario_meta(cfg, k_min=k_min, k_max=k_max)
+    # the image series is always the order-n B-spline's, whatever the
+    # interpolation.scheme
+    meta = {"scenario": scenario.name, "interpolation": "bspline", "order": order,
+            "k_min": k_min, "k_max": k_max}
     if outputs.wants("csv"):
         comps = sorted(comps, key=lambda c: c.k)
         outputs.write("components.csv", write_curve_csv, {
@@ -708,7 +698,6 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
 
 def cmd_physio(cfg: dict, outputs: _Outputs):
     phys = cfg["physio"]
-    meta = {"edr_scheme": phys["edr_scheme"]}
     if cfg["input"]:
         rec = parse_rpeaks(Path(cfg["input"]).read_bytes())
     elif (synth := phys["synth"]) is not None:
@@ -718,7 +707,7 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
             synth["duration_s"], synth["modulation_depth"],
         )
         outputs.write("rpeaks.csv", write_curve_csv,
-                      {"time_s": rec.times, "amplitude": rec.amplitudes}, meta)
+                      {"time_s": rec.times, "amplitude": rec.amplitudes}, {})
     else:
         raise ConfigError("physio needs either input (R-peak CSV) or physio.synth")
 
@@ -726,26 +715,28 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
     est = estimate_isr(rec.times)
     grid = np.linspace(est.domain[0], est.domain[1], 801)
     outputs.write("isr_estimate.csv", write_curve_csv,
-                  {"time_s": grid, "isr_hz": est.isr(grid)}, meta)
+                  {"time_s": grid, "isr_hz": est.isr(grid)}, {})
     outputs.write("inf_estimate.csv", write_curve_csv,
-                  {"time_s": grid, "inf_hz": est.inf(grid)}, meta)
+                  {"time_s": grid, "inf_hz": est.inf(grid)}, {})
 
     ihr_sig = ihr_signal(rec, rate)
-    outputs.write("ihr.csv", write_uniform_csv, ihr_sig, meta)
+    outputs.write("ihr.csv", write_uniform_csv, ihr_sig, {})
     if rec.amplitudes is not None:
+        shaped = {"edr_scheme": phys["edr_scheme"]}  # only the EDR's artifacts
         target = edr_signal(rec, rate, phys["edr_scheme"])
         stem = "edr"
-        outputs.write("edr.csv", write_uniform_csv, target, meta)
+        outputs.write("edr.csv", write_uniform_csv, target, shaped)
     else:
+        shaped = {}
         target = UniformSignal(ihr_sig.values - np.mean(ihr_sig.values),
                                rate=ihr_sig.rate, t_start=ihr_sig.t_start)
         stem = "ihr_centered"
 
-    tfr = _run_analysis(cfg, target)
-    tmeta = _tfr_meta(cfg, tfr, edr_scheme=str(phys["edr_scheme"]))
-    _write_tfr_products(outputs, f"{stem}_tfr", tfr, tmeta)
+    tfr, meta = _run_analysis(cfg, target)
+    meta.update(shaped)
+    _write_tfr_products(outputs, f"{stem}_tfr", tfr, meta)
     if cfg["mitigation"]["inf_mask"]:
-        _mask_products(outputs, f"{stem}_tfr", tfr, est.inf, tmeta)
+        _mask_products(outputs, f"{stem}_tfr", tfr, est.inf, meta)
 
 
 # ---------------------------------------------------------------------------

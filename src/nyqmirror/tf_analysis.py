@@ -96,11 +96,9 @@ def make_windows(family: str, duration_s: float, rate: float,
     truncated at the duration, and has a single taper.  ``hermite`` gives
     the first ``taper_count`` Hermite functions on the matching scale
     (taper 0 is the same Gaussian shape), mutually orthogonal; at most 10,
-    because higher Hermite tapers leak past the truncation.
+    because higher Hermite tapers leak past the truncation.  Windows too
+    large for physical memory are refused before they are allocated.
     """
-    n_samp = int(round(duration_s * rate))
-    if n_samp < 16:
-        raise ValueError("window must span at least 16 samples")
     if taper_count < 1:
         raise ValueError("taper_count must be >= 1")
     if taper_count > _MAX_TAPERS:
@@ -109,6 +107,15 @@ def make_windows(family: str, duration_s: float, rate: float,
         raise ValueError(f"unknown window family {family!r}")
     if family == "gaussian" and taper_count != 1:
         raise ValueError("the gaussian family provides a single taper")
+    samples = duration_s * rate
+    # measured 64 bytes per sample for the gaussian and 32 (taper_count + 2)
+    # for the Hermite family; allow at least twice that
+    check_memory(64.0 * (taper_count + 2) * samples,
+                 f"{taper_count} x {samples:.3g} window samples",
+                 f"shorten the window ({duration_s} s)")
+    n_samp = int(round(samples))
+    if n_samp < 16:
+        raise ValueError("window must span at least 16 samples")
 
     length = n_samp + 1 if n_samp % 2 == 0 else n_samp
     u = (np.arange(length) - (length - 1) / 2.0) / rate

@@ -577,7 +577,7 @@ def test_tfr_products_need_no_more_memory_than_the_transform(tmp_path):
             "analysis.window_s=3.0", "analysis.nfft=16384",
             "mitigation.inf_mask=true", 'output.formats=["tfr1","pgm"]']
     cfg = load_config(None, sets)
-    _, _, _, sig = cli._scenario_pipeline(cfg)
+    _, _, _, sig, _ = cli._scenario_pipeline(cfg)
     window_s, hop, nfft = cli._analysis_params(cfg, sig.rate)
     window = make_windows("gaussian", window_s, sig.rate)[0]
     argv = ["tfr", "--out", str(tmp_path / "out")]
@@ -607,20 +607,37 @@ def test_tfr_inf_mask_needs_a_scenario(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["stft", "sst", "mt_rm"])
+# the size check runs before the first nfft-sized allocation: this used to
+# end in numpy's "Unable to allocate 3.47 EiB"
+_HUGE_NFFT = ("analysis.nfft=1000000000000000000",
+              ["hop (", "nfft (1000000000000000000)"])
+# the window is refused before np.arange builds its grid (466 TiB): this used
+# to end in numpy's _ArrayMemoryError traceback
+_HUGE_WINDOW = ("analysis.window_s=1e12", ["x 1.6e+13 window samples",
+                                           "shorten the window (1000000000000.0 s)"])
+
+
+@pytest.mark.parametrize("method, setting, fragments", [
+    *[pytest.param(method, *_HUGE_NFFT, id=method)
+      for method in ("stft", "sst", "mt_rm")],
+    *[pytest.param(method, *_HUGE_WINDOW, id=f"{method}-window")
+      for method in ("stft", "sst", "rm", "mt_sst", "mt_rm")],
+    # its sample count overflows to inf: this used to end in an OverflowError
+    pytest.param("mt_sst", "analysis.window_s=1e308",
+                 ["3 x inf window samples", "shorten the window (1e+308 s)"],
+                 id="mt_sst-overflowing-window"),
+])
 def test_tfr_too_large_for_memory_is_data_error(tmp_path, capsys, small_config,
-                                                 method):
-    # the size check runs before the first nfft-sized allocation, so this
-    # allocates nothing: it used to end in numpy's "Unable to allocate 3.47 EiB"
+                                                 method, setting, fragments):
+    # nothing here allocates the refused size
     out = tmp_path / "x"
     rc = main(["tfr", "--config", str(small_config), "--out", str(out),
-               "--set", f"analysis.method={method}",
-               "--set", "analysis.nfft=1000000000000000000"])
+               "--set", f"analysis.method={method}", "--set", setting])
     err = capsys.readouterr().err
     assert rc == 2
     assert "data error" in err and "bytes of memory" in err
-    assert "hop (" in err and "nfft (1000000000000000000)" in err
-    assert "Traceback" not in err
+    assert all(fragment in err for fragment in fragments), err
+    assert "Traceback" not in err and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -726,24 +743,104 @@ def test_physio_synth_products(tmp_path):
     assert abs(float(np.mean(edr.values))) < 1e-9
 
 
-def test_scenario_metadata_only_on_scenario_artifacts(tmp_path, small_config):
-    # physio and tfr on an input CSV use no scenario: their CSVs used to
-    # carry the configured scenario, interpolation and order anyway
-    src = tmp_path / "signal.csv"
-    write_uniform_csv(src, UniformSignal(np.cos(np.arange(160) / 3.0), 16.0, 0.0),
+def csv_meta(path) -> dict:
+    """The ``# key=value`` lines of a CSV this tool wrote, as a dict."""
+    head = path.read_text().split("\r\n", 1)[0].splitlines()
+    return dict(line[2:].split("=", 1) for line in head if line.startswith("# "))
+
+
+# metadata names what ran: the scenario and interpolant only on artifacts
+# made from a scenario, the order only for a B-spline, the EDR scheme only
+# on the EDR's artifacts and the threshold only where a threshold applies
+_FROM_SCENARIO = {"scenario": "custom", "interpolation": "bspline", "order": "3"}
+_NO_SCENARIO = ("scenario", "interpolation", "order")
+_TF = {"method": "sst", "threshold": "1e-08", "lowpass": "False"}
+_TF_CSVS = ("tfr.csv", "display.csv", "inf.csv", "ridge_below_inf.csv",
+            "ridge_above_inf.csv")
+_SIM_CSVS = ("samples.csv", "truth_if.csv", "truth_isr.csv", "interpolated.csv",
+             "interpolant.csv")
+_PHYSIO_CURVES = ("isr_estimate.csv", "inf_estimate.csv", "ihr.csv")
+_PHYSIO_ARGV = ["--set", "analysis.window_s=8", "--set", "analysis.hop=8",
+                "--set", "mitigation.inf_mask=true"]
+_PCHIP = ["--set", "interpolation.scheme=pchip"]
+
+
+def _meta_rule(names, must: dict, must_not=()) -> dict:
+    """``{csv: (the keys it must carry with their values, the keys it must
+    not carry)}`` for each of ``names``."""
+    return {name: (must, must_not) for name in names}
+
+
+_METADATA_RUNS = {
+    "simulate": (["simulate"], _meta_rule(_SIM_CSVS, _FROM_SCENARIO)),
+    "simulate_pchip": (["simulate", *_PCHIP], _meta_rule(
+        _SIM_CSVS, {"scenario": "custom", "interpolation": "pchip"}, ["order"])),
+    "tfr": (["tfr", "--set", "mitigation.inf_mask=true"], {
+        **_meta_rule(_TF_CSVS, {**_FROM_SCENARIO, **_TF}),
+        **_meta_rule(["tfr_masked.csv"],
+                     {**_FROM_SCENARIO, **_TF, "inf_mask": "True"})}),
+    "tfr_pchip_stft": (["tfr", *_PCHIP, "--set", "analysis.method=stft"], _meta_rule(
+        _TF_CSVS, {"interpolation": "pchip", "method": "stft", "lowpass": "False"},
+        ["order", "threshold"])),
+    "tfr_input": (["tfr", "--set", "input={signal}"], _meta_rule(
+        ["tfr.csv", "display.csv"], _TF, _NO_SCENARIO)),
+    # predict evaluates the order-n B-spline model, whatever the scheme
+    "predict_pchip": (["predict", *_PCHIP, "--set", "interpolation.order=5",
+                       "--set", "predict.k_max=1"], _meta_rule(
+        ["components.csv"], {**_FROM_SCENARIO, "interpolation": "bspline",
+                             "order": "5", "k_min": "-1", "k_max": "1"})),
+    "physio": (["physio", "--set", _SYNTH, *_PHYSIO_ARGV], {
+        **_meta_rule(["rpeaks.csv", *_PHYSIO_CURVES], {},
+                     ["edr_scheme", "lowpass", *_NO_SCENARIO]),
+        **_meta_rule(["edr.csv"], {"edr_scheme": "cubic"}, _NO_SCENARIO),
+        **_meta_rule(["edr_tfr.csv", "edr_tfr_masked.csv"],
+                     {"edr_scheme": "cubic", **_TF}, _NO_SCENARIO)}),
+    # beats without amplitudes: the centred IHR is analysed, not an EDR
+    "physio_ihr": (["physio", "--set", "input={beats}", *_PHYSIO_ARGV], {
+        **_meta_rule(_PHYSIO_CURVES, {}, ["edr_scheme", "lowpass", *_NO_SCENARIO]),
+        **_meta_rule(["ihr_centered_tfr.csv", "ihr_centered_tfr_masked.csv"], _TF,
+                     ["edr_scheme", *_NO_SCENARIO])}),
+}
+
+
+def test_csv_metadata_names_what_ran(tmp_path, small_config):
+    signal, beats = tmp_path / "signal.csv", tmp_path / "beats.csv"
+    write_uniform_csv(signal, UniformSignal(np.cos(np.arange(160) / 3.0), 16.0, 0.0),
                       {})
-    runs = {"scenario": ["tfr", "--config", str(small_config)],
-            "input": ["tfr", "--set", f"input={src}", "--set", "analysis.window_s=3"],
-            "physio": ["physio", "--set", _SYNTH, "--set", "analysis.window_s=8"]}
-    for name, argv in runs.items():
-        assert main([*argv, "--out", str(tmp_path / name)]) == 0
-        csvs = sorted((tmp_path / name).glob("*.csv"))
-        assert len(csvs) >= 2
-        for path in csvs:
-            head = path.read_text().split("\r\n", 1)[0]
-            found = [key in head for key in ("# scenario=", "# interpolation=",
-                                             "# order=")]
-            assert found == [name == "scenario"] * 3, path.name
+    beats.write_text("time_s\n" + "".join(
+        f"{0.7 * k + 0.004 * (k * 7919 % 13)!r}\n" for k in range(160)))
+    for run, (argv, rules) in _METADATA_RUNS.items():
+        argv = [arg.replace("{signal}", str(signal)).replace("{beats}", str(beats))
+                for arg in argv]
+        out = tmp_path / run
+        assert main([*argv, "--config", str(small_config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(rules), run
+        for name, (must, must_not) in rules.items():
+            meta = csv_meta(out / name)
+            assert {key: meta.get(key) for key in must} == must, (run, name)
+            assert [key for key in must_not if key in meta] == [], (run, name)
+
+
+_LOWPASS = 'mitigation.lowpass={"cutoff_hz": 0.6, "transition_hz": 0.2}'
+
+
+@pytest.mark.parametrize("argv, stem", [
+    # 80 s at 16 Hz: the filter needs more than 972 samples
+    (["tfr", "--set", _scenario_with(duration_s=80.0), "--set", "analysis.window_s=3"],
+     "tfr"),
+    # physio used to accept the setting and ignore it, byte for byte
+    (["physio", "--set", "physio.synth={}", "--set", "analysis.hop=8"], "edr_tfr"),
+], ids=["tfr", "physio"])
+def test_lowpass_reaches_the_transform(tmp_path, argv, stem):
+    written = {}
+    for lowpass in (False, True):
+        out = tmp_path / str(lowpass)
+        extra = ["--set", _LOWPASS] if lowpass else []
+        assert main([*argv, *extra, "--out", str(out),
+                     "--set", 'output.formats=["csv","tfr1"]']) == 0
+        assert csv_meta(out / f"{stem}.csv")["lowpass"] == str(lowpass)
+        written[lowpass] = (out / f"{stem}.tfr1").read_bytes()
+    assert written[True] != written[False]
 
 
 def test_physio_two_peak_csv_is_data_error(tmp_path):

@@ -556,6 +556,23 @@ def test_transform_peak_within_memory_refusal_estimate(method):
     assert peak <= _LIVE_BYTES_PER_CELL * tfr.matrix.size
 
 
+@pytest.mark.parametrize("family, tapers", [("gaussian", 1), ("hermite", 10)])
+def test_window_peak_within_memory_refusal_estimate(family, tapers):
+    # make_windows refuses 64 (taper_count + 2) bytes per sample: building
+    # the windows may need no more
+    wins, peak = traced_peak(make_windows, family, 2000.0, RATE, tapers)
+    assert peak <= 64 * (tapers + 2) * len(wins[0])
+
+
+@pytest.mark.parametrize("family, tapers", [("gaussian", 1), ("hermite", 3)])
+def test_window_too_large_for_memory_is_refused(family, tapers):
+    # refused before np.arange allocates the 1e12 s window's grid, which
+    # used to end in numpy's _ArrayMemoryError
+    refusal = rf"{tapers} x 6.4e\+13 window samples need ~.* bytes of memory"
+    with pytest.raises(ValueError, match=refusal + ": shorten the window"):
+        make_windows(family, 1e12, RATE, tapers)
+
+
 # ---------------------------------------------------------------------------
 # TFRepresentation validation
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .signal_model import (
     Scenario,
     ValidationReport,
     builtin_scenario,
-    evaluate_imt,
     fig2_variant,
     harmonic,
     validate_imt,

@@ -56,6 +56,7 @@ from .spline_interp import (
     resample_uniform,
 )
 from .tf_analysis import (
+    MULTITAPER_TAPERS,
     TFRepresentation,
     log_display,
     make_windows,
@@ -136,7 +137,7 @@ _LEAVES = {
     "analysis.window_s": _Leaf(10.0, positive=True),
     "analysis.hop": _Leaf(None, (int,), lo=1, hi=sys.maxsize),   # None: 8 frames/s
     "analysis.nfft": _Leaf(None, (int,), lo=1, hi=sys.maxsize),  # None: >= 16x window
-    "analysis.tapers": _Leaf(3, lo=2, hi=10),
+    "analysis.tapers": _Leaf(3, lo=MULTITAPER_TAPERS[0], hi=MULTITAPER_TAPERS[1]),
     "analysis.threshold": _Leaf(1e-8, lo=0.0),
     "mitigation.inf_mask": _Leaf(False),
     "mitigation.lowpass": _Leaf(None, (dict,), fields={"cutoff_hz": _POSITIVE,
@@ -274,7 +275,8 @@ def scenario_from_config(obj) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# output files
+# output files: ``_Outputs.write`` opens and commits each one; the writers
+# below only encode an artifact's bytes into the binary stream ``fh``
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -296,9 +298,8 @@ def _atomic_write(path: Path):
         raise
 
 
-def _write_json(path: Path, obj: dict):
-    with _atomic_write(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True).encode() + b"\n")
+def _write_json(fh, obj: dict):
+    fh.write(json.dumps(obj, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _fmt(x: float) -> str:
@@ -319,7 +320,7 @@ def _meta_lines(meta: dict) -> str:
 _CSV_BLOCK_ROWS = 256
 
 
-def _write_csv(path: Path, meta: dict, header: str, first: np.ndarray,
+def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
                body: np.ndarray, low: float = math.nan):
     """Every CSV: the metadata lines, the ``header`` row, then one row per
     entry of the column ``first`` followed by that row of the float matrix
@@ -335,32 +336,31 @@ def _write_csv(path: Path, meta: dict, header: str, first: np.ndarray,
     template[:, 0] = "%.17g"
     template[:, 1:-1] = ",%.17g"
     template[:, -1] = "\r\n"
-    with _atomic_write(path) as fh:
-        fh.write((_meta_lines(meta) + header + "\r\n").encode("utf-8"))
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            block = body[start:start + _CSV_BLOCK_ROWS]
-            lead = first[start:start + len(block)]
-            is_low = block == low
-            cells = template[:len(block)].copy()
-            cells[:, 1:-1][is_low] = low_cell
-            values = np.empty((len(block), cols + 1))
-            values[:, 1:] = block
-            keep = np.ones(values.shape, dtype=bool)
-            np.logical_not(is_low, out=keep[:, 1:])
-            if text_first:
-                cells[:, 0] = lead
-                keep[:, 0] = False
-            else:
-                values[:, 0] = lead
-            text = "".join(cells.ravel().tolist()) % tuple(values[keep].tolist())
-            fh.write(text.encode("utf-8"))
+    fh.write((_meta_lines(meta) + header + "\r\n").encode("utf-8"))
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        block = body[start:start + _CSV_BLOCK_ROWS]
+        lead = first[start:start + len(block)]
+        is_low = block == low
+        cells = template[:len(block)].copy()
+        cells[:, 1:-1][is_low] = low_cell
+        values = np.empty((len(block), cols + 1))
+        values[:, 1:] = block
+        keep = np.ones(values.shape, dtype=bool)
+        np.logical_not(is_low, out=keep[:, 1:])
+        if text_first:
+            cells[:, 0] = lead
+            keep[:, 0] = False
+        else:
+            values[:, 0] = lead
+        text = "".join(cells.ravel().tolist()) % tuple(values[keep].tolist())
+        fh.write(text.encode("utf-8"))
 
 
-def write_curve_csv(path: Path, columns: dict[str, np.ndarray], meta: dict):
+def write_curve_csv(fh, columns: dict[str, np.ndarray], meta: dict):
     """Equal-length columns, in order; only the first may hold text."""
     names = list(columns)
     body = np.column_stack([np.asarray(columns[n], dtype=float) for n in names[1:]])
-    _write_csv(path, meta, ",".join(names), np.asarray(columns[names[0]]), body)
+    _write_csv(fh, meta, ",".join(names), np.asarray(columns[names[0]]), body)
 
 
 def read_uniform_csv(path: Path) -> UniformSignal:
@@ -401,21 +401,17 @@ def read_uniform_csv(path: Path) -> UniformSignal:
         raise ValueError(": ".join([str(path), *bad, str(exc)])) from None
 
 
-def write_uniform_csv(path: Path, sig: UniformSignal, meta: dict):
-    full = dict(meta)
-    full["rate_hz"] = _fmt(sig.rate)
-    full["t_start_s"] = _fmt(sig.t_start)
-    write_curve_csv(path, {"time_s": sig.times, "value": sig.values}, full)
+def write_uniform_csv(fh, sig: UniformSignal, meta: dict):
+    write_curve_csv(fh, {"time_s": sig.times, "value": sig.values},
+                    {**meta, "rate_hz": _fmt(sig.rate), "t_start_s": _fmt(sig.t_start)})
 
 
-def write_tfr_binary(path: Path, tfr: TFRepresentation):
-    mag = np.ascontiguousarray(np.abs(tfr.matrix), dtype="<f8")
-    with _atomic_write(path) as fh:
-        fh.write(b"TFR1")
-        fh.write(np.asarray(mag.shape, dtype="<u8").tobytes())
-        fh.write(tfr.freq_axis.astype("<f8").tobytes())
-        fh.write(tfr.time_axis.astype("<f8").tobytes())
-        fh.write(mag)
+def write_tfr_binary(fh, matrix, freq_axis, time_axis):
+    mag = np.ascontiguousarray(np.abs(matrix), dtype="<f8")
+    fh.write(b"TFR1" + np.asarray(mag.shape, dtype="<u8").tobytes())
+    fh.write(freq_axis.astype("<f8").tobytes())
+    fh.write(time_axis.astype("<f8").tobytes())
+    fh.write(mag)
 
 
 def read_tfr_binary(path: Path):
@@ -437,44 +433,38 @@ def read_tfr_binary(path: Path):
     return mat, freq, times
 
 
-def write_tfr_csv(path: Path, tfr: TFRepresentation, meta: dict):
-    mag = np.abs(tfr.matrix)
+def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict):
+    mag = np.abs(matrix)
     # equal floats format alike once np.abs has turned -0.0 into 0.0; fmin
     # skips NaN cells
     low = np.fmin.reduce(mag, axis=None) if mag.size else np.nan
-    _write_csv(path, meta, "freq_hz," + ",".join(_fmt(t) for t in tfr.time_axis),
-               tfr.freq_axis, mag, low)
+    _write_csv(fh, meta, "freq_hz," + ",".join(_fmt(t) for t in time_axis),
+               freq_axis, mag, low)
 
 
-def write_pgm(path: Path, display, meta: dict | None = None) -> None:
-    mat = display.matrix
-    span = float(mat.max() - 1e-2)
-    pixels = np.zeros(mat.shape, dtype=np.uint8)
+def write_pgm(fh, matrix, meta: dict) -> None:
+    span = float(matrix.max() - 1e-2)
+    pixels = np.zeros(matrix.shape, dtype=np.uint8)
     if not span <= 0.0:
-        # rint((mat - 1e-2) / span * 255) in place, a block of rows at a
+        # rint((matrix - 1e-2) / span * 255) in place, a block of rows at a
         # time: no full-size float temporary
-        for start in range(0, len(mat), _CSV_BLOCK_ROWS):
-            scaled = np.subtract(mat[start:start + _CSV_BLOCK_ROWS], 1e-2)
+        for start in range(0, len(matrix), _CSV_BLOCK_ROWS):
+            scaled = np.subtract(matrix[start:start + _CSV_BLOCK_ROWS], 1e-2)
             np.divide(scaled, span, out=scaled)
             np.multiply(scaled, 255.0, out=scaled)
             pixels[start:start + _CSV_BLOCK_ROWS] = np.rint(scaled, out=scaled)
     pixels = pixels[::-1, :]  # highest frequency on top
-    comment = f"# artifact=nyqmirror {__version__}"
-    if meta:
-        brief = " ".join(f"{k}={meta[k]}" for k in ("method", "window_s", "hop")
-                         if k in meta)
-        comment += f" {brief}" if brief else ""
-    header = f"P5\n{comment}\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii")
-    with _atomic_write(path) as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    brief = " ".join(f"{k}={meta[k]}" for k in ("method", "window_s", "hop"))
+    fh.write(f"P5\n# artifact=nyqmirror {__version__} {brief}\n"
+             f"{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii"))
+    fh.write(pixels.tobytes())
 
 
 class _Outputs:
     """The run's output sink: the directory, the requested
     ``output.formats`` and the paths written so far, in write order.
-    ``write`` writes a file only if its suffix is a requested format;
-    JSON reports are always written."""
+    ``write`` owns every artifact file; it writes one only if its suffix is
+    a requested format, and JSON reports are always written."""
 
     def __init__(self, cfg: dict):
         self.directory = Path(cfg["output"]["directory"])
@@ -486,12 +476,13 @@ class _Outputs:
         behind files that would not be written."""
         return not self.formats.isdisjoint(formats)
 
-    def write(self, name: str, writer, *args):
-        """``writer(directory / name, *args)``, if ``name``'s suffix is a
-        requested format."""
+    def write(self, name: str, encode, *args):
+        """If ``name``'s suffix is a requested format, ``encode(fh, *args)`` writes
+        ``directory / name`` atomically; its path is recorded once committed."""
         path = self.directory / name
         if self.wants(path.suffix[1:]):
-            writer(path, *args)
+            with _atomic_write(path) as fh:
+                encode(fh, *args)
             self.written += [path]
 
 
@@ -565,11 +556,12 @@ def _write_tfr_products(outputs: _Outputs, stem: str, tfr: TFRepresentation,
                         meta: dict, display=None):
     """TFR1, CSV and PGM products of ``tfr``; ``display`` is its
     ``log_display`` when the caller has already computed it."""
-    outputs.write(f"{stem}.tfr1", write_tfr_binary, tfr)
-    outputs.write(f"{stem}.csv", write_tfr_csv, tfr, meta)
+    axes = tfr.freq_axis, tfr.time_axis
+    outputs.write(f"{stem}.tfr1", write_tfr_binary, tfr.matrix, *axes)
+    outputs.write(f"{stem}.csv", write_tfr_csv, tfr.matrix, *axes, meta)
     if outputs.wants("pgm"):
         outputs.write(f"{stem}.pgm", write_pgm,
-                      log_display(tfr) if display is None else display, meta)
+                      (log_display(tfr) if display is None else display).matrix, meta)
 
 
 def _ridge_products(outputs: _Outputs, tfr, inf_curve, meta):
@@ -648,10 +640,8 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
     disp = log_display(tfr) if outputs.wants("csv", "pgm") else None
     _write_tfr_products(outputs, "tfr", tfr, meta, disp)
     if outputs.wants("csv"):
-        outputs.write("display.csv", write_tfr_csv,
-                      TFRepresentation(disp.matrix, tfr.freq_axis, tfr.time_axis,
-                                       tfr.method, tfr.window_meta),
-                      {**meta, "quantile_q": _fmt(disp.quantile_q)})
+        outputs.write("display.csv", write_tfr_csv, disp.matrix, tfr.freq_axis,
+                      tfr.time_axis, {**meta, "quantile_q": _fmt(disp.quantile_q)})
     del disp  # the masked products below need its room
     if scenario is not None:
         inf_curve = scenario.scheme.inf

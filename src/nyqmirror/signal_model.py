@@ -21,7 +21,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "builtin_scenario",
-    "evaluate_imt",
     "fig2_variant",
     "harmonic",
     "validate_imt",
@@ -46,14 +45,10 @@ class IMTSignal:
     model_params: tuple[float, float, float]
 
     def evaluate(self, t) -> np.ndarray | float:
-        return evaluate_imt(self, t)
-
-
-def evaluate_imt(signal: IMTSignal, t) -> np.ndarray | float:
-    """Evaluate am(t) * cos(2*pi*phase(t)); total in t, no side effects."""
-    ta = np.asarray(t, dtype=float)
-    out = np.asarray(signal.am(ta)) * np.cos(2.0 * np.pi * np.asarray(signal.phase(ta)))
-    return out if out.ndim else float(out)
+        """am(t) * cos(2*pi*phase(t)); total in t, no side effects."""
+        ta = np.asarray(t, dtype=float)
+        out = np.asarray(self.am(ta)) * np.cos(2.0 * np.pi * np.asarray(self.phase(ta)))
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

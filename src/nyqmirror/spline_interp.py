@@ -194,10 +194,6 @@ class UniformSignal:
     def times(self) -> np.ndarray:
         return self.t_start + np.arange(self.values.size) / self.rate
 
-    @property
-    def duration(self) -> float:
-        return (self.values.size - 1) / self.rate
-
 
 def _physical_memory() -> float:
     """Bytes of physical memory, or inf where the platform does not say:

@@ -20,13 +20,15 @@ import numpy as np
 from .spline_interp import UniformSignal, check_memory
 
 __all__ = [
-    "DisplayMatrix", "TFRepresentation", "Window", "WindowMeta", "log_display",
-    "make_windows", "multitaper", "reassign", "ridge_extract", "stft",
+    "DisplayMatrix", "MULTITAPER_TAPERS", "TFRepresentation", "Window", "WindowMeta",
+    "log_display", "make_windows", "multitaper", "reassign", "ridge_extract", "stft",
     "synchrosqueeze",
 ]
 
 _METHODS = ("stft", "sst", "rm", "mt_sst", "mt_rm")
-_MAX_TAPERS = 10
+# multitaper's least and most tapers: an average needs two, and Hermite
+# tapers past the tenth leak past the truncation (make_windows' bound too)
+MULTITAPER_TAPERS = (2, 10)
 # spectrum cells per block of frames: keeps a block's temporaries in cache
 _BLOCK_CELLS = 1 << 15
 # bytes per cell of the matrices live at once in the largest transform
@@ -61,7 +63,6 @@ class Window:
     t_weighted: np.ndarray
     family: str
     duration_s: float
-    rate: float
 
     def __post_init__(self):
         for name in ("samples", "derivative", "t_weighted"):
@@ -101,8 +102,9 @@ def make_windows(family: str, duration_s: float, rate: float,
     """
     if taper_count < 1:
         raise ValueError("taper_count must be >= 1")
-    if taper_count > _MAX_TAPERS:
-        raise ValueError(f"taper_count must be <= {_MAX_TAPERS}: higher tapers leak")
+    if taper_count > MULTITAPER_TAPERS[1]:
+        raise ValueError(f"taper_count must be <= {MULTITAPER_TAPERS[1]}: "
+                         f"higher tapers leak")
     if family not in ("gaussian", "hermite"):
         raise ValueError(f"unknown window family {family!r}")
     if family == "gaussian" and taper_count != 1:
@@ -126,7 +128,7 @@ def make_windows(family: str, duration_s: float, rate: float,
         norm = 1.0 / np.sqrt(np.sum(raw * raw))
         w = norm * raw
         dw = (-2.0 * np.pi * u / sigma**2) * w
-        return [Window(w, dw, u * w, family, float(duration_s), float(rate))]
+        return [Window(w, dw, u * w, family, float(duration_s))]
 
     scale = sigma / np.sqrt(2.0 * np.pi)  # Hermite-0 matches the Gaussian
     x = u / scale
@@ -138,7 +140,7 @@ def make_windows(family: str, duration_s: float, rate: float,
         lower = np.sqrt(k / 2.0) * funcs[k - 1] if k > 0 else 0.0
         upper = np.sqrt((k + 1) / 2.0) * funcs[k + 1]
         dw = norm * (lower - upper) / scale
-        out.append(Window(w, dw, u * w, family, float(duration_s), float(rate)))
+        out.append(Window(w, dw, u * w, family, float(duration_s)))
     return out
 
 
@@ -171,10 +173,6 @@ class TFRepresentation:
         object.__setattr__(self, "freq_axis", f)
         object.__setattr__(self, "time_axis", t)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
 
 def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
                 chunk: int):
@@ -195,13 +193,24 @@ def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
     return freqs, times, max(1, min(chunk, _BLOCK_CELLS // n_bins))
 
 
+def _overflow(values: np.ndarray) -> ValueError:
+    """The refusal of a transform that would overflow float64 on ``values``."""
+    return ValueError(f"the transform overflows float64 on a signal peaking at "
+                      f"{np.max(np.abs(values)):.3g}; scale the signal down")
+
+
 def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int,
              step: int, out: np.ndarray | None = None):
     """Yield (start, spec) per block of ``step`` frames: ``spec[k]`` is the
     C-contiguous (frames, bins) STFT block of window ``taps[k]``, in the
     rows of ``out[k]`` if given, else in a buffer the next block reuses.
     One gather of frames and one batched FFT serve all windows; the FFT
-    buffer is rotated so that phase is measured from the frame center."""
+    buffer is rotated so that phase is measured from the frame center.
+    Spectrum values, their moduli and the FFT's partial sums stay within 2
+    max|values| sum|tap|: refused if that reaches half the float64 range."""
+    bound = float(np.max(np.abs(values))) * float(np.abs(taps).sum(axis=1).max())
+    if not bound < np.finfo(float).max / 4:
+        raise _overflow(values)
     count, w_len = taps.shape
     half = (w_len - 1) // 2
     padded = np.zeros(values.size + 2 * half)
@@ -260,12 +269,17 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
     sst = method == "sst"
     v_all = np.empty((n_frames, n_bins), dtype=complex)
     mag = np.empty((step if sst else n_frames, n_bins))
-    peak = -np.inf
+    peak, column = -np.inf, 0.0
     for start, spec in _spectra(sig.values, window.samples[None], hop, nfft,
                                 step, v_all[None]):
         n = spec.shape[1]
         m = np.abs(spec[0], out=mag[:n] if sst else mag[start:start + n])
         peak = np.maximum(peak, m.max())  # NaN passes, as in ndarray.max
+        if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
+            with np.errstate(over="ignore"):  # refused below
+                column = np.maximum(column, m.sum(axis=1).max())
+    if not np.isfinite(column):
+        raise _overflow(sig.values)
     floor = threshold * float(peak) if threshold > 0.0 else 0.0
 
     est = np.empty((1 if sst else 2, step, n_bins))  # bin (and frame) targets
@@ -306,6 +320,8 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
         del v_all
         out = np.bincount(flat.ravel(), mag.ravel(), minlength=mag.size + 1)
         out = out[:-1].reshape(n_bins, n_frames)
+        if not np.isfinite(out.max()):  # a squared |V_g| or a sum of them
+            raise _overflow(sig.values)
     out.setflags(write=False)
     meta = WindowMeta(window.family, window.duration_s, hop, 1)
     return TFRepresentation(out, freqs, times, method, meta)
@@ -346,17 +362,20 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.  Tapers
     run one at a time, so one taper's spectra are live at once.
     """
-    if taper_count < 2:
-        raise ValueError("multitaper needs at least 2 tapers")
+    if taper_count < MULTITAPER_TAPERS[0]:
+        raise ValueError(f"multitaper needs at least {MULTITAPER_TAPERS[0]} tapers")
     if method not in ("sst", "rm"):
         raise ValueError(f"method must be 'sst' or 'rm', got {method!r}")
     windows = make_windows("hermite", duration_s, sig.rate, taper_count)
     freqs, times, _ = _frame_plan(sig, windows[0], hop, nfft, chunk)
     part = np.abs if method == "sst" else np.asarray
     acc = 0.0  # 0.0 + the first layer is that layer: the mean keeps its bits
-    for win in windows:
-        acc = acc + part(_sharpened(sig, win, hop, nfft, threshold, chunk,
-                                    method).matrix)
+    with np.errstate(over="ignore"):  # refused below
+        for win in windows:
+            acc = acc + part(_sharpened(sig, win, hop, nfft, threshold, chunk,
+                                        method).matrix)
+    if not np.isfinite(acc.max()):
+        raise _overflow(sig.values)
     meta = WindowMeta("hermite", float(duration_s), hop, taper_count)
     np.divide(acc, taper_count, out=acc).setflags(write=False)
     return TFRepresentation(acc, freqs, times, f"mt_{method}", meta)
@@ -374,7 +393,7 @@ class DisplayMatrix:
                            _freeze(np.asarray(self.matrix, dtype=float)))
 
 
-def log_display(tfr: TFRepresentation, quantile: float = 0.998) -> DisplayMatrix:
+def log_display(tfr: TFRepresentation) -> DisplayMatrix:
     """max(1e-2, log(1 + min(|R|, q))) with q the 99.8% quantile of |R|.
 
     The quantile runs over all entries of |R| (zeros included) with linear
@@ -383,7 +402,7 @@ def log_display(tfr: TFRepresentation, quantile: float = 0.998) -> DisplayMatrix
     out = np.abs(tfr.matrix)
     if out.size == 0:
         raise ValueError("empty TF matrix")
-    q = float(np.quantile(out.ravel(), quantile))
+    q = float(np.quantile(out.ravel(), 0.998))
     np.minimum(out, q, out=out)
     np.maximum(1e-2, np.log1p(out, out=out), out=out)
     out.setflags(write=False)

@@ -1,5 +1,6 @@
 """CLI commands: file products, determinism, exit codes, formats."""
 
+import io
 import json
 import math
 import os
@@ -17,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from nyqmirror import UniformSignal, __version__, cli
 from nyqmirror.cli import (
     _CSV_BLOCK_ROWS,
-    _atomic_write,
     DEFAULT_CONFIG,
     load_config,
     main,
@@ -54,6 +54,12 @@ def small_config(tmp_path):
 
 def read_all(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def write_file(path, encode, *args):
+    """The file ``encode(fh, *args)`` writes, as a plain ``open`` gives it."""
+    with path.open("wb") as fh:
+        encode(fh, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,8 @@ _SYNTH = 'physio.synth={"duration_s": 60}'
     ("simulate", "interpolation.order=1000", "interpolation.order"),
     ("physio", "physio.edr_scheme=1000", "physio.edr_scheme"),
     ("tfr", "analysis.tapers=2.5", "analysis.tapers"),
+    ("tfr", "analysis.tapers=1", "analysis.tapers"),
+    ("tfr", "analysis.tapers=11", "analysis.tapers"),
     ("simulate", "interpolation.order=true", "interpolation.order"),
     ("tfr", "analysis.threshold=nan", "analysis.threshold"),
     ("tfr", "analysis.window_s=ten", "analysis.window_s"),
@@ -564,6 +572,33 @@ def test_tfr_non_finite_input_metadata_is_data_error(tmp_path, capsys, header, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("amp, method", [
+    # the RM mass |V_g|^2 overflows: rm used to write 56,843 inf cells
+    (1e300, "rm"), (1e300, "mt_rm"),
+    # the FFT overflows: sst and rm used to write all zeros (every
+    # coefficient fell below a floor of 1e-8 * inf), stft inf cells
+    *[(1.7e308, method) for method in ("stft", "sst", "rm", "mt_sst", "mt_rm")],
+    # parts that fit, with a modulus that does not: the CLI's magnitude
+    # used to hold inf
+    (1.2e308, "stft"),
+])
+def test_tfr_overflowing_input_is_data_error(tmp_path, capsys, amp, method):
+    src = tmp_path / "sig.csv"
+    rows = [f"{k / 16.0!r},{amp * math.cos(math.pi * k / 4 + math.pi / 4)!r}"
+            for k in range(2000)]
+    src.write_text("\n".join(["# rate_hz=16", "# t_start_s=0", "time_s,value", *rows]))
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["tfr", "--set", f"input={src}", "--set", "analysis.window_s=4",
+                   "--set", f"analysis.method={method}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "data error: the transform overflows float64" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_tfr_products_need_no_more_memory_than_the_transform(tmp_path):
     # the run keeps one real magnitude of the SST and frees every
     # full-size temporary once used: masking, display and writing all fit
@@ -805,8 +840,8 @@ _METADATA_RUNS = {
 
 def test_csv_metadata_names_what_ran(tmp_path, small_config):
     signal, beats = tmp_path / "signal.csv", tmp_path / "beats.csv"
-    write_uniform_csv(signal, UniformSignal(np.cos(np.arange(160) / 3.0), 16.0, 0.0),
-                      {})
+    write_file(signal, write_uniform_csv,
+               UniformSignal(np.cos(np.arange(160) / 3.0), 16.0, 0.0), {})
     beats.write_text("time_s\n" + "".join(
         f"{0.7 * k + 0.004 * (k * 7919 % 13)!r}\n" for k in range(160)))
     for run, (argv, rules) in _METADATA_RUNS.items():
@@ -860,6 +895,25 @@ def test_physio_non_finite_row_is_data_error(tmp_path, capsys):
     rc = main(["physio", "--set", f"input={src}", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "row 32: non-finite value" in capsys.readouterr().err
+
+
+def test_physio_overflowing_input_is_data_error(tmp_path, capsys):
+    # EDR amplitudes about 1e300: the RM masses of mt_rm overflow, which
+    # used to write 1.6 million inf cells without a word
+    times = [0.7 * k + 0.004 * (k * 7919 % 13) for k in range(400)]
+    src = tmp_path / "peaks.csv"
+    src.write_text("time_s,amplitude\n" + "".join(
+        f"{t!r},{1e300 * (1.0 + 0.1 * math.cos(0.6 * math.pi * t))!r}\n" for t in times))
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["physio", "--set", f"input={src}", "--set", "analysis.method=mt_rm",
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "data error: the transform overflows float64" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not list(out.glob("edr_tfr*"))
 
 
 @pytest.mark.parametrize("duration", ["1e9", "1e308"])
@@ -951,19 +1005,19 @@ _LONG = 2 * _CSV_BLOCK_ROWS + 3
 ], ids=["specials", "all_equal", "one_row", "block_crossing", "dense",
         "complex", "curve_text_first", "curve_integers", "curve_specials",
         "curve_one_row", "curve_block_crossing"])
-def test_tfr_csv_matches_per_cell_reference(tmp_path, data):
+def test_tfr_csv_matches_per_cell_reference(data):
     meta = {"method": "stft", "hop": 2, "quantile_q": "0.5"}
-    path = tmp_path / "m.csv"
+    fh = io.BytesIO()
     if isinstance(data, dict):
-        write_curve_csv(path, data, meta)
+        write_curve_csv(fh, data, meta)
         want = reference_csv(meta, ",".join(data), zip(*data.values()))
     else:
         tfr = _tfr_of(data)
-        write_tfr_csv(path, tfr, meta)
+        write_tfr_csv(fh, tfr.matrix, tfr.freq_axis, tfr.time_axis, meta)
         want = reference_csv(meta, "freq_hz," + ",".join(
             format(t, ".17g") for t in tfr.time_axis),
             ([f, *row] for f, row in zip(tfr.freq_axis, np.abs(tfr.matrix))))
-    assert path.read_bytes() == want
+    assert fh.getvalue() == want
 
 
 def test_artifacts_get_mode_from_umask(tmp_path, small_config):
@@ -984,14 +1038,24 @@ def test_artifacts_get_mode_from_umask(tmp_path, small_config):
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
-    path = tmp_path / "kept.bin"
+    # an encoder that fails midway, through the sink that owns every file:
+    # an old target keeps its bytes, a new one is not created, no temp
+    # file is left and neither path is listed as written
+    outputs = cli._Outputs({"output": {"directory": str(tmp_path),
+                                       "formats": ["csv"]}})
+    path = tmp_path / "kept.csv"
     path.write_bytes(b"old")
-    with pytest.raises(RuntimeError):
-        with _atomic_write(path) as fh:
-            fh.write(b"partial")
-            raise RuntimeError("writer failed")
-    assert [p.name for p in tmp_path.iterdir()] == ["kept.bin"]
+
+    def failing(fh, text):
+        fh.write(text)
+        raise RuntimeError("encoder failed")
+
+    for name in ("kept.csv", "new.csv"):
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            outputs.write(name, failing, b"partial")
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
     assert path.read_bytes() == b"old"
+    assert outputs.written == []
 
 
 def _bits(values):
@@ -1008,8 +1072,8 @@ def _bits(values):
 def test_uniform_csv_roundtrip(tmp_path_factory, values, rate, t_start):
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
     with np.errstate(over="ignore", invalid="ignore"):
-        write_uniform_csv(path, UniformSignal(values, rate, t_start),
-                          {"method": "x"})
+        write_file(path, write_uniform_csv, UniformSignal(values, rate, t_start),
+                   {"method": "x"})
     back = read_uniform_csv(path)
     np.testing.assert_array_equal(_bits(back.values), _bits(values))
     assert _bits([back.rate, back.t_start]).tolist() \
@@ -1028,8 +1092,7 @@ def test_tfr1_roundtrip(tmp_path_factory, data, bins, frames):
     matrix = data.draw(arrays("<f8", (bins, frames)))
     freq, times = data.draw(_increasing(bins)), data.draw(_increasing(frames))
     path = tmp_path_factory.getbasetemp() / "roundtrip.tfr1"
-    write_tfr_binary(path, TFRepresentation(matrix, freq, times, "stft",
-                                            WindowMeta("gaussian", 3.0, 2, 1)))
+    write_file(path, write_tfr_binary, matrix, np.asarray(freq), np.asarray(times))
     mat, f, t = read_tfr_binary(path)
     np.testing.assert_array_equal(_bits(mat), _bits(np.abs(matrix)))
     np.testing.assert_array_equal(_bits(f), _bits(freq))
@@ -1039,7 +1102,8 @@ def test_tfr1_roundtrip(tmp_path_factory, data, bins, frames):
 @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "padded"])
 def test_tfr1_reader_checks_length(tmp_path, change):
     path = tmp_path / "m.tfr1"
-    write_tfr_binary(path, _tfr_of(np.random.default_rng(8).random((3, 5))))
+    tfr = _tfr_of(np.random.default_rng(8).random((3, 5)))
+    write_file(path, write_tfr_binary, tfr.matrix, tfr.freq_axis, tfr.time_axis)
     raw = path.read_bytes()
     assert len(raw) == 20 + 8 * (3 + 5 + 15)
     mat, _, _ = read_tfr_binary(path)

@@ -57,3 +57,30 @@ def test_scan_finds_each_kind_of_private_use():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_uses_another_modules_private_names(path):
     assert private_uses(path.read_text(encoding="utf-8")) == []
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The enclosing ``Class.function`` of each call to ``name`` (bare or as
+    an attribute) in ``source``, in source order; ``""`` at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*scope, child.name]
+            elif isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_output_sink_opens_artifact_files():
+    # every artifact is opened and committed by cli._Outputs.write; the
+    # writers only encode bytes, so none may open a file of its own
+    calls = [f"{path.name}: {caller}" for path in sorted(PACKAGE.glob("*.py"))
+             for caller in callers(path.read_text(encoding="utf-8"), "_atomic_write")]
+    assert calls == ["cli.py: _Outputs.write"]

@@ -6,7 +6,6 @@ import pytest
 from nyqmirror import (
     IMTSignal,
     builtin_scenario,
-    evaluate_imt,
     fig2_variant,
     validate_imt,
 )
@@ -26,12 +25,12 @@ def make_harmonic(freq=2.5, amp=1.0, eps=0.01):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_harmonic_at_zero():
-    assert evaluate_imt(make_harmonic(), 0.0) == 1.0
+    assert make_harmonic().evaluate(0.0) == 1.0
 
 
 def test_evaluate_harmonic_quarter_period():
     # phase 2.5 * 0.1 = 0.25 cycles
-    assert abs(evaluate_imt(make_harmonic(), 0.1)) < 1e-12
+    assert abs(make_harmonic().evaluate(0.1)) < 1e-12
 
 
 def test_evaluate_fig2_at_zero():
@@ -42,8 +41,8 @@ def test_evaluate_fig2_at_zero():
 def test_evaluate_vectorized_and_deterministic():
     sig = builtin_scenario("fig1").signal
     t = np.linspace(0.0, 5.0, 101)
-    a = evaluate_imt(sig, t)
-    b = evaluate_imt(sig, t)
+    a = sig.evaluate(t)
+    b = sig.evaluate(t)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(a, np.cos(2.0 * np.pi * 2.5 * t), atol=1e-12)
 

@@ -228,6 +228,29 @@ def test_multitaper_needs_two_tapers():
         multitaper(sig, 4.0, 1, 8, 2048)
 
 
+_TRANSFORMS = {
+    "stft": lambda sig, win: stft(sig, win, 8, 512),
+    "sst": lambda sig, win: synchrosqueeze(sig, win, 8, 512, 1e-8),
+    "rm": lambda sig, win: reassign(sig, win, 8, 512, 1e-8),
+    "mt_sst": lambda sig, win: multitaper(sig, 4.0, 3, 8, 512, "sst", 1e-8),
+    "mt_rm": lambda sig, win: multitaper(sig, 4.0, 3, 8, 512, "rm", 1e-8),
+}
+
+
+@pytest.mark.parametrize("amp, method", [
+    (1e300, "rm"), (1e300, "mt_rm"),  # the mass |V_g|^2 overflows
+    *[(1.7e308, method) for method in _TRANSFORMS],  # the FFT overflows
+])
+def test_overflowing_transform_is_refused(amp, method):
+    # finite input whose arithmetic overflows float64 is a ValueError, not
+    # inf cells or, through a floor of threshold * inf, an all-zero matrix;
+    # any RuntimeWarning fails the test
+    sig = tone(2.0, duration=30.0, rate=16.0, amp=amp)
+    win = make_windows("gaussian", 4.0, 16.0)[0]
+    with pytest.raises(ValueError, match="transform overflows float64"):
+        _TRANSFORMS[method](sig, win)
+
+
 def test_multitaper_ridge_matches_single_taper():
     sig = tone(2.5)
     win = make_windows("gaussian", 4.0, RATE)[0]
@@ -309,11 +332,14 @@ def test_log_display_zero_matrix():
 def test_log_display_unit_entry():
     from nyqmirror.tf_analysis import WindowMeta
 
+    # the top two of 100 entries are e - 1, so the 99.8% quantile (between
+    # order statistics 98 and 99) is e - 1 itself and does not clip them
     mat = np.zeros((10, 10))
-    mat[3, 4] = np.e - 1.0
+    mat[3, 4] = mat[7, 1] = np.e - 1.0
     tfr = TFRepresentation(mat, np.arange(10.0), np.arange(10.0), "rm",
                            WindowMeta("gaussian", 1.0, 1, 1))
-    disp = log_display(tfr, quantile=1.0)
+    disp = log_display(tfr)
+    assert disp.quantile_q == np.e - 1.0
     assert disp.matrix[3, 4] == pytest.approx(1.0, abs=1e-12)
 
 

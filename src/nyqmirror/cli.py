@@ -57,6 +57,7 @@ from .spline_interp import (
 )
 from .tf_analysis import (
     MULTITAPER_TAPERS,
+    TF_METHODS,
     TFRepresentation,
     log_display,
     make_windows,
@@ -133,7 +134,7 @@ _LEAVES = {
     "input": _Leaf(None, (str,)),
     "interpolation.scheme": _Leaf("bspline", choices=("bspline", "pchip")),
     "interpolation.order": _Leaf(3, lo=1, hi=_MAX_ORDER),
-    "analysis.method": _Leaf("sst", choices=("stft", "sst", "rm", "mt_sst", "mt_rm")),
+    "analysis.method": _Leaf("sst", choices=TF_METHODS),
     "analysis.window_s": _Leaf(10.0, positive=True),
     "analysis.hop": _Leaf(None, (int,), lo=1, hi=sys.maxsize),   # None: 8 frames/s
     "analysis.nfft": _Leaf(None, (int,), lo=1, hi=sys.maxsize),  # None: >= 16x window
@@ -664,6 +665,10 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
     # interpolation.scheme
     meta = {"scenario": scenario.name, "interpolation": "bspline", "order": order,
             "k_min": k_min, "k_max": k_max}
+    report = verify_reflection_theorem(
+        scenario.signal, scenario.scheme, order, max(abs(k_min), abs(k_max)),
+        scenario.resample_hz, (0.0, scenario.duration_s),
+    )
     if outputs.wants("csv"):
         comps = sorted(comps, key=lambda c: c.k)
         outputs.write("components.csv", write_curve_csv, {
@@ -672,10 +677,6 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
             "if_hz": np.concatenate([comp.if_curve(grid) for comp in comps]),
             "amplitude": np.concatenate([comp.amp_curve(grid) for comp in comps]),
         }, meta)
-    report = verify_reflection_theorem(
-        scenario.signal, scenario.scheme, order, max(abs(k_min), abs(k_max)),
-        scenario.resample_hz, (0.0, scenario.duration_s),
-    )
     outputs.write("residual_report.json", _write_json, {
         "residual": report.residual,
         "order": report.order,
@@ -696,34 +697,36 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
             lambda t: np.full_like(np.asarray(t, dtype=float), synth["resp_hz"]),
             synth["duration_s"], synth["modulation_depth"],
         )
-        outputs.write("rpeaks.csv", write_curve_csv,
-                      {"time_s": rec.times, "amplitude": rec.amplitudes}, {})
     else:
         raise ConfigError("physio needs either input (R-peak CSV) or physio.synth")
 
+    # everything that can refuse the run comes before the first file
     rate = phys["rate_hz"]
     est = estimate_isr(rec.times)
     grid = np.linspace(est.domain[0], est.domain[1], 801)
-    outputs.write("isr_estimate.csv", write_curve_csv,
-                  {"time_s": grid, "isr_hz": est.isr(grid)}, {})
-    outputs.write("inf_estimate.csv", write_curve_csv,
-                  {"time_s": grid, "inf_hz": est.inf(grid)}, {})
-
     ihr_sig = ihr_signal(rec, rate)
-    outputs.write("ihr.csv", write_uniform_csv, ihr_sig, {})
     if rec.amplitudes is not None:
         shaped = {"edr_scheme": phys["edr_scheme"]}  # only the EDR's artifacts
         target = edr_signal(rec, rate, phys["edr_scheme"])
         stem = "edr"
-        outputs.write("edr.csv", write_uniform_csv, target, shaped)
     else:
         shaped = {}
         target = UniformSignal(ihr_sig.values - np.mean(ihr_sig.values),
                                rate=ihr_sig.rate, t_start=ihr_sig.t_start)
         stem = "ihr_centered"
-
     tfr, meta = _run_analysis(cfg, target)
     meta.update(shaped)
+
+    if not cfg["input"]:
+        outputs.write("rpeaks.csv", write_curve_csv,
+                      {"time_s": rec.times, "amplitude": rec.amplitudes}, {})
+    outputs.write("isr_estimate.csv", write_curve_csv,
+                  {"time_s": grid, "isr_hz": est.isr(grid)}, {})
+    outputs.write("inf_estimate.csv", write_curve_csv,
+                  {"time_s": grid, "inf_hz": est.inf(grid)}, {})
+    outputs.write("ihr.csv", write_uniform_csv, ihr_sig, {})
+    if stem == "edr":
+        outputs.write("edr.csv", write_uniform_csv, target, shaped)
     _write_tfr_products(outputs, f"{stem}_tfr", tfr, meta)
     if cfg["mitigation"]["inf_mask"]:
         _mask_products(outputs, f"{stem}_tfr", tfr, est.inf, meta)

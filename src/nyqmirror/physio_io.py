@@ -18,6 +18,7 @@ from .sampling import SampleSet, SamplingScheme, sampling_times
 from .spline_interp import (
     UniformSignal,
     check_memory,
+    frozen,
     interpolate_nonuniform,
     interpolate_pchip,
     resample_uniform,
@@ -47,23 +48,21 @@ class RPeakRecord:
     amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).copy()
+        t = frozen(self.times)
+        object.__setattr__(self, "times", t)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("an R-peak record needs at least 2 peaks")
         if not np.all(np.isfinite(t)):
             raise ValueError("R-peak times must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("R-peak times must be strictly increasing")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
         if self.amplitudes is not None:
-            a = np.asarray(self.amplitudes, dtype=float).copy()
+            a = frozen(self.amplitudes)
+            object.__setattr__(self, "amplitudes", a)
             if a.shape != t.shape:
                 raise ValueError("amplitudes must match times in length")
             if not np.all(np.isfinite(a)):
                 raise ValueError("R-peak amplitudes must be finite")
-            a.setflags(write=False)
-            object.__setattr__(self, "amplitudes", a)
 
     def __len__(self) -> int:
         return self.times.size

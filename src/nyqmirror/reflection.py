@@ -213,11 +213,16 @@ def above_inf_energy_ratio(tfr: TFRepresentation,
                            inf_curve: Callable[[np.ndarray], np.ndarray]) -> float:
     """Fraction of |matrix| mass strictly above the INF curve per frame.
 
-    Returns 0 for an all-zero matrix.
+    Returns 0 for an all-zero matrix.  Magnitudes whose sum overflows,
+    though finite, give the same ratio over |matrix| / max |matrix|.
     """
     above = above_inf(tfr, inf_curve)
     mag = np.abs(tfr.matrix)
-    total = float(mag.sum())
+    with np.errstate(over="ignore"):  # rescaled below
+        total = float(mag.sum())
+    if not np.isfinite(total):
+        mag /= mag.max()
+        total = float(mag.sum())
     if total == 0.0:
         return 0.0
     return float(mag[above].sum()) / total

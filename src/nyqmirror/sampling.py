@@ -15,7 +15,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from .spline_interp import check_memory, interpolate_nonuniform
+from .spline_interp import check_memory, frozen, interpolate_nonuniform
 
 if TYPE_CHECKING:  # pragma: no cover
     from .signal_model import IMTSignal
@@ -86,8 +86,9 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
+        t, v = frozen(self.times), frozen(self.values)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if t.size < 2:
@@ -96,10 +97,6 @@ class SampleSet:
             raise ValueError("sample times and values must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return self.times.size

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .sampling import SamplingScheme, cosine_warp, quadratic_warp
+from .spline_interp import frozen
 
 __all__ = [
     "IMTSignal",
@@ -68,9 +69,7 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float).copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", frozen(self.grid))
 
     @property
     def passed(self) -> bool:

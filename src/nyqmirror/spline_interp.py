@@ -25,6 +25,7 @@ __all__ = [
     "SplineInterpolant",
     "UniformSignal",
     "check_memory",
+    "frozen",
     "fundamental_spline_spectrum",
     "interpolate_nonuniform",
     "interpolate_pchip",
@@ -162,8 +163,19 @@ def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# uniform signal container
+# containers
 # ---------------------------------------------------------------------------
+
+def frozen(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` (None: its own), the rule
+    of every container.  A read-only array is kept and so shared, even a view
+    of a writable buffer; a writable one is copied, out of its owner's reach."""
+    a = np.asarray(values, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
 
 @dataclass(frozen=True, eq=False)
 class UniformSignal:
@@ -174,7 +186,8 @@ class UniformSignal:
     t_start: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = frozen(self.values)
+        object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("uniform signal needs a 1-d array of length >= 2")
         if not np.all(np.isfinite(v)):
@@ -183,9 +196,6 @@ class UniformSignal:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if not np.isfinite(self.t_start):
             raise ValueError(f"t_start must be finite, got {self.t_start}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return self.values.size
@@ -280,9 +290,7 @@ class SplineInterpolant:
 
     def __post_init__(self):
         for name in ("knots", "coefficients"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def __call__(self, x) -> np.ndarray | float:
         xa = _clip_to_domain(x, self.domain, "spline evaluation")

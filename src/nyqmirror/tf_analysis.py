@@ -17,15 +17,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spline_interp import UniformSignal, check_memory
+from .spline_interp import UniformSignal, check_memory, frozen
 
 __all__ = [
-    "DisplayMatrix", "MULTITAPER_TAPERS", "TFRepresentation", "Window", "WindowMeta",
-    "log_display", "make_windows", "multitaper", "reassign", "ridge_extract", "stft",
-    "synchrosqueeze",
+    "DisplayMatrix", "MULTITAPER_TAPERS", "TF_METHODS", "TFRepresentation", "Window",
+    "WindowMeta", "log_display", "make_windows", "multitaper", "reassign",
+    "ridge_extract", "stft", "synchrosqueeze",
 ]
 
-_METHODS = ("stft", "sst", "rm", "mt_sst", "mt_rm")
+# the transforms a TFRepresentation may name (the CLI's analysis.method too)
+TF_METHODS = ("stft", "sst", "rm", "mt_sst", "mt_rm")
 # multitaper's least and most tapers: an average needs two, and Hermite
 # tapers past the tenth leak past the truncation (make_windows' bound too)
 MULTITAPER_TAPERS = (2, 10)
@@ -33,13 +34,6 @@ MULTITAPER_TAPERS = (2, 10)
 _BLOCK_CELLS = 1 << 15
 # bytes per cell of the matrices live at once in the largest transform
 _LIVE_BYTES_PER_CELL = 56
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
 
 
 class WindowMeta(NamedTuple):
@@ -66,9 +60,7 @@ class Window:
 
     def __post_init__(self):
         for name in ("samples", "derivative", "t_weighted"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
         if self.samples.size % 2 != 1:
             raise ValueError("window length must be odd")
 
@@ -155,12 +147,12 @@ class TFRepresentation:
     window_meta: WindowMeta
 
     def __post_init__(self):
-        # arrays handed over already frozen (write=False) are adopted
-        # without copying; writable inputs are copied defensively
-        m = _freeze(np.asarray(self.matrix))
-        f = _freeze(np.asarray(self.freq_axis, dtype=float))
-        t = _freeze(np.asarray(self.time_axis, dtype=float))
-        if self.method not in _METHODS:
+        m, f, t = (frozen(self.matrix, dtype=None), frozen(self.freq_axis),
+                   frozen(self.time_axis))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "freq_axis", f)
+        object.__setattr__(self, "time_axis", t)
+        if self.method not in TF_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if m.shape != (f.size, t.size):
             raise ValueError("matrix dimensions inconsistent with axes")
@@ -169,9 +161,6 @@ class TFRepresentation:
         if self.method in ("rm", "mt_rm", "mt_sst"):
             if np.iscomplexobj(m) or np.any(m < 0.0):
                 raise ValueError(f"{self.method} matrix must be real nonnegative")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "freq_axis", f)
-        object.__setattr__(self, "time_axis", t)
 
 
 def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
@@ -389,8 +378,7 @@ class DisplayMatrix:
     quantile_q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           _freeze(np.asarray(self.matrix, dtype=float)))
+        object.__setattr__(self, "matrix", frozen(self.matrix))
 
 
 def log_display(tfr: TFRepresentation) -> DisplayMatrix:

@@ -105,6 +105,14 @@ def test_malformed_set_is_config_error(tmp_path, capsys, assignment):
     assert not (tmp_path / "x").exists()
 
 
+def test_unknown_method_lists_every_transform(tmp_path, capsys):
+    # analysis.method's choices are tf_analysis.TF_METHODS
+    rc = main(["tfr", "--set", "analysis.method=wavelet", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert ('config error: analysis.method must be one of stft, sst, rm, mt_sst, '
+            'mt_rm, got "wavelet"') in capsys.readouterr().err
+
+
 def test_set_section_object_merges_like_config_file():
     cfg = load_config(None, ['interpolation={"order": 5}'])
     assert cfg["interpolation"] == {"scheme": "bspline", "order": 5}
@@ -496,6 +504,30 @@ def test_tfr_products_and_mask_report(tmp_path, small_config):
         curve = np.asarray(rows, dtype=float)
         inner = (curve[:, 0] > 3.0) & (curve[:, 0] < 9.0)
         assert np.median(curve[inner, 1]) == pytest.approx(target, abs=0.15)
+
+
+def test_mask_report_ratio_of_huge_magnitudes(tmp_path):
+    # from amp about 1e304 the plain sum of |matrix| overflows: the ratio
+    # used to read 0.0 (NaN at 1e305) after numpy's overflow warning
+    def ratio(amp):
+        scenario = {"signal": {"kind": "harmonic", "freq_hz": 1.2, "amp": amp},
+                    "scheme": {"kind": "cosine", "base_hz": 5.0, "depth_hz": 0.5,
+                               "period_s": 20.0},
+                    "duration_s": 40.0, "resample_hz": 16.0}
+        out = tmp_path / f"amp{amp:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["tfr", "--set", f"scenario={json.dumps(scenario)}",
+                       "--set", "analysis.window_s=4",
+                       "--set", "mitigation.inf_mask=true", "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "mask_report.json").read_text())
+        return report["above_inf_ratio_before"]
+
+    unit = ratio(1.0)
+    assert unit == pytest.approx(0.0182202, rel=1e-5)
+    for amp in (1e304, 1e305):
+        assert ratio(amp) == pytest.approx(unit, rel=1e-12)
 
 
 def test_tfr_inf_at_grid_nyquist_writes_every_product(tmp_path):
@@ -914,6 +946,34 @@ def test_physio_overflowing_input_is_data_error(tmp_path, capsys):
     assert "data error: the transform overflows float64" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not list(out.glob("edr_tfr*"))
+
+
+@pytest.mark.parametrize("args, message", [
+    # the transform overflows after the ISR, IHR and EDR curves are ready
+    (["physio", "--set", "input={peaks}", "--set", "analysis.method=rm"],
+     "the transform overflows float64"),
+    # the ISR estimate refuses a 2 s synthetic train
+    (["physio", "--set", 'physio.synth={"duration_s": 2}'],
+     "ISR estimation needs >= 5 times"),
+    # the residual check refuses what the components do not
+    (["predict", "--set", "interpolation.order=12", "--set", "scenario=" + json.dumps(
+        {**SMALL_SCENARIO, "scheme": {"kind": "uniform", "rate_hz": 8.0},
+         "duration_s": 2.0})],
+     "span too short"),
+], ids=["physio-overflow", "physio-short-synth", "predict-short-span"])
+def test_refused_run_writes_no_file(tmp_path, capsys, args, message):
+    # each of these used to leave the files it had written before the refusal
+    times = [0.7 * k + 0.004 * (k * 7919 % 13) for k in range(400)]
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("time_s,amplitude\n" + "".join(
+        f"{t!r},{1e300 * (1.0 + 0.1 * math.cos(0.6 * math.pi * t))!r}\n" for t in times))
+    out = tmp_path / "x"
+    rc = main([arg.replace("{peaks}", str(peaks)) for arg in args] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"data error: {message}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("duration", ["1e9", "1e308"])

@@ -1,0 +1,63 @@
+"""The containers' one read-only-array rule, ``spline_interp.frozen``: every
+array a container holds is read-only, a writable input is copied, and a
+read-only input is shared."""
+
+import numpy as np
+import pytest
+
+from nyqmirror import SampleSet, SplineInterpolant, UniformSignal, ValidationReport
+from nyqmirror.physio_io import RPeakRecord
+from nyqmirror.spline_interp import frozen
+from nyqmirror.tf_analysis import DisplayMatrix, TFRepresentation, Window, WindowMeta
+
+# each container's array fields, with valid values, and its other fields
+ARRAYS = {
+    SampleSet: {"times": [0.0, 1.0, 2.5], "values": [1.0, -1.0, 0.5]},
+    RPeakRecord: {"times": [0.0, 0.8, 1.7], "amplitudes": [1.0, 1.1, 0.9]},
+    UniformSignal: {"values": [0.0, 1.0, 0.5]},
+    SplineInterpolant: {"knots": [0.0, 0.0, 1.0, 2.0, 2.0],
+                        "coefficients": [1.0, 2.0, 3.0]},
+    ValidationReport: {"grid": [0.0, 0.5, 1.0]},
+    Window: {"samples": [0.5, 1.0, 0.5], "derivative": [1.0, 0.0, -1.0],
+             "t_weighted": [-0.5, 0.0, 0.5]},
+    TFRepresentation: {"matrix": [[1.0, 2.0], [3.0, 4.0]], "freq_axis": [0.0, 1.0],
+                       "time_axis": [0.0, 0.5]},
+    DisplayMatrix: {"matrix": [[0.01, 1.0], [0.5, 0.2]]},
+}
+OTHERS = {
+    UniformSignal: {"rate": 4.0},
+    SplineInterpolant: {"order": 1, "domain": (0.0, 2.0)},
+    ValidationReport: {"violations": ()},
+    Window: {"family": "gaussian", "duration_s": 1.0},
+    TFRepresentation: {"method": "rm", "window_meta": WindowMeta("gaussian", 1.0, 1, 1)},
+    DisplayMatrix: {"quantile_q": 1.0},
+}
+
+
+@pytest.mark.parametrize("cls", list(ARRAYS), ids=lambda cls: cls.__name__)
+def test_container_arrays_are_read_only(cls):
+    inputs = {name: np.array(values) for name, values in ARRAYS[cls].items()}
+    box = cls(**inputs, **OTHERS.get(cls, {}))
+    assert not any(getattr(box, name).flags.writeable for name in inputs)
+    # the owner of a writable input writes into it after construction
+    for a in inputs.values():
+        a += 1.0
+    for name, values in ARRAYS[cls].items():
+        np.testing.assert_array_equal(getattr(box, name), values)
+    # a read-only input is kept as it is, not copied
+    for a in inputs.values():
+        a.setflags(write=False)
+    shared = cls(**inputs, **OTHERS.get(cls, {}))
+    assert all(np.shares_memory(getattr(shared, name), a) for name, a in inputs.items())
+
+
+def test_frozen_keeps_read_only_views():
+    # a read-only view of a writable buffer is kept too (RM hands its output
+    # over as one): the buffer's owner must not write into it afterwards
+    buffer = np.arange(6.0)
+    view = buffer[:-1].reshape(5, 1)
+    view.setflags(write=False)
+    assert frozen(view) is view
+    assert frozen(view, dtype=None) is view
+    copied = frozen(buffer)
+    assert not copied.flags.writeable and not np.shares_memory(copied, buffer)

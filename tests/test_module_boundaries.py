@@ -84,3 +84,13 @@ def test_only_the_output_sink_opens_artifact_files():
     calls = [f"{path.name}: {caller}" for path in sorted(PACKAGE.glob("*.py"))
              for caller in callers(path.read_text(encoding="utf-8"), "_atomic_write")]
     assert calls == ["cli.py: _Outputs.write"]
+
+
+def test_containers_freeze_arrays_only_through_frozen():
+    # spline_interp.frozen is the one read-only-array rule: no container
+    # copies or freezes its arrays itself
+    containers = {f"{path.name}: {caller}" for path in PACKAGE.glob("*.py")
+                  for name in ("copy", "setflags")
+                  for caller in callers(path.read_text(encoding="utf-8"), name)
+                  if caller.endswith(".__post_init__")}
+    assert sorted(containers) == []

@@ -1,5 +1,7 @@
 """Image-component prediction, synthesis, and the residual check."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,17 @@ def test_ratio_counts_strictly_above():
     tfr = flat_tfr(mat)
     got = above_inf_energy_ratio(tfr, lambda t: np.full_like(t, 2.0))
     assert got == pytest.approx(12.0 / 16.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e306, 5e307])
+def test_ratio_survives_a_sum_that_overflows(scale):
+    # 16 cells of finite magnitude: at 5e307 their plain sum overflows,
+    # which used to give inf / inf (NaN) and numpy's overflow warning
+    mat = np.zeros((8, 4))
+    mat[2, :] = scale
+    mat[6, :] = 3.0 * scale
+    tfr = flat_tfr(mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = above_inf_energy_ratio(tfr, lambda t: np.full_like(t, 2.0))
+    assert got == pytest.approx(12.0 / 16.0, rel=1e-15)

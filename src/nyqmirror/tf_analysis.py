@@ -247,22 +247,22 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
                threshold: float, chunk: int, method: str) -> TFRepresentation:
     """Synchrosqueezed ('sst') or reassigned ('rm') transform.  The base
     pass keeps V_g frames-major and a running max|V_g| for the floor
-    threshold * max|V_g| (rm also keeps every |V_g|, for its masses); a
-    second pass makes V_dg (and V_tg) per block and adds each kept
-    coefficient (for rm its mass, in one final bincount) into its target
-    cell, while a dropped one goes to a trash slot past the matrix."""
+    threshold * max|V_g|; a second pass makes V_dg (and V_tg) and |V_g|
+    per block, and one np.add.at per block, over a flat frames-major index
+    (ufunc.at's fast path), sums each kept coefficient (for rm its mass
+    |V_g|^2) into its target cell of the bins-major output; a dropped one
+    goes to a trash slot past the matrix.  No full |V_g| or index is kept."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
     n_bins, n_frames = freqs.size, times.size
     sst = method == "sst"
     v_all = np.empty((n_frames, n_bins), dtype=complex)
-    mag = np.empty((step if sst else n_frames, n_bins))
+    mag = np.empty((step, n_bins))
     peak, column = -np.inf, 0.0
     for start, spec in _spectra(sig.values, window.samples[None], hop, nfft,
                                 step, v_all[None]):
-        n = spec.shape[1]
-        m = np.abs(spec[0], out=mag[:n] if sst else mag[start:start + n])
+        m = np.abs(spec[0], out=mag[:spec.shape[1]])
         peak = np.maximum(peak, m.max())  # NaN passes, as in ndarray.max
         if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
             with np.errstate(over="ignore"):  # refused below
@@ -272,10 +272,8 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
     floor = threshold * float(peak) if threshold > 0.0 else 0.0
 
     est = np.empty((1 if sst else 2, step, n_bins))  # bin (and frame) targets
-    # sst adds V_g's real and imaginary parts into interleaved slots of the
-    # block's bins-major sums; rm keeps every cell's (bin, frame) index
-    flat = np.empty((step, n_bins, 2) if sst else (n_frames, n_bins), dtype=np.intp)
-    out = np.empty((n_bins, n_frames), dtype=complex) if sst else None
+    cells = np.empty((step, n_bins), dtype=np.intp)  # bin * n_frames + frame
+    out = np.zeros(n_bins * n_frames + 1, dtype=complex if sst else float)
     taps = np.stack([window.derivative, window.t_weighted][:1 if sst else 2])
     grid = np.arange(max(n_bins, n_frames), dtype=float)  # own bin or frame index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -283,34 +281,25 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
             n = spec.shape[1]
             frames = slice(start, start + n)
             v, fbin = v_all[frames], est[0, :n]
-            m = np.abs(v, out=mag[:n]) if sst else mag[frames]
+            m = np.abs(v, out=mag[:n])
             # each ratio overwrites its spectrum; kept cells: as V_dg / where(kept, V_g, 1)
             r = np.divide(spec[0], v, out=spec[0])
             np.subtract(freqs, np.divide(r.imag, 2.0 * np.pi, out=fbin), out=fbin)
             _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
-            if sst:
-                stride, col = 2 * n, 2.0 * np.arange(n)[:, None]
+            if sst:  # each coefficient stays in its own frame
+                col = grid[frames, None]
             else:
-                stride, col = n_frames, est[1, :n]
+                col = est[1, :n]
                 np.add(times[frames, None], np.divide(spec[1], v, out=spec[1]).real, out=col)
                 np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
                 _nearest(np.divide(col, hop, out=col), grid[frames, None], n_frames)
-            np.add(np.multiply(fbin, stride, out=fbin), col, out=fbin)
-            np.copyto(fbin, stride * n_bins, where=~(m > floor))
-            np.copyto(flat[:n, :, 0] if sst else flat[frames], fbin, casting="unsafe")
-            if sst:
-                np.add(flat[:n, :, 0], 1, out=flat[:n, :, 1])
-                sums = np.bincount(flat[:n].ravel(), v.view(float).ravel(),
-                                   minlength=2 * n_bins * n + 2)
-                out[:, frames] = sums[:-2].view(complex).reshape(n_bins, n)
-            else:
-                np.square(m, out=m)
-    if not sst:
-        del v_all
-        out = np.bincount(flat.ravel(), mag.ravel(), minlength=mag.size + 1)
-        out = out[:-1].reshape(n_bins, n_frames)
-        if not np.isfinite(out.max()):  # a squared |V_g| or a sum of them
-            raise _overflow(sig.values)
+            np.add(np.multiply(fbin, n_frames, out=fbin), col, out=fbin)
+            np.copyto(fbin, out.size - 1, where=~(m > floor))
+            np.copyto(cells[:n], fbin, casting="unsafe")
+            np.add.at(out, cells[:n].ravel(), (v if sst else np.square(m, out=m)).ravel())
+    out = out[:-1].reshape(n_bins, n_frames)
+    if not sst and not np.isfinite(out.max()):  # a squared |V_g| or a sum of them
+        raise _overflow(sig.values)
     out.setflags(write=False)
     meta = WindowMeta(window.family, window.duration_s, hop, 1)
     return TFRepresentation(out, freqs, times, method, meta)

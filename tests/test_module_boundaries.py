@@ -94,3 +94,14 @@ def test_containers_freeze_arrays_only_through_frozen():
                   for caller in callers(path.read_text(encoding="utf-8"), name)
                   if caller.endswith(".__post_init__")}
     assert sorted(containers) == []
+
+
+def test_sharpened_transforms_reduce_through_one_scatter_add():
+    # SST and RM sum each block into their output with the one np.add.at in
+    # _sharpened: tf_analysis keeps no second reduction path
+    source = (PACKAGE / "tf_analysis.py").read_text(encoding="utf-8")
+    assert callers(source, "bincount") == []
+    assert callers(source, "at") == ["_sharpened"]
+    assert {ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "at"
+            } == {"np.add.at"}

@@ -566,6 +566,16 @@ def test_sst_peak_is_about_its_base_spectrum_and_output():
     assert peak <= 2.1 * tfr.matrix.nbytes
 
 
+def test_rm_peak_is_about_its_base_spectrum_and_output():
+    # V_g kept frames-major (2x the real output) plus the output is 3x; a
+    # full |V_g| or target-index matrix would add 1x each.  The per-block
+    # buffers are about 0.2x at these 4097 x 640 cells.
+    win = make_windows("gaussian", 4.0, RATE)[0]
+    tfr, peak = traced_peak(reassign, tone(6.0, duration=10.0), win, 1, 8192, 1e-8)
+    assert tfr.matrix.size >= 2_500_000
+    assert peak <= 3.3 * tfr.matrix.nbytes
+
+
 @pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
 def test_transform_peak_within_memory_refusal_estimate(method):
     # the memory refusal multiplies the cell count by _LIVE_BYTES_PER_CELL:

@@ -52,7 +52,7 @@ def lowpass_prefilter(sig: UniformSignal, cutoff_hz: float,
     for signals that are not band-limited this perturbs rather than
     removes interpolation images, so it is not part of default pipelines.
     """
-    # imported here: scipy.signal would add ~0.45 s to every import
+    # imported here: scipy.signal would add ~1 s to every import
     from scipy.signal import filtfilt, firwin, kaiserord
 
     if cutoff_hz <= 0.0 or transition_hz <= 0.0:

@@ -15,10 +15,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from math import prod
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
+import scipy
 
 __all__ = [
     "PchipInterpolant",
@@ -35,6 +37,29 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+
+
+def _load_lapack(linalg_dir: str):
+    """scipy's compiled LAPACK wrappers, loaded from their file in
+    ``linalg_dir`` without running the ``scipy.linalg`` package import (about
+    0.2 s, ``numpy.f2py`` included).  CPython hands the same routines to any
+    later ``scipy.linalg`` import, so results do not depend on the path taken.
+    An optimisation only: where the file is missing or does not load, the
+    public ``scipy.linalg.lapack``."""
+    finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is not None:
+        try:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+    from scipy.linalg import lapack
+    return lapack
+
+
+_lapack = _load_lapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +397,9 @@ def interpolate_nonuniform(samples, n: int) -> SplineInterpolant:
     Raises
     ------
     ValueError
-        Too few samples, or a singular / ill-conditioned collocation
-        matrix (1-norm condition estimate above 1e12).
+        Too few samples, more samples than physical memory can solve for,
+        or a singular / ill-conditioned collocation matrix (1-norm
+        condition estimate above 1e12).
     """
     times = np.asarray(samples.times, dtype=float)
     values = np.asarray(samples.values, dtype=float)
@@ -384,10 +410,13 @@ def interpolate_nonuniform(samples, n: int) -> SplineInterpolant:
             f"order-{n} interpolation needs at least {n + 1} samples, "
             f"got {times.size}"
         )
+    m = times.size
+    # measured 72 (n + 1) + 29 bytes per sample at order n; allow about twice that
+    check_memory(m * 144.0 * (n + 2), f"{m} samples at order {n}",
+                 "use fewer samples or a lower spline order")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
 
-    m = times.size
     ext = _not_a_knot_vector(times, n)
 
     spans = _find_spans(ext, n, times)
@@ -437,7 +466,7 @@ class PchipInterpolant:
     def __init__(self, times: np.ndarray, values: np.ndarray):
         self.knots = times
         self.domain = (float(times[0]), float(times[-1]))
-        # imported here: scipy.interpolate would add ~0.3 s to every import
+        # imported here: scipy.interpolate would add ~0.5 s to every import
         from scipy.interpolate import PchipInterpolator
         self._pchip = PchipInterpolator(times, values, extrapolate=False)
 

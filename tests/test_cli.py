@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nyqmirror import UniformSignal, __version__, cli
+from nyqmirror import UniformSignal, __version__, cli, spline_interp
 from nyqmirror.cli import (
     _CSV_BLOCK_ROWS,
     DEFAULT_CONFIG,
@@ -143,17 +143,42 @@ def _scenario_with(**parts):
     return "scenario=" + json.dumps({**SMALL_SCENARIO, **parts})
 
 
-def test_cli_import_leaves_scipy_signal_and_interpolate_unloaded():
-    # both load on first use only (the low-pass filter, PCHIP), so no
-    # default command pays for their import
+_SYNTH = 'physio.synth={"duration_s": 60}'
+_HEAVY_SCIPY = ("scipy.linalg", "scipy.signal", "scipy.interpolate")
+
+
+def _loaded_heavy_scipy(code: str) -> str:
+    """The last stdout line of ``code`` run in a fresh interpreter, which
+    ends by printing which of ``_HEAVY_SCIPY`` it has imported."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, nyqmirror.cli; print(sorted(m for m in sys.modules"
-            " if m in ('scipy.signal', 'scipy.interpolate')))")
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m in {_HEAVY_SCIPY}))"
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_signal_and_interpolate_unloaded():
+    # scipy.signal and scipy.interpolate load on first use only (the
+    # low-pass filter, PCHIP), and the banded LU comes from scipy's LAPACK
+    # extension without the scipy.linalg package, so no default command
+    # pays for their import
+    assert _loaded_heavy_scipy("import nyqmirror.cli") == "[]"
+
+
+def test_commands_leave_heavy_scipy_unloaded(tmp_path):
+    # nor does running the commands move those imports into the run
+    jobs = [
+        ["predict", "--set", "interpolation.order=3"],
+        ["tfr", "--set", _scenario_with(), "--set", "analysis.window_s=3",
+         "--set", "analysis.method=sst", "--set", "mitigation.inf_mask=true"],
+        ["physio", "--set", _SYNTH, "--set", "analysis.window_s=8",
+         "--set", "analysis.method=mt_rm", "--set", "mitigation.inf_mask=true"],
+    ]
+    jobs = [[*job, "--out", str(tmp_path / job[0])] for job in jobs]
+    code = f"from nyqmirror.cli import main\nassert [main(j) for j in {jobs!r}] == [0, 0, 0]"
+    assert _loaded_heavy_scipy(code) == "[]"
 
 
 @pytest.mark.parametrize("depth", [8.0, -9.5])
@@ -165,9 +190,6 @@ def test_cosine_scheme_needs_base_above_depth(tmp_path, capsys, depth):
     assert rc == 1
     assert "config error" in err and "scenario.scheme" in err
     assert not out.exists()
-
-
-_SYNTH = 'physio.synth={"duration_s": 60}'
 
 
 @pytest.mark.parametrize("command, assignment, key", [
@@ -987,6 +1009,23 @@ def test_physio_synth_too_long_for_memory_is_data_error(tmp_path, capsys, durati
     assert rc == 2
     assert "data error" in err and "bytes of memory" in err
     assert "duration_s (" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_physio_collocation_too_large_for_memory_is_data_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the interval spline of an R-peak CSV is refused before its banded
+    # matrix is allocated; nothing else in this run checks its size first
+    monkeypatch.setattr(spline_interp, "_physical_memory", lambda: 1e5)
+    src = tmp_path / "peaks.csv"
+    src.write_text("time_s,amplitude\n" + "".join(
+        f"{0.8 * k + 0.01 * (k % 3)!r},1.0\n" for k in range(400)))
+    out = tmp_path / "x"
+    rc = main(["physio", "--set", f"input={src}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and "samples at order 3 need ~" in err
+    assert "bytes of memory" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -59,23 +59,70 @@ def test_no_module_uses_another_modules_private_names(path):
     assert private_uses(path.read_text(encoding="utf-8")) == []
 
 
-def callers(source: str, name: str) -> list[str]:
-    """The enclosing ``Class.function`` of each call to ``name`` (bare or as
-    an attribute) in ``source``, in source order; ``""`` at module level."""
-    found = []
+def scoped(source: str):
+    """Each node of ``source`` with its enclosing ``Class.function``, in
+    source order; ``""`` at module level."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            yield ".".join(scope), child
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = [*scope, child.name]
-            elif isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                found.append(".".join(scope))
-            visit(child, inner)
+            yield from visit(child, inner)
 
-    visit(ast.parse(source), [])
+    yield from visit(ast.parse(source), [])
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The enclosing ``Class.function`` of each call to ``name`` (bare or as
+    an attribute) in ``source``, in source order; ``""`` at module level."""
+    return [scope for scope, node in scoped(source) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+# each costs 0.2 to 1 s of start-up, which every run would pay at module level
+HEAVY_SCIPY = ("scipy.linalg", "scipy.signal", "scipy.interpolate")
+
+
+def heavy_imports(source: str) -> list[str]:
+    """``scope: package`` for each import statement in ``source`` that loads
+    a ``HEAVY_SCIPY`` package, in source order; scope as in ``scoped``."""
+    found = []
+    for scope, node in scoped(source):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{scope}: {package}" for package in HEAVY_SCIPY
+                  if any(f"{name}.".startswith(f"{package}.") for name in names)]
     return found
+
+
+def test_scan_finds_each_heavy_import():
+    source = ("import scipy, scipy.fft\n"
+              "from scipy import linalg, special\n"
+              "import scipy.signal.windows as w\n"
+              "from scipy.interpolate import PchipInterpolator\n"
+              "from scipy.linalgx import y\n"
+              "class C:\n"
+              "    def f(self):\n"
+              "        from scipy.linalg import lapack\n")
+    assert heavy_imports(source) == [
+        ": scipy.linalg", ": scipy.signal", ": scipy.interpolate",
+        "C.f: scipy.linalg"]
+
+
+def test_heavy_scipy_packages_load_only_where_used():
+    # none at module level: the two users import theirs on first use, and
+    # scipy.linalg is only the loader's fallback for the LAPACK wrappers
+    found = [f"{path.name}: {where}" for path in sorted(PACKAGE.glob("*.py"))
+             for where in heavy_imports(path.read_text(encoding="utf-8"))]
+    assert found == ["mitigation.py: lowpass_prefilter: scipy.signal",
+                     "spline_interp.py: _load_lapack: scipy.linalg",
+                     "spline_interp.py: PchipInterpolant.__init__: scipy.interpolate"]
 
 
 def test_only_the_output_sink_opens_artifact_files():

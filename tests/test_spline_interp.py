@@ -1,6 +1,10 @@
 """Basis functions, kernel spectrum, and interpolation schemes."""
 
+import os
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nyqmirror import (
     SampleSet,
+    spline_interp,
     fundamental_spline_spectrum,
     interpolate_nonuniform,
     interpolate_pchip,
@@ -323,6 +328,71 @@ def test_ill_conditioned_knots_raise_with_span():
     t = np.array([0.0, 1.0, 2.0, 2.0 + 1e-14, 3.0, 4.0, 5.0, 6.0])
     with pytest.raises(ValueError, match="knot span"):
         interpolate_nonuniform(SampleSet(times=t, values=np.sin(t)), 3)
+
+
+def _solve_all():
+    """Coefficients at orders 1, 3 and 12, and an ill-conditioning refusal,
+    as the current LAPACK routines give them."""
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.uniform(0.0, 30.0, 200)) + np.arange(200) * 0.01
+    samples = SampleSet(times=t, values=rng.normal(size=200))
+    coeffs = [interpolate_nonuniform(samples, n).coefficients.tobytes()
+              for n in (1, 3, 12)]
+    t = np.array([0.0, 1.0, 2.0, 2.0 + 1e-14, 3.0, 4.0, 5.0, 6.0])
+    with pytest.raises(ValueError, match="ill-conditioned") as refusal:
+        interpolate_nonuniform(SampleSet(times=t, values=np.sin(t)), 3)
+    return coeffs, str(refusal.value)
+
+
+@pytest.mark.parametrize("plant", [None, "not an ELF file"], ids=["missing", "broken"])
+def test_lapack_fallback_gives_the_same_results(tmp_path, monkeypatch, plant):
+    # a directory without a loadable _flapack sends the loader to the public
+    # scipy.linalg.lapack, whose banded LU and solve are the same routines
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    if plant is not None:
+        (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_text(plant)
+    fallback = spline_interp._load_lapack(str(tmp_path))
+    assert fallback.__name__ == "scipy.linalg.lapack"
+    fast = _solve_all()
+    monkeypatch.setattr(spline_interp, "_lapack", fallback)
+    assert _solve_all() == fast
+
+
+def test_lapack_fast_path_is_scipy_linalg_lapack():
+    # loaded by file, the wrappers are the very objects a later scipy.linalg
+    # import hands out, and the package itself is never imported
+    src = str(Path(spline_interp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from nyqmirror import spline_interp as si\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert si._lapack.__name__ == 'scipy.linalg._flapack'\n"
+            "from scipy.linalg import lapack\n"
+            "assert si._lapack.dgbtrf is lapack.dgbtrf\n"
+            "assert si._lapack.dgbtrs is lapack.dgbtrs\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_collocation_memory_estimate_is_twice_its_traced_peak(monkeypatch, n):
+    # the size check, made before anything is allocated, asks for at least
+    # twice what the solve allocates
+    import tracemalloc
+
+    checks = []
+    monkeypatch.setattr(spline_interp, "check_memory",
+                        lambda need, what, remedy: checks.append((need, what)))
+    t = np.arange(5000.0) + np.random.default_rng(n).uniform(0.0, 0.5, 5000)
+    samples = SampleSet(times=t, values=np.sin(t))
+    tracemalloc.start()
+    try:
+        interpolate_nonuniform(samples, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(need, what)] = checks
+    assert what == f"5000 samples at order {n}" and 2.0 * peak <= need
 
 
 def test_no_extrapolation():

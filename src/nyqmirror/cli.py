@@ -8,9 +8,10 @@ whose format is in ``output.formats``, plus its JSON reports, and prints
 their paths in write order.  Output files are written atomically, embed
 a metadata header naming what ran (each pipeline stage returns its own)
 and are bit-reproducible (no wall clock, no RNG).
-Every product of a TF matrix is a magnitude: a complex transform's
-magnitude is taken once, right after it, and the run keeps that one real
-matrix.
+Every product of a TF matrix is a magnitude: the analysis stage gets the
+real magnitude from ``tf_analysis.tf_magnitude`` (the library transforms
+stay complex; the SST never builds its complex matrix here), and the run
+keeps that one real matrix.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
@@ -59,13 +60,10 @@ from .tf_analysis import (
     MULTITAPER_TAPERS,
     TF_METHODS,
     TFRepresentation,
+    as_magnitude,
     log_display,
-    make_windows,
-    multitaper,
-    reassign,
     ridge_extract,
-    stft,
-    synchrosqueeze,
+    tf_magnitude,
 )
 
 __all__ = [
@@ -314,8 +312,8 @@ def _meta_lines(meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# rows per block in _write_csv's bulk ``%`` calls and write_pgm's
-# scaling: large enough to amortise the per-block numpy calls, small
+# rows per block in _write_csv's bulk ``%`` calls, write_tfr_binary's
+# ``np.abs`` and write_pgm's scaling: large enough to amortise the per-block numpy calls, small
 # enough that a block's text (about 3 MB at 640 frames) stays far below
 # the matrix itself
 _CSV_BLOCK_ROWS = 256
@@ -408,11 +406,11 @@ def write_uniform_csv(fh, sig: UniformSignal, meta: dict):
 
 
 def write_tfr_binary(fh, matrix, freq_axis, time_axis):
-    mag = np.ascontiguousarray(np.abs(matrix), dtype="<f8")
-    fh.write(b"TFR1" + np.asarray(mag.shape, dtype="<u8").tobytes())
+    fh.write(b"TFR1" + np.asarray(matrix.shape, dtype="<u8").tobytes())
     fh.write(freq_axis.astype("<f8").tobytes())
     fh.write(time_axis.astype("<f8").tobytes())
-    fh.write(mag)
+    for start in range(0, len(matrix), _CSV_BLOCK_ROWS):  # no full-size copy
+        fh.write(np.abs(matrix[start:start + _CSV_BLOCK_ROWS]).astype("<f8", copy=False))
 
 
 def read_tfr_binary(path: Path):
@@ -435,7 +433,7 @@ def read_tfr_binary(path: Path):
 
 
 def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict):
-    mag = np.abs(matrix)
+    mag = as_magnitude(matrix)
     # equal floats format alike once np.abs has turned -0.0 into 0.0; fmin
     # skips NaN cells
     low = np.fmin.reduce(mag, axis=None) if mag.size else np.nan
@@ -446,6 +444,7 @@ def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict):
 def write_pgm(fh, matrix, meta: dict) -> None:
     span = float(matrix.max() - 1e-2)
     pixels = np.zeros(matrix.shape, dtype=np.uint8)
+    flipped = pixels[::-1]  # highest frequency on top
     if not span <= 0.0:
         # rint((matrix - 1e-2) / span * 255) in place, a block of rows at a
         # time: no full-size float temporary
@@ -453,12 +452,11 @@ def write_pgm(fh, matrix, meta: dict) -> None:
             scaled = np.subtract(matrix[start:start + _CSV_BLOCK_ROWS], 1e-2)
             np.divide(scaled, span, out=scaled)
             np.multiply(scaled, 255.0, out=scaled)
-            pixels[start:start + _CSV_BLOCK_ROWS] = np.rint(scaled, out=scaled)
-    pixels = pixels[::-1, :]  # highest frequency on top
+            flipped[start:start + _CSV_BLOCK_ROWS] = np.rint(scaled, out=scaled)
     brief = " ".join(f"{k}={meta[k]}" for k in ("method", "window_s", "hop"))
     fh.write(f"P5\n# artifact=nyqmirror {__version__} {brief}\n"
              f"{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii"))
-    fh.write(pixels.tobytes())
+    fh.write(pixels)
 
 
 class _Outputs:
@@ -509,29 +507,16 @@ def _run_analysis(cfg, sig: UniformSignal) -> tuple[TFRepresentation, dict]:
     ana, lowpass = cfg["analysis"], cfg["mitigation"]["lowpass"]
     if lowpass is not None:
         sig = lowpass_prefilter(sig, lowpass["cutoff_hz"], lowpass["transition_hz"])
-    method, threshold = ana["method"], ana["threshold"]
     window_s, hop, nfft = _analysis_params(cfg, sig.rate)
-    if method in ("mt_sst", "mt_rm"):
-        tfr = multitaper(sig, window_s, ana["tapers"], hop, nfft,
-                         method.removeprefix("mt_"), threshold)
-    else:
-        window = make_windows("gaussian", window_s, sig.rate)[0]
-        tfr = (stft(sig, window, hop, nfft) if method == "stft" else
-               reassign(sig, window, hop, nfft, threshold) if method == "rm" else
-               synchrosqueeze(sig, window, hop, nfft, threshold))
-    if np.iscomplexobj(tfr.matrix):
-        # every product is a magnitude: take it once, and let the complex go
-        mag = np.abs(tfr.matrix)
-        mag.setflags(write=False)
-        tfr = TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, tfr.method,
-                               tfr.window_meta)
+    tfr = tf_magnitude(sig, ana["method"], window_s, hop, nfft, ana["tapers"],
+                       ana["threshold"])
     ran = tfr.window_meta
     meta = {"method": tfr.method, "window": ran.family,
             "window_s": _fmt(ran.duration_s), "hop": ran.hop,
             "tapers": ran.taper_count, "nfft_bins": tfr.freq_axis.size,
             "lowpass": lowpass is not None}
     if tfr.method != "stft":  # the only method without a threshold
-        meta["threshold"] = _fmt(threshold)
+        meta["threshold"] = _fmt(ana["threshold"])
     return tfr, meta
 
 

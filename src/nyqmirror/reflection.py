@@ -29,7 +29,7 @@ from .spline_interp import (
     interpolate_nonuniform,
     resample_uniform,
 )
-from .tf_analysis import TFRepresentation
+from .tf_analysis import TFRepresentation, as_magnitude
 
 __all__ = [
     "PredictedComponent",
@@ -217,11 +217,11 @@ def above_inf_energy_ratio(tfr: TFRepresentation,
     though finite, give the same ratio over |matrix| / max |matrix|.
     """
     above = above_inf(tfr, inf_curve)
-    mag = np.abs(tfr.matrix)
+    mag = as_magnitude(tfr.matrix)  # a magnitude matrix is used as it is
     with np.errstate(over="ignore"):  # rescaled below
         total = float(mag.sum())
     if not np.isfinite(total):
-        mag /= mag.max()
+        mag = mag / mag.max()
         total = float(mag.sum())
     if total == 0.0:
         return 0.0

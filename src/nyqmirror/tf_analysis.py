@@ -21,8 +21,8 @@ from .spline_interp import UniformSignal, check_memory, frozen
 
 __all__ = [
     "DisplayMatrix", "MULTITAPER_TAPERS", "TF_METHODS", "TFRepresentation", "Window",
-    "WindowMeta", "log_display", "make_windows", "multitaper", "reassign",
-    "ridge_extract", "stft", "synchrosqueeze",
+    "WindowMeta", "as_magnitude", "log_display", "make_windows", "multitaper", "reassign",
+    "ridge_extract", "stft", "synchrosqueeze", "tf_magnitude",
 ]
 
 # the transforms a TFRepresentation may name (the CLI's analysis.method too)
@@ -244,14 +244,19 @@ def _nearest(est: np.ndarray, own, count: int) -> np.ndarray:
 
 
 def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
-               threshold: float, chunk: int, method: str) -> TFRepresentation:
+               threshold: float, chunk: int, method: str,
+               magnitude: bool = False) -> TFRepresentation:
     """Synchrosqueezed ('sst') or reassigned ('rm') transform.  The base
     pass keeps V_g frames-major and a running max|V_g| for the floor
     threshold * max|V_g|; a second pass makes V_dg (and V_tg) and |V_g|
     per block, and one np.add.at per block, over a flat frames-major index
     (ufunc.at's fast path), sums each kept coefficient (for rm its mass
-    |V_g|^2) into its target cell of the bins-major output; a dropped one
-    goes to a trash slot past the matrix.  No full |V_g| or index is kept."""
+    |V_g|^2) into its target cell; a dropped one goes to a trash slot past
+    the cells.  RM sums into the whole flat bins-major output.  SST
+    coefficients stay in their frame, so SST sums into a block-local
+    buffer and hands the block's sums (with ``magnitude``, their moduli:
+    a real output) to its frames of the output.  No full |V_g| or index is
+    kept."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
@@ -272,8 +277,13 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
     floor = threshold * float(peak) if threshold > 0.0 else 0.0
 
     est = np.empty((1 if sst else 2, step, n_bins))  # bin (and frame) targets
-    cells = np.empty((step, n_bins), dtype=np.intp)  # bin * n_frames + frame
-    out = np.zeros(n_bins * n_frames + 1, dtype=complex if sst else float)
+    cells = np.empty((step, n_bins), dtype=np.intp)  # bin * width + frame column
+    if sst:  # block-local sums: target bin * width + frame - start
+        width = min(step, n_frames)
+        out = np.empty((n_bins, n_frames), dtype=float if magnitude else complex)
+        acc = np.zeros(n_bins * width + 1, dtype=complex)
+    else:  # the flat output: target bin * n_frames + frame
+        width, acc = n_frames, np.zeros(n_bins * n_frames + 1)
     taps = np.stack([window.derivative, window.t_weighted][:1 if sst else 2])
     grid = np.arange(max(n_bins, n_frames), dtype=float)  # own bin or frame index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -287,19 +297,27 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
             np.subtract(freqs, np.divide(r.imag, 2.0 * np.pi, out=fbin), out=fbin)
             _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
             if sst:  # each coefficient stays in its own frame
-                col = grid[frames, None]
+                col = grid[:n, None]
             else:
                 col = est[1, :n]
                 np.add(times[frames, None], np.divide(spec[1], v, out=spec[1]).real, out=col)
                 np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
                 _nearest(np.divide(col, hop, out=col), grid[frames, None], n_frames)
-            np.add(np.multiply(fbin, n_frames, out=fbin), col, out=fbin)
-            np.copyto(fbin, out.size - 1, where=~(m > floor))
+            np.add(np.multiply(fbin, width, out=fbin), col, out=fbin)
+            np.copyto(fbin, acc.size - 1, where=~(m > floor))
             np.copyto(cells[:n], fbin, casting="unsafe")
-            np.add.at(out, cells[:n].ravel(), (v if sst else np.square(m, out=m)).ravel())
-    out = out[:-1].reshape(n_bins, n_frames)
-    if not sst and not np.isfinite(out.max()):  # a squared |V_g| or a sum of them
-        raise _overflow(sig.values)
+            np.add.at(acc, cells[:n].ravel(), (v if sst else np.square(m, out=m)).ravel())
+            if sst:
+                sums = acc[:-1].reshape(n_bins, width)[:, :n]
+                if magnitude:
+                    np.abs(sums, out=out[:, frames])
+                else:
+                    out[:, frames] = sums
+                acc.fill(0.0)
+    if not sst:
+        out = acc[:-1].reshape(n_bins, n_frames)
+        if not np.isfinite(out.max()):  # a squared |V_g| or a sum of them
+            raise _overflow(sig.values)
     out.setflags(write=False)
     meta = WindowMeta(window.family, window.duration_s, hop, 1)
     return TFRepresentation(out, freqs, times, method, meta)
@@ -346,17 +364,46 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
         raise ValueError(f"method must be 'sst' or 'rm', got {method!r}")
     windows = make_windows("hermite", duration_s, sig.rate, taper_count)
     freqs, times, _ = _frame_plan(sig, windows[0], hop, nfft, chunk)
-    part = np.abs if method == "sst" else np.asarray
     acc = 0.0  # 0.0 + the first layer is that layer: the mean keeps its bits
     with np.errstate(over="ignore"):  # refused below
         for win in windows:
-            acc = acc + part(_sharpened(sig, win, hop, nfft, threshold, chunk,
-                                        method).matrix)
+            acc = acc + _sharpened(sig, win, hop, nfft, threshold, chunk, method,
+                                   magnitude=True).matrix
     if not np.isfinite(acc.max()):
         raise _overflow(sig.values)
     meta = WindowMeta("hermite", float(duration_s), hop, taper_count)
     np.divide(acc, taper_count, out=acc).setflags(write=False)
     return TFRepresentation(acc, freqs, times, f"mt_{method}", meta)
+
+
+def as_magnitude(matrix: np.ndarray) -> np.ndarray:
+    """|matrix|: ``matrix`` itself when it is real with no sign bit set
+    (no negative value, no -0.0), else a new ``np.abs`` of it."""
+    if np.isrealobj(matrix) and not np.signbit(matrix).any():
+        return matrix
+    return np.abs(matrix)
+
+
+def tf_magnitude(sig: UniformSignal, method: str, window_s: float, hop: int,
+                 nfft: int, tapers: int = 3, threshold: float = 0.0) -> TFRepresentation:
+    """The real, nonnegative |matrix| of one of ``TF_METHODS`` on a
+    ``window_s`` window: gaussian for 'stft', 'sst' and 'rm', ``tapers``
+    Hermite tapers for the multitaper methods ('stft' has no threshold).
+    The same values as the magnitude of the public transform; SST builds
+    the real matrix block by block and never a complex one."""
+    if method in ("mt_sst", "mt_rm"):
+        return multitaper(sig, window_s, tapers, hop, nfft, method[3:], threshold)
+    if method not in TF_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    window = make_windows("gaussian", window_s, sig.rate)[0]
+    if method == "sst":
+        return _sharpened(sig, window, hop, nfft, threshold, 128, method, magnitude=True)
+    if method == "rm":
+        return reassign(sig, window, hop, nfft, threshold)
+    tfr = stft(sig, window, hop, nfft)
+    mag = np.abs(tfr.matrix)
+    mag.setflags(write=False)
+    return TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, method, tfr.window_meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,10 +423,11 @@ def log_display(tfr: TFRepresentation) -> DisplayMatrix:
     The quantile runs over all entries of |R| (zeros included) with linear
     interpolation between order statistics.
     """
-    out = np.abs(tfr.matrix)
-    if out.size == 0:
+    if tfr.matrix.size == 0:
         raise ValueError("empty TF matrix")
-    q = float(np.quantile(out.ravel(), 0.998))
+    # the quantile partitions a transient |R| in place; the display comes after
+    q = float(np.quantile(np.abs(tfr.matrix).ravel(), 0.998, overwrite_input=True))
+    out = np.abs(tfr.matrix)
     np.minimum(out, q, out=out)
     np.maximum(1e-2, np.log1p(out, out=out), out=out)
     out.setflags(write=False)

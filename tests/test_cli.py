@@ -25,12 +25,13 @@ from nyqmirror.cli import (
     read_uniform_csv,
     scenario_from_config,
     write_curve_csv,
+    write_pgm,
     write_tfr_binary,
     write_tfr_csv,
     write_uniform_csv,
     ConfigError,
 )
-from nyqmirror.tf_analysis import TFRepresentation, WindowMeta
+from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, log_display
 
 SMALL_SCENARIO = {
     "signal": {"kind": "harmonic", "freq_hz": 1.2, "amp": 1.0},
@@ -1196,6 +1197,58 @@ def test_tfr1_roundtrip(tmp_path_factory, data, bins, frames):
     np.testing.assert_array_equal(_bits(mat), _bits(np.abs(matrix)))
     np.testing.assert_array_equal(_bits(f), _bits(freq))
     np.testing.assert_array_equal(_bits(t), _bits(times))
+
+
+class _HashSink:
+    """A binary stream that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        import hashlib
+
+        self.hash = hashlib.sha256()
+
+    def write(self, data):
+        self.hash.update(data)
+
+
+def test_writers_encode_a_magnitude_without_a_full_copy():
+    # TFR1, CSV and PGM bytes of a real magnitude equal those of its
+    # complex, -0.0 and negated twins; on the magnitude itself no writer
+    # holds a full-size copy (mostly zero cells, as in a sharpened matrix)
+    import tracemalloc
+
+    rng = np.random.default_rng(24)
+    shape = (16385, 64)
+    mag = np.where(rng.random(shape) < 0.9, 0.0, rng.lognormal(0.0, 3.0, shape))
+    turn = rng.random(shape) < 0.5
+    twin = np.empty(shape, dtype=complex)  # |twin| is mag exactly
+    twin.real, twin.imag = np.where(turn, 0.0, -mag), np.where(turn, mag, 0.0)
+    twins = [twin, np.where(mag == 0.0, -0.0, mag), -mag]
+    meta = {"method": "stft", "window_s": "3", "hop": 2}
+
+    def encodings(matrix, traced=False):
+        tfr = _tfr_of(matrix)
+        display = log_display(tfr).matrix
+        out = {}
+        for name, encode, args in (
+                ("tfr1", write_tfr_binary, (matrix, tfr.freq_axis, tfr.time_axis)),
+                ("csv", write_tfr_csv, (matrix, tfr.freq_axis, tfr.time_axis, meta)),
+                ("pgm", write_pgm, (display, meta))):
+            sink = _HashSink()
+            if traced:
+                tracemalloc.start()
+            try:
+                encode(sink, *args)
+                if traced:
+                    assert tracemalloc.get_traced_memory()[1] < 0.25 * mag.nbytes, name
+            finally:
+                tracemalloc.stop()
+            out[name] = sink.hash.hexdigest()
+        return out
+
+    want = encodings(mag, traced=True)
+    for other in twins:
+        assert encodings(other) == want
 
 
 @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "padded"])

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from nyqmirror import UniformSignal
 from nyqmirror.tf_analysis import (
+    TF_METHODS,
     TFRepresentation,
     log_display,
     make_windows,
@@ -15,6 +16,7 @@ from nyqmirror.tf_analysis import (
     ridge_extract,
     stft,
     synchrosqueeze,
+    tf_magnitude,
 )
 
 RATE = 64.0
@@ -308,6 +310,33 @@ def test_multitaper_bit_identical_across_chunks(method):
         np.testing.assert_array_equal(ref.view(np.uint64), got.view(np.uint64))
 
 
+@pytest.mark.parametrize("method", TF_METHODS)
+def test_tf_magnitude_is_the_transforms_magnitude(method):
+    # bit for bit |public transform|, as a read-only C-order real matrix;
+    # mt_sst against the mean of the complex SSTs' magnitudes
+    sig = UniformSignal(np.random.default_rng(23).normal(size=700), rate=RATE)
+    win = make_windows("gaussian", 2.0, RATE)[0]
+    if method == "mt_sst":
+        layers = [np.abs(synchrosqueeze(sig, taper, 4, 256, 1e-8).matrix)
+                  for taper in make_windows("hermite", 2.0, RATE, 3)]
+        want = (0.0 + layers[0] + layers[1] + layers[2]) / 3
+    else:
+        ref = {"stft": lambda: stft(sig, win, 4, 256),
+               "sst": lambda: synchrosqueeze(sig, win, 4, 256, 1e-8),
+               "rm": lambda: reassign(sig, win, 4, 256, 1e-8),
+               "mt_rm": lambda: multitaper(sig, 2.0, 3, 4, 256, "rm", 1e-8)}[method]()
+        want = np.abs(ref.matrix)
+    got = tf_magnitude(sig, method, 2.0, 4, 256, 3, 1e-8)
+    assert got.method == method and got.matrix.dtype == np.float64
+    assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
+    np.testing.assert_array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
+
+
+def test_tf_magnitude_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'cwt'"):
+        tf_magnitude(tone(2.5), "cwt", 4.0, 8, 2048)
+
+
 # ---------------------------------------------------------------------------
 # log display
 # ---------------------------------------------------------------------------
@@ -574,6 +603,17 @@ def test_rm_peak_is_about_its_base_spectrum_and_output():
     tfr, peak = traced_peak(reassign, tone(6.0, duration=10.0), win, 1, 8192, 1e-8)
     assert tfr.matrix.size >= 2_500_000
     assert peak <= 3.3 * tfr.matrix.nbytes
+
+
+@pytest.mark.parametrize("method, ratio", [("sst", 3.3), ("mt_sst", 4.3)])
+def test_tf_magnitude_peak_holds_no_complex_output(method, ratio):
+    # V_g kept frames-major (2x the real output) plus the output is 3x for
+    # sst; multitaper adds its running sum (4x).  A complex SST output
+    # would add 2x.  The per-block buffers are about 0.1x at 4097 x 640.
+    tfr, peak = traced_peak(tf_magnitude, tone(6.0, duration=10.0), method, 4.0,
+                            1, 8192, 3, 1e-8)
+    assert tfr.matrix.size >= 2_500_000
+    assert peak <= ratio * tfr.matrix.nbytes
 
 
 @pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])

@@ -558,7 +558,7 @@ def _ridge_products(outputs: _Outputs, tfr, inf_curve, meta):
     """
     if not outputs.wants("csv"):
         return
-    inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
+    inf_vals = inf_curve(tfr.time_axis)
     df = tfr.freq_axis[1] - tfr.freq_axis[0]
     top = float(tfr.freq_axis[-1])
     ridge_lo = ridge_extract(tfr, df, max(float(inf_vals.min()), 2 * df), 0.0)
@@ -678,8 +678,8 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
         rec = parse_rpeaks(Path(cfg["input"]).read_bytes())
     elif (synth := phys["synth"]) is not None:
         rec = synth_rpeaks(
-            lambda t: np.full_like(np.asarray(t, dtype=float), synth["ihr_hz"]),
-            lambda t: np.full_like(np.asarray(t, dtype=float), synth["resp_hz"]),
+            lambda t: np.full_like(t, synth["ihr_hz"]),
+            lambda t: np.full_like(t, synth["resp_hz"]),
             synth["duration_s"], synth["modulation_depth"],
         )
     else:

@@ -75,18 +75,19 @@ def parse_rpeaks(data: bytes | str) -> RPeakRecord:
     or non-monotone input; an empty file is an error.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    reader = csv.reader(io.StringIO(text))
+    # the non-blank rows, each with its file line number
+    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     if not rows:
         raise ValueError("empty R-peak file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if header not in (["time_s"], ["time_s", "amplitude"]):
         raise ValueError(
             "header must be 'time_s' or 'time_s,amplitude', got "
             + ",".join(header)
         )
     peaks = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"row {lineno}: expected {len(header)} fields")
         try:

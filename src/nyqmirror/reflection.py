@@ -73,18 +73,12 @@ def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
         raise ValueError("grid must be a 1-d array with >= 2 points")
 
     def make_if(k):
-        return lambda t: np.abs(
-            k * np.asarray(scheme.psi_prime(t), dtype=float)
-            - np.asarray(signal.iff(t), dtype=float)
-        )
+        return lambda t: np.abs(k * scheme.psi_prime(t) - signal.iff(t))
 
     def make_amp(k):
         def amp(t):
-            ta = np.asarray(t, dtype=float)
-            beta = np.asarray(signal.iff(ta), dtype=float) \
-                / np.asarray(scheme.psi_prime(ta), dtype=float)
-            return np.asarray(signal.am(ta), dtype=float) \
-                * fundamental_spline_spectrum(n, k - beta)
+            beta = signal.iff(t) / scheme.psi_prime(t)
+            return signal.am(t) * fundamental_spline_spectrum(n, k - beta)
         return amp
 
     components = []
@@ -127,11 +121,10 @@ def synthesize_prediction(signal: IMTSignal, scheme: SamplingScheme, n: int,
     count = int(np.floor((t1 - t0) * rate + 1e-9)) + 1
     t = t0 + np.arange(count) / rate
 
-    am = np.asarray(signal.am(t), dtype=float)
-    phi = np.asarray(signal.phase(t), dtype=float)
-    iff = np.asarray(signal.iff(t), dtype=float)
-    psi = np.asarray(scheme.psi(t), dtype=float)
-    beta = iff / np.asarray(scheme.psi_prime(t), dtype=float)
+    am = signal.am(t)
+    phi = signal.phase(t)
+    psi = scheme.psi(t)
+    beta = signal.iff(t) / scheme.psi_prime(t)
 
     total = np.zeros_like(t)
     for k in range(-k_max, k_max + 1):
@@ -171,7 +164,7 @@ def verify_reflection_theorem(signal: IMTSignal, scheme: SamplingScheme,
     predicted = synthesize_prediction(signal, scheme, n, k_max, rate, (lo, hi))
 
     probe = np.linspace(t0, t1, 2049)
-    min_isr = float(np.min(np.asarray(scheme.psi_prime(probe), dtype=float)))
+    min_isr = float(np.min(scheme.psi_prime(probe)))
     trim = (n + 1) / min_isr
     times = actual.times
     keep = (times >= lo + trim) & (times <= hi - trim)

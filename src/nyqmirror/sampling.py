@@ -15,7 +15,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from .spline_interp import check_memory, frozen, interpolate_nonuniform
+from .spline_interp import check_memory, curve, frozen, interpolate_nonuniform
 
 if TYPE_CHECKING:  # pragma: no cover
     from .signal_model import IMTSignal
@@ -43,25 +43,27 @@ _BYTES_PER_CELL = 128
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Evaluable sampling warp psi with its rate psi_prime."""
+    """Evaluable sampling warp psi and its rate psi_prime, under the ``curve`` rule."""
 
     psi: Callable[[np.ndarray], np.ndarray]
     psi_prime: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        object.__setattr__(self, "psi", curve(self.psi))
+        object.__setattr__(self, "psi_prime", curve(self.psi_prime))
+
     def inf(self, t) -> np.ndarray | float:
         """Instantaneous Nyquist frequency psi'(t)/2."""
-        return np.asarray(self.psi_prime(t)) / 2.0
+        return self.psi_prime(t) / 2.0
 
 
 def quadratic_warp(base_hz: float, quad_denom: float, t_center: float) -> SamplingScheme:
     """The warp of ISR base_hz + (t - t_center)^2 / quad_denom, anchored at
     psi(0) = 0: psi(t) = base_hz t + ((t - t_center)^3 + t_center^3) / (3 quad_denom)."""
     return SamplingScheme(
-        psi=lambda t: base_hz * np.asarray(t, dtype=float)
-        + ((np.asarray(t, dtype=float) - t_center) ** 3 + t_center ** 3)
-        / (3.0 * quad_denom),
-        psi_prime=lambda t: base_hz
-        + (np.asarray(t, dtype=float) - t_center) ** 2 / quad_denom,
+        psi=lambda t: base_hz * t
+        + ((t - t_center) ** 3 + t_center ** 3) / (3.0 * quad_denom),
+        psi_prime=lambda t: base_hz + (t - t_center) ** 2 / quad_denom,
     )
 
 
@@ -71,10 +73,8 @@ def cosine_warp(base_hz: float, depth_hz: float, period_s: float) -> SamplingSch
     Uniform sampling at rate r is ``cosine_warp(r, 0, 1)``, to the last bit."""
     amp = depth_hz * period_s / (2.0 * np.pi)
     return SamplingScheme(
-        psi=lambda t: base_hz * np.asarray(t, dtype=float)
-        + amp * np.sin(2.0 * np.pi * np.asarray(t, dtype=float) / period_s),
-        psi_prime=lambda t: base_hz
-        + depth_hz * np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period_s),
+        psi=lambda t: base_hz * t + amp * np.sin(2.0 * np.pi * t / period_s),
+        psi_prime=lambda t: base_hz + depth_hz * np.cos(2.0 * np.pi * t / period_s),
     )
 
 
@@ -119,7 +119,7 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
         raise ValueError("t_start must be strictly less than t_end")
     probe = np.linspace(t_start, t_end, 257)
     with np.errstate(over="ignore"):  # an infinite rate fails the memory check
-        rates = np.asarray(scheme.psi_prime(probe), dtype=float)
+        rates = scheme.psi_prime(probe)
     if np.any(rates <= 0.0):
         bad = float(probe[int(np.argmin(rates))])
         raise ValueError(f"sampling warp is non-monotone: psi'({bad}) <= 0")
@@ -131,7 +131,7 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
     step = 0.5 / max_rate
     n_cells = max(2, int(np.ceil((t_end - t_start) / step)))
     grid = np.linspace(t_start, t_end, n_cells + 1)
-    pg = np.asarray(scheme.psi(grid), dtype=float)
+    pg = scheme.psi(grid)
     if np.any(np.diff(pg) <= 0.0):
         raise ValueError("sampling warp is non-monotone on the scan grid")
 
@@ -148,16 +148,16 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
     n_bis = max(1, int(np.ceil(np.log2(max(step, 1e-8) / 1e-8))))
     for _ in range(n_bis):
         mid = 0.5 * (lo + hi)
-        below = np.asarray(scheme.psi(mid)) < targets
+        below = scheme.psi(mid) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     roots = 0.5 * (lo + hi)
     for _ in range(3):
-        resid = np.asarray(scheme.psi(roots)) - targets
-        roots = roots - resid / np.asarray(scheme.psi_prime(roots))
+        resid = scheme.psi(roots) - targets
+        roots = roots - resid / scheme.psi_prime(roots)
     roots = np.clip(roots, t_start, t_end)
 
-    resid = np.abs(np.asarray(scheme.psi(roots)) - targets)
+    resid = np.abs(scheme.psi(roots) - targets)
     if np.any(resid > _ROOT_TOL):
         raise ValueError(
             f"root polish failed: |psi(t_m) - m| up to {float(np.max(resid)):.3e}"
@@ -171,21 +171,24 @@ def sample_signal(signal: "IMTSignal", scheme: SamplingScheme,
     times = sampling_times(scheme, t_start, t_end)
     if times.size < 2:
         raise ValueError("fewer than 2 sample instants in the requested span")
-    return SampleSet(times=times, values=np.asarray(signal.evaluate(times), dtype=float))
+    return SampleSet(times=times, values=signal.evaluate(times))
 
 
 @dataclass(frozen=True)
 class IsrEstimate:
     """Not-a-knot cubic-spline ISR estimate from observed sample times.
 
-    ``isr`` and ``inf`` are evaluable on ``domain`` only; inf = isr / 2.
+    ``isr`` and ``inf`` are evaluable on ``domain`` only.
     """
 
     isr: Callable[[np.ndarray], np.ndarray]
-    inf: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float]
     knot_times: np.ndarray
     knot_rates: np.ndarray
+
+    def inf(self, t) -> np.ndarray | float:
+        """Estimated instantaneous Nyquist frequency isr(t)/2."""
+        return self.isr(t) / 2.0
 
 
 def estimate_isr(times) -> IsrEstimate:
@@ -204,7 +207,7 @@ def estimate_isr(times) -> IsrEstimate:
         raise ValueError("times must be strictly increasing")
     rates = SampleSet(t[:-1], 1.0 / gaps)
     isr = interpolate_nonuniform(rates, 3)
-    return IsrEstimate(isr=isr, inf=lambda x: isr(x) / 2.0, domain=isr.domain,
+    return IsrEstimate(isr=isr, domain=isr.domain,
                        knot_times=rates.times, knot_rates=rates.values)
 
 
@@ -233,12 +236,8 @@ def check_isr_identifiability(psi_a: SamplingScheme, psi_b: SamplingScheme,
         ta.size and float(np.max(np.abs(ta - tb))) > 1e-8
     ):
         raise ValueError("schemes do not generate the same sampling points")
-    d_rate = float(np.max(np.abs(
-        np.asarray(psi_a.psi_prime(g)) - np.asarray(psi_b.psi_prime(g))
-    )))
-    d_warp = float(np.max(np.abs(
-        np.asarray(psi_a.psi(g)) - np.asarray(psi_b.psi(g))
-    )))
+    d_rate = float(np.max(np.abs(psi_a.psi_prime(g) - psi_b.psi_prime(g))))
+    d_warp = float(np.max(np.abs(psi_a.psi(g) - psi_b.psi(g))))
     return IdentifiabilityReport(max_isr_deviation=d_rate, max_psi_deviation=d_warp)
 
 
@@ -258,8 +257,7 @@ def check_inr(signal: "IMTSignal", scheme: SamplingScheme, grid) -> InrReport:
     it is never an error (physiological trains may transiently undersample).
     """
     g = np.asarray(grid, dtype=float)
-    margins = np.asarray(scheme.psi_prime(g), dtype=float) \
-        - 2.0 * np.asarray(signal.iff(g), dtype=float)
+    margins = scheme.psi_prime(g) - 2.0 * signal.iff(g)
     i = int(np.argmin(margins))
     return InrReport(
         min_margin_hz=float(margins[i]),

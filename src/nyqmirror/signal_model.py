@@ -8,13 +8,13 @@ every downstream check has pointwise ground truth at arbitrary times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .sampling import SamplingScheme, cosine_warp, quadratic_warp
-from .spline_interp import frozen
+from .spline_interp import curve, frozen
 
 __all__ = [
     "IMTSignal",
@@ -37,7 +37,7 @@ class IMTSignal:
     phase derivative) to avoid numeric differentiation noise downstream.
     ``model_params = (c1, c2, eps)`` are the class constants: amplitude and
     frequency live in [c1, c2] and the modulation rates are bounded by
-    eps times the instantaneous frequency.
+    eps times the instantaneous frequency.  Each curve follows the ``curve`` rule.
     """
 
     am: Callable[[np.ndarray], np.ndarray]
@@ -45,10 +45,13 @@ class IMTSignal:
     iff: Callable[[np.ndarray], np.ndarray]
     model_params: tuple[float, float, float]
 
+    def __post_init__(self):
+        for name in ("am", "phase", "iff"):
+            object.__setattr__(self, name, curve(getattr(self, name)))
+
     def evaluate(self, t) -> np.ndarray | float:
         """am(t) * cos(2*pi*phase(t)); total in t, no side effects."""
-        ta = np.asarray(t, dtype=float)
-        out = np.asarray(self.am(ta)) * np.cos(2.0 * np.pi * np.asarray(self.phase(ta)))
+        out = self.am(t) * np.cos(2.0 * np.pi * self.phase(t))
         return out if out.ndim else float(out)
 
 
@@ -102,8 +105,8 @@ def validate_imt(signal: IMTSignal, grid) -> ValidationReport:
         raise ValueError("validation grid must be strictly increasing")
 
     c1, c2, eps = signal.model_params
-    am = np.asarray(signal.am(g), dtype=float)
-    iff = np.asarray(signal.iff(g), dtype=float)
+    am = signal.am(g)
+    iff = signal.iff(g)
 
     h = np.empty_like(g)
     h[1:-1] = 0.5 * (g[2:] - g[:-2])
@@ -155,23 +158,10 @@ def harmonic(freq_hz: float, amp: float) -> IMTSignal:
     """The pure tone amp * cos(2*pi*freq_hz*t), with class constants
     (min(amp, freq_hz), max(amp, freq_hz), 0.01)."""
     return IMTSignal(
-        am=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
-        phase=lambda t: freq_hz * np.asarray(t, dtype=float),
-        iff=lambda t: np.full_like(np.asarray(t, dtype=float), freq_hz),
+        am=lambda t: np.full_like(t, amp),
+        phase=lambda t: freq_hz * t,
+        iff=lambda t: np.full_like(t, freq_hz),
         model_params=(min(amp, freq_hz), max(amp, freq_hz), 0.01),
-    )
-
-
-def _fig2_signal(if_mod_scale: float = 1.0) -> IMTSignal:
-    s = float(if_mod_scale)
-    # honest class constants for the sampled span [0, 80], measured on a
-    # dense grid: max am = 0.7 + 80^1.1, max |am'| / iff ~ 0.52
-    return IMTSignal(
-        am=lambda t: 0.7 + np.asarray(t, dtype=float) ** 1.1,
-        phase=lambda t: np.pi * np.asarray(t, dtype=float)
-        + 0.2 * s * np.cos(np.asarray(t, dtype=float)),
-        iff=lambda t: np.pi - 0.2 * s * np.sin(np.asarray(t, dtype=float)),
-        model_params=(0.7, 125.0, 0.6),
     )
 
 
@@ -188,7 +178,7 @@ def builtin_scenario(name: str) -> Scenario:
         return Scenario("fig1", harmonic(2.5, 1.0),
                         quadratic_warp(6.0, 800.0, 80.0 / np.pi), 80.0, 64.0)
     if name == "fig2":
-        return Scenario("fig2", _fig2_signal(), cosine_warp(8.0, 0.5, 20.0), 80.0, 64.0)
+        return replace(fig2_variant(1.0), name="fig2")
     raise ValueError(f"unknown scenario {name!r}; expected 'fig1' or 'fig2'")
 
 
@@ -201,5 +191,14 @@ def fig2_variant(if_mod_scale: float) -> Scenario:
     """
     if not 0.0 <= if_mod_scale <= 1.0:
         raise ValueError("if_mod_scale must lie in [0, 1]")
-    return Scenario(f"fig2@{if_mod_scale:g}", _fig2_signal(if_mod_scale),
-                    cosine_warp(8.0, 0.5, 20.0), 80.0, 64.0)
+    s = float(if_mod_scale)
+    # honest class constants for the sampled span [0, 80], measured on a
+    # dense grid: max am = 0.7 + 80^1.1, max |am'| / iff ~ 0.52
+    signal = IMTSignal(
+        am=lambda t: 0.7 + t ** 1.1,
+        phase=lambda t: np.pi * t + 0.2 * s * np.cos(t),
+        iff=lambda t: np.pi - 0.2 * s * np.sin(t),
+        model_params=(0.7, 125.0, 0.6),
+    )
+    return Scenario(f"fig2@{if_mod_scale:g}", signal, cosine_warp(8.0, 0.5, 20.0),
+                    80.0, 64.0)

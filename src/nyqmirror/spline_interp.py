@@ -27,6 +27,7 @@ __all__ = [
     "SplineInterpolant",
     "UniformSignal",
     "check_memory",
+    "curve",
     "frozen",
     "fundamental_spline_spectrum",
     "interpolate_nonuniform",
@@ -200,6 +201,12 @@ def frozen(values, dtype=float) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
+
+
+def curve(fn):
+    """``fn`` under the calling rule of every container's curves: called with
+    the times as a float array, its values returned as a float array."""
+    return lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -657,10 +657,11 @@ def test_tfr_overflowing_input_is_data_error(tmp_path, capsys, amp, method):
 def test_tfr_products_need_no_more_memory_than_the_transform(tmp_path):
     # the run keeps one real magnitude of the SST and frees every
     # full-size temporary once used: masking, display and writing all fit
-    # in what the transform itself needed (8193 bins x 96 frames here)
+    # in what its own transform, the real SST magnitude, needed (8193 bins
+    # x 96 frames here)
     import tracemalloc
 
-    from nyqmirror.tf_analysis import make_windows, synchrosqueeze
+    from nyqmirror.tf_analysis import tf_magnitude
 
     sets = ["scenario=" + json.dumps({**SMALL_SCENARIO, "scheme": {
                 "kind": "cosine", "base_hz": 5.0, "depth_hz": 0.5, "period_s": 6.0}}),
@@ -669,12 +670,12 @@ def test_tfr_products_need_no_more_memory_than_the_transform(tmp_path):
     cfg = load_config(None, sets)
     _, _, _, sig, _ = cli._scenario_pipeline(cfg)
     window_s, hop, nfft = cli._analysis_params(cfg, sig.rate)
-    window = make_windows("gaussian", window_s, sig.rate)[0]
     argv = ["tfr", "--out", str(tmp_path / "out")]
     for item in sets:
         argv += ["--set", item]
     peaks = []
-    for run in (lambda: synchrosqueeze(sig, window, hop, nfft, 1e-8), lambda: main(argv)):
+    for run in (lambda: tf_magnitude(sig, "sst", window_s, hop, nfft, threshold=1e-8),
+                lambda: main(argv)):
         tracemalloc.start()
         try:
             run()

@@ -1,12 +1,23 @@
 """The containers' one read-only-array rule, ``spline_interp.frozen``: every
 array a container holds is read-only, a writable input is copied, and a
-read-only input is shared."""
+read-only input is shared.  And their one calling rule for curves,
+``spline_interp.curve``: a curve takes and returns float arrays."""
 
 import numpy as np
 import pytest
 
-from nyqmirror import SampleSet, SplineInterpolant, UniformSignal, ValidationReport
+from nyqmirror import (
+    IMTSignal,
+    SampleSet,
+    SamplingScheme,
+    SplineInterpolant,
+    UniformSignal,
+    ValidationReport,
+    check_inr,
+    sample_signal,
+)
 from nyqmirror.physio_io import RPeakRecord
+from nyqmirror.reflection import predict_components
 from nyqmirror.spline_interp import frozen
 from nyqmirror.tf_analysis import DisplayMatrix, TFRepresentation, Window, WindowMeta
 
@@ -61,3 +72,27 @@ def test_frozen_keeps_read_only_views():
     assert frozen(view, dtype=None) is view
     copied = frozen(buffer)
     assert not copied.flags.writeable and not np.shares_memory(copied, buffer)
+
+
+def test_container_curves_take_and_return_float_arrays():
+    # SamplingScheme and IMTSignal hold their curves under spline_interp.curve,
+    # so curves of plain arithmetic take a list of times, and the callers
+    # that no longer convert the curves' values run on them
+    scheme = SamplingScheme(psi=lambda t: 8.0 * t, psi_prime=lambda t: 8.0 + 0.0 * t)
+    signal = IMTSignal(am=lambda t: 1.0 + 0.0 * t, phase=lambda t: 1.5 * t,
+                       iff=lambda t: 1.5 + 0.0 * t, model_params=(1.0, 1.5, 0.01))
+    times = [0.0, 0.5, 1.0]
+    for fn in (scheme.psi, scheme.psi_prime, scheme.inf,
+               signal.am, signal.phase, signal.iff, signal.evaluate):
+        values = fn(times)
+        assert isinstance(values, np.ndarray) and values.dtype == float
+        assert values.shape == (3,)
+    np.testing.assert_array_equal(scheme.inf(times), [4.0, 4.0, 4.0])
+
+    samples = sample_signal(signal, scheme, 0.0, 10.0)
+    np.testing.assert_allclose(samples.times, np.arange(81) / 8.0, atol=1e-12)
+    report = check_inr(signal, scheme, times)
+    assert report.min_margin_hz == 5.0 and not report.undersampled
+    comps = predict_components(signal, scheme, 3, (-1, 1), times)
+    assert [comp.k for comp in comps] == [0, 1, -1]
+    np.testing.assert_allclose(comps[1].if_curve(times), 6.5)

@@ -152,3 +152,41 @@ def test_sharpened_transforms_reduce_through_one_scatter_add():
     assert {ast.unparse(node.func) for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "at"
             } == {"np.add.at"}
+
+
+# the curves of SamplingScheme and IMTSignal, and the INF derived from them
+CURVES = ("psi", "psi_prime", "am", "phase", "iff", "inf")
+
+
+def curve_conversions(source: str) -> list[str]:
+    """``scope: call`` for each ``np.asarray`` call in ``source`` whose first
+    argument calls a container curve (an attribute named in ``CURVES``), in
+    source order; scope as in ``scoped``."""
+    found = []
+    for scope, node in scoped(source):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
+                and node.args and any(
+                    isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) in CURVES
+                    for inner in ast.walk(node.args[0]))):
+            found.append(f"{scope}: {ast.unparse(node)}")
+    return found
+
+
+def test_scan_finds_each_curve_conversion():
+    source = ("def f(scheme, signal, t, curve):\n"
+              "    a = np.asarray(scheme.psi_prime(t), dtype=float)\n"
+              "    b = np.asarray(2.0 * signal.iff(t))\n"
+              "    c = np.asarray(t, dtype=float), np.asarray(curve(t))\n"
+              "    d = np.asarray(signal.evaluate(t)), scheme.inf(np.asarray(t))\n")
+    assert curve_conversions(source) == [
+        "f: np.asarray(scheme.psi_prime(t), dtype=float)",
+        "f: np.asarray(2.0 * signal.iff(t))"]
+
+
+def test_container_curves_are_converted_only_by_the_curve_rule():
+    # SamplingScheme and IMTSignal hold psi, psi_prime, am, phase and iff
+    # through spline_interp.curve, which returns float arrays: no caller
+    # converts a container curve's values again
+    found = [f"{path.name}: {where}" for path in sorted(PACKAGE.glob("*.py"))
+             for where in curve_conversions(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -41,6 +41,11 @@ def test_parse_reports_bad_row():
         parse_rpeaks(b"time_s\n0.0\n0.8\nbogus\n")
     with pytest.raises(ValueError, match="row 4"):
         parse_rpeaks(b"time_s\n0.0\n0.8\n0.5\n")
+    # a blank line still counts
+    with pytest.raises(ValueError, match="row 5: non-numeric"):
+        parse_rpeaks(b"time_s\n1.0\n\n2.0\nabc\n")
+    with pytest.raises(ValueError, match="row 6: non-increasing"):
+        parse_rpeaks(b"\n\ntime_s\n1.0\n2.0\n1.5\n")
 
 
 def test_parse_rejects_non_finite_row():

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -137,7 +138,8 @@ _LEAVES = {
     "analysis.hop": _Leaf(None, (int,), lo=1, hi=sys.maxsize),   # None: 8 frames/s
     "analysis.nfft": _Leaf(None, (int,), lo=1, hi=sys.maxsize),  # None: >= 16x window
     "analysis.tapers": _Leaf(3, lo=MULTITAPER_TAPERS[0], hi=MULTITAPER_TAPERS[1]),
-    "analysis.threshold": _Leaf(1e-8, lo=0.0),
+    # at 1 the floor is max|V_g| and the transform is all zeros
+    "analysis.threshold": _Leaf(1e-8, lo=0.0, hi=math.nextafter(1.0, 0.0)),
     "mitigation.inf_mask": _Leaf(False),
     "mitigation.lowpass": _Leaf(None, (dict,), fields={"cutoff_hz": _POSITIVE,
                                                     "transition_hz": _POSITIVE}),
@@ -312,47 +314,166 @@ def _meta_lines(meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# rows per block in _write_csv's bulk ``%`` calls, write_tfr_binary's
-# ``np.abs`` and write_pgm's scaling: large enough to amortise the per-block numpy calls, small
-# enough that a block's text (about 3 MB at 640 frames) stays far below
-# the matrix itself
+# rows per block in write_tfr_binary's ``np.abs`` and write_pgm's scaling:
+# enough to amortise the per-block numpy calls, and far below the matrix
 _CSV_BLOCK_ROWS = 256
+# _write_csv: about _CSV_BLOCK_OWN cells not low per block, at most
+# _CSV_BLOCK_CELLS cells, and the |x| range of its own digits (where x *
+# 10**(16 - e), e the exponent, and the Dekker halves stay normal)
+_CSV_BLOCK_OWN = 1 << 11
+_CSV_BLOCK_CELLS = 1 << 15
+_CSV_FAST = (1e-280, 1e280)
+_POW10_E = 282
+# A cell's text is gathered from a 32-byte row: byte 3 + i holds digit i,
+# bytes 20 to 23 the exponent's 4 digits and 24 to 31 these constants
+_CSV_ROW = bytes(24) + b",\r\n-.e+0"
+_CELL_WIDTH = 26  # "\r\n-1.2345678901234567e-123", the longest cell text
+
+
+@functools.cache
+def _csv_pow10() -> np.ndarray:
+    """Columns e + _POW10_E: the Dekker halves of hi, the double nearest
+    10**(16 - e), and its rest to 3 ulp (0 where 10**(16 - e) is a double)."""
+    parts = []
+    for k in range(16 + _POW10_E, 15 - _POW10_E, -1):
+        n = 10 ** abs(k)
+        hi = float(f"1e{k}")  # correctly rounded
+        m, d = hi.as_integer_ratio()
+        parts.append((hi, float(n - m) if k >= 0 else float(d - m * n) / n / d))
+    hi, lo = np.array(parts).T
+    high = hi * 134217729.0  # 2**27 + 1
+    high -= high - hi
+    return np.stack([high, hi - high, lo])
+
+
+@functools.cache
+def _csv_layouts():
+    """0000 to 9999 as ASCII in a uint32; each exponent's class (index e +
+    300): e + 4 in %g's fixed range -4 <= e <= 16, then e+ddd, e+dd, e-dd,
+    e-ddd; per layout ((lead * 2 + negative) * 25 + class) * 17 + digits - 1
+    its text's source bytes, their mask and count."""
+    group, ascii4 = np.arange(10000), np.empty((10000, 4), np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):  # temporaries of 80 kB
+        ascii4[:, j] = 48 + group // place % 10
+    kind = np.array([e + 4 if -4 <= e <= 16 else 21 if e > 99 else 22 if e > 0
+                     else 23 if e > -100 else 24 for e in range(-300, 301)])
+    # a layout's text names digit i by letter i, the exponent's digits xyz
+    digit, tails = "ABCDEFGHIJKLMNOPQ", ("", "e+xyz", "e+yz", "e-yz", "e-xyz")
+    body = [("0." + "0" * (3 - c) + digit[:n] if c < 4 else  # w digits before "."
+             digit[:w] + ("." + digit[w:n]) * (n > w)) + tails[max(c - 20, 0)]
+            for c in range(25) for w in [c - 3 if c <= 20 else 1] for n in range(1, 18)]
+    texts = [pre + text for pre in (",", ",-", "\r\n", "\r\n-") for text in body]
+    table = bytes.maketrans(f"{digit}xyz{_CSV_ROW[24:].decode()} ".encode(),
+                            bytes([*range(3, 20), *range(21, 32), 0]))  # 0: padding
+    source = np.frombuffer("".join(text.ljust(_CELL_WIDTH) for text in texts).encode()
+                           .translate(table), np.uint8).reshape(-1, _CELL_WIDTH)
+    return (ascii4.view(np.uint32).ravel(), kind, source, source != 0,
+            np.array([len(text) for text in texts]))
+
+
+def _scaled_pow10(a: np.ndarray, e: np.ndarray):
+    """a * 10**(16 - e) as p = fl(a * hi) plus the rest q, which is exact
+    (Dekker's product) where 10**(16 - e) is a double."""
+    high, low, lo = _csv_pow10().take(e + _POW10_E, axis=1)
+    p = a * (high + low)
+    a_high = a * 134217729.0
+    a_high -= a_high - a
+    a_low = a - a_high
+    return p, ((a_high * high - p) + a_high * low + a_low * high
+               + a_low * low + a * lo)
+
+
+def _csv_numbers(x: np.ndarray, lead: np.ndarray):
+    """``format(v, ".17g")`` of each float in ``x`` after "\r\n" where
+    ``lead``, else ",": rows of text bytes, each row's text mask and length."""
+    ascii4, kind, source, text_mask, length = _csv_layouts()
+    a = np.abs(x)
+    fast = (a >= _CSV_FAST[0]) & (a <= _CSV_FAST[1])
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)  # off by at most one
+    p, q = _scaled_pow10(a, e)
+    step = ((p > 1e17) | (p == 1e17) & (q >= 0)).view(np.int8) \
+        - ((p < 1e16) | (p == 1e16) & (q < 0)).view(np.int8)
+    if (fix := step.nonzero()[0]).size:
+        e[fix] += step[fix]
+        p[fix], q[fix] = _scaled_pow10(a[fix], e[fix])
+    # p is an even integer from 2**53 on, so rint's half-even rounds p + q.
+    # Where 10**(16 - e) = hi + lo + d is no double (|d| <= 3 * 2**-106 hi),
+    # p + q < 2**57 errs by at most 5 * 2**-49 (a lo and q, both < 32, round
+    # by 2**-49 at most): a q within 2**-46 of a half takes ``format``.
+    rounded = np.rint(q)
+    fast &= (e >= -6) & (e <= 16) | (abs(q - rounded) < 0.5 - 2.0 ** -46)
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    top = digits == 10 ** 17  # rounded up to the next power of ten
+    e += top
+    digits[top] = 10 ** 16
+    first8, last8 = np.divmod(digits % 10**16, 10**8)  # the digits after the first
+    rows = np.tile(np.frombuffer(_CSV_ROW, np.uint32), (x.size, 1))
+    rows[:, 1], rows[:, 2] = ascii4.take(first8 // 10**4), ascii4.take(first8 % 10**4)
+    rows[:, 3], rows[:, 4] = ascii4.take(last8 // 10**4), ascii4.take(last8 % 10**4)
+    rows[:, 5] = ascii4.take(np.abs(e))
+    rows = rows.view(np.uint8)
+    rows[:, 3] = digits // 10**16 + 48
+    zeros = (rows[:, 19:2:-1] != 48).argmax(axis=1)  # trailing, of 17 digits
+    layout = ((lead * 2 + (x < 0)) * 25 + kind.take(e + 300)) * 17 + 16 - zeros
+    at = np.add(source.take(layout, 0), np.arange(0, rows.size, 32)[:, None],
+                dtype=np.intp)
+    cells = rows.ravel()[at], text_mask.take(layout, 0), length.take(layout)
+    if (slow := (~fast).nonzero()[0]).size:  # 0, NaN, inf, extremes, ties
+        cells = _put_text(cells, slow, [("\r\n" if first else ",") + _fmt(v)
+                                        for v, first in zip(x[slow], lead[slow])])
+    return cells
+
+
+def _put_text(cells, where: np.ndarray, texts: list[str]):
+    """``cells`` (as from _csv_numbers) with ``texts`` in rows ``where``."""
+    text = np.array([t.encode("utf-8") for t in texts])
+    rows, mask, length = cells
+    if text.itemsize > rows.shape[1]:
+        pad = ((0, 0), (0, text.itemsize - rows.shape[1]))
+        rows, mask = np.pad(rows, pad), np.pad(mask, pad)
+    rows[where, :text.itemsize] = text.view(np.uint8).reshape(-1, text.itemsize)
+    length[where] = [len(t) for t in text]
+    mask[where] = np.arange(rows.shape[1]) < length[where, None]
+    return rows, mask, length
 
 
 def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
                body: np.ndarray, low: float = math.nan):
     """Every CSV: the metadata lines, the ``header`` row, then one row per
-    entry of the column ``first`` followed by that row of the float matrix
-    ``body``.  A block's text is one ``%`` call on a template holding
-    "%.17g" per cell, except where the template already holds the text: a
-    ``body`` cell equal to ``low`` (sharpened and masked matrices are
-    mostly zeros, display matrices mostly their floor; NaN equals no
-    value) and a text ``first`` column (which must not hold "%")."""
+    entry of the column ``first`` (numbers or text) followed by that row of
+    the float matrix ``body``, every number as ``format(x, ".17g")``.  A
+    ``body`` cell equal to ``low`` (sharpened and masked matrices are mostly
+    zeros, display matrices mostly their floor; NaN equals no value) is one
+    constant text; _csv_numbers writes the others, CRLF as each row's prefix."""
     rows, cols = body.shape
     text_first = first.dtype.kind == "U"
-    low_cell = "," + _fmt(low)
-    template = np.empty((min(rows, _CSV_BLOCK_ROWS), cols + 2), dtype=object)
-    template[:, 0] = "%.17g"
-    template[:, 1:-1] = ",%.17g"
-    template[:, -1] = "\r\n"
-    fh.write((_meta_lines(meta) + header + "\r\n").encode("utf-8"))
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        block = body[start:start + _CSV_BLOCK_ROWS]
-        lead = first[start:start + len(block)]
-        is_low = block == low
-        cells = template[:len(block)].copy()
-        cells[:, 1:-1][is_low] = low_cell
-        values = np.empty((len(block), cols + 1))
-        values[:, 1:] = block
-        keep = np.ones(values.shape, dtype=bool)
-        np.logical_not(is_low, out=keep[:, 1:])
+    low_text = np.frombuffer(("," + _fmt(low)).encode(), np.uint8)
+    fh.write((_meta_lines(meta) + header).encode("utf-8"))
+    start, step = 0, max(1, _CSV_BLOCK_OWN // (cols + 1))
+    while start < rows:
+        block = body[start:start + step]
+        head = first[start:start + len(block)]
+        own = np.concatenate([np.ones((len(block), 1), bool), block != low], 1).ravel()
+        where = own.nonzero()[0]  # the cells not low
+        lead = np.zeros(where.size, bool)  # a row's first cell
+        lead[where.searchsorted(np.arange(0, own.size, cols + 1))] = True
+        values = np.column_stack([np.ones(len(block)) if text_first else head, block])
+        cells = _csv_numbers(values.ravel()[where], lead)
         if text_first:
-            cells[:, 0] = lead
-            keep[:, 0] = False
-        else:
-            values[:, 0] = lead
-        text = "".join(cells.ravel().tolist()) % tuple(values[keep].tolist())
-        fh.write(text.encode("utf-8"))
+            cells = _put_text(cells, lead.nonzero()[0], ["\r\n" + t for t in head])
+        text = cells[0][cells[1]]
+        if where.size < own.size:  # merge with the low text
+            size = np.full(own.size, low_text.size)
+            size[where] = cells[2]
+            mine = np.repeat(own, size)
+            text, own_text = np.empty(mine.size, dtype=np.uint8), text
+            text[mine] = own_text
+            text[~mine] = np.tile(low_text, own.size - where.size)
+        fh.write(text)
+        start, step = start + len(block), max(1, min(  # at this block's share of own
+            _CSV_BLOCK_CELLS, _CSV_BLOCK_OWN * own.size // where.size) // (cols + 1))
+    fh.write(b"\r\n")
 
 
 def write_curve_csv(fh, columns: dict[str, np.ndarray], meta: dict):
@@ -581,8 +702,17 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
     _write_tfr_products(outputs, f"{stem}_masked", masked, {**meta, "inf_mask": True})
     outputs.write("mask_report.json", _write_json, {
         "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
-        "above_inf_ratio_after": above_inf_energy_ratio(masked, inf_curve),
+        "above_inf_ratio_after": _masked_ratio(masked.matrix),
     })
+
+
+def _masked_ratio(masked: np.ndarray) -> float:
+    """``above_inf_energy_ratio`` of a matrix masked above the INF from one
+    sum: those cells are 0.0, so the ratio is 0.0 whenever the total is a
+    number after its overflow rescale (by max|matrix|), else NaN."""
+    with np.errstate(over="ignore"):
+        total = float(masked.sum())
+    return 0.0 * (total if math.isfinite(total) else float(masked.max()))
 
 
 # ---------------------------------------------------------------------------

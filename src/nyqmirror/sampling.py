@@ -205,7 +205,12 @@ def estimate_isr(times) -> IsrEstimate:
     gaps = np.diff(t)
     if np.any(gaps <= 0.0):
         raise ValueError("times must be strictly increasing")
-    rates = SampleSet(t[:-1], 1.0 / gaps)
+    with np.errstate(over="ignore"):  # refused below
+        rates = 1.0 / gaps
+    if np.isinf(rates).any():
+        raise ValueError(f"the rate 1/gap overflows float64 at the smallest gap "
+                         f"between times, {float(gaps.min())!r} s")
+    rates = SampleSet(t[:-1], rates)
     isr = interpolate_nonuniform(rates, 3)
     return IsrEstimate(isr=isr, domain=isr.domain,
                        knot_times=rates.times, knot_rates=rates.values)

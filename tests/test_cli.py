@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from nyqmirror import UniformSignal, __version__, cli, spline_interp
 from nyqmirror.cli import (
+    _CSV_BLOCK_CELLS,
     _CSV_BLOCK_ROWS,
     DEFAULT_CONFIG,
     load_config,
@@ -31,6 +32,8 @@ from nyqmirror.cli import (
     write_uniform_csv,
     ConfigError,
 )
+from nyqmirror.mitigation import inf_hard_threshold
+from nyqmirror.reflection import above_inf_energy_ratio
 from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, log_display
 
 SMALL_SCENARIO = {
@@ -206,6 +209,7 @@ def test_cosine_scheme_needs_base_above_depth(tmp_path, capsys, depth):
     ("tfr", "analysis.tapers=11", "analysis.tapers"),
     ("simulate", "interpolation.order=true", "interpolation.order"),
     ("tfr", "analysis.threshold=nan", "analysis.threshold"),
+    ("tfr", "analysis.threshold=1", "analysis.threshold"),
     ("tfr", "analysis.window_s=ten", "analysis.window_s"),
     ("tfr", "analysis.hop=0", "analysis.hop"),
     ("tfr", "analysis.nfft=32", "analysis.nfft"),  # below the 49-sample window
@@ -551,6 +555,27 @@ def test_mask_report_ratio_of_huge_magnitudes(tmp_path):
     assert unit == pytest.approx(0.0182202, rel=1e-5)
     for amp in (1e304, 1e305):
         assert ratio(amp) == pytest.approx(unit, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["plain", "all_zero", "overflow", "nan", "inf"])
+def test_masked_ratio_is_above_inf_energy_ratio_of_the_masked_matrix(case):
+    # mask_report.json's after-ratio comes from one sum over the masked
+    # matrix; it must equal the ratio function's value in every case
+    rng = np.random.default_rng(16)
+    tfr = _tfr_of(rng.lognormal(0.0, 2.0, (33, 20)))
+    inf = lambda t: 1.0 + 0.1 * t  # noqa: E731
+    matrix = {"plain": tfr.matrix, "all_zero": 0.0 * tfr.matrix,
+              "overflow": np.full((33, 20), 1e307)}.get(case, tfr.matrix.copy())
+    if case in ("nan", "inf"):
+        matrix[3, 4] = math.nan if case == "nan" else math.inf
+    masked = inf_hard_threshold(_tfr_of(matrix), inf)
+    with np.errstate(over="ignore"):
+        assert np.isinf(masked.matrix.sum()) == (case in ("overflow", "inf"))
+    with np.errstate(invalid="ignore"):  # inf / inf in the ratio's rescale
+        want = above_inf_energy_ratio(masked, inf)
+    got = cli._masked_ratio(masked.matrix)
+    assert json.dumps(got) == json.dumps(want)
+    assert math.isnan(got) == (case in ("nan", "inf"))
 
 
 def test_tfr_inf_at_grid_nyquist_writes_every_product(tmp_path):
@@ -972,6 +997,23 @@ def test_physio_overflowing_input_is_data_error(tmp_path, capsys):
     assert not list(out.glob("edr_tfr*"))
 
 
+def test_physio_overflowing_beat_rate_is_data_error(tmp_path, capsys):
+    # beats 1e-320 s apart: 1/gap overflows, which used to print numpy's
+    # overflow warning and then a message naming neither gap nor rate
+    src = tmp_path / "peaks.csv"
+    src.write_text("time_s,amplitude\n" + "".join(f"{k * 1e-320!r},1.0\n"
+                                                  for k in range(39)))
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["physio", "--set", f"input={src}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == ["nyqmirror: data error: the rate 1/gap overflows "
+                                "float64 at the smallest gap between times, 1e-320 s"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     # the transform overflows after the ISR, IHR and EDR curves are ready
     (["physio", "--set", "input={peaks}", "--set", "analysis.method=rm"],
@@ -1085,6 +1127,15 @@ def _curve_specials():
 
 
 _LONG = 2 * _CSV_BLOCK_ROWS + 3
+_BLOCK_PLUS = _CSV_BLOCK_CELLS // 3 + 7  # rows of three cells: past one block
+
+
+def _long_floor():
+    # a display-like body: most cells at a floor whose text is long
+    rng = np.random.default_rng(11)
+    mat = rng.lognormal(-2.0, 1.0, (_BLOCK_PLUS, 2))
+    mat[rng.random(mat.shape) < 0.7] = 0.012345678901234567
+    return np.maximum(mat, 0.012345678901234567)
 
 
 @pytest.mark.parametrize("data", [
@@ -1103,9 +1154,17 @@ _LONG = 2 * _CSV_BLOCK_ROWS + 3
     {"time_s": np.array([0.25]), "if_hz": np.array([np.pi])},
     {"time_s": np.arange(_LONG) / 7.0,
      "value": np.random.default_rng(10).lognormal(0.0, 5.0, _LONG)},
+    {"kind": np.repeat(["knot", "a_much_longer_coefficient_label"], _BLOCK_PLUS // 2),
+     "index": np.arange(_BLOCK_PLUS // 2 * 2),
+     "value": np.random.default_rng(12).normal(size=_BLOCK_PLUS // 2 * 2)},
+    _long_floor(),
+    {"time_s": np.arange(_BLOCK_PLUS) / 7.0,
+     "value": np.random.default_rng(13).lognormal(0.0, 9.0, _BLOCK_PLUS),
+     "other": np.random.default_rng(14).normal(size=_BLOCK_PLUS)},
 ], ids=["specials", "all_equal", "one_row", "block_crossing", "dense",
         "complex", "curve_text_first", "curve_integers", "curve_specials",
-        "curve_one_row", "curve_block_crossing"])
+        "curve_one_row", "curve_block_crossing", "curve_text_first_blocks",
+        "long_low_text_blocks", "no_low_cell_blocks"])
 def test_tfr_csv_matches_per_cell_reference(data):
     meta = {"method": "stft", "hop": 2, "quantile_q": "0.5"}
     fh = io.BytesIO()
@@ -1119,6 +1178,62 @@ def test_tfr_csv_matches_per_cell_reference(data):
             format(t, ".17g") for t in tfr.time_axis),
             ([f, *row] for f, row in zip(tfr.freq_axis, np.abs(tfr.matrix))))
     assert fh.getvalue() == want
+
+
+def _curve_bytes(values):
+    """The CSV of ``values`` as the first column and as the body, by the
+    writer and by the per-cell reference."""
+    columns = {"x": values, "y": values[::-1]}
+    fh = io.BytesIO()
+    write_curve_csv(fh, columns, {})
+    return fh.getvalue(), reference_csv({}, "x,y", zip(*columns.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))
+@example(bits=[0, 2**63, 1, 2**52 - 1, 2**52, 0x7FF0000000000000,
+               0xFFF0000000000000, 0x7FF8000000000000, 0x7FEFFFFFFFFFFFFF,
+               0xC00921FB54442D18])
+def test_csv_numbers_match_format_on_raw_bit_patterns(bits):
+    # any float64, subnormals, -0.0, NaN and infinities included, gives
+    # format(x, ".17g") alone in its row and inside a block
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    for value in values[:3]:
+        got, want = _curve_bytes(np.array([value]))
+        assert got == want, value
+    got, want = _curve_bytes(values)
+    assert got == want
+    # and as a matrix with low cells around it (the magnitude's minimum)
+    matrix = np.zeros((values.size, 3))
+    matrix[:, 1] = values
+    tfr = _tfr_of(matrix)
+    fh = io.BytesIO()
+    write_tfr_csv(fh, tfr.matrix, tfr.freq_axis, tfr.time_axis, {})
+    assert fh.getvalue() == reference_csv({}, "freq_hz," + ",".join(
+        format(t, ".17g") for t in tfr.time_axis),
+        ([f, *row] for f, row in zip(tfr.freq_axis, np.abs(matrix))))
+
+
+def _powers_of_ten():
+    exact = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    return np.concatenate([exact, np.nextafter(exact, 0.0),
+                           np.nextafter(exact, np.inf), -exact])
+
+
+@pytest.mark.parametrize("values", [
+    _powers_of_ten(),
+    # k/8 next to 1e14: x * 10**2 is exact and its last digit often a tie
+    (np.arange(8 * 10**14 - 3000, 8 * 10**14 + 3000) / 8.0),
+    # integers from 2**53 on, and above 1e17 where 10**(16 - e) is no double
+    np.arange(2.0**53 - 500, 2.0**53 + 1500),
+    np.round(10.0 ** np.random.default_rng(15).uniform(17.0, 22.0, 2000)),
+    # k/2**j over many octaves: few significant bits, many trailing zeros
+    np.concatenate([np.arange(1, 200) / 2.0**j for j in range(-40, 60)]),
+], ids=["powers_of_ten", "ties_near_1e14", "integers_past_2_53",
+        "integers_past_1e17", "dyadic"])
+def test_csv_numbers_match_format_on_hard_cases(values):
+    got, want = _curve_bytes(values)
+    assert got == want
 
 
 def test_artifacts_get_mode_from_umask(tmp_path, small_config):
@@ -1184,7 +1299,7 @@ def test_uniform_csv_roundtrip(tmp_path_factory, values, rate, t_start):
 def _increasing(size):
     return st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=size, max_size=size, unique=True).map(sorted) \
-        .filter(lambda v: np.all(np.diff(v) > 0.0))
+        .filter(lambda v: all(a < b for a, b in zip(v, v[1:])))  # np.diff overflows
 
 
 @settings(max_examples=60, deadline=None)
@@ -1250,6 +1365,26 @@ def test_writers_encode_a_magnitude_without_a_full_copy():
     want = encodings(mag, traced=True)
     for other in twins:
         assert encodings(other) == want
+
+
+def test_csv_writer_peak_is_set_by_the_block():
+    # dense random matrices, every cell its own text: twice the rows must
+    # not raise the CSV writer's traced peak, which a per-matrix buffer
+    # would (write_tfr_csv adds as_magnitude's one-byte-per-cell sign check)
+    import tracemalloc
+
+    peaks = []
+    for bins in (8193, 16385):
+        tfr = _tfr_of(np.random.default_rng(bins).random((bins, 96)))
+        tracemalloc.start()
+        try:
+            cli._write_csv(_HashSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
+                           tfr.matrix.min())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+    assert peaks[1] < 0.1 * tfr.matrix.nbytes
 
 
 @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "padded"])

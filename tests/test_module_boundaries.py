@@ -2,6 +2,9 @@
 name is private to its module (dunders such as ``__version__`` are not)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,3 +193,27 @@ def test_container_curves_are_converted_only_by_the_curve_rule():
     found = [f"{path.name}: {where}" for path in sorted(PACKAGE.glob("*.py"))
              for where in curve_conversions(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_cli_import_builds_no_csv_table():
+    # _write_csv's tables are built on first use: start-up (the benchmark's
+    # setup_s) never pays for them
+    code = ("import nyqmirror.cli as cli\n"
+            "print(cli._csv_pow10.cache_info().currsize,"
+            " cli._csv_layouts.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "0"]
+
+
+def test_csv_writer_has_no_percent_template():
+    # the numbers' text comes from _csv_numbers: no "%" operator in
+    # _write_csv can bring back the per-cell "%.17g" template
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    writer = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write_csv")
+    assert not [ast.unparse(node) for node in ast.walk(writer)
+                if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Mod)]

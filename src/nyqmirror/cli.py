@@ -11,7 +11,8 @@ and are bit-reproducible (no wall clock, no RNG).
 Every product of a TF matrix is a magnitude: the analysis stage gets the
 real magnitude from ``tf_analysis.tf_magnitude`` (the library transforms
 stay complex; the SST never builds its complex matrix here), and the run
-keeps that one real matrix.
+keeps that one real matrix: its masked and display products are made from
+it a block of rows at a time, never in full.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
@@ -42,13 +43,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .mitigation import inf_hard_threshold, lowpass_prefilter
+from .mitigation import inf_masked_rows, lowpass_prefilter
 from .physio_io import edr_signal, ihr_signal, parse_rpeaks, synth_rpeaks
 from .reflection import (
     above_inf_energy_ratio,
     predict_components,
     verify_reflection_theorem,
 )
+from .rowblocks import row_blocks
 from .sampling import cosine_warp, estimate_isr, quadratic_warp, sample_signal
 from .signal_model import Scenario, builtin_scenario, harmonic
 from .spline_interp import (
@@ -61,8 +63,8 @@ from .tf_analysis import (
     MULTITAPER_TAPERS,
     TF_METHODS,
     TFRepresentation,
-    as_magnitude,
-    log_display,
+    display_rows,
+    magnitude_rows,
     ridge_extract,
     tf_magnitude,
 )
@@ -314,9 +316,6 @@ def _meta_lines(meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# rows per block in write_tfr_binary's ``np.abs`` and write_pgm's scaling:
-# enough to amortise the per-block numpy calls, and far below the matrix
-_CSV_BLOCK_ROWS = 256
 # _write_csv: about _CSV_BLOCK_OWN cells not low per block, at most
 # _CSV_BLOCK_CELLS cells, and the |x| range of its own digits (where x *
 # 10**(16 - e), e the exponent, and the Dekker halves stay normal)
@@ -530,8 +529,8 @@ def write_tfr_binary(fh, matrix, freq_axis, time_axis):
     fh.write(b"TFR1" + np.asarray(matrix.shape, dtype="<u8").tobytes())
     fh.write(freq_axis.astype("<f8").tobytes())
     fh.write(time_axis.astype("<f8").tobytes())
-    for start in range(0, len(matrix), _CSV_BLOCK_ROWS):  # no full-size copy
-        fh.write(np.abs(matrix[start:start + _CSV_BLOCK_ROWS]).astype("<f8", copy=False))
+    for _, block in row_blocks(matrix):  # no full-size copy
+        fh.write(np.abs(block).astype("<f8", copy=False))
 
 
 def read_tfr_binary(path: Path):
@@ -554,26 +553,27 @@ def read_tfr_binary(path: Path):
 
 
 def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict):
-    mag = as_magnitude(matrix)
+    mag = magnitude_rows(matrix)
     # equal floats format alike once np.abs has turned -0.0 into 0.0; fmin
     # skips NaN cells
-    low = np.fmin.reduce(mag, axis=None) if mag.size else np.nan
+    lows = [np.fmin.reduce(block, axis=None) for _, block in row_blocks(mag) if block.size]
+    low = np.fmin.reduce(lows) if lows else np.nan
     _write_csv(fh, meta, "freq_hz," + ",".join(_fmt(t) for t in time_axis),
                freq_axis, mag, low)
 
 
 def write_pgm(fh, matrix, meta: dict) -> None:
-    span = float(matrix.max() - 1e-2)
+    span = float(np.max([block.max() for _, block in row_blocks(matrix)]) - 1e-2)
     pixels = np.zeros(matrix.shape, dtype=np.uint8)
     flipped = pixels[::-1]  # highest frequency on top
     if not span <= 0.0:
         # rint((matrix - 1e-2) / span * 255) in place, a block of rows at a
         # time: no full-size float temporary
-        for start in range(0, len(matrix), _CSV_BLOCK_ROWS):
-            scaled = np.subtract(matrix[start:start + _CSV_BLOCK_ROWS], 1e-2)
+        for start, block in row_blocks(matrix):
+            scaled = np.subtract(block, 1e-2)
             np.divide(scaled, span, out=scaled)
             np.multiply(scaled, 255.0, out=scaled)
-            flipped[start:start + _CSV_BLOCK_ROWS] = np.rint(scaled, out=scaled)
+            flipped[start:start + len(block)] = np.rint(scaled, out=scaled)
     brief = " ".join(f"{k}={meta[k]}" for k in ("method", "window_s", "hop"))
     fh.write(f"P5\n# artifact=nyqmirror {__version__} {brief}\n"
              f"{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii"))
@@ -659,16 +659,16 @@ def _scenario_pipeline(cfg):
     return scenario, samples, interp, sig, meta
 
 
-def _write_tfr_products(outputs: _Outputs, stem: str, tfr: TFRepresentation,
-                        meta: dict, display=None):
-    """TFR1, CSV and PGM products of ``tfr``; ``display`` is its
-    ``log_display`` when the caller has already computed it."""
-    axes = tfr.freq_axis, tfr.time_axis
-    outputs.write(f"{stem}.tfr1", write_tfr_binary, tfr.matrix, *axes)
-    outputs.write(f"{stem}.csv", write_tfr_csv, tfr.matrix, *axes, meta)
+def _write_tfr_products(outputs: _Outputs, stem: str, mag, axes, meta: dict,
+                        display=None):
+    """TFR1, CSV and PGM products of the magnitude ``mag``, an array or
+    RowBlocks, on the (frequency, time) ``axes``; ``display`` is its
+    ``display_rows`` when the caller has already computed it."""
+    outputs.write(f"{stem}.tfr1", write_tfr_binary, mag, *axes)
+    outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta)
     if outputs.wants("pgm"):
         outputs.write(f"{stem}.pgm", write_pgm,
-                      (log_display(tfr) if display is None else display).matrix, meta)
+                      (display_rows(mag) if display is None else display)[0], meta)
 
 
 def _ridge_products(outputs: _Outputs, tfr, inf_curve, meta):
@@ -696,23 +696,31 @@ def _ridge_products(outputs: _Outputs, tfr, inf_curve, meta):
 
 
 def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
-    """Products of ``tfr`` masked above the INF, under ``{stem}_masked``,
-    then ``mask_report.json`` with the above-INF ratio before and after."""
-    masked = inf_hard_threshold(tfr, inf_curve)
-    _write_tfr_products(outputs, f"{stem}_masked", masked, {**meta, "inf_mask": True})
+    """Products of the magnitude ``tfr`` masked above the INF, under
+    ``{stem}_masked``, then ``mask_report.json`` with the above-INF ratio
+    before and after.  The masked magnitude is made a block of rows at a
+    time for each product: never in full."""
+    masked = inf_masked_rows(tfr, inf_curve)
+    _write_tfr_products(outputs, f"{stem}_masked", masked, (tfr.freq_axis, tfr.time_axis),
+                        {**meta, "inf_mask": True})
     outputs.write("mask_report.json", _write_json, {
         "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
-        "above_inf_ratio_after": _masked_ratio(masked.matrix),
+        "above_inf_ratio_after": _masked_ratio(masked),
     })
 
 
-def _masked_ratio(masked: np.ndarray) -> float:
-    """``above_inf_energy_ratio`` of a matrix masked above the INF from one
-    sum: those cells are 0.0, so the ratio is 0.0 whenever the total is a
-    number after its overflow rescale (by max|matrix|), else NaN."""
+def _masked_ratio(masked) -> float:
+    """``above_inf_energy_ratio`` of a matrix (an array or RowBlocks)
+    masked above the INF from one sum: those cells are 0.0, so the ratio
+    is 0.0 whenever the total is a number after its overflow rescale (by
+    max|matrix|), else NaN."""
+    total = 0.0
     with np.errstate(over="ignore"):
-        total = float(masked.sum())
-    return 0.0 * (total if math.isfinite(total) else float(masked.max()))
+        for _, block in row_blocks(masked):
+            total += float(block.sum())
+    if not math.isfinite(total):
+        total = float(np.max([block.max() for _, block in row_blocks(masked)]))
+    return 0.0 * total
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +761,12 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
         scenario, _, _, sig, source = _scenario_pipeline(cfg)
     tfr, meta = _run_analysis(cfg, sig)
     meta.update(source)
-    disp = log_display(tfr) if outputs.wants("csv", "pgm") else None
-    _write_tfr_products(outputs, "tfr", tfr, meta, disp)
+    axes = tfr.freq_axis, tfr.time_axis
+    disp = display_rows(tfr.matrix) if outputs.wants("csv", "pgm") else None
+    _write_tfr_products(outputs, "tfr", tfr.matrix, axes, meta, disp)
     if outputs.wants("csv"):
-        outputs.write("display.csv", write_tfr_csv, disp.matrix, tfr.freq_axis,
-                      tfr.time_axis, {**meta, "quantile_q": _fmt(disp.quantile_q)})
-    del disp  # the masked products below need its room
+        outputs.write("display.csv", write_tfr_csv, disp[0], *axes,
+                      {**meta, "quantile_q": _fmt(disp[1])})
     if scenario is not None:
         inf_curve = scenario.scheme.inf
         outputs.write("inf.csv", write_curve_csv,
@@ -842,7 +850,8 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
     outputs.write("ihr.csv", write_uniform_csv, ihr_sig, {})
     if stem == "edr":
         outputs.write("edr.csv", write_uniform_csv, target, shaped)
-    _write_tfr_products(outputs, f"{stem}_tfr", tfr, meta)
+    _write_tfr_products(outputs, f"{stem}_tfr", tfr.matrix, (tfr.freq_axis, tfr.time_axis),
+                        meta)
     if cfg["mitigation"]["inf_mask"]:
         _mask_products(outputs, f"{stem}_tfr", tfr, est.inf, meta)
 

@@ -10,21 +10,41 @@ from typing import Callable
 
 import numpy as np
 
+from .rowblocks import RowBlocks
 from .spline_interp import UniformSignal
 from .tf_analysis import TFRepresentation
 
-__all__ = ["above_inf", "inf_hard_threshold", "lowpass_prefilter"]
+__all__ = ["above_inf", "above_inf_rows", "inf_hard_threshold", "inf_masked_rows",
+           "lowpass_prefilter"]
+
+
+def above_inf_rows(tfr: TFRepresentation,
+                   inf_curve: Callable[[np.ndarray], np.ndarray]) -> RowBlocks:
+    """Boolean (bins x frames) mask of the cells strictly above the INF, a
+    block of rows at a time.
+
+    ``inf_curve`` is evaluated once, on the time axis; a scalar result
+    applies to every frame.  A cell exactly at the INF is not above it.
+    """
+    inf_vals = np.broadcast_to(np.asarray(inf_curve(tfr.time_axis), dtype=float),
+                               tfr.time_axis.shape)
+    return RowBlocks(tfr.matrix.shape,
+                     lambda a, b: tfr.freq_axis[a:b, None] > inf_vals)
 
 
 def above_inf(tfr: TFRepresentation,
               inf_curve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Boolean (bins x frames) mask of the cells strictly above the INF.
+    """The whole mask of ``above_inf_rows``."""
+    return above_inf_rows(tfr, inf_curve)[:]
 
-    ``inf_curve`` is evaluated on the time axis; a scalar result applies to
-    every frame.  A cell exactly at the INF is not above it.
-    """
-    inf_vals = np.asarray(inf_curve(tfr.time_axis), dtype=float)
-    return tfr.freq_axis[:, None] > np.broadcast_to(inf_vals, tfr.time_axis.shape)
+
+def inf_masked_rows(tfr: TFRepresentation,
+                    inf_curve: Callable[[np.ndarray], np.ndarray]) -> RowBlocks:
+    """``tfr.matrix`` with every cell strictly above the INF zeroed, the
+    rest verbatim, a block of rows at a time: a magnitude stays one."""
+    above = above_inf_rows(tfr, inf_curve)
+    return RowBlocks(tfr.matrix.shape,
+                     lambda a, b: np.where(above[a:b], 0.0, tfr.matrix[a:b]))
 
 
 def inf_hard_threshold(tfr: TFRepresentation,
@@ -34,9 +54,11 @@ def inf_hard_threshold(tfr: TFRepresentation,
 
     The boundary cell at the INF itself is kept (frequencies <= INF pass).
     Idempotent, bitwise: masking a masked representation changes nothing.
-    The result keeps the method and window metadata of ``tfr``.
+    The result keeps the method and window metadata of ``tfr``; it is
+    filled from ``inf_masked_rows`` a block of rows at a time, so no
+    full-size mask is made.
     """
-    masked = np.where(above_inf(tfr, inf_curve), 0.0, tfr.matrix)
+    masked = inf_masked_rows(tfr, inf_curve).array()
     masked.setflags(write=False)
     return TFRepresentation(masked, tfr.freq_axis, tfr.time_axis, tfr.method,
                             tfr.window_meta)

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mitigation import above_inf
+from .mitigation import above_inf_rows
+from .rowblocks import row_blocks, streamed_sum
 from .sampling import SamplingScheme, sample_signal
 from .signal_model import IMTSignal, Scenario
 from .spline_interp import (
@@ -29,7 +30,7 @@ from .spline_interp import (
     interpolate_nonuniform,
     resample_uniform,
 )
-from .tf_analysis import TFRepresentation, as_magnitude
+from .tf_analysis import TFRepresentation, magnitude_rows
 
 __all__ = [
     "PredictedComponent",
@@ -207,15 +208,29 @@ def above_inf_energy_ratio(tfr: TFRepresentation,
     """Fraction of |matrix| mass strictly above the INF curve per frame.
 
     Returns 0 for an all-zero matrix.  Magnitudes whose sum overflows,
-    though finite, give the same ratio over |matrix| / max |matrix|.
+    though finite, give the same ratio over |matrix| / max |matrix|.  The
+    magnitude, the above-INF mask and the cells it selects are read a
+    block of rows at a time, never in full, and summed as np.sum sums the
+    whole matrix and its selected cells.
     """
-    above = above_inf(tfr, inf_curve)
-    mag = as_magnitude(tfr.matrix)  # a magnitude matrix is used as it is
-    with np.errstate(over="ignore"):  # rescaled below
-        total = float(mag.sum())
+    above = above_inf_rows(tfr, inf_curve)
+    mag = magnitude_rows(tfr.matrix)  # a magnitude matrix is used as it is
+    count = sum(int(np.count_nonzero(mask)) for _, mask in row_blocks(above))
+
+    def masses(scale: float) -> tuple[float, float]:
+        """The sums of |matrix| / scale over all cells and above the INF."""
+        def scaled():
+            return ((start, block / scale) for start, block in row_blocks(mag))
+
+        with np.errstate(over="ignore"):  # rescaled below
+            total = streamed_sum((block.ravel() for _, block in scaled()), tfr.matrix.size)
+            part = streamed_sum((block[above[start:start + len(block)]]
+                                 for start, block in scaled()), count)
+        return float(total), float(part)
+
+    total, part = masses(1.0)
     if not np.isfinite(total):
-        mag = mag / mag.max()
-        total = float(mag.sum())
+        total, part = masses(np.max([m.max() for _, m in row_blocks(mag)]))
     if total == 0.0:
         return 0.0
-    return float(mag[above].sum()) / total
+    return part / total

@@ -17,12 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rowblocks import RowBlocks, exact_quantile
 from .spline_interp import UniformSignal, check_memory, frozen
 
 __all__ = [
     "DisplayMatrix", "MULTITAPER_TAPERS", "TF_METHODS", "TFRepresentation", "Window",
-    "WindowMeta", "as_magnitude", "log_display", "make_windows", "multitaper", "reassign",
-    "ridge_extract", "stft", "synchrosqueeze", "tf_magnitude",
+    "WindowMeta", "as_magnitude", "display_rows", "log_display", "magnitude_rows",
+    "make_windows", "multitaper", "reassign", "ridge_extract", "stft", "synchrosqueeze",
+    "tf_magnitude",
 ]
 
 # the transforms a TFRepresentation may name (the CLI's analysis.method too)
@@ -32,8 +34,13 @@ TF_METHODS = ("stft", "sst", "rm", "mt_sst", "mt_rm")
 MULTITAPER_TAPERS = (2, 10)
 # spectrum cells per block of frames: keeps a block's temporaries in cache
 _BLOCK_CELLS = 1 << 15
-# bytes per cell of the matrices live at once in the largest transform
-_LIVE_BYTES_PER_CELL = 56
+# the display clips |R| at this quantile
+_DISPLAY_QUANTILE = 0.998
+# bytes per cell live at once in the largest transform: tf_magnitude's
+# stft holds its complex matrix and its modulus (24, traced); a multitaper
+# sum and one taper, or a complex SST output, hold 16.  The rest covers the
+# per-block buffers, about 4 bytes per cell at a million cells.
+_LIVE_BYTES_PER_CELL = 32
 
 
 class WindowMeta(NamedTuple):
@@ -159,7 +166,8 @@ class TFRepresentation:
         if np.any(np.diff(f) <= 0.0) or np.any(np.diff(t) <= 0.0):
             raise ValueError("axes must be strictly increasing")
         if self.method in ("rm", "mt_rm", "mt_sst"):
-            if np.iscomplexobj(m) or np.any(m < 0.0):
+            # fmin skips NaN, as m < 0.0 does; a reduction makes no full-size mask
+            if np.iscomplexobj(m) or m.size and np.fmin.reduce(m, axis=None) < 0.0:
                 raise ValueError(f"{self.method} matrix must be real nonnegative")
 
 
@@ -246,32 +254,32 @@ def _nearest(est: np.ndarray, own, count: int) -> np.ndarray:
 def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
                threshold: float, chunk: int, method: str,
                magnitude: bool = False) -> TFRepresentation:
-    """Synchrosqueezed ('sst') or reassigned ('rm') transform.  The base
-    pass keeps V_g frames-major and a running max|V_g| for the floor
-    threshold * max|V_g|; a second pass makes V_dg (and V_tg) and |V_g|
-    per block, and one np.add.at per block, over a flat frames-major index
+    """Synchrosqueezed ('sst') or reassigned ('rm') transform.  A first
+    pass keeps only the running max|V_g| for the floor threshold * max|V_g|
+    (and SST's largest column sum of |V_g| for its overflow refusal); the
+    second makes V_g again with V_dg (and V_tg) in one batched FFT per
+    block, and one np.add.at per block, over a flat frames-major index
     (ufunc.at's fast path), sums each kept coefficient (for rm its mass
     |V_g|^2) into its target cell; a dropped one goes to a trash slot past
     the cells.  RM sums into the whole flat bins-major output.  SST
     coefficients stay in their frame, so SST sums into a block-local
     buffer and hands the block's sums (with ``magnitude``, their moduli:
-    a real output) to its frames of the output.  No full |V_g| or index is
-    kept."""
+    a real output) to its frames of the output.  No full V_g, |V_g| or
+    index is kept: the output and the per-block buffers are all."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
     n_bins, n_frames = freqs.size, times.size
     sst = method == "sst"
-    v_all = np.empty((n_frames, n_bins), dtype=complex)
     mag = np.empty((step, n_bins))
     peak, column = -np.inf, 0.0
-    for start, spec in _spectra(sig.values, window.samples[None], hop, nfft,
-                                step, v_all[None]):
+    for _, spec in _spectra(sig.values, window.samples[None], hop, nfft, step):
         m = np.abs(spec[0], out=mag[:spec.shape[1]])
         peak = np.maximum(peak, m.max())  # NaN passes, as in ndarray.max
         if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
             with np.errstate(over="ignore"):  # refused below
                 column = np.maximum(column, m.sum(axis=1).max())
+    del spec  # the first pass's FFT block
     if not np.isfinite(column):
         raise _overflow(sig.values)
     floor = threshold * float(peak) if threshold > 0.0 else 0.0
@@ -284,23 +292,23 @@ def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
         acc = np.zeros(n_bins * width + 1, dtype=complex)
     else:  # the flat output: target bin * n_frames + frame
         width, acc = n_frames, np.zeros(n_bins * n_frames + 1)
-    taps = np.stack([window.derivative, window.t_weighted][:1 if sst else 2])
+    taps = np.stack([window.samples, window.derivative, window.t_weighted][:2 if sst else 3])
     grid = np.arange(max(n_bins, n_frames), dtype=float)  # own bin or frame index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start, spec in _spectra(sig.values, taps, hop, nfft, step):
             n = spec.shape[1]
             frames = slice(start, start + n)
-            v, fbin = v_all[frames], est[0, :n]
+            v, fbin = spec[0], est[0, :n]
             m = np.abs(v, out=mag[:n])
             # each ratio overwrites its spectrum; kept cells: as V_dg / where(kept, V_g, 1)
-            r = np.divide(spec[0], v, out=spec[0])
+            r = np.divide(spec[1], v, out=spec[1])
             np.subtract(freqs, np.divide(r.imag, 2.0 * np.pi, out=fbin), out=fbin)
             _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
             if sst:  # each coefficient stays in its own frame
                 col = grid[:n, None]
             else:
                 col = est[1, :n]
-                np.add(times[frames, None], np.divide(spec[1], v, out=spec[1]).real, out=col)
+                np.add(times[frames, None], np.divide(spec[2], v, out=spec[2]).real, out=col)
                 np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
                 _nearest(np.divide(col, hop, out=col), grid[frames, None], n_frames)
             np.add(np.multiply(fbin, width, out=fbin), col, out=fbin)
@@ -356,7 +364,8 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
 
     The output is the elementwise arithmetic mean over tapers of the
     magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.  Tapers
-    run one at a time, so one taper's spectra are live at once.
+    run one at a time and each one's matrix is added in place to a running
+    sum, so the sum and one taper's transform are live at once.
     """
     if taper_count < MULTITAPER_TAPERS[0]:
         raise ValueError(f"multitaper needs at least {MULTITAPER_TAPERS[0]} tapers")
@@ -364,11 +373,13 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
         raise ValueError(f"method must be 'sst' or 'rm', got {method!r}")
     windows = make_windows("hermite", duration_s, sig.rate, taper_count)
     freqs, times, _ = _frame_plan(sig, windows[0], hop, nfft, chunk)
-    acc = 0.0  # 0.0 + the first layer is that layer: the mean keeps its bits
+    layers = (_sharpened(sig, win, hop, nfft, threshold, chunk, method,
+                         magnitude=True).matrix for win in windows)
+    acc = 0.0 + next(layers)  # 0.0 + the first layer is that layer: the mean keeps its bits
     with np.errstate(over="ignore"):  # refused below
-        for win in windows:
-            acc = acc + _sharpened(sig, win, hop, nfft, threshold, chunk, method,
-                                   magnitude=True).matrix
+        for layer in layers:
+            np.add(acc, layer, out=acc)
+            del layer  # not live while the next one is made
     if not np.isfinite(acc.max()):
         raise _overflow(sig.values)
     meta = WindowMeta("hermite", float(duration_s), hop, taper_count)
@@ -376,10 +387,20 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     return TFRepresentation(acc, freqs, times, f"mt_{method}", meta)
 
 
+def _sign_bit_set(matrix: np.ndarray) -> bool:
+    """Whether a real ``matrix`` holds a value with its sign bit set (a
+    negative number, -0.0 or a negative NaN); a float's bits read as a
+    signed integer are negative exactly then, so one reduction decides
+    without a full-size temporary."""
+    if matrix.dtype.kind == "f" and matrix.dtype.itemsize in (2, 4, 8):
+        return bool(matrix.size) and matrix.view(f"i{matrix.dtype.itemsize}").min() < 0
+    return bool(np.signbit(matrix).any())
+
+
 def as_magnitude(matrix: np.ndarray) -> np.ndarray:
     """|matrix|: ``matrix`` itself when it is real with no sign bit set
     (no negative value, no -0.0), else a new ``np.abs`` of it."""
-    if np.isrealobj(matrix) and not np.signbit(matrix).any():
+    if np.isrealobj(matrix) and not _sign_bit_set(matrix):
         return matrix
     return np.abs(matrix)
 
@@ -406,6 +427,28 @@ def tf_magnitude(sig: UniformSignal, method: str, window_s: float, hop: int,
     return TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, method, tfr.window_meta)
 
 
+def magnitude_rows(matrix) -> RowBlocks:
+    """|matrix| (an array or RowBlocks) a block of rows at a time, each
+    block by ``as_magnitude``: a real block with no sign bit as it is."""
+    return RowBlocks(matrix.shape, lambda a, b: as_magnitude(matrix[a:b]))
+
+
+def display_rows(matrix) -> tuple[RowBlocks, float]:
+    """The log display of ``matrix`` (an array or RowBlocks) a block of
+    rows at a time, and its clip q: max(1e-2, log(1 + min(|R|, q))) with
+    q the exact 99.8% quantile of |R| over all entries (zeros included),
+    linear between order statistics, found in a block's memory."""
+    mag = magnitude_rows(matrix)
+    q = exact_quantile(mag, _DISPLAY_QUANTILE)
+
+    def make(a: int, b: int) -> np.ndarray:
+        out = np.minimum(mag[a:b], q)
+        np.log1p(out, out=out)
+        return np.maximum(1e-2, out, out=out)
+
+    return RowBlocks(mag.shape, make), q
+
+
 @dataclass(frozen=True, eq=False)
 class DisplayMatrix:
     """Log-scale display of a TF matrix, clipped at a high quantile."""
@@ -421,15 +464,13 @@ def log_display(tfr: TFRepresentation) -> DisplayMatrix:
     """max(1e-2, log(1 + min(|R|, q))) with q the 99.8% quantile of |R|.
 
     The quantile runs over all entries of |R| (zeros included) with linear
-    interpolation between order statistics.
+    interpolation between order statistics, exactly as ``np.quantile``;
+    it is found by ``display_rows`` in a block's memory, and the display
+    is filled a block of rows at a time, with no full-size |R|.  An empty
+    matrix has no quantile: a ValueError.
     """
-    if tfr.matrix.size == 0:
-        raise ValueError("empty TF matrix")
-    # the quantile partitions a transient |R| in place; the display comes after
-    q = float(np.quantile(np.abs(tfr.matrix).ravel(), 0.998, overwrite_input=True))
-    out = np.abs(tfr.matrix)
-    np.minimum(out, q, out=out)
-    np.maximum(1e-2, np.log1p(out, out=out), out=out)
+    rows, q = display_rows(tfr.matrix)
+    out = rows.array()
     out.setflags(write=False)
     return DisplayMatrix(matrix=out, quantile_q=q)
 

@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from nyqmirror import UniformSignal, __version__, cli, spline_interp
 from nyqmirror.cli import (
     _CSV_BLOCK_CELLS,
-    _CSV_BLOCK_ROWS,
     DEFAULT_CONFIG,
     load_config,
     main,
@@ -34,6 +33,7 @@ from nyqmirror.cli import (
 )
 from nyqmirror.mitigation import inf_hard_threshold
 from nyqmirror.reflection import above_inf_energy_ratio
+from nyqmirror.rowblocks import _BLOCK_CELLS
 from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, log_display
 
 SMALL_SCENARIO = {
@@ -711,6 +711,41 @@ def test_tfr_products_need_no_more_memory_than_the_transform(tmp_path):
     assert whole_run <= 1.05 * transform
 
 
+def test_physio_products_need_no_more_memory_than_the_transform(tmp_path):
+    # physio_long's synthetic job, shorter: the EDR under mt_rm, TFR1 only,
+    # masked above the INF.  The masked products and both ratios read the
+    # one magnitude a block of rows at a time, so the whole run fits in
+    # what its own transform needed
+    import tracemalloc
+
+    from nyqmirror.physio_io import edr_signal, synth_rpeaks
+    from nyqmirror.tf_analysis import tf_magnitude
+
+    synth = {"ihr_hz": 1.4, "resp_hz": 0.5, "duration_s": 120.0, "modulation_depth": 0.1}
+    sets = ["physio.synth=" + json.dumps(synth), "analysis.method=mt_rm",
+            "analysis.window_s=15", "mitigation.inf_mask=true", 'output.formats=["tfr1"]']
+    cfg = load_config(None, sets)
+    rec = synth_rpeaks(lambda t: np.full_like(t, 1.4), lambda t: np.full_like(t, 0.5),
+                       synth["duration_s"], synth["modulation_depth"])
+    sig = edr_signal(rec, cfg["physio"]["rate_hz"], cfg["physio"]["edr_scheme"])
+    window_s, hop, nfft = cli._analysis_params(cfg, sig.rate)
+    argv = ["physio", "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    peaks = []
+    for run in (lambda: tf_magnitude(sig, "mt_rm", window_s, hop, nfft, 3, 1e-8),
+                lambda: main(argv)):
+        tracemalloc.start()
+        try:
+            assert run() is not None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    transform, whole_run = peaks
+    assert transform > 10_000_000  # 1025 bins x 960 frames, the sum and one taper
+    assert whole_run <= 1.05 * transform
+
+
 def test_tfr_inf_mask_needs_a_scenario(tmp_path, capsys):
     # an input signal has no INF: the mask and its report used to be
     # skipped without a word; the input is not even read
@@ -1115,8 +1150,9 @@ def _special_values():
 
 
 def _block_crossing():
+    # past one block of rows (write_tfr_csv reads its magnitude by blocks)
     rng = np.random.default_rng(4)
-    mat = rng.random((_CSV_BLOCK_ROWS + 5, 6))
+    mat = rng.random((_BLOCK_CELLS // 6 + 5, 6))
     mat[mat < 0.5] = 1e-2
     return mat
 
@@ -1126,7 +1162,7 @@ def _curve_specials():
     return {"time_s": np.arange(8) / 3.0, "value": values, "other": values[::-1]}
 
 
-_LONG = 2 * _CSV_BLOCK_ROWS + 3
+_LONG = 2 * 256 + 3
 _BLOCK_PLUS = _CSV_BLOCK_CELLS // 3 + 7  # rows of three cells: past one block
 
 

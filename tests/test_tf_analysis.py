@@ -585,9 +585,9 @@ MEMORY_NFFT = 4096
 
 
 def test_sst_peak_is_about_its_base_spectrum_and_output():
-    # V_g kept frames-major plus the complex output is 2x the output; a
-    # full |V_g| matrix would add 0.5x.  The per-block buffers (about
-    # 3 MB) are 0.07x at these 4097 x 640 cells.
+    # the complex output and the per-block buffers (about 3 MB, 0.07x at
+    # these 4097 x 640 cells) are all: a full V_g would add 1x, a full
+    # |V_g| matrix 0.5x.
     win = make_windows("gaussian", 4.0, RATE)[0]
     tfr, peak = traced_peak(synchrosqueeze, tone(6.0, duration=10.0), win, 1,
                             8192, 1e-8)
@@ -596,9 +596,9 @@ def test_sst_peak_is_about_its_base_spectrum_and_output():
 
 
 def test_rm_peak_is_about_its_base_spectrum_and_output():
-    # V_g kept frames-major (2x the real output) plus the output is 3x; a
-    # full |V_g| or target-index matrix would add 1x each.  The per-block
-    # buffers are about 0.2x at these 4097 x 640 cells.
+    # the output and the per-block buffers (about 0.2x at these 4097 x 640
+    # cells) are all: a full V_g would add 2x, a full |V_g| or
+    # target-index matrix 1x each.
     win = make_windows("gaussian", 4.0, RATE)[0]
     tfr, peak = traced_peak(reassign, tone(6.0, duration=10.0), win, 1, 8192, 1e-8)
     assert tfr.matrix.size >= 2_500_000
@@ -607,13 +607,65 @@ def test_rm_peak_is_about_its_base_spectrum_and_output():
 
 @pytest.mark.parametrize("method, ratio", [("sst", 3.3), ("mt_sst", 4.3)])
 def test_tf_magnitude_peak_holds_no_complex_output(method, ratio):
-    # V_g kept frames-major (2x the real output) plus the output is 3x for
-    # sst; multitaper adds its running sum (4x).  A complex SST output
-    # would add 2x.  The per-block buffers are about 0.1x at 4097 x 640.
+    # the real output is 1x for sst; multitaper adds its running sum (2x).
+    # A complex SST output would add 2x.  The per-block buffers are about
+    # 0.15x at 4097 x 640.
     tfr, peak = traced_peak(tf_magnitude, tone(6.0, duration=10.0), method, 4.0,
                             1, 8192, 3, 1e-8)
     assert tfr.matrix.size >= 2_500_000
     assert peak <= ratio * tfr.matrix.nbytes
+
+
+@pytest.mark.parametrize("method, ratio", [("sst", 1.6), ("rm", 1.6),
+                                           ("mt_sst", 2.3), ("mt_rm", 2.3)])
+def test_tf_magnitude_peak_is_about_its_real_output(method, ratio):
+    # no full V_g is kept: sst and rm hold their output and the per-block
+    # buffers (about 0.2x at these 4097 x 640 cells); multitaper adds its
+    # running sum, to which each taper's output is added in place
+    tfr, peak = traced_peak(tf_magnitude, tone(6.0, duration=10.0), method, 4.0,
+                            1, 8192, 3, 1e-8)
+    assert tfr.matrix.size >= 2_500_000
+    assert peak <= ratio * tfr.matrix.nbytes
+
+
+def test_sign_checks_make_no_full_size_temporary():
+    # as_magnitude's sign-bit test and the nonnegativity check of a
+    # TFRepresentation are reductions: no mask as large as the matrix
+    from nyqmirror.tf_analysis import WindowMeta, as_magnitude
+
+    mag = np.random.default_rng(2).random((4097, 640))
+    mag.setflags(write=False)  # shared, not copied, by the container
+    freqs, times = np.arange(4097.0), np.arange(640.0)
+    meta = WindowMeta("gaussian", 1.0, 1, 1)
+    same, peak = traced_peak(as_magnitude, mag)
+    assert same is mag and peak < 0.01 * mag.nbytes
+    tfr, peak = traced_peak(TFRepresentation, mag, freqs, times, "rm", meta)
+    assert tfr.matrix is mag and peak < 0.01 * mag.nbytes
+
+
+@pytest.mark.parametrize("values, copied, refused", [
+    ([0.0, 1.0], False, False),
+    ([np.nan, 2.0], False, False),         # NaN has no sign bit and is not < 0
+    ([-0.0, 1.0], True, False),            # -0.0 has a sign bit and is not < 0
+    ([-np.nan, 1.0], True, False),
+    ([-1e-300, 1.0], True, True),
+    ([-np.inf, np.nan], True, True),
+    ([], False, False),
+])
+def test_sign_checks_keep_their_semantics(values, copied, refused):
+    from nyqmirror.tf_analysis import WindowMeta, as_magnitude
+
+    mat = np.array(values, dtype=float).reshape(-1, 1)
+    mag = as_magnitude(mat)
+    assert (mag is not mat) == copied
+    assert not np.signbit(mag).any()
+    axes = np.arange(float(mat.shape[0])), np.arange(1.0)
+    make = lambda: TFRepresentation(mat, *axes, "rm", WindowMeta("gaussian", 1.0, 1, 1))  # noqa: E731
+    if refused:
+        with pytest.raises(ValueError, match="nonnegative"):
+            make()
+    else:
+        make()
 
 
 @pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])

@@ -333,13 +333,18 @@ _CELL_WIDTH = 26  # "\r\n-1.2345678901234567e-123", the longest cell text
 def _csv_pow10() -> np.ndarray:
     """Columns e + _POW10_E: the Dekker halves of hi, the double nearest
     10**(16 - e), and its rest to 3 ulp (0 where 10**(16 - e) is a double)."""
-    parts = []
-    for k in range(16 + _POW10_E, 15 - _POW10_E, -1):
-        n = 10 ** abs(k)
-        hi = float(f"1e{k}")  # correctly rounded
-        m, d = hi.as_integer_ratio()
-        parts.append((hi, float(n - m) if k >= 0 else float(d - m * n) / n / d))
-    hi, lo = np.array(parts).T
+    hi, lo, n = [], [], 10 ** (16 + _POW10_E)
+    while n:  # 10**k for k = 16 + _POW10_E .. 0
+        hi.append(float(n))  # correctly rounded
+        lo.append(float(n - int(hi[-1])))
+        n //= 10
+    n = 1
+    for _ in range(_POW10_E - 16):  # 10**-k for k = 1 .. _POW10_E - 16
+        n *= 10
+        hi.append(1 / n)  # correctly rounded
+        m, d = hi[-1].as_integer_ratio()
+        lo.append(float(d - m * n) / n / d)
+    hi, lo = np.array(hi), np.array(lo)
     high = hi * 134217729.0  # 2**27 + 1
     high -= high - hi
     return np.stack([high, hi - high, lo])
@@ -351,23 +356,34 @@ def _csv_layouts():
     300): e + 4 in %g's fixed range -4 <= e <= 16, then e+ddd, e+dd, e-dd,
     e-ddd; per layout ((lead * 2 + negative) * 25 + class) * 17 + digits - 1
     its text's source bytes, their mask and count."""
-    group, ascii4 = np.arange(10000), np.empty((10000, 4), np.uint8)
-    for j, place in enumerate((1000, 100, 10, 1)):  # temporaries of 80 kB
-        ascii4[:, j] = 48 + group // place % 10
-    kind = np.array([e + 4 if -4 <= e <= 16 else 21 if e > 99 else 22 if e > 0
-                     else 23 if e > -100 else 24 for e in range(-300, 301)])
-    # a layout's text names digit i by letter i, the exponent's digits xyz
-    digit, tails = "ABCDEFGHIJKLMNOPQ", ("", "e+xyz", "e+yz", "e-yz", "e-xyz")
-    body = [("0." + "0" * (3 - c) + digit[:n] if c < 4 else  # w digits before "."
-             digit[:w] + ("." + digit[w:n]) * (n > w)) + tails[max(c - 20, 0)]
-            for c in range(25) for w in [c - 3 if c <= 20 else 1] for n in range(1, 18)]
-    texts = [pre + text for pre in (",", ",-", "\r\n", "\r\n-") for text in body]
-    table = bytes.maketrans(f"{digit}xyz{_CSV_ROW[24:].decode()} ".encode(),
-                            bytes([*range(3, 20), *range(21, 32), 0]))  # 0: padding
-    source = np.frombuffer("".join(text.ljust(_CELL_WIDTH) for text in texts).encode()
-                           .translate(table), np.uint8).reshape(-1, _CELL_WIDTH)
+    ascii4, digit = np.empty((10, 10, 10, 10, 4), np.uint8), np.arange(48, 58, dtype=np.uint8)
+    for j in range(4):  # thousands first
+        ascii4[..., j] = digit.reshape(10, *[1] * (3 - j))
+    e = np.arange(-300, 301)
+    kind = np.where((e >= -4) & (e <= 16), e + 4, 21 + (e <= 99) + (e <= 0) + (e <= -100))
+    # source bytes of _CSV_ROW: digit i at 3 + i, the exponent's xyz at 21 to
+    # 23, the constants from 24; 0 pads
+    at = {"x": 21, "y": 22, "z": 23, **{ch: 24 + i for i, ch in enumerate(_CSV_ROW[24:].decode())}}
+    tails = np.zeros((25, 6), np.uint8)  # per class; 0 past its end
+    for c, tail in zip(range(21, 25), ("e+xyz", "e+yz", "e-yz", "e-xyz")):
+        tails[c, :len(tail)] = [at[ch] for ch in tail]
+    # the text after its lead: "0." and 3 - c zeros where e < 0, the digits
+    # with a "." after the first w where more follow, the class's tail
+    c, n, b = np.ogrid[:25, 1:18, :_CELL_WIDTH]  # class, digits, byte
+    zeros = np.where(c < 4, 5 - c, 0)
+    w = np.where(c < 4, n, np.where(c <= 20, c - 3, 1))
+    end = zeros + np.where(n > w, n + 1, w)
+    i = b - zeros  # byte of the digits
+    body = np.where(b < zeros, np.where(b == 1, at["."], at["0"]),
+                    np.where(b < end, np.where(i == w, at["."], 3 + i - (i > w)),
+                             tails[c, (b - end).clip(0, 5)]))
+    source = np.empty((4, 25, 17, _CELL_WIDTH), np.uint8)
+    for k, lead in enumerate((",", ",-", "\r\n", "\r\n-")):
+        source[k, ..., :len(lead)] = [at[ch] for ch in lead]
+        source[k, ..., len(lead):] = body[..., :_CELL_WIDTH - len(lead)]
+    source = source.reshape(-1, _CELL_WIDTH)
     return (ascii4.view(np.uint32).ravel(), kind, source, source != 0,
-            np.array([len(text) for text in texts]))
+            np.count_nonzero(source, axis=1))
 
 
 def _scaled_pow10(a: np.ndarray, e: np.ndarray):

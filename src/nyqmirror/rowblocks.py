@@ -74,13 +74,18 @@ def streamed_sum(chunks, count: int):
         rest = values[n:]
         return values[:n]
 
-    def tree(n: int):
-        if n <= _BLOCK_CELLS:
-            return np.sum(take(n))
-        half = n // 2 - n // 2 % 8
-        return tree(half) + tree(n - half)
+    return _pairwise_sum(count, take)
 
-    return tree(count)
+
+def _pairwise_sum(n: int, take):
+    """np.sum's pairwise tree over the next ``n`` values from ``take``.  A
+    module function, not a closure calling itself: such a closure is a
+    reference cycle, and would keep ``take``, its chunks and the matrix they
+    are read from alive until the cyclic GC runs."""
+    if n <= _BLOCK_CELLS:
+        return np.sum(take(n))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, take) + _pairwise_sum(n - half, take)
 
 
 def _bit_blocks(mag):

@@ -12,15 +12,15 @@ exactly in rationals.
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from math import prod
 
 import numpy as np
-import scipy
 
 __all__ = [
     "PchipInterpolant",
@@ -43,10 +43,10 @@ _COND_LIMIT = 1e12
 def _load_lapack(linalg_dir: str):
     """scipy's compiled LAPACK wrappers, loaded from their file in
     ``linalg_dir`` without running the ``scipy.linalg`` package import (about
-    0.2 s, ``numpy.f2py`` included).  CPython hands the same routines to any
-    later ``scipy.linalg`` import, so results do not depend on the path taken.
-    An optimisation only: where the file is missing or does not load, the
-    public ``scipy.linalg.lapack``."""
+    0.2 s, ``numpy.f2py`` included) or even scipy's own ``__init__``.  CPython
+    hands the same routines to any later ``scipy.linalg`` import, so results
+    do not depend on the path taken.  An optimisation only: where the file is
+    missing or does not load, the public ``scipy.linalg.lapack``."""
     finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")
     if spec is not None:
@@ -60,7 +60,15 @@ def _load_lapack(linalg_dir: str):
     return lapack
 
 
-_lapack = _load_lapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+def _scipy_dir() -> str:
+    """The directory of the installed scipy package, found without importing it."""
+    spec = find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    return spec.submodule_search_locations[0]
+
+
+_lapack = _load_lapack(os.path.join(_scipy_dir(), "linalg"))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +93,8 @@ def nonuniform_bspline_truncated_power(n: int, j: int, knots, x) -> np.ndarray |
         raise ValueError("knots must cover t_j .. t_{j+n+1}")
     if np.any(np.diff(sup) <= 0.0):
         raise ValueError("repeated or decreasing knots in the support")
+    from fractions import Fraction  # imported here: only this oracle needs it
+
     xa = np.asarray(x, dtype=float)
     exact = [Fraction(v) for v in sup]
     weights = [(exact[-1] - exact[0]) / prod(e - tk for e in exact if e != tk)
@@ -160,7 +170,8 @@ def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
     series b(0) + 2 sum_{m=1}^{floor((n+1)/2)} b(m) cos(2 pi m xi), where
     b(m) is the centred order-``n`` B-spline at the integer m (the
     Euler-Frobenius polynomial; Unser, Aldroubi & Eden, IEEE TSP 1993), so
-    the spectrum is exact rather than a truncated sum.
+    the spectrum is exact rather than a truncated sum.  The b(m) of each
+    order are computed once per process and shared read-only.
 
     Parameters
     ----------
@@ -174,18 +185,26 @@ def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
     float or ndarray
         eta_hat_n(xi); equals 1 at xi = 0 and 0 at nonzero integers.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"spline order must be >= 1, got {n}")
     xa = np.asarray(xi, dtype=float)
+    b = _centred_bspline_samples(n)
+    den = np.full_like(xa, b[0])
+    for m in range(1, b.size):
+        den += 2.0 * b[m] * np.cos(2.0 * np.pi * m * xa)
+    out = np.sinc(xa) ** (n + 1) / den
+    return out if out.ndim else float(out)
+
+
+@functools.cache
+def _centred_bspline_samples(n: int) -> np.ndarray:
+    """b(m) for m = 0 .. (n + 1) // 2: the centred order-``n`` B-spline at the
+    integers, computed once per order and shared read-only."""
     m = np.arange((n + 1) // 2 + 1)
     # Cox-de Boor, not the cardinal truncated-power sum: that one loses
     # about 1e-10 to cancellation at n = 12
-    b = nonuniform_bspline(n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0)
-    den = np.full_like(xa, b[0])
-    for mi in m[1:]:
-        den += 2.0 * b[mi] * np.cos(2.0 * np.pi * mi * xa)
-    out = np.sinc(xa) ** (n + 1) / den
-    return out if out.ndim else float(out)
+    return frozen(nonuniform_bspline(n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0))
 
 
 # ---------------------------------------------------------------------------

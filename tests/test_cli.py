@@ -1272,6 +1272,50 @@ def test_csv_numbers_match_format_on_hard_cases(values):
     assert got == want
 
 
+def _oracle_pow10():
+    """_csv_pow10 built from scratch for each exponent: 10**|k| and the
+    correctly rounded parse of "1e{k}"."""
+    parts = []
+    for k in range(16 + cli._POW10_E, 15 - cli._POW10_E, -1):
+        n = 10 ** abs(k)
+        hi = float(f"1e{k}")
+        m, d = hi.as_integer_ratio()
+        parts.append((hi, float(n - m) if k >= 0 else float(d - m * n) / n / d))
+    hi, lo = np.array(parts).T
+    high = hi * 134217729.0
+    high -= high - hi
+    return np.stack([high, hi - high, lo])
+
+
+def _oracle_layouts():
+    """_csv_layouts built as text: each layout's string, translated to the
+    source bytes of cli._CSV_ROW."""
+    group, ascii4 = np.arange(10000), np.empty((10000, 4), np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        ascii4[:, j] = 48 + group // place % 10
+    kind = np.array([e + 4 if -4 <= e <= 16 else 21 if e > 99 else 22 if e > 0
+                     else 23 if e > -100 else 24 for e in range(-300, 301)])
+    digit, tails = "ABCDEFGHIJKLMNOPQ", ("", "e+xyz", "e+yz", "e-yz", "e-xyz")
+    body = [("0." + "0" * (3 - c) + digit[:n] if c < 4 else
+             digit[:w] + ("." + digit[w:n]) * (n > w)) + tails[max(c - 20, 0)]
+            for c in range(25) for w in [c - 3 if c <= 20 else 1] for n in range(1, 18)]
+    texts = [pre + text for pre in (",", ",-", "\r\n", "\r\n-") for text in body]
+    table = bytes.maketrans(f"{digit}xyz{cli._CSV_ROW[24:].decode()} ".encode(),
+                            bytes([*range(3, 20), *range(21, 32), 0]))
+    source = np.frombuffer("".join(text.ljust(cli._CELL_WIDTH) for text in texts).encode()
+                           .translate(table), np.uint8).reshape(-1, cli._CELL_WIDTH)
+    return (ascii4.view(np.uint32).ravel(), kind, source, source != 0,
+            np.array([len(text) for text in texts]))
+
+
+def test_csv_tables_equal_their_text_built_oracles():
+    tables = [cli._csv_pow10.__wrapped__(), *cli._csv_layouts.__wrapped__()]
+    oracles = [_oracle_pow10(), *_oracle_layouts()]
+    for got, want in zip(tables, oracles, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_artifacts_get_mode_from_umask(tmp_path, small_config):
     out = tmp_path / "modes"
     old = os.umask(0o027)

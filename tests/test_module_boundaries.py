@@ -208,6 +208,20 @@ def test_cli_import_builds_no_csv_table():
     assert run.stdout.split() == ["0", "0"]
 
 
+def test_cli_import_runs_no_scipy_package_code():
+    # spline_interp finds scipy's LAPACK extension without importing the
+    # scipy package, and only the truncated-power oracle needs fractions
+    code = ("import sys, nyqmirror.cli\n"
+            "from nyqmirror import spline_interp\n"
+            "print('scipy' in sys.modules, 'fractions' in sys.modules,"
+            " callable(spline_interp._lapack.dgbtrf))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "False", "True"]
+
+
 def test_csv_writer_has_no_percent_template():
     # the numbers' text comes from _csv_numbers: no "%" operator in
     # _write_csv can bring back the per-cell "%.17g" template

@@ -1,6 +1,8 @@
 """Image-component prediction, synthesis, and the residual check."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -253,3 +255,21 @@ def test_ratio_survives_a_sum_that_overflows(scale):
         warnings.simplefilter("error")
         got = above_inf_energy_ratio(tfr, lambda t: np.full_like(t, 2.0))
     assert got == pytest.approx(12.0 / 16.0, rel=1e-15)
+
+
+def test_ratio_leaves_no_reference_to_its_representation():
+    # the streamed sums make no reference cycle: the representation and its
+    # matrix are freed as soon as the caller drops them, without the cyclic GC
+    mat = np.zeros((8, 4))
+    mat[6, :] = 3.0
+    tfr = flat_tfr(mat)
+    ref = weakref.ref(tfr)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert above_inf_energy_ratio(tfr, lambda t: np.full_like(t, 2.0)) == 1.0
+        del tfr
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

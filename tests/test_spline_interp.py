@@ -234,6 +234,57 @@ def test_spectrum_rejects_order_zero():
         fundamental_spline_spectrum(0, 0.5)
 
 
+def uncached_spectrum(n, xi):
+    """The spectrum's formula with a fresh Cox-de Boor run for b(m) on every
+    call: the reference the cached b(m) must reproduce bit for bit."""
+    xa = np.asarray(xi, dtype=float)
+    m = np.arange((n + 1) // 2 + 1)
+    b = nonuniform_bspline(n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0)
+    den = np.full_like(xa, b[0])
+    for mi in m[1:]:
+        den += 2.0 * b[mi] * np.cos(2.0 * np.pi * mi * xa)
+    out = np.sinc(xa) ** (n + 1) / den
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("n", range(1, 32))
+def test_spectrum_keeps_the_bits_of_the_uncached_formula(n):
+    xi = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -7.0, 0.5, -0.5, 0.25, 0.499999,
+                   -1.3, 3.7, 123.456, -1e6, 1e12, np.nan])
+    for x in (xi, xi.reshape(4, 4)):
+        got, want = fundamental_spline_spectrum(n, x), uncached_spectrum(n, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for x in xi:
+        got, want = fundamental_spline_spectrum(n, x), uncached_spectrum(n, x)
+        assert type(got) is float and np.array_equal(got, want, equal_nan=True), x
+
+
+def test_spectrum_runs_cox_de_boor_once_per_order(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return nonuniform_bspline(*args)
+
+    monkeypatch.setattr(spline_interp, "nonuniform_bspline", counted)
+    spline_interp._centred_bspline_samples.cache_clear()
+    xi = np.linspace(-2.0, 2.0, 9)
+    first = fundamental_spline_spectrum(7, xi)
+    for _ in range(3):
+        assert fundamental_spline_spectrum(7, xi).tobytes() == first.tobytes()
+    fundamental_spline_spectrum(np.int64(7), 0.3)
+    fundamental_spline_spectrum(4, 0.3)
+    assert calls == [7, 4]
+
+
+def test_cached_spline_samples_are_read_only():
+    b = spline_interp._centred_bspline_samples(5)
+    assert not b.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        b[0] = 1.0
+    assert spline_interp._centred_bspline_samples(5) is b
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
@@ -372,6 +423,22 @@ def test_lapack_fast_path_is_scipy_linalg_lapack():
             "assert si._lapack.dgbtrf is lapack.dgbtrf\n"
             "assert si._lapack.dgbtrs is lapack.dgbtrs\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_without_scipy_is_an_import_error():
+    # scipy is found without importing it; where it is missing, importing
+    # the module still fails as ``import scipy`` would
+    src = str(Path(spline_interp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "try:\n"
+            "    import nyqmirror.spline_interp\n"
+            "except ImportError as exc:\n"
+            "    print(type(exc).__name__, exc.name)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["ModuleNotFoundError", "scipy"]
 
 
 @pytest.mark.parametrize("n", [1, 3, 12])

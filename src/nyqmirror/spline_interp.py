@@ -297,23 +297,24 @@ def _basis_matrix_rows(ext_knots: np.ndarray, n: int, x: np.ndarray,
                        span: np.ndarray) -> np.ndarray:
     """All ``n+1`` nonzero basis values at each x, vectorized Cox-de Boor.
 
-    Row p holds N_{span[p]-n}(x[p]) .. N_{span[p]}(x[p]) in extended basis
-    numbering (basis b is built on ext_knots[b .. b+n+1]).
+    Row j holds N_{span[p]-n+j}(x[p]) at each point p, in extended basis
+    numbering (basis b is built on ext_knots[b .. b+n+1]), so each step of
+    the recursion reads and writes contiguous rows.
     """
     p = x.size
-    vals = np.zeros((p, n + 1))
-    vals[:, 0] = 1.0
-    left = np.zeros((p, n + 1))
-    right = np.zeros((p, n + 1))
+    vals = np.zeros((n + 1, p))
+    vals[0] = 1.0
+    left = np.zeros((n + 1, p))
+    right = np.zeros((n + 1, p))
     for d in range(1, n + 1):
-        left[:, d] = x - ext_knots[span + 1 - d]
-        right[:, d] = ext_knots[span + d] - x
+        left[d] = x - ext_knots[span + 1 - d]
+        right[d] = ext_knots[span + d] - x
         saved = np.zeros(p)
         for r in range(d):
-            tmp = vals[:, r] / (right[:, r + 1] + left[:, d - r])
-            vals[:, r] = saved + right[:, r + 1] * tmp
-            saved = left[:, d - r] * tmp
-        vals[:, d] = saved
+            tmp = vals[r] / (right[r + 1] + left[d - r])
+            vals[r] = saved + right[r + 1] * tmp
+            saved = left[d - r] * tmp
+        vals[d] = saved
     return vals
 
 
@@ -348,8 +349,9 @@ class SplineInterpolant:
         n = self.order
         spans = _find_spans(self.knots, n, xa)
         vals = _basis_matrix_rows(self.knots, n, xa, spans)
-        c_idx = spans[:, None] - n + np.arange(n + 1)[None, :]
-        out = np.sum(vals * self.coefficients[c_idx], axis=1)
+        terms = self.coefficients[spans[:, None] - n + np.arange(n + 1)[None, :]]
+        terms *= vals.T  # each point's n+1 terms in a C-order row: a pairwise sum
+        out = np.sum(terms, axis=1)
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -447,8 +449,8 @@ def interpolate_nonuniform(samples, n: int) -> SplineInterpolant:
 
     spans = _find_spans(ext, n, times)
     vals = _basis_matrix_rows(ext, n, times, spans)
-    rows = np.repeat(np.arange(m), n + 1)
-    cols = (spans[:, None] - n + np.arange(n + 1)[None, :]).ravel()
+    rows = np.tile(np.arange(m), n + 1)
+    cols = (spans - n + np.arange(n + 1)[:, None]).ravel()
     ent = vals.ravel()
 
     kl = int(np.max(rows - cols))

@@ -5,9 +5,10 @@ One framing generator serves every transform: frame centers sit on the
 sample grid every ``hop`` samples, each odd-length window is centered, FFT
 phase is referenced to the frame center (so Im[V_dg / V_g] is direct), and
 one gather and one batched FFT per block of frames give all windows' spectra
-frames-major.  A block holds about ``_BLOCK_CELLS`` cells whatever the bin
-count, so the reductions' temporaries stay in cache.  Identical inputs give
-bit-identical matrices for any block size.
+frames-major.  A block holds about ``_BLOCK_CELLS`` cells a window whatever
+the bin count (fewer frames for many tapers), so the reductions' temporaries
+stay in cache.  Identical inputs give bit-identical matrices for any block
+size.
 """
 
 from __future__ import annotations
@@ -32,15 +33,19 @@ TF_METHODS = ("stft", "sst", "rm", "mt_sst", "mt_rm")
 # multitaper's least and most tapers: an average needs two, and Hermite
 # tapers past the tenth leak past the truncation (make_windows' bound too)
 MULTITAPER_TAPERS = (2, 10)
-# spectrum cells per block of frames: keeps a block's temporaries in cache
+# spectrum cells per block of frames and taper: keeps a block's temporaries
+# in cache; past _BLOCK_TAPERS tapers a block has fewer frames
 _BLOCK_CELLS = 1 << 15
+_BLOCK_TAPERS = 3
 # the display clips |R| at this quantile
 _DISPLAY_QUANTILE = 0.998
-# bytes per cell live at once in the largest transform: tf_magnitude's
-# stft holds its complex matrix and its modulus (24, traced); a multitaper
-# sum and one taper, or a complex SST output, hold 16.  The rest covers the
-# per-block buffers, about 4 bytes per cell at a million cells.
-_LIVE_BYTES_PER_CELL = 32
+# bytes per cell live at once in the largest transform, traced at 2049 x
+# 512 cells: the complex SST output 19.7 (16 of them the output), the
+# multitaper 18.4 (sst) and 16.2 (rm) at 3 tapers and 16.5 and 14.7 at 10,
+# the RM 11.9 and tf_magnitude's real stft 9.2 and sst 11.6.  Past the
+# output's 8 or 16 the rest is per-block buffers, which do not grow with
+# the matrix.
+_LIVE_BYTES_PER_CELL = 24
 
 
 class WindowMeta(NamedTuple):
@@ -86,19 +91,10 @@ def _hermite_functions(x: np.ndarray, count: int) -> list[np.ndarray]:
     return h
 
 
-def make_windows(family: str, duration_s: float, rate: float,
-                 taper_count: int = 1) -> list[Window]:
-    """Build ``taper_count`` analysis windows of one family, each with unit
-    discrete L2 norm, spanning ``duration_s`` seconds (at least 16 samples
-    at ``rate`` Hz).
-
-    ``gaussian`` is exp(-pi u^2 / sigma^2) with sigma = duration/6,
-    truncated at the duration, and has a single taper.  ``hermite`` gives
-    the first ``taper_count`` Hermite functions on the matching scale
-    (taper 0 is the same Gaussian shape), mutually orthogonal; at most 10,
-    because higher Hermite tapers leak past the truncation.  Windows too
-    large for physical memory are refused before they are allocated.
-    """
+def _window_grid(family: str, duration_s: float, rate: float,
+                 taper_count: int) -> np.ndarray:
+    """The centered sample times (s) of a ``make_windows`` window, after its
+    checks and memory refusal."""
     if taper_count < 1:
         raise ValueError("taper_count must be >= 1")
     if taper_count > MULTITAPER_TAPERS[1]:
@@ -117,30 +113,78 @@ def make_windows(family: str, duration_s: float, rate: float,
     n_samp = int(round(samples))
     if n_samp < 16:
         raise ValueError("window must span at least 16 samples")
-
     length = n_samp + 1 if n_samp % 2 == 0 else n_samp
-    u = (np.arange(length) - (length - 1) / 2.0) / rate
-    sigma = duration_s / 6.0
+    return (np.arange(length) - (length - 1) / 2.0) / rate
 
+
+def _hermite_basis(u: np.ndarray, duration_s: float, count: int):
+    """The Hermite scale, h_0 .. h_{count-1} on the times ``u`` and the
+    norms n_j that make each n_j h_j unit-L2."""
+    scale = duration_s / 6.0 / np.sqrt(2.0 * np.pi)  # Hermite-0 matches the Gaussian
+    funcs = _hermite_functions(u / scale, count)
+    return scale, funcs, [1.0 / np.sqrt(np.sum(h * h)) for h in funcs]
+
+
+def make_windows(family: str, duration_s: float, rate: float,
+                 taper_count: int = 1) -> list[Window]:
+    """Build ``taper_count`` analysis windows of one family, each with unit
+    discrete L2 norm, spanning ``duration_s`` seconds (at least 16 samples
+    at ``rate`` Hz).
+
+    ``gaussian`` is exp(-pi u^2 / sigma^2) with sigma = duration/6,
+    truncated at the duration, and has a single taper.  ``hermite`` gives
+    the first ``taper_count`` Hermite functions on the matching scale
+    (taper 0 is the same Gaussian shape), mutually orthogonal; at most 10,
+    because higher Hermite tapers leak past the truncation.  Windows too
+    large for physical memory are refused before they are allocated.
+    """
+    u = _window_grid(family, duration_s, rate, taper_count)
     if family == "gaussian":
+        sigma = duration_s / 6.0
         raw = np.exp(-np.pi * u * u / sigma**2)
         norm = 1.0 / np.sqrt(np.sum(raw * raw))
         w = norm * raw
         dw = (-2.0 * np.pi * u / sigma**2) * w
         return [Window(w, dw, u * w, family, float(duration_s))]
 
-    scale = sigma / np.sqrt(2.0 * np.pi)  # Hermite-0 matches the Gaussian
-    x = u / scale
-    funcs = _hermite_functions(x, taper_count + 1)
+    scale, funcs, norms = _hermite_basis(u, duration_s, taper_count + 1)
     out = []
     for k in range(taper_count):
-        norm = 1.0 / np.sqrt(np.sum(funcs[k] * funcs[k]))
-        w = norm * funcs[k]
+        w = norms[k] * funcs[k]
         lower = np.sqrt(k / 2.0) * funcs[k - 1] if k > 0 else 0.0
         upper = np.sqrt((k + 1) / 2.0) * funcs[k + 1]
-        dw = norm * (lower - upper) / scale
+        dw = norms[k] * (lower - upper) / scale
         out.append(Window(w, dw, u * w, family, float(duration_s)))
     return out
+
+
+class _Ladder(NamedTuple):
+    """``lower.size`` Hermite tapers as ``_sharpened`` takes them: ``rows``
+    holds the unit-L2 windows w_0 .. w_K, w_K a helper and never a taper,
+    and each taper's derivative and time weighting are fixed combinations
+    of its neighbours (the Hermite ladder),
+    g'_k = (lower[k] w_{k-1} - upper[k] w_{k+1}) / scale and
+    t g_k = scale (lower[k] w_{k-1} + upper[k] w_{k+1})."""
+
+    rows: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    scale: float
+    duration_s: float
+
+
+def _hermite_ladder(duration_s: float, rate: float, taper_count: int) -> _Ladder:
+    """The ladder of ``make_windows``' Hermite tapers, with its refusals:
+    lower[k] = sqrt(k/2) n_k / n_{k-1} (0 for k = 0) and
+    upper[k] = sqrt((k+1)/2) n_k / n_{k+1}, n_j the norm of w_j = n_j h_j."""
+    u = _window_grid("hermite", duration_s, rate, taper_count)
+    scale, funcs, norms = _hermite_basis(u, duration_s, taper_count + 1)
+    k = np.arange(taper_count)
+    n = np.array(norms)
+    lower = np.sqrt(k / 2.0) * n[k] / n[np.maximum(k - 1, 0)]
+    upper = np.sqrt((k + 1) / 2.0) * n[k] / n[k + 1]
+    rows = np.stack([norm * h for norm, h in zip(norms, funcs)])
+    return _Ladder(rows, lower, upper, scale, float(duration_s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +215,12 @@ class TFRepresentation:
                 raise ValueError(f"{self.method} matrix must be real nonnegative")
 
 
-def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
-                chunk: int):
-    """Axes and frames per block (about ``_BLOCK_CELLS`` cells, at most
-    ``chunk``); refuses, before allocating, a transform over physical memory."""
-    length, w_len = len(sig), len(window)
+def _frame_plan(sig: UniformSignal, w_len: int, hop: int, nfft: int,
+                chunk: int, tapers: int = 1):
+    """Axes and frames per block (about ``_BLOCK_CELLS`` cells a taper, and
+    fewer frames past ``_BLOCK_TAPERS`` tapers; at most ``chunk``); refuses,
+    before allocating, a transform over physical memory."""
+    length = len(sig)
     if hop < 1:
         raise ValueError("hop must be >= 1 sample")
     if nfft < w_len:
@@ -187,7 +232,8 @@ def _frame_plan(sig: UniformSignal, window: Window, hop: int, nfft: int,
                  f"raise hop ({hop}) or lower nfft ({nfft})")
     freqs = np.arange(n_bins) * (sig.rate / nfft)
     times = sig.t_start + np.arange(0, length, hop) / sig.rate
-    return freqs, times, max(1, min(chunk, _BLOCK_CELLS // n_bins))
+    frames = _BLOCK_CELLS * min(tapers, _BLOCK_TAPERS) // (tapers * n_bins)
+    return freqs, times, max(1, min(chunk, frames))
 
 
 def _overflow(values: np.ndarray) -> ValueError:
@@ -196,15 +242,14 @@ def _overflow(values: np.ndarray) -> ValueError:
                       f"{np.max(np.abs(values)):.3g}; scale the signal down")
 
 
-def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int,
-             step: int, out: np.ndarray | None = None):
-    """Yield (start, spec) per block of ``step`` frames: ``spec[k]`` is the
-    C-contiguous (frames, bins) STFT block of window ``taps[k]``, in the
-    rows of ``out[k]`` if given, else in a buffer the next block reuses.
-    One gather of frames and one batched FFT serve all windows; the FFT
-    buffer is rotated so that phase is measured from the frame center.
-    Spectrum values, their moduli and the FFT's partial sums stay within 2
-    max|values| sum|tap|: refused if that reaches half the float64 range."""
+def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: int):
+    """Yield (start, spec) per block of ``step`` frames: ``spec[:, k]`` is
+    the (frames, bins) STFT block of window ``taps[k]``, in a buffer the
+    next block reuses.  One gather of frames and one batched FFT serve all
+    windows; the FFT buffer is rotated so that phase is measured from the
+    frame center.  Spectrum values, their moduli and the FFT's partial sums
+    stay within 2 max|values| sum|tap|: refused if that reaches half the
+    float64 range."""
     bound = float(np.max(np.abs(values))) * float(np.abs(taps).sum(axis=1).max())
     if not bound < np.finfo(float).max / 4:
         raise _overflow(values)
@@ -213,15 +258,30 @@ def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int,
     padded = np.zeros(values.size + 2 * half)
     padded[half:half + values.size] = values
     frames = np.lib.stride_tricks.sliding_window_view(padded, w_len)[::hop]
-    buf = np.zeros((count, step, nfft))
-    spec = np.empty((count, step, nfft // 2 + 1), dtype=complex) if out is None else out
+    buf = np.zeros((step, count, nfft))
+    spec = np.empty((step, count, nfft // 2 + 1), dtype=complex)
     for start in range(0, frames.shape[0], step):
-        blk = frames[start:start + step]
+        blk = frames[start:start + step, None]
         n = blk.shape[0]
-        np.multiply(blk[:, half:], taps[:, None, half:], out=buf[:, :n, :half + 1])
-        np.multiply(blk[:, :half], taps[:, None, :half], out=buf[:, :n, nfft - half:])
-        dest = spec[:, :n] if out is None else out[:, start:start + n]
-        yield start, np.fft.rfft(buf[:, :n], axis=-1, out=dest)
+        np.multiply(blk[..., half:], taps[:, half:], out=buf[:n, :, :half + 1])
+        np.multiply(blk[..., :half], taps[:, :half], out=buf[:n, :, nfft - half:])
+        yield start, np.fft.rfft(buf[:n], axis=-1, out=spec[:n])
+
+
+def _stft(sig: UniformSignal, window: Window, hop: int, nfft: int, chunk: int,
+          magnitude: bool) -> TFRepresentation:
+    """``stft``, or with ``magnitude`` its real modulus filled a block at a time."""
+    freqs, times, step = _frame_plan(sig, len(window), hop, nfft, chunk)
+    out = np.empty((freqs.size, times.size), dtype=float if magnitude else complex)
+    for start, spec in _spectra(sig.values, window.samples[None], hop, nfft, step):
+        dest = out[:, start:start + spec.shape[0]]
+        if magnitude:
+            np.abs(spec[:, 0].T, out=dest)
+        else:
+            dest[...] = spec[:, 0].T
+    out.setflags(write=False)
+    meta = WindowMeta(window.family, window.duration_s, hop, 1)
+    return TFRepresentation(out, freqs, times, "stft", meta)
 
 
 def stft(sig: UniformSignal, window: Window, hop: int, nfft: int,
@@ -232,13 +292,7 @@ def stft(sig: UniformSignal, window: Window, hop: int, nfft: int,
     on the one-sided frequency axis 0 .. rate/2; boundary frames see zeros
     outside the signal.  ``chunk`` only bounds working memory.
     """
-    freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
-    out = np.empty((freqs.size, times.size), dtype=complex)
-    for start, spec in _spectra(sig.values, window.samples[None], hop, nfft, step):
-        out[:, start:start + spec.shape[1]] = spec[0].T
-    out.setflags(write=False)
-    meta = WindowMeta(window.family, window.duration_s, hop, 1)
-    return TFRepresentation(out, freqs, times, "stft", meta)
+    return _stft(sig, window, hop, nfft, chunk, magnitude=False)
 
 
 def _nearest(est: np.ndarray, own, count: int) -> np.ndarray:
@@ -251,84 +305,122 @@ def _nearest(est: np.ndarray, own, count: int) -> np.ndarray:
     return est
 
 
-def _sharpened(sig: UniformSignal, window: Window, hop: int, nfft: int,
+def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int,
                threshold: float, chunk: int, method: str,
                magnitude: bool = False) -> TFRepresentation:
-    """Synchrosqueezed ('sst') or reassigned ('rm') transform.  A first
-    pass keeps only the running max|V_g| for the floor threshold * max|V_g|
-    (and SST's largest column sum of |V_g| for its overflow refusal); the
-    second makes V_g again with V_dg (and V_tg) in one batched FFT per
-    block, and one np.add.at per block, over a flat frames-major index
-    (ufunc.at's fast path), sums each kept coefficient (for rm its mass
-    |V_g|^2) into its target cell; a dropped one goes to a trash slot past
-    the cells.  RM sums into the whole flat bins-major output.  SST
-    coefficients stay in their frame, so SST sums into a block-local
-    buffer and hands the block's sums (with ``magnitude``, their moduli:
-    a real output) to its frames of the output.  No full V_g, |V_g| or
-    index is kept: the output and the per-block buffers are all."""
+    """Synchrosqueezed ('sst') or reassigned ('rm') transform of one window,
+    or the mean over the K tapers of a ``_Ladder`` (SST then always real).
+    A first pass makes the tapers' V_g in one batched FFT per block and
+    keeps only each taper's max|V_g|, for its floor threshold * max|V_g|
+    (and SST's largest column sum of |V_g| for its overflow refusal).  The
+    second makes V_g again in one batched FFT per block with what the ratios
+    need: a window's own g' (and t g), whose spectra over V_g give V_dg / V_g
+    (and V_tg / V_g), or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and
+    F_{k+1} / F_k give taper k's.  One np.add.at per block, over a flat
+    index in (frame, taper, bin) order (ufunc.at's fast path), sums each
+    kept coefficient (for rm its mass |V_g|^2) into its target cell; a
+    dropped one goes to a trash slot past the cells.  RM sums into the whole
+    flat bins-major output.  SST coefficients stay in their frame and taper,
+    so SST sums into a block-local buffer, a slice per taper, and hands the
+    block's sums (with ``magnitude``, their moduli added taper by taper: a
+    real output) to its frames of the output.  Every sum has one order for
+    any ``chunk``, and no full V_g, |V_g| or index is kept."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    freqs, times, step = _frame_plan(sig, window, hop, nfft, chunk)
-    n_bins, n_frames = freqs.size, times.size
     sst = method == "sst"
-    mag = np.empty((step, n_bins))
-    peak, column = -np.inf, 0.0
-    for _, spec in _spectra(sig.values, window.samples[None], hop, nfft, step):
-        m = np.abs(spec[0], out=mag[:spec.shape[1]])
-        peak = np.maximum(peak, m.max())  # NaN passes, as in ndarray.max
+    if isinstance(window, Window):
+        ladder, count = None, 1
+        taps = np.stack([window.samples, window.derivative, window.t_weighted][:2 if sst else 3])
+        meta = WindowMeta(window.family, window.duration_s, hop, 1)
+    else:
+        ladder, taps, count = window, window.rows, window.lower.size
+        meta = WindowMeta("hermite", window.duration_s, hop, count)
+    freqs, times, step = _frame_plan(sig, taps.shape[1], hop, nfft, chunk, count)
+    n_bins, n_frames = freqs.size, times.size
+    mag = np.empty((step, count, n_bins))
+    peak, column = np.full(count, -np.inf), 0.0
+    for _, spec in _spectra(sig.values, taps[:count], hop, nfft, step):
+        m = np.abs(spec, out=mag[:spec.shape[0]])
+        peak = np.maximum(peak, m.max(axis=(0, 2)))  # NaN passes, as in ndarray.max
         if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
             with np.errstate(over="ignore"):  # refused below
-                column = np.maximum(column, m.sum(axis=1).max())
+                column = np.maximum(column, m.sum(axis=2).max())
     del spec  # the first pass's FFT block
     if not np.isfinite(column):
         raise _overflow(sig.values)
-    floor = threshold * float(peak) if threshold > 0.0 else 0.0
+    floor = (threshold * peak if threshold > 0.0 else np.zeros(count))[:, None]
 
-    est = np.empty((1 if sst else 2, step, n_bins))  # bin (and frame) targets
-    cells = np.empty((step, n_bins), dtype=np.intp)  # bin * width + frame column
-    if sst:  # block-local sums: target bin * width + frame - start
-        width = min(step, n_frames)
-        out = np.empty((n_bins, n_frames), dtype=float if magnitude else complex)
-        acc = np.zeros(n_bins * width + 1, dtype=complex)
-    else:  # the flat output: target bin * n_frames + frame
-        width, acc = n_frames, np.zeros(n_bins * n_frames + 1)
-    taps = np.stack([window.samples, window.derivative, window.t_weighted][:2 if sst else 3])
+    est = np.empty((1 if sst else 2, step, count, n_bins))  # bin (and frame) targets
+    cells = np.empty((step, count, n_bins), dtype=np.intp)
     grid = np.arange(max(n_bins, n_frames), dtype=float)  # own bin or frame index
+    if sst:  # block-local sums: target (bin * count + taper) * width + frame - start
+        width = min(step, n_frames)
+        stride, own = count * width, (np.arange(count) * width + grid[:width, None])[:, :, None]
+        out = np.empty((n_bins, n_frames), dtype=float if magnitude else complex)
+        acc = np.zeros(n_bins * stride + 1, dtype=complex)
+        modulus = np.empty((n_bins, width))  # of one taper's sums
+    else:  # the flat output: target bin * n_frames + frame
+        stride, acc = n_frames, np.zeros(n_bins * n_frames + 1)
+    if ladder is not None:  # the ratios, and the ladder's factors per Hz and per s
+        ratio = np.empty((step, count, n_bins), dtype=complex)
+        freq_lo, freq_hi = (np.divide(c, 2.0 * np.pi * ladder.scale)[:, None]
+                            for c in (ladder.lower[1:], -ladder.upper))
+        time_lo, time_hi = (np.multiply(c, ladder.scale)[:, None]
+                            for c in (ladder.lower[1:], ladder.upper))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start, spec in _spectra(sig.values, taps, hop, nfft, step):
-            n = spec.shape[1]
+            n = spec.shape[0]
             frames = slice(start, start + n)
-            v, fbin = spec[0], est[0, :n]
+            v, fbin = spec[:, :count], est[0, :n]
             m = np.abs(v, out=mag[:n])
-            # each ratio overwrites its spectrum; kept cells: as V_dg / where(kept, V_g, 1)
-            r = np.divide(spec[1], v, out=spec[1])
-            np.subtract(freqs, np.divide(r.imag, 2.0 * np.pi, out=fbin), out=fbin)
-            _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
-            if sst:  # each coefficient stays in its own frame
-                col = grid[:n, None]
-            else:
+            if not sst:
                 col = est[1, :n]
-                np.add(times[frames, None], np.divide(spec[2], v, out=spec[2]).real, out=col)
+            if ladder is None:  # each ratio overwrites its spectrum
+                r = np.divide(spec[:, 1:2], v, out=spec[:, 1:2])
+                np.divide(r.imag, 2.0 * np.pi, out=fbin)
+                if not sst:
+                    np.add(times[frames, None, None],
+                           np.divide(spec[:, 2:], v, out=spec[:, 2:]).real, out=col)
+            else:  # F_{k+1} / F_k, then F_{k-1} / F_k for k >= 1
+                r = np.divide(spec[:, 1:], v, out=ratio[:n])
+                np.multiply(r.imag, freq_hi, out=fbin)
+                if not sst:
+                    np.multiply(r.real, time_hi, out=col)
+                r = np.divide(spec[:, :count - 1], v[:, 1:], out=ratio[:n, 1:])
+                fbin[:, 1:] += np.multiply(r.imag, freq_lo, out=r.imag)
+                if not sst:
+                    col[:, 1:] += np.multiply(r.real, time_lo, out=r.real)
+                    np.add(times[frames, None, None], col, out=col)
+            np.subtract(freqs, fbin, out=fbin)
+            _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
+            if sst:  # each coefficient stays in its own frame and taper
+                col = own[:n]
+            else:
                 np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
-                _nearest(np.divide(col, hop, out=col), grid[frames, None], n_frames)
-            np.add(np.multiply(fbin, width, out=fbin), col, out=fbin)
+                _nearest(np.divide(col, hop, out=col), grid[frames, None, None], n_frames)
+            np.add(np.multiply(fbin, stride, out=fbin), col, out=fbin)
             np.copyto(fbin, acc.size - 1, where=~(m > floor))
             np.copyto(cells[:n], fbin, casting="unsafe")
             np.add.at(acc, cells[:n].ravel(), (v if sst else np.square(m, out=m)).ravel())
             if sst:
-                sums = acc[:-1].reshape(n_bins, width)[:, :n]
-                if magnitude:
-                    np.abs(sums, out=out[:, frames])
-                else:
-                    out[:, frames] = sums
+                sums = acc[:-1].reshape(n_bins, count, width)[:, :, :n]
+                if not magnitude:
+                    out[:, frames] = sums[:, 0]
+                else:  # ((|S_0| + |S_1|) + ...) / K, the mean's order
+                    np.abs(sums[:, 0], out=out[:, frames])
+                    for k in range(1, count):
+                        np.add(out[:, frames], np.abs(sums[:, k], out=modulus[:, :n]),
+                               out=out[:, frames])
                 acc.fill(0.0)
     if not sst:
         out = acc[:-1].reshape(n_bins, n_frames)
-        if not np.isfinite(out.max()):  # a squared |V_g| or a sum of them
-            raise _overflow(sig.values)
+    if count > 1:  # the mean over tapers
+        np.divide(out, count, out=out)
+    # a squared |V_g|, or a sum of masses or of taper moduli, may overflow
+    if (count > 1 or not sst) and not np.isfinite(out.max()):
+        raise _overflow(sig.values)
     out.setflags(write=False)
-    meta = WindowMeta(window.family, window.duration_s, hop, 1)
-    return TFRepresentation(out, freqs, times, method, meta)
+    return TFRepresentation(out, freqs, times, method if ladder is None else f"mt_{method}", meta)
 
 
 def synchrosqueeze(sig: UniformSignal, window: Window, hop: int, nfft: int,
@@ -363,28 +455,17 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     """Hermite multitaper average of synchrosqueezed or reassigned STFTs.
 
     The output is the elementwise arithmetic mean over tapers of the
-    magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.  Tapers
-    run one at a time and each one's matrix is added in place to a running
-    sum, so the sum and one taper's transform are live at once.
+    magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.  All
+    tapers run in one pass over the frames, each taper's g' and t g taken
+    from the Hermite ladder of its neighbours (``_Ladder``): 2K + 1 FFT rows
+    per frame, and the one output matrix plus per-block buffers are live.
     """
     if taper_count < MULTITAPER_TAPERS[0]:
         raise ValueError(f"multitaper needs at least {MULTITAPER_TAPERS[0]} tapers")
     if method not in ("sst", "rm"):
         raise ValueError(f"method must be 'sst' or 'rm', got {method!r}")
-    windows = make_windows("hermite", duration_s, sig.rate, taper_count)
-    freqs, times, _ = _frame_plan(sig, windows[0], hop, nfft, chunk)
-    layers = (_sharpened(sig, win, hop, nfft, threshold, chunk, method,
-                         magnitude=True).matrix for win in windows)
-    acc = 0.0 + next(layers)  # 0.0 + the first layer is that layer: the mean keeps its bits
-    with np.errstate(over="ignore"):  # refused below
-        for layer in layers:
-            np.add(acc, layer, out=acc)
-            del layer  # not live while the next one is made
-    if not np.isfinite(acc.max()):
-        raise _overflow(sig.values)
-    meta = WindowMeta("hermite", float(duration_s), hop, taper_count)
-    np.divide(acc, taper_count, out=acc).setflags(write=False)
-    return TFRepresentation(acc, freqs, times, f"mt_{method}", meta)
+    ladder = _hermite_ladder(duration_s, sig.rate, taper_count)
+    return _sharpened(sig, ladder, hop, nfft, threshold, chunk, method, magnitude=True)
 
 
 def _sign_bit_set(matrix: np.ndarray) -> bool:
@@ -410,21 +491,18 @@ def tf_magnitude(sig: UniformSignal, method: str, window_s: float, hop: int,
     """The real, nonnegative |matrix| of one of ``TF_METHODS`` on a
     ``window_s`` window: gaussian for 'stft', 'sst' and 'rm', ``tapers``
     Hermite tapers for the multitaper methods ('stft' has no threshold).
-    The same values as the magnitude of the public transform; SST builds
-    the real matrix block by block and never a complex one."""
+    The same values as the magnitude of the public transform; STFT and SST
+    build the real matrix block by block and never a complex one."""
     if method in ("mt_sst", "mt_rm"):
         return multitaper(sig, window_s, tapers, hop, nfft, method[3:], threshold)
     if method not in TF_METHODS:
         raise ValueError(f"unknown method {method!r}")
     window = make_windows("gaussian", window_s, sig.rate)[0]
-    if method == "sst":
-        return _sharpened(sig, window, hop, nfft, threshold, 128, method, magnitude=True)
+    if method == "stft":
+        return _stft(sig, window, hop, nfft, 128, magnitude=True)
     if method == "rm":
         return reassign(sig, window, hop, nfft, threshold)
-    tfr = stft(sig, window, hop, nfft)
-    mag = np.abs(tfr.matrix)
-    mag.setflags(write=False)
-    return TFRepresentation(mag, tfr.freq_axis, tfr.time_axis, method, tfr.window_meta)
+    return _sharpened(sig, window, hop, nfft, threshold, 128, method, magnitude=True)
 
 
 def magnitude_rows(matrix) -> RowBlocks:

@@ -742,7 +742,7 @@ def test_physio_products_need_no_more_memory_than_the_transform(tmp_path):
         finally:
             tracemalloc.stop()
     transform, whole_run = peaks
-    assert transform > 10_000_000  # 1025 bins x 960 frames, the sum and one taper
+    assert transform > 10_000_000  # 1025 bins x 960 frames: the output and three tapers' blocks
     assert whole_run <= 1.05 * transform
 
 

@@ -566,3 +566,48 @@ def test_uniform_signal_validation():
         UniformSignal(values=np.array([0.0, np.nan, 1.0]), rate=4.0)
     sig = UniformSignal(values=np.arange(8.0), rate=4.0, t_start=1.0)
     np.testing.assert_allclose(sig.times, 1.0 + np.arange(8) / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# basis evaluation layout
+# ---------------------------------------------------------------------------
+
+def column_layout_basis(ext_knots, n, x, span):
+    """Cox-de Boor with one column per basis value and one row per point:
+    the layout before the rows were made contiguous, kept as the oracle."""
+    p = x.size
+    vals = np.zeros((p, n + 1))
+    vals[:, 0] = 1.0
+    left = np.zeros((p, n + 1))
+    right = np.zeros((p, n + 1))
+    for d in range(1, n + 1):
+        left[:, d] = x - ext_knots[span + 1 - d]
+        right[:, d] = ext_knots[span + d] - x
+        saved = np.zeros(p)
+        for r in range(d):
+            tmp = vals[:, r] / (right[:, r + 1] + left[:, d - r])
+            vals[:, r] = saved + right[:, r + 1] * tmp
+            saved = left[:, d - r] * tmp
+        vals[:, d] = saved
+    return vals
+
+
+@pytest.mark.parametrize("n", range(1, 32))
+def test_row_layout_basis_keeps_the_column_layouts_bits(n):
+    # the same operations in the same order per point, at every knot, both
+    # ends of the domain and points between; the spline's pairwise row sum
+    # keeps its bits too
+    rng = np.random.default_rng(n)
+    times = random_knots(rng, 3 * n + 8)
+    knots = spline_interp._not_a_knot_vector(times, n)
+    spline = spline_interp.SplineInterpolant(n, knots, rng.normal(size=times.size),
+                                             (times[0], times[-1]))
+    x = np.concatenate([knots, [times[0], times[-1]],
+                        rng.uniform(times[0], times[-1], 200)])
+    spans = spline_interp._find_spans(knots, n, x)
+    want = column_layout_basis(knots, n, x, spans)
+    got = spline_interp._basis_matrix_rows(knots, n, x, spans)
+    np.testing.assert_array_equal(got.T.view(np.uint64), want.view(np.uint64))
+    terms = want * spline.coefficients[spans[:, None] - n + np.arange(n + 1)]
+    np.testing.assert_array_equal(spline(x).view(np.uint64),
+                                  np.sum(terms, axis=1).view(np.uint64))

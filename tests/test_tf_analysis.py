@@ -607,9 +607,9 @@ def test_rm_peak_is_about_its_base_spectrum_and_output():
 
 @pytest.mark.parametrize("method, ratio", [("sst", 3.3), ("mt_sst", 4.3)])
 def test_tf_magnitude_peak_holds_no_complex_output(method, ratio):
-    # the real output is 1x for sst; multitaper adds its running sum (2x).
-    # A complex SST output would add 2x.  The per-block buffers are about
-    # 0.15x at 4097 x 640.
+    # the real output is 1x; a complex SST output would add 2x.  The
+    # per-block buffers are about 0.15x at 4097 x 640 for sst and 0.5x for
+    # mt_sst, whose blocks hold three tapers.
     tfr, peak = traced_peak(tf_magnitude, tone(6.0, duration=10.0), method, 4.0,
                             1, 8192, 3, 1e-8)
     assert tfr.matrix.size >= 2_500_000
@@ -619,9 +619,9 @@ def test_tf_magnitude_peak_holds_no_complex_output(method, ratio):
 @pytest.mark.parametrize("method, ratio", [("sst", 1.6), ("rm", 1.6),
                                            ("mt_sst", 2.3), ("mt_rm", 2.3)])
 def test_tf_magnitude_peak_is_about_its_real_output(method, ratio):
-    # no full V_g is kept: sst and rm hold their output and the per-block
-    # buffers (about 0.2x at these 4097 x 640 cells); multitaper adds its
-    # running sum, to which each taper's output is added in place
+    # no full V_g is kept: every method holds its one output and the
+    # per-block buffers (about 0.2x at these 4097 x 640 cells, 0.5x for the
+    # multitaper's three tapers a block)
     tfr, peak = traced_peak(tf_magnitude, tone(6.0, duration=10.0), method, 4.0,
                             1, 8192, 3, 1e-8)
     assert tfr.matrix.size >= 2_500_000
@@ -668,15 +668,21 @@ def test_sign_checks_keep_their_semantics(values, copied, refused):
         make()
 
 
-@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
+@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm", "stft",
+                                    "mt_sst-10", "mt_rm-10"])
 def test_transform_peak_within_memory_refusal_estimate(method):
     # the memory refusal multiplies the cell count by _LIVE_BYTES_PER_CELL:
-    # no transform may need more
+    # no transform, and no magnitude the CLI asks for, may need more; the
+    # multitaper at 3 tapers and at the most, 10
     from nyqmirror.tf_analysis import _LIVE_BYTES_PER_CELL
 
+    method, _, tapers = method.partition("-")
+    tapers = int(tapers or 3)
     if method.startswith("mt_"):
-        tfr, peak = traced_peak(multitaper, MEMORY_SIG, 4.0, 3, 1, MEMORY_NFFT,
+        tfr, peak = traced_peak(multitaper, MEMORY_SIG, 4.0, tapers, 1, MEMORY_NFFT,
                                 method[3:], 1e-8)
+    elif method == "stft":
+        tfr, peak = traced_peak(tf_magnitude, MEMORY_SIG, "stft", 4.0, 1, MEMORY_NFFT)
     else:
         win = make_windows("gaussian", 4.0, RATE)[0]
         fn = synchrosqueeze if method == "sst" else reassign

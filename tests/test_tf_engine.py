@@ -1,12 +1,16 @@
 """The frames-major transform engine against the per-window transforms it
-replaced, kept here as the bit-exact oracle, and its non-finite targets."""
+replaced, kept here as the bit-exact oracle, the multitaper against its
+Hermite-ladder oracle and the per-taper transforms before it, its FFT
+budget, and its non-finite targets."""
 
 import numpy as np
 import pytest
 
 from nyqmirror import UniformSignal
 from nyqmirror.tf_analysis import (
+    MULTITAPER_TAPERS,
     Window,
+    _hermite_ladder,
     _nearest,
     make_windows,
     multitaper,
@@ -44,13 +48,16 @@ def _stft_columns(values, taps, centers, nfft, chunk):
         yield start, np.fft.rfft(buf, axis=1).T
 
 
-def oracle_stft(sig, window, hop, nfft, chunk=128):
-    centers, freqs, _ = _oracle_plan(sig, window, hop, nfft)
+def oracle_spectrum(sig, taps, hop, nfft, chunk=128):
+    centers, freqs, _ = _oracle_plan(sig, None, hop, nfft)
     out = np.empty((freqs.size, centers.size), dtype=complex)
-    for start, block in _stft_columns(sig.values, window.samples, centers,
-                                      nfft, chunk):
+    for start, block in _stft_columns(sig.values, taps, centers, nfft, chunk):
         out[:, start:start + block.shape[1]] = block
     return out
+
+
+def oracle_stft(sig, window, hop, nfft, chunk=128):
+    return oracle_spectrum(sig, window.samples, hop, nfft, chunk)
 
 
 def _oracle_targets(v_blk, vd_blk, freqs, df, floor):
@@ -110,8 +117,11 @@ def oracle_reassign(sig, window, hop, nfft, threshold=0.0, chunk=128):
                        minlength=n_bins * n_frames).reshape(n_bins, n_frames)
 
 
-def oracle_multitaper(sig, duration_s, taper_count, hop, nfft, method="sst",
-                      threshold=0.0, chunk=128):
+def oracle_multitaper_per_taper(sig, duration_s, taper_count, hop, nfft,
+                                method="sst", threshold=0.0, chunk=128):
+    """One transform per taper from its own g' and t g, summed taper by
+    taper: the multitaper before the Hermite ladder.  SST keeps its bits;
+    RM sums the same masses in another order."""
     acc = None
     for win in make_windows("hermite", duration_s, sig.rate, taper_count):
         if method == "sst":
@@ -121,6 +131,62 @@ def oracle_multitaper(sig, duration_s, taper_count, hop, nfft, method="sst",
             layer = oracle_reassign(sig, win, hop, nfft, threshold, chunk)
         acc = layer if acc is None else acc + layer
     return acc / taper_count
+
+
+def oracle_multitaper(sig, duration_s, taper_count, hop, nfft, method="sst",
+                      threshold=0.0, chunk=128):
+    """The ladder multitaper: F_0 .. F_K from one STFT per window, taper k's
+    V_dg / V_g and V_tg / V_g the ladder combinations of F_{k+1} / F_k and
+    F_{k-1} / F_k, and one bincount (SST: one per real and imaginary part)
+    over every taper's targets in (frame, taper, bin) order; SST moduli
+    summed taper by taper."""
+    ladder = _hermite_ladder(duration_s, sig.rate, taper_count)
+    centers, freqs, times = _oracle_plan(sig, None, hop, nfft)
+    df = sig.rate / nfft
+    n_bins, n_frames, count = freqs.size, centers.size, taper_count
+    spectra = np.stack([oracle_spectrum(sig, row, hop, nfft, chunk)
+                        for row in ladder.rows])  # (K + 1, bins, frames)
+    peaks = np.abs(spectra[:count]).max(axis=(1, 2))
+    target = np.empty((count, n_bins, n_frames), dtype=np.intp)
+    weight = np.zeros((count, n_bins, n_frames), dtype=float if method == "rm" else complex)
+    for k in range(count):
+        v = spectra[k]
+        floor = threshold * peaks[k] if threshold > 0.0 else 0.0
+        mask = np.abs(v) > floor
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            hi = spectra[k + 1] / v
+            shift = hi.imag * (-ladder.upper[k] / (2.0 * np.pi * ladder.scale))
+            delay = hi.real * (ladder.upper[k] * ladder.scale)
+            if k > 0:
+                lo = spectra[k - 1] / v
+                shift = shift + lo.imag * (ladder.lower[k] / (2.0 * np.pi * ladder.scale))
+                delay = delay + lo.real * (ladder.lower[k] * ladder.scale)
+            omega = (freqs[:, None] - shift) / df
+            tau = ((times[None, :] + delay) - sig.t_start) * sig.rate / hop
+        own_bin = np.broadcast_to(np.arange(n_bins)[:, None], omega.shape)
+        own_frame = np.broadcast_to(np.arange(n_frames)[None, :], tau.shape)
+        tbin = np.where(np.isnan(omega), own_bin,
+                        np.clip(np.rint(omega), 0, n_bins - 1)).astype(np.intp)
+        if method == "rm":
+            tfrm = np.where(np.isnan(tau), own_frame,
+                            np.clip(np.rint(tau), 0, n_frames - 1)).astype(np.intp)
+            target[k] = tbin * n_frames + tfrm
+            weight[k] = np.where(mask, np.abs(v) ** 2, 0.0)
+        else:  # each coefficient stays in its frame and taper
+            target[k] = (own_frame * count + k) * n_bins + tbin
+            weight[k] = np.where(mask, v, 0.0)
+    flat = target.transpose(2, 0, 1).ravel()  # (frame, taper, bin) order
+    w = weight.transpose(2, 0, 1).ravel()
+    if method == "rm":
+        return np.bincount(flat, w, minlength=n_bins * n_frames).reshape(
+            n_bins, n_frames) / taper_count
+    size = n_frames * count * n_bins
+    sums = (np.bincount(flat, w.real, minlength=size)
+            + 1j * np.bincount(flat, w.imag, minlength=size)).reshape(n_frames, count, n_bins)
+    acc = np.abs(sums[:, 0])
+    for k in range(1, count):
+        acc = acc + np.abs(sums[:, k])
+    return (acc / taper_count).T
 
 
 def assert_same_bits(got, want):
@@ -182,6 +248,77 @@ def test_multitaper_matches_oracle(method, threshold, chunk):
     assert_same_bits(
         multitaper(sig, 1.0, 3, 4, 256, method, threshold, chunk=chunk).matrix,
         oracle_multitaper(sig, 1.0, 3, 4, 256, method, threshold))
+
+
+def noise(seed, length=700):
+    return UniformSignal(np.random.default_rng(seed).normal(size=length), rate=RATE)
+
+
+@pytest.mark.parametrize("signal", ["chirp", "noise22", "noise23"])
+@pytest.mark.parametrize("tapers", [2, 3, 10])
+@pytest.mark.parametrize("threshold", [0.0, 1e-8])
+def test_multitaper_stays_with_the_per_taper_oracle(signal, tapers, threshold):
+    # the ladder moves no target and no mass on these inputs: SST keeps
+    # every bit, and RM only adds the same masses in another order
+    sig = {"chirp": chirp_noise(611), "noise22": noise(22), "noise23": noise(23)}[signal]
+    args = (sig, 1.0, tapers, 4, 256)
+    assert_same_bits(multitaper(*args, "sst", threshold).matrix,
+                     oracle_multitaper_per_taper(*args, "sst", threshold))
+    got = multitaper(*args, "rm", threshold).matrix
+    want = oracle_multitaper_per_taper(*args, "rm", threshold)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    assert abs(got.sum() - want.sum()) <= 1e-13 * want.sum()
+
+
+@pytest.mark.parametrize("tapers", [2, 3, MULTITAPER_TAPERS[1]])
+def test_ladder_gives_each_tapers_derivative_and_time_weighting(tapers):
+    # g'_k and t g_k of make_windows equal the ladder combinations of the
+    # neighbouring unit-L2 windows within a few ulp of their maximum, and
+    # the ladder's rows are make_windows' tapers, bit for bit
+    ladder = _hermite_ladder(1.5, RATE, tapers)
+    w = ladder.rows
+    assert w.shape == (tapers + 1, len(make_windows("hermite", 1.5, RATE, 1)[0]))
+    for k, win in enumerate(make_windows("hermite", 1.5, RATE, tapers)):
+        assert_same_bits(w[k], win.samples)
+        below = w[k - 1] if k > 0 else 0.0
+        deriv = (ladder.lower[k] * below - ladder.upper[k] * w[k + 1]) / ladder.scale
+        tw = ladder.scale * (ladder.lower[k] * below + ladder.upper[k] * w[k + 1])
+        ulp = np.finfo(float).eps
+        assert np.max(np.abs(deriv - win.derivative)) <= 8 * ulp * np.max(np.abs(win.derivative))
+        assert np.max(np.abs(tw - win.t_weighted)) <= 8 * ulp * np.max(np.abs(win.t_weighted))
+    assert ladder.lower[0] == 0.0
+
+
+@pytest.mark.parametrize("method", ["sst", "rm"])
+@pytest.mark.parametrize("tapers", [2, 3, MULTITAPER_TAPERS[1]])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_multitaper_is_chunk_invariant_at_any_taper_count(method, tapers, chunk):
+    # every sum runs in (frame, taper, bin) order, whatever the block
+    sig = chirp_noise(611)
+    assert_same_bits(
+        multitaper(sig, 1.0, tapers, 4, 256, method, 1e-8, chunk=chunk).matrix,
+        oracle_multitaper(sig, 1.0, tapers, 4, 256, method, 1e-8))
+
+
+@pytest.mark.parametrize("method, tapers, rows", [
+    ("stft", 1, 1), ("sst", 1, 3), ("rm", 1, 4),
+    *[(m, k, 2 * k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
+])
+def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
+    # the FFT budget: sst and rm transform V_g twice; the multitaper K
+    # taper rows, then those and the ladder's helper row w_K
+    from nyqmirror.tf_analysis import tf_magnitude
+
+    counted = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(a)[:-1])))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    tfr = tf_magnitude(chirp_noise(611), method, 1.0, 4, 256, tapers, 1e-8)
+    assert sum(counted) == rows * tfr.time_axis.size
 
 
 def test_zero_signal_matches_oracle():

@@ -502,7 +502,7 @@ def read_uniform_csv(path: Path) -> UniformSignal:
     """Read back a uniform-signal CSV produced by this tool."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     meta = {}
     values = []
@@ -545,8 +545,8 @@ def write_tfr_binary(fh, matrix, freq_axis, time_axis):
     fh.write(b"TFR1" + np.asarray(matrix.shape, dtype="<u8").tobytes())
     fh.write(freq_axis.astype("<f8").tobytes())
     fh.write(time_axis.astype("<f8").tobytes())
-    for _, block in row_blocks(matrix):  # no full-size copy
-        fh.write(np.abs(block).astype("<f8", copy=False))
+    for _, block in row_blocks(magnitude_rows(matrix)):  # no full-size copy
+        fh.write(block.astype("<f8", copy=False))
 
 
 def read_tfr_binary(path: Path):
@@ -578,8 +578,13 @@ def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict):
                freq_axis, mag, low)
 
 
-def write_pgm(fh, matrix, meta: dict) -> None:
-    span = float(np.max([block.max() for _, block in row_blocks(matrix)]) - 1e-2)
+def write_pgm(fh, display, meta: dict) -> None:
+    """The 8-bit PGM of ``display_rows``' pair (rows, clip q).  Its span is
+    the display's maximum less 1e-2: some cell has min(|R|, q) = q, as q is
+    at most the upper order statistic, and the display is monotone, so the
+    maximum is max(1e-2, log1p(q)), NaN when q is."""
+    matrix, q = display
+    span = np.maximum(1e-2, np.log1p(q)) - 1e-2
     pixels = np.zeros(matrix.shape, dtype=np.uint8)
     flipped = pixels[::-1]  # highest frequency on top
     if not span <= 0.0:
@@ -684,7 +689,7 @@ def _write_tfr_products(outputs: _Outputs, stem: str, mag, axes, meta: dict,
     outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta)
     if outputs.wants("pgm"):
         outputs.write(f"{stem}.pgm", write_pgm,
-                      (display_rows(mag) if display is None else display)[0], meta)
+                      display_rows(mag) if display is None else display, meta)
 
 
 def _ridge_products(outputs: _Outputs, tfr, inf_curve, meta):
@@ -829,7 +834,11 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
 def cmd_physio(cfg: dict, outputs: _Outputs):
     phys = cfg["physio"]
     if cfg["input"]:
-        rec = parse_rpeaks(Path(cfg["input"]).read_bytes())
+        path = Path(cfg["input"])
+        try:
+            rec = parse_rpeaks(path.read_bytes())
+        except ValueError as exc:  # a decoding error included
+            raise ValueError(f"{path}: {exc}") from None
     elif (synth := phys["synth"]) is not None:
         rec = synth_rpeaks(
             lambda t: np.full_like(t, synth["ihr_hz"]),

@@ -14,8 +14,7 @@ from .rowblocks import RowBlocks
 from .spline_interp import UniformSignal
 from .tf_analysis import TFRepresentation
 
-__all__ = ["above_inf", "above_inf_rows", "inf_hard_threshold", "inf_masked_rows",
-           "lowpass_prefilter"]
+__all__ = ["above_inf_rows", "inf_hard_threshold", "inf_masked_rows", "lowpass_prefilter"]
 
 
 def above_inf_rows(tfr: TFRepresentation,
@@ -30,12 +29,6 @@ def above_inf_rows(tfr: TFRepresentation,
                                tfr.time_axis.shape)
     return RowBlocks(tfr.matrix.shape,
                      lambda a, b: tfr.freq_axis[a:b, None] > inf_vals)
-
-
-def above_inf(tfr: TFRepresentation,
-              inf_curve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The whole mask of ``above_inf_rows``."""
-    return above_inf_rows(tfr, inf_curve)[:]
 
 
 def inf_masked_rows(tfr: TFRepresentation,
@@ -93,9 +86,9 @@ def lowpass_prefilter(sig: UniformSignal, cutoff_hz: float,
                          f"filter at {sig.rate} Hz") from None
     numtaps |= 1
     if len(sig) <= 3 * numtaps:
-        raise ValueError(
-            f"signal too short for the filter: needs > {3 * numtaps} samples"
-        )
+        raise ValueError(f"signal too short for the filter at transition_hz="
+                         f"{transition_hz}: needs > {3.0 * numtaps:.3g} samples, "
+                         f"has {len(sig)}")
     taps = firwin(numtaps, cutoff_hz + transition_hz / 2.0,
                   window=("kaiser", beta), fs=sig.rate)
     filtered = filtfilt(taps, 1.0, sig.values)

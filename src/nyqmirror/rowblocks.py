@@ -5,7 +5,7 @@ INF, or its log display) is a ``RowBlocks``: each block of rows is made
 when it is read, so no full-size product is built.  ``row_blocks`` reads
 an array or a RowBlocks by blocks of about ``_BLOCK_CELLS`` cells;
 ``exact_quantile`` and ``streamed_sum`` give numpy's quantile and sum of
-values read that way, bit for bit, in a block's memory.
+values read that way, bit for bit, without holding the matrix.
 """
 
 from __future__ import annotations
@@ -88,25 +88,17 @@ def _pairwise_sum(n: int, take):
     return _pairwise_sum(half, take) + _pairwise_sum(n - half, take)
 
 
-def _bit_blocks(mag):
-    """The float64 bit patterns of each block of ``mag``, flat."""
-    for _, block in row_blocks(mag):
-        yield np.ascontiguousarray(block, dtype=float).view(np.uint64).ravel()
-
-
 def exact_quantile(mag, q: float) -> float:
-    """``np.quantile(mag, q)`` (linear, as float64) of the magnitudes
-    ``mag``, an array or RowBlocks with no sign bit set, read a block at a
-    time: memory for a block, never for the matrix.
+    """``np.quantile(mag, q)`` (linear, as float64) of the values ``mag``,
+    an array or RowBlocks, from one read by blocks, holding a block and the
+    n - low largest values, about (1 - q) n: 0.2% of the cells at q = 0.998.
 
-    Such floats order as their uint64 bit patterns, NaN after inf as in
-    np.partition.  A pass counts the patterns by their top 16 bits; while
-    the bucket holding the lower order statistic holds more than a block's
-    cells, the next pass counts that bucket's patterns by their next 16
-    bits.  A last pass collects the bucket (and the least pattern above it
-    when the upper statistic lies there) for np.partition.  The two order
-    statistics then meet as in numpy's ``_lerp``, its form for t >= 0.5
-    included; any NaN makes the quantile NaN."""
+    low is the rank of the lower order statistic.  Once n - low values are
+    kept, a block's values at or below the least kept one cannot change
+    them and are dropped; np.partition cuts the rest and the kept ones back
+    to n - low.  NaN sorts last there, so it is never dropped, and a kept
+    NaN makes the quantile NaN.  The two least kept values meet as in
+    numpy's ``_lerp``, its form for t >= 0.5 included."""
     n = mag.shape[0] * mag.shape[1]
     if n == 0:
         raise ValueError("empty TF matrix")
@@ -117,49 +109,18 @@ def exact_quantile(mag, q: float) -> float:
     low, high = (prev, prev + 1) if prev >= 0 else (n - 1, n - 1)
     t = virtual - prev
 
-    # the bucket lo .. lo + 2**shift - 1 holds rank ``low``; ``below`` patterns precede it
-    lo, shift, below, nan = 0, 64, 0, False
-    while True:
-        shift -= 16
-        counts = np.zeros(1 << 16, dtype=np.int64)
-        for bits in _bit_blocks(mag):
-            if shift == 48:
-                nan |= bool(bits.size) and bits.max() > _INF_BITS
-            else:
-                bits = bits[(bits >= lo) & (bits < lo + (1 << shift + 16))]
-            digit = bits - np.uint64(lo)
-            np.right_shift(digit, shift, out=digit)
-            counts += np.bincount(digit.view(np.int64), minlength=1 << 16)
-        if nan:
-            return math.nan
-        bucket = int(np.searchsorted(np.cumsum(counts), low - below, side="right"))
-        below += int(counts[:bucket].sum())
-        lo += bucket << shift
-        if counts[bucket] <= _BLOCK_CELLS or shift == 0:
-            break
-    size, end = int(counts[bucket]), lo + (1 << shift)
-    collect, beyond = size <= _BLOCK_CELLS, high - below >= size
-    found, after = [], _NO_BITS
-    if collect or beyond:
-        for bits in _bit_blocks(mag):
-            if collect:
-                found.append(bits[(bits >= lo) & (bits < end)])
-            if beyond:  # the least pattern past the bucket
-                after = min(after, int(np.where(bits >= end, bits, _NO_BITS).min()))
-    if collect:
-        found = np.concatenate(found)
-        ranks = sorted({low - below, min(high - below, size - 1)})
-        found.partition(ranks)
-        lo_bits, hi_bits = int(found[low - below]), int(found[ranks[-1]])
-    else:  # at the last digit a bucket is one pattern
-        lo_bits = hi_bits = lo
-    if beyond:
-        hi_bits = after
-    a, b = np.array([lo_bits, hi_bits], dtype=np.uint64).view(float)
+    keep, top = n - low, np.empty(0)
+    for _, block in row_blocks(mag):
+        values = block.ravel()
+        if top.size == keep:  # written so that NaN stays
+            values = values[~(values <= top[0])]
+        top = np.concatenate((top, values))
+        if top.size >= keep:  # the least kept value goes first
+            top = np.partition(top, top.size - keep)[top.size - keep:]
+    if np.isnan(top).any():
+        return math.nan
+    top.partition(high - low)
+    a, b = top[0], top[high - low]
     with np.errstate(invalid="ignore"):  # inf - inf, as in np.quantile
         diff = b - a
         return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-
-
-_INF_BITS = int(np.array(np.inf).view(np.uint64))
-_NO_BITS = (1 << 64) - 1  # above every pattern of a nonnegative float

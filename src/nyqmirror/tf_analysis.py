@@ -232,6 +232,10 @@ def _frame_plan(sig: UniformSignal, w_len: int, hop: int, nfft: int,
                  f"raise hop ({hop}) or lower nfft ({nfft})")
     freqs = np.arange(n_bins) * (sig.rate / nfft)
     times = sig.t_start + np.arange(0, length, hop) / sig.rate
+    if not np.all(times[1:] > times[:-1]):  # hop / rate below the float spacing
+        raise ValueError(f"the frame times t_start + k hop/rate do not strictly increase "
+                         f"at t_start={sig.t_start:.6g} s, rate={sig.rate:.6g} Hz, hop={hop}: "
+                         f"shift the time origin or raise hop")
     frames = _BLOCK_CELLS * min(tapers, _BLOCK_TAPERS) // (tapers * n_bins)
     return freqs, times, max(1, min(chunk, frames))
 
@@ -515,7 +519,7 @@ def display_rows(matrix) -> tuple[RowBlocks, float]:
     """The log display of ``matrix`` (an array or RowBlocks) a block of
     rows at a time, and its clip q: max(1e-2, log(1 + min(|R|, q))) with
     q the exact 99.8% quantile of |R| over all entries (zeros included),
-    linear between order statistics, found in a block's memory."""
+    linear between order statistics, found in one read of |R|."""
     mag = magnitude_rows(matrix)
     q = exact_quantile(mag, _DISPLAY_QUANTILE)
 
@@ -543,7 +547,7 @@ def log_display(tfr: TFRepresentation) -> DisplayMatrix:
 
     The quantile runs over all entries of |R| (zeros included) with linear
     interpolation between order statistics, exactly as ``np.quantile``;
-    it is found by ``display_rows`` in a block's memory, and the display
+    it is found by ``display_rows`` in one read of |R|, and the display
     is filled a block of rows at a time, with no full-size |R|.  An empty
     matrix has no quantile: a ValueError.
     """

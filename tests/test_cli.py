@@ -31,10 +31,11 @@ from nyqmirror.cli import (
     write_uniform_csv,
     ConfigError,
 )
-from nyqmirror.mitigation import inf_hard_threshold
+from nyqmirror import rowblocks
+from nyqmirror.mitigation import inf_hard_threshold, inf_masked_rows
 from nyqmirror.reflection import above_inf_energy_ratio
-from nyqmirror.rowblocks import _BLOCK_CELLS
-from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, log_display
+from nyqmirror.rowblocks import _BLOCK_CELLS, RowBlocks
+from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, display_rows, log_display
 
 SMALL_SCENARIO = {
     "signal": {"kind": "harmonic", "freq_hz": 1.2, "amp": 1.0},
@@ -649,6 +650,44 @@ def test_tfr_non_finite_input_metadata_is_data_error(tmp_path, capsys, header, b
     err = capsys.readouterr().err
     assert rc == 2
     assert f"data error: {src}" in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("tfr", b"# rate_hz=16\n# note=caf\xe9\ntime_s,value\n0,1\n", "can't decode byte 0xe9"),
+    ("physio", b"time_s,amplitude\n0.0,1.0\n0.8,caf\xe9\n", "can't decode byte 0xe9"),
+    ("physio", b"time_s,amplitude\n0.0,1.0\n0.8,1.1\n0.8,1.2\n1.6,1.0\n",
+     "row 4: non-increasing time"),
+], ids=["tfr-not-utf8", "physio-not-utf8", "physio-repeated-time"])
+def test_input_file_errors_name_the_file(tmp_path, capsys, command, content, message):
+    src = tmp_path / "input.csv"
+    src.write_bytes(content)
+    out = tmp_path / "x"
+    rc = main([command, "--set", f"input={src}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(src) in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tfr", "physio"])
+def test_frame_times_that_do_not_increase_are_refused_by_name(tmp_path, capsys, command):
+    # 0.1 s steps at 1e15 s and 0.125 s steps at 1e16 s are below the float
+    # spacing there (0.125 s and 2 s): the time axis used to be refused
+    # without its cause
+    src = tmp_path / "input.csv"
+    if command == "tfr":
+        src.write_text("\n".join(["# rate_hz=10", "# t_start_s=1e15", "time_s,value",
+                                  *(f"{k / 10},{math.cos(k / 3)!r}" for k in range(400))]))
+    else:
+        src.write_text("time_s,amplitude\n" + "".join(
+            f"{1e16 + 2.0 * k!r},{1.0 + 0.1 * math.cos(0.6 * k)!r}\n" for k in range(400)))
+    out = tmp_path / "x"
+    rc = main([command, "--set", f"input={src}", "--set", "analysis.window_s=3.0",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "do not strictly increase" in err and "t_start=" in err and "rate=" in err
     assert not out.exists()
 
 
@@ -1424,12 +1463,12 @@ def test_writers_encode_a_magnitude_without_a_full_copy():
 
     def encodings(matrix, traced=False):
         tfr = _tfr_of(matrix)
-        display = log_display(tfr).matrix
+        display = log_display(tfr)
         out = {}
         for name, encode, args in (
                 ("tfr1", write_tfr_binary, (matrix, tfr.freq_axis, tfr.time_axis)),
                 ("csv", write_tfr_csv, (matrix, tfr.freq_axis, tfr.time_axis, meta)),
-                ("pgm", write_pgm, (display, meta))):
+                ("pgm", write_pgm, ((display.matrix, display.quantile_q), meta))):
             sink = _HashSink()
             if traced:
                 tracemalloc.start()
@@ -1445,6 +1484,46 @@ def test_writers_encode_a_magnitude_without_a_full_copy():
     want = encodings(mag, traced=True)
     for other in twins:
         assert encodings(other) == want
+
+
+def _pgm_by_max_pass(display, meta):
+    """write_pgm's bytes with the span read off the whole display."""
+    span = float(display.max() - 1e-2)
+    pixels = np.zeros(display.shape, dtype=np.uint8)
+    if not span <= 0.0:
+        pixels[::-1] = np.rint((display - 1e-2) / span * 255.0)
+    return (f"P5\n# artifact=nyqmirror {__version__} method={meta['method']} "
+            f"window_s={meta['window_s']} hop={meta['hop']}\n"
+            f"{display.shape[1]} {display.shape[0]}\n255\n").encode("ascii") + pixels.tobytes()
+
+
+@pytest.mark.parametrize("case", ["zeros", "all_equal", "sparse_lognormal", "masked"])
+def test_pgm_span_is_the_display_maximum(case):
+    # the span is max(1e-2, log1p(q)) - 1e-2 from the clip q, with no pass
+    # over the display: the same bytes as the display's maximum gives
+    rng = np.random.default_rng(26)
+    shape = (300, 40)
+    lognormal = np.where(rng.random(shape) < 0.9, 0.0, rng.lognormal(0.0, 3.0, shape))
+    tfr = _tfr_of({"zeros": np.zeros(shape), "all_equal": np.full(shape, 3.5)}
+                  .get(case, lognormal))
+    matrix = tfr.matrix
+    if case == "masked":
+        curve = lambda t: 1.0 + 2.0 * t
+        tfr, matrix = inf_hard_threshold(tfr, curve), inf_masked_rows(tfr, curve)
+    meta = {"method": "stft", "window_s": "3", "hop": 2}
+    fh = io.BytesIO()
+    write_pgm(fh, display_rows(matrix), meta)
+    assert fh.getvalue() == _pgm_by_max_pass(log_display(tfr).matrix, meta)
+
+
+def test_pgm_reads_each_display_block_once(monkeypatch):
+    mag = np.random.default_rng(27).lognormal(0.0, 2.0, (50, 7))
+    rows, q = display_rows(mag)
+    made = []
+    counted = RowBlocks(rows.shape, lambda a, b: made.append(a) or rows[a:b])
+    monkeypatch.setattr(rowblocks, "_BLOCK_CELLS", 21)
+    write_pgm(io.BytesIO(), (counted, q), {"method": "stft", "window_s": "3", "hop": 2})
+    assert made == list(range(0, 50, 3))
 
 
 def test_csv_writer_peak_is_set_by_the_block():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nyqmirror import UniformSignal
-from nyqmirror.mitigation import above_inf, inf_hard_threshold, lowpass_prefilter
+from nyqmirror.mitigation import above_inf_rows, inf_hard_threshold, lowpass_prefilter
 from nyqmirror.reflection import above_inf_energy_ratio
 from nyqmirror.tf_analysis import TFRepresentation, WindowMeta, make_windows, synchrosqueeze
 
@@ -47,7 +47,7 @@ def test_mask_keeps_boundary_bin():
 
 def test_mask_scalar_curve_broadcast_and_plain_result():
     tfr = toy_tfr(np.ones((6, 4)))
-    np.testing.assert_array_equal(above_inf(tfr, lambda t: 3.0),
+    np.testing.assert_array_equal(above_inf_rows(tfr, lambda t: 3.0)[:],
                                   np.arange(6)[:, None] > np.full((1, 4), 3.0))
     masked = inf_hard_threshold(tfr, lambda t: 3.0)
     assert type(masked) is TFRepresentation and masked.method == "rm"
@@ -141,3 +141,11 @@ def test_lowpass_underflowing_transition_is_value_error(transition_hz):
     sig = UniformSignal(np.zeros(4096), rate=32.0)
     with pytest.raises(ValueError, match="transition_hz"):
         lowpass_prefilter(sig, 1.0, transition_hz)
+
+
+def test_lowpass_too_long_filter_names_transition_and_tap_count():
+    # the tap count used to be printed with all of its 136 digits
+    sig = UniformSignal(np.zeros(4096), rate=32.0)
+    with pytest.raises(ValueError, match=r"at transition_hz=1e-300: needs > "
+                                         r"\d\.\d\de\+302 samples, has 4096$"):
+        lowpass_prefilter(sig, 1.0, 1e-300)

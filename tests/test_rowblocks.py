@@ -45,8 +45,8 @@ def _same(got: float, want: float) -> bool:
 @example(mag=np.full((300, 2), 5e-324), cells=4)              # all equal, subnormal
 @example(mag=np.r_[np.zeros(998), 1.0, 2.0].reshape(50, 20), cells=16)
 def test_exact_quantile_is_numpy_quantile(mag, cells):
-    # small blocks take every path: refining a bucket digit by digit, a
-    # bucket of one pattern, and the upper statistic past the bucket
+    # small blocks take every path: a kept set filled over several blocks,
+    # blocks dropped whole by the least kept value, and ties across blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rowblocks, "_BLOCK_CELLS", cells)
         got = exact_quantile(mag, 0.998)
@@ -54,6 +54,17 @@ def test_exact_quantile_is_numpy_quantile(mag, cells):
     with np.errstate(invalid="ignore"):  # inf - inf
         want = float(np.quantile(mag.ravel(), 0.998))
     assert _same(got, want) and _same(lazy, want), (got, lazy, want)
+
+
+def test_exact_quantile_reads_each_block_once():
+    mat = np.random.default_rng(26).lognormal(0.0, 2.0, (40, 7))
+    made = []
+    lazy = RowBlocks(mat.shape, lambda a, b: made.append(a) or mat[a:b])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rowblocks, "_BLOCK_CELLS", 21)
+        got = exact_quantile(lazy, 0.998)
+    assert _same(got, float(np.quantile(mat, 0.998)))
+    assert made == list(range(0, 40, 3))
 
 
 @settings(max_examples=200, deadline=None)

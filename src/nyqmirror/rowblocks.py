@@ -98,7 +98,8 @@ def exact_quantile(mag, q: float) -> float:
     them and are dropped; np.partition cuts the rest and the kept ones back
     to n - low.  NaN sorts last there, so it is never dropped, and a kept
     NaN makes the quantile NaN.  The two least kept values meet as in
-    numpy's ``_lerp``, its form for t >= 0.5 included."""
+    numpy's ``_lerp``, its form for t >= 0.5 included.  Of tied 0.0 and
+    -0.0 either may be picked, as partition does not order them."""
     n = mag.shape[0] * mag.shape[1]
     if n == 0:
         raise ValueError("empty TF matrix")
@@ -112,8 +113,8 @@ def exact_quantile(mag, q: float) -> float:
     keep, top = n - low, np.empty(0)
     for _, block in row_blocks(mag):
         values = block.ravel()
-        if top.size == keep:  # written so that NaN stays
-            values = values[~(values <= top[0])]
+        if top.size == keep:
+            values = values[~(values <= top[0])]  # not values > top[0]: NaN stays
         top = np.concatenate((top, values))
         if top.size >= keep:  # the least kept value goes first
             top = np.partition(top, top.size - keep)[top.size - keep:]

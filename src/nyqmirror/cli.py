@@ -319,14 +319,10 @@ def _meta_lines(meta: dict) -> str:
 # _write_csv: about _CSV_BLOCK_OWN cells not low per block, at most
 # _CSV_BLOCK_CELLS cells, and the |x| range of its own digits (where x *
 # 10**(16 - e), e the exponent, and the Dekker halves stay normal)
-_CSV_BLOCK_OWN = 1 << 11
+_CSV_BLOCK_OWN = 1 << 13
 _CSV_BLOCK_CELLS = 1 << 15
 _CSV_FAST = (1e-280, 1e280)
 _POW10_E = 282
-# A cell's text is gathered from a 32-byte row: byte 3 + i holds digit i,
-# bytes 20 to 23 the exponent's 4 digits and 24 to 31 these constants
-_CSV_ROW = bytes(24) + b",\r\n-.e+0"
-_CELL_WIDTH = 26  # "\r\n-1.2345678901234567e-123", the longest cell text
 
 
 @functools.cache
@@ -352,38 +348,42 @@ def _csv_pow10() -> np.ndarray:
 
 @functools.cache
 def _csv_layouts():
-    """0000 to 9999 as ASCII in a uint32; each exponent's class (index e +
-    300): e + 4 in %g's fixed range -4 <= e <= 16, then e+ddd, e+dd, e-dd,
-    e-ddd; per layout ((lead * 2 + negative) * 25 + class) * 17 + digits - 1
-    its text's source bytes, their mask and count."""
+    """A cell's text is its 36-byte slot under a mask.  The slot holds the
+    prefix (lead, sign, "0." and zeros) ending at byte 10, d0 at 10, "." at
+    11, d1 to d16 at 12 to 27, "e+" or "e-" at 28 and the exponent's 4 digits
+    at 32 to 35.  Returns 0000 to 9999 as ASCII in a uint32; each exponent's
+    class (index e + 300): e + 4 in %g's fixed range -4 <= e <= 16, then
+    e+ddd, e+dd, e-dd, e-ddd; slot columns 0 to 2 per prefix (lead * 2 +
+    negative) * 25 + class, and 7 and 8 per e + 300; per layout prefix * 17
+    + digits - 1 the text's byte mask, its length, and whether d1..d_e move
+    one byte left onto the "." (fixed notation, 1 <= e, digits after it)."""
     ascii4, digit = np.empty((10, 10, 10, 10, 4), np.uint8), np.arange(48, 58, dtype=np.uint8)
     for j in range(4):  # thousands first
         ascii4[..., j] = digit.reshape(10, *[1] * (3 - j))
+    ascii4 = ascii4.view(np.uint32).ravel()
     e = np.arange(-300, 301)
     kind = np.where((e >= -4) & (e <= 16), e + 4, 21 + (e <= 99) + (e <= 0) + (e <= -100))
-    # source bytes of _CSV_ROW: digit i at 3 + i, the exponent's xyz at 21 to
-    # 23, the constants from 24; 0 pads
-    at = {"x": 21, "y": 22, "z": 23, **{ch: 24 + i for i, ch in enumerate(_CSV_ROW[24:].decode())}}
-    tails = np.zeros((25, 6), np.uint8)  # per class; 0 past its end
-    for c, tail in zip(range(21, 25), ("e+xyz", "e+yz", "e-yz", "e-xyz")):
-        tails[c, :len(tail)] = [at[ch] for ch in tail]
-    # the text after its lead: "0." and 3 - c zeros where e < 0, the digits
-    # with a "." after the first w where more follow, the class's tail
-    c, n, b = np.ogrid[:25, 1:18, :_CELL_WIDTH]  # class, digits, byte
-    zeros = np.where(c < 4, 5 - c, 0)
-    w = np.where(c < 4, n, np.where(c <= 20, c - 3, 1))
-    end = zeros + np.where(n > w, n + 1, w)
-    i = b - zeros  # byte of the digits
-    body = np.where(b < zeros, np.where(b == 1, at["."], at["0"]),
-                    np.where(b < end, np.where(i == w, at["."], 3 + i - (i > w)),
-                             tails[c, (b - end).clip(0, 5)]))
-    source = np.empty((4, 25, 17, _CELL_WIDTH), np.uint8)
-    for k, lead in enumerate((",", ",-", "\r\n", "\r\n-")):
-        source[k, ..., :len(lead)] = [at[ch] for ch in lead]
-        source[k, ..., len(lead):] = body[..., :_CELL_WIDTH - len(lead)]
-    source = source.reshape(-1, _CELL_WIDTH)
-    return (ascii4.view(np.uint32).ravel(), kind, source, source != 0,
-            np.count_nonzero(source, axis=1))
+    tail = np.zeros((601, 8), np.uint8)
+    tail[:, 0], tail[:, 1] = 101, np.where(e < 0, 45, 43)  # "e-", "e+"
+    tail = tail.view(np.uint32)
+    tail[:, 1] = ascii4.take(abs(e))
+    # the prefix, r bytes before d0: "0." and its zeros (z bytes), the sign,
+    # then the lead ("," or CRLF)
+    k, c, b = np.ogrid[:4, :25, :12]  # lead * 2 + negative, class, byte
+    r, z = 9 - b, np.where(c < 4, 5 - c, 0)
+    s = z + k % 2
+    prefix = np.select([b == 11, r < 0, r < z, r < s, r == s, r == s + 1],
+                       [46, 0, np.where(r == z - 2, 46, 48), 45, np.where(k < 2, 44, 10),
+                        np.where(k < 2, 0, 13)]).astype(np.uint8)
+    c, n, b = np.ogrid[:25, 1:18, :36]  # class, digits, byte
+    w = np.where(c < 4, n, np.where(c <= 20, c - 3, 1))  # the digits before the "."
+    mask = (b >= 10 - np.count_nonzero(prefix[..., :10], axis=2)[..., None, None]) \
+        & (b <= 10 + np.maximum(n, w)) & ((b != 11) | (n > w)) \
+        | (c > 20) & ((b == 28) | (b == 29) | (b >= 33 + ((c == 22) | (c == 23))))
+    mask = mask.reshape(-1, 36)
+    shift = np.broadcast_to((c >= 5) & (c <= 20) & (n > w), (4, 25, 17, 1))
+    return (ascii4, kind, prefix.view(np.uint32).reshape(-1, 3).T.copy(), tail.T.copy(),
+            mask, np.count_nonzero(mask, axis=1), shift.ravel())
 
 
 def _scaled_pow10(a: np.ndarray, e: np.ndarray):
@@ -400,8 +400,8 @@ def _scaled_pow10(a: np.ndarray, e: np.ndarray):
 
 def _csv_numbers(x: np.ndarray, lead: np.ndarray):
     """``format(v, ".17g")`` of each float in ``x`` after "\r\n" where
-    ``lead``, else ",": rows of text bytes, each row's text mask and length."""
-    ascii4, kind, source, text_mask, length = _csv_layouts()
+    ``lead``, else ",": 36-byte slots, each slot's text mask and length."""
+    ascii4, kind, prefix, tail, text_mask, length, shift = _csv_layouts()
     a = np.abs(x)
     fast = (a >= _CSV_FAST[0]) & (a <= _CSV_FAST[1])
     a[~fast] = 1.0
@@ -412,28 +412,40 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
     if (fix := step.nonzero()[0]).size:
         e[fix] += step[fix]
         p[fix], q[fix] = _scaled_pow10(a[fix], e[fix])
+    del a, step
     # p is an even integer from 2**53 on, so rint's half-even rounds p + q.
     # Where 10**(16 - e) = hi + lo + d is no double (|d| <= 3 * 2**-106 hi),
     # p + q < 2**57 errs by at most 5 * 2**-49 (a lo and q, both < 32, round
     # by 2**-49 at most): a q within 2**-46 of a half takes ``format``.
     rounded = np.rint(q)
     fast &= (e >= -6) & (e <= 16) | (abs(q - rounded) < 0.5 - 2.0 ** -46)
-    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    digits = p.astype(np.int64)
+    digits += rounded.astype(np.int64)
+    del p, q, rounded
     top = digits == 10 ** 17  # rounded up to the next power of ten
     e += top
     digits[top] = 10 ** 16
-    first8, last8 = np.divmod(digits % 10**16, 10**8)  # the digits after the first
-    rows = np.tile(np.frombuffer(_CSV_ROW, np.uint32), (x.size, 1))
-    rows[:, 1], rows[:, 2] = ascii4.take(first8 // 10**4), ascii4.take(first8 % 10**4)
-    rows[:, 3], rows[:, 4] = ascii4.take(last8 // 10**4), ascii4.take(last8 % 10**4)
-    rows[:, 5] = ascii4.take(np.abs(e))
-    rows = rows.view(np.uint8)
-    rows[:, 3] = digits // 10**16 + 48
-    zeros = (rows[:, 19:2:-1] != 48).argmax(axis=1)  # trailing, of 17 digits
-    layout = ((lead * 2 + (x < 0)) * 25 + kind.take(e + 300)) * 17 + 16 - zeros
-    at = np.add(source.take(layout, 0), np.arange(0, rows.size, 32)[:, None],
-                dtype=np.intp)
-    cells = rows.ravel()[at], text_mask.take(layout, 0), length.take(layout)
+    del top
+    key = (lead * 2 + (x < 0)) * 25 + kind.take(e + 300)  # its prefix's row
+    slots = np.empty((x.size, 9), np.uint32)
+    for j in range(3):
+        slots[:, j] = prefix[j].take(key)
+    slots[:, 7], slots[:, 8] = tail.take(e + 300, axis=1)
+    for j in range(6, 2, -1):  # d1..d16, the last four first
+        digits, group = np.divmod(digits, 10**4)
+        slots[:, j] = ascii4.take(group)
+    rows = slots.view(np.uint8)
+    rows[:, 10] = digits + 48  # d0
+    del digits, group
+    zeros = (rows[:, 27:10:-1] != 48).argmax(axis=1)  # trailing, of 17 digits
+    layout = key * 17 + 16 - zeros
+    del key, zeros
+    if (mid := shift.take(layout).nonzero()[0]).size:  # d1..d_e onto the "."
+        row, point = rows[mid, 11:28], e[mid]
+        row[:, :16] = np.where(np.arange(16) < point[:, None], row[:, 1:], row[:, :16])
+        row[np.arange(mid.size), point] = 46
+        rows[mid, 11:28] = row
+    cells = rows, text_mask.take(layout, 0), length.take(layout)
     if (slow := (~fast).nonzero()[0]).size:  # 0, NaN, inf, extremes, ties
         cells = _put_text(cells, slow, [("\r\n" if first else ",") + _fmt(v)
                                         for v, first in zip(x[slow], lead[slow])])
@@ -441,7 +453,8 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
 
 
 def _put_text(cells, where: np.ndarray, texts: list[str]):
-    """``cells`` (as from _csv_numbers) with ``texts`` in rows ``where``."""
+    """``cells`` (as from _csv_numbers) with ``texts`` left-aligned in slots
+    ``where``."""
     text = np.array([t.encode("utf-8") for t in texts])
     rows, mask, length = cells
     if text.itemsize > rows.shape[1]:
@@ -473,19 +486,24 @@ def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
         where = own.nonzero()[0]  # the cells not low
         lead = np.zeros(where.size, bool)  # a row's first cell
         lead[where.searchsorted(np.arange(0, own.size, cols + 1))] = True
-        values = np.column_stack([np.ones(len(block)) if text_first else head, block])
-        cells = _csv_numbers(values.ravel()[where], lead)
+        slots, mask, size = _csv_numbers(np.column_stack(
+            [np.ones(len(block)) if text_first else head, block]).ravel()[where], lead)
         if text_first:
-            cells = _put_text(cells, lead.nonzero()[0], ["\r\n" + t for t in head])
-        text = cells[0][cells[1]]
+            slots, mask, size = _put_text((slots, mask, size), lead.nonzero()[0],
+                                          ["\r\n" + t for t in head])
+        text = slots[mask]
+        del slots, mask  # before the merge's byte arrays
         if where.size < own.size:  # merge with the low text
-            size = np.full(own.size, low_text.size)
-            size[where] = cells[2]
-            mine = np.repeat(own, size)
+            sizes = np.full(own.size, low_text.size)
+            sizes[where] = size
+            mine = np.repeat(own, sizes)
             text, own_text = np.empty(mine.size, dtype=np.uint8), text
             text[mine] = own_text
-            text[~mine] = np.tile(low_text, own.size - where.size)
+            del sizes, own_text
+            text[np.logical_not(mine, out=mine)] = np.tile(low_text, own.size - where.size)
+            del mine
         fh.write(text)
+        del text, size  # before the next block's
         start, step = start + len(block), max(1, min(  # at this block's share of own
             _CSV_BLOCK_CELLS, _CSV_BLOCK_OWN * own.size // where.size) // (cols + 1))
     fh.write(b"\r\n")
@@ -802,6 +820,11 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
     scenario = scenario_from_config(cfg["scenario"])
     order = cfg["interpolation"]["order"]
     k_min, k_max = cfg["predict"]["k_min"], cfg["predict"]["k_max"]
+    # sampling first: it refuses an undefined rate before the curves meet it
+    report = verify_reflection_theorem(
+        scenario.signal, scenario.scheme, order, max(abs(k_min), abs(k_max)),
+        scenario.resample_hz, (0.0, scenario.duration_s),
+    )
     grid = np.linspace(0.0, scenario.duration_s, 801)
     comps = predict_components(scenario.signal, scenario.scheme, order,
                                (k_min, k_max), grid)
@@ -809,10 +832,6 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
     # interpolation.scheme
     meta = {"scenario": scenario.name, "interpolation": "bspline", "order": order,
             "k_min": k_min, "k_max": k_max}
-    report = verify_reflection_theorem(
-        scenario.signal, scenario.scheme, order, max(abs(k_min), abs(k_max)),
-        scenario.resample_hz, (0.0, scenario.duration_s),
-    )
     if outputs.wants("csv"):
         comps = sorted(comps, key=lambda c: c.k)
         outputs.write("components.csv", write_curve_csv, {

@@ -112,14 +112,17 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
     Raises
     ------
     ValueError
-        If t_start >= t_end, psi' is non-positive at any probe point, or
-        the scan grid would not fit in physical memory.
+        If t_start >= t_end, psi' is NaN or non-positive at any probe
+        point, or the scan grid would not fit in physical memory.
     """
     if not t_end > t_start:
         raise ValueError("t_start must be strictly less than t_end")
     probe = np.linspace(t_start, t_end, 257)
-    with np.errstate(over="ignore"):  # an infinite rate fails the memory check
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate fails the memory check
         rates = scheme.psi_prime(probe)
+    if (undefined := np.isnan(rates)).any():
+        raise ValueError(f"sampling rate psi'({float(probe[undefined.argmax()])}) is NaN "
+                         f"on the span [{t_start}, {t_end}]")
     if np.any(rates <= 0.0):
         bad = float(probe[int(np.argmin(rates))])
         raise ValueError(f"sampling warp is non-monotone: psi'({bad}) <= 0")
@@ -171,7 +174,9 @@ def sample_signal(signal: "IMTSignal", scheme: SamplingScheme,
     times = sampling_times(scheme, t_start, t_end)
     if times.size < 2:
         raise ValueError("fewer than 2 sample instants in the requested span")
-    return SampleSet(times=times, values=signal.evaluate(times))
+    with np.errstate(over="ignore", invalid="ignore"):  # SampleSet refuses non-finite values
+        values = signal.evaluate(times)
+    return SampleSet(times=times, values=values)
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,7 @@ def resample_uniform(interp, rate: float, t_start: float,
         raise ValueError("t_end must exceed t_start")
     _clip_to_domain([t_start, t_end], interp.domain,
                    f"resampling span [{t_start}, {t_end}]")
-    count = np.floor((t_end - t_start) * rate + 1e-9) + 1.0
+    count = np.floor(float(t_end - t_start) * float(rate) + 1e-9) + 1.0  # inf, no warning
     # measured 24 (n + 1) + 56 bytes per point at order n; allow over twice that
     check_memory(count * 64.0 * (interp.order + 2), f"{count:.3g} resampled points",
                  f"lower the rate ({rate}) or the span [{t_start}, {t_end}]")

@@ -1,6 +1,7 @@
 """CLI commands: file products, determinism, exit codes, formats."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -847,6 +848,31 @@ def test_scenario_too_large_for_memory_is_data_error(tmp_path, capsys, key, what
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "tfr", "predict"])
+@pytest.mark.parametrize("parts, message", [
+    # cos(2 pi t) is NaN once 2 pi t overflows, and so is psi' = 5 + 0 cos:
+    # this passed the psi' <= 0 check and ended in "nan scan cells"
+    ({"duration_s": 1e308},
+     "sampling rate psi'(2.890625e+307) is NaN on the span [0.0, 1e+308]"),
+    # the resampled point count overflows to inf
+    ({"resample_hz": 1e308}, "inf resampled points need ~inf bytes"),
+    # the phase freq_hz * t overflows, and cos of it is NaN
+    ({"signal": {"kind": "harmonic", "freq_hz": 1e308, "amp": 1.0}},
+     "sample times and values must be finite"),
+], ids=["nan_rate", "huge_resample_rate", "huge_frequency"])
+def test_scenario_refusal_comes_without_warning(tmp_path, capsys, command, parts,
+                                                message):
+    # each printed numpy's RuntimeWarning before its refusal
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--out", str(out), "--set", _scenario_with(**parts)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and [str(w.message) for w in caught] == []
+    assert len(err) == 1 and err[0].startswith("nyqmirror: data error: ")
+    assert message in err[0] and not out.exists()
+
+
 def test_overflowing_scenario_rate_is_data_error_without_warning(tmp_path, capsys):
     # psi' of the quadratic warp overflows at the probe points: the memory
     # check refuses the infinite rate, and numpy's overflow warning used to
@@ -1326,25 +1352,51 @@ def _oracle_pow10():
     return np.stack([high, hi - high, lo])
 
 
+def _first_match(slot: str, text: str):
+    """The mask that picks ``text`` out of ``slot``, each character at its
+    first match from the left; None if ``text`` is no subsequence."""
+    mask, at = [], 0
+    for ch in slot:
+        mask.append(at < len(text) and ch == text[at])
+        at += mask[-1]
+    return mask if at == len(text) else None
+
+
 def _oracle_layouts():
-    """_csv_layouts built as text: each layout's string, translated to the
-    source bytes of cli._CSV_ROW."""
+    """_csv_layouts built from each layout's text, with the digits d0..d16
+    as A..Q and the exponent's last three digits as xyz.  The slot holds the
+    prefix (the text before A) ending at byte 10, A and "." at 10 and 11,
+    B..Q at 12 to 27, "e" and the sign at 28 and 29 and 0xyz at 32 to 35.
+    Where the text is no subsequence of the slot, d1..d_e move onto the "."
+    and a "." follows them; the mask picks the text from the slot."""
     group, ascii4 = np.arange(10000), np.empty((10000, 4), np.uint8)
     for j, place in enumerate((1000, 100, 10, 1)):
         ascii4[:, j] = 48 + group // place % 10
     kind = np.array([e + 4 if -4 <= e <= 16 else 21 if e > 99 else 22 if e > 0
                      else 23 if e > -100 else 24 for e in range(-300, 301)])
+    tail = "".join("e" + "+-"[e < 0] + "\0\0" + f"{abs(e):04d}" for e in range(-300, 301))
     digit, tails = "ABCDEFGHIJKLMNOPQ", ("", "e+xyz", "e+yz", "e-yz", "e-xyz")
-    body = [("0." + "0" * (3 - c) + digit[:n] if c < 4 else
-             digit[:w] + ("." + digit[w:n]) * (n > w)) + tails[max(c - 20, 0)]
-            for c in range(25) for w in [c - 3 if c <= 20 else 1] for n in range(1, 18)]
-    texts = [pre + text for pre in (",", ",-", "\r\n", "\r\n-") for text in body]
-    table = bytes.maketrans(f"{digit}xyz{cli._CSV_ROW[24:].decode()} ".encode(),
-                            bytes([*range(3, 20), *range(21, 32), 0]))
-    source = np.frombuffer("".join(text.ljust(cli._CELL_WIDTH) for text in texts).encode()
-                           .translate(table), np.uint8).reshape(-1, cli._CELL_WIDTH)
-    return (ascii4.view(np.uint32).ravel(), kind, source, source != 0,
-            np.array([len(text) for text in texts]))
+    prefixes, masks, shifts, lengths = [], [], [], []
+    for pre, c in itertools.product((",", ",-", "\r\n", "\r\n-"), range(25)):
+        pre += "0." + "0" * (3 - c) if c < 4 else ""
+        prefixes.append(pre.rjust(10, "\0") + "\0.")
+        slot = pre.rjust(10, "\0") + "A." + digit[1:] + "e" + "+-"[c > 22] + "\0\0" + "0xyz"
+        w = c - 3 if 4 <= c <= 20 else 1
+        for n in range(1, 18):
+            text = pre + (digit[:n] if c < 4 else digit[:w] + ("." + digit[w:n]) * (n > w)) \
+                + tails[max(c - 20, 0)]
+            mask = _first_match(slot, text)
+            shifts.append(mask is None)
+            if mask is None:
+                mask = _first_match(slot[:11] + digit[1:w] + "." + slot[11 + w:], text)
+            masks.append(mask)
+            lengths.append(len(text))
+
+    def uint32(text, columns):
+        return np.frombuffer(text.encode(), np.uint32).reshape(-1, columns).T
+
+    return (ascii4.view(np.uint32).ravel(), kind, uint32("".join(prefixes), 3),
+            uint32(tail, 2), np.array(masks), np.array(lengths), np.array(shifts))
 
 
 def test_csv_tables_equal_their_text_built_oracles():
@@ -1544,6 +1596,47 @@ def test_csv_writer_peak_is_set_by_the_block():
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
     assert peaks[1] < 0.1 * tfr.matrix.nbytes
+
+
+_REFERENCE_INPUTS = next(mark.args[1] for mark in
+                         test_tfr_csv_matches_per_cell_reference.pytestmark
+                         if mark.name == "parametrize")
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+@pytest.mark.parametrize("own", [1, 3, 64])
+def test_csv_bytes_do_not_depend_on_block_size(monkeypatch, own, cells):
+    # the per-cell reference's inputs, cut to their first 300 rows: at
+    # blocks of a few cells these cross hundreds of block boundaries.  One
+    # more has a text first column wider than a cell's 36-byte slot
+    monkeypatch.setattr(cli, "_CSV_BLOCK_OWN", own)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
+    wide = {"kind": np.array(["a_label_longer_than_a_thirty_six_byte_slot", "k"] * 20),
+            "value": np.random.default_rng(16).lognormal(0.0, 9.0, 40)}
+    for data in [*_REFERENCE_INPUTS, wide]:
+        if isinstance(data, dict):
+            data = {name: column[:300] for name, column in data.items()}
+        test_tfr_csv_matches_per_cell_reference(data[:300] if not isinstance(data, dict)
+                                                else data)
+
+
+def test_csv_writer_memory_per_cell(monkeypatch):
+    # a dense body, every cell its own text: the writer's traced peak per
+    # cell of a block is its 36-byte slots and masks and a few 8-byte
+    # arrays (about 600 B with a per-byte gather index)
+    import tracemalloc
+
+    monkeypatch.setattr(cli, "_CSV_BLOCK_OWN", 2048)
+    cli._csv_layouts(), cli._csv_pow10()  # tables, not per cell
+    tfr = _tfr_of(np.random.default_rng(16385).random((16385, 96)))
+    tracemalloc.start()
+    try:
+        cli._write_csv(_HashSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
+                       tfr.matrix.min())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * (2048 // 97 * 97), peak
 
 
 @pytest.mark.parametrize("change", [-8, 8], ids=["truncated", "padded"])

@@ -118,7 +118,8 @@ def sampling_times(scheme: SamplingScheme, t_start: float, t_end: float) -> np.n
     if not t_end > t_start:
         raise ValueError("t_start must be strictly less than t_end")
     probe = np.linspace(t_start, t_end, 257)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate fails the memory check
+    # an infinite rate fails the memory check, a NaN one the check below
+    with np.errstate(over="ignore", invalid="ignore"):
         rates = scheme.psi_prime(probe)
     if (undefined := np.isnan(rates)).any():
         raise ValueError(f"sampling rate psi'({float(probe[undefined.argmax()])}) is NaN "
@@ -174,7 +175,8 @@ def sample_signal(signal: "IMTSignal", scheme: SamplingScheme,
     times = sampling_times(scheme, t_start, t_end)
     if times.size < 2:
         raise ValueError("fewer than 2 sample instants in the requested span")
-    with np.errstate(over="ignore", invalid="ignore"):  # SampleSet refuses non-finite values
+    # an overflowing phase gives inf or NaN values, which SampleSet refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         values = signal.evaluate(times)
     return SampleSet(times=times, values=values)
 

@@ -1614,10 +1614,9 @@ def test_csv_bytes_do_not_depend_on_block_size(monkeypatch, own, cells):
     wide = {"kind": np.array(["a_label_longer_than_a_thirty_six_byte_slot", "k"] * 20),
             "value": np.random.default_rng(16).lognormal(0.0, 9.0, 40)}
     for data in [*_REFERENCE_INPUTS, wide]:
-        if isinstance(data, dict):
-            data = {name: column[:300] for name, column in data.items()}
-        test_tfr_csv_matches_per_cell_reference(data[:300] if not isinstance(data, dict)
-                                                else data)
+        test_tfr_csv_matches_per_cell_reference(
+            {name: column[:300] for name, column in data.items()}
+            if isinstance(data, dict) else data[:300])
 
 
 def test_csv_writer_memory_per_cell(monkeypatch):

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .mitigation import inf_masked_rows, lowpass_prefilter
+from .mitigation import above_inf_rows, inf_masked_rows, lowpass_prefilter
 from .physio_io import edr_signal, ihr_signal, parse_rpeaks, synth_rpeaks
 from .reflection import (
     above_inf_energy_ratio,
@@ -432,11 +432,13 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
         slots[:, j] = prefix[j].take(key)
     slots[:, 7], slots[:, 8] = tail.take(e + 300, axis=1)
     for j in range(6, 2, -1):  # d1..d16, the last four first
-        digits, group = np.divmod(digits, 10**4)
-        slots[:, j] = ascii4.take(group)
+        rest = digits // 10**4  # by a scalar: faster than np.divmod
+        digits -= rest * 10**4
+        slots[:, j] = ascii4.take(digits)
+        digits = rest
     rows = slots.view(np.uint8)
     rows[:, 10] = digits + 48  # d0
-    del digits, group
+    del digits, rest
     zeros = (rows[:, 27:10:-1] != 48).argmax(axis=1)  # trailing, of 17 digits
     layout = key * 17 + 16 - zeros
     del key, zeros
@@ -473,10 +475,14 @@ def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
     the float matrix ``body``, every number as ``format(x, ".17g")``.  A
     ``body`` cell equal to ``low`` (sharpened and masked matrices are mostly
     zeros, display matrices mostly their floor; NaN equals no value) is one
-    constant text; _csv_numbers writes the others, CRLF as each row's prefix."""
+    constant text, and in a block whose rows are all low past their first
+    cell each row is its first cell's text and one constant row;
+    _csv_numbers writes the others, CRLF as each row's prefix."""
     rows, cols = body.shape
     text_first = first.dtype.kind == "U"
-    low_text = np.frombuffer(("," + _fmt(low)).encode(), np.uint8)
+    low_text = ("," + _fmt(low)).encode()
+    low_row = low_text * cols
+    fill = np.empty(0, np.uint8)  # low texts, as many as a block has needed
     fh.write((_meta_lines(meta) + header).encode("utf-8"))
     start, step = 0, max(1, _CSV_BLOCK_OWN // (cols + 1))
     while start < rows:
@@ -484,26 +490,33 @@ def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
         head = first[start:start + len(block)]
         own = np.concatenate([np.ones((len(block), 1), bool), block != low], 1).ravel()
         where = own.nonzero()[0]  # the cells not low
-        lead = np.zeros(where.size, bool)  # a row's first cell
-        lead[where.searchsorted(np.arange(0, own.size, cols + 1))] = True
-        slots, mask, size = _csv_numbers(np.column_stack(
-            [np.ones(len(block)) if text_first else head, block]).ravel()[where], lead)
-        if text_first:
-            slots, mask, size = _put_text((slots, mask, size), lead.nonzero()[0],
-                                          ["\r\n" + t for t in head])
-        text = slots[mask]
-        del slots, mask  # before the merge's byte arrays
-        if where.size < own.size:  # merge with the low text
-            sizes = np.full(own.size, low_text.size)
-            sizes[where] = size
-            mine = np.repeat(own, sizes)
-            text, own_text = np.empty(mine.size, dtype=np.uint8), text
-            text[mine] = own_text
-            del sizes, own_text
-            text[np.logical_not(mine, out=mine)] = np.tile(low_text, own.size - where.size)
-            del mine
-        fh.write(text)
-        del text, size  # before the next block's
+        if where.size == len(block):  # only the first cells
+            fh.write(b"".join(("\r\n" + (v if text_first else _fmt(v))).encode() + low_row
+                              for v in head))
+        else:
+            lead = np.zeros(where.size, bool)  # a row's first cell
+            lead[where.searchsorted(np.arange(0, own.size, cols + 1))] = True
+            slots, mask, size = _csv_numbers(np.column_stack(
+                [np.ones(len(block)) if text_first else head, block]).ravel()[where], lead)
+            if text_first:
+                slots, mask, size = _put_text((slots, mask, size), lead.nonzero()[0],
+                                              ["\r\n" + t for t in head])
+            text = slots[mask]
+            del slots, mask  # before the merge's byte arrays
+            if where.size < own.size:  # merge with the low text
+                sizes = np.full(own.size, len(low_text))
+                sizes[where] = size
+                mine = np.repeat(own, sizes)
+                text, own_text = np.empty(mine.size, dtype=np.uint8), text
+                text[mine] = own_text
+                del sizes, own_text
+                count = own.size - where.size
+                if fill.size < count * len(low_text):
+                    fill = np.frombuffer(low_text * count, np.uint8)
+                text[np.logical_not(mine, out=mine)] = fill[:count * len(low_text)]
+                del mine
+            fh.write(text)
+            del text, size  # before the next block's
         start, step = start + len(block), max(1, min(  # at this block's share of own
             _CSV_BLOCK_CELLS, _CSV_BLOCK_OWN * own.size // where.size) // (cols + 1))
     fh.write(b"\r\n")
@@ -586,12 +599,20 @@ def read_tfr_binary(path: Path):
     return mat, freq, times
 
 
-def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict):
-    mag = magnitude_rows(matrix)
-    # equal floats format alike once np.abs has turned -0.0 into 0.0; fmin
-    # skips NaN cells
+def _least(mag) -> float:
+    """The least value of the magnitude ``mag`` (RowBlocks), NaN cells
+    skipped (NaN if all are).  Equal floats format alike once np.abs has
+    turned -0.0 into 0.0."""
     lows = [np.fmin.reduce(block, axis=None) for _, block in row_blocks(mag) if block.size]
-    low = np.fmin.reduce(lows) if lows else np.nan
+    return np.fmin.reduce(lows) if lows else np.nan
+
+
+def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict, low: float | None = None):
+    """The CSV of |matrix|; ``low`` is its least value (NaN cells skipped)
+    if the caller knows it, else it takes a pass of its own."""
+    mag = magnitude_rows(matrix)
+    if low is None:
+        low = _least(mag)
     _write_csv(fh, meta, "freq_hz," + ",".join(_fmt(t) for t in time_axis),
                freq_axis, mag, low)
 
@@ -699,12 +720,13 @@ def _scenario_pipeline(cfg):
 
 
 def _write_tfr_products(outputs: _Outputs, stem: str, mag, axes, meta: dict,
-                        display=None):
+                        display=None, low=None):
     """TFR1, CSV and PGM products of the magnitude ``mag``, an array or
     RowBlocks, on the (frequency, time) ``axes``; ``display`` is its
-    ``display_rows`` when the caller has already computed it."""
+    ``display_rows`` and ``low`` its least value, when the caller already
+    knows them."""
     outputs.write(f"{stem}.tfr1", write_tfr_binary, mag, *axes)
-    outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta)
+    outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta, low)
     if outputs.wants("pgm"):
         outputs.write(f"{stem}.pgm", write_pgm,
                       display_rows(mag) if display is None else display, meta)
@@ -740,8 +762,11 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
     before and after.  The masked magnitude is made a block of rows at a
     time for each product: never in full."""
     masked = inf_masked_rows(tfr, inf_curve)
+    # a masked cell is 0.0, the least a magnitude can be; the top bin is
+    # masked in some frame if any bin is
+    low = 0.0 if above_inf_rows(tfr, inf_curve)[-1:].any() else None
     _write_tfr_products(outputs, f"{stem}_masked", masked, (tfr.freq_axis, tfr.time_axis),
-                        {**meta, "inf_mask": True})
+                        {**meta, "inf_mask": True}, low=low)
     outputs.write("mask_report.json", _write_json, {
         "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
         "above_inf_ratio_after": _masked_ratio(masked),
@@ -802,10 +827,14 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
     meta.update(source)
     axes = tfr.freq_axis, tfr.time_axis
     disp = display_rows(tfr.matrix) if outputs.wants("csv", "pgm") else None
-    _write_tfr_products(outputs, "tfr", tfr.matrix, axes, meta, disp)
+    low = _least(magnitude_rows(tfr.matrix)) if outputs.wants("csv") else None
+    _write_tfr_products(outputs, "tfr", tfr.matrix, axes, meta, disp, low)
     if outputs.wants("csv"):
+        # the display is monotone in |R|: its least value is the display of
+        # |R|'s, made by display_rows' ufuncs on a one-cell array
+        shown = np.maximum(1e-2, np.log1p(np.minimum([low], disp[1])))[0]
         outputs.write("display.csv", write_tfr_csv, disp[0], *axes,
-                      {**meta, "quantile_q": _fmt(disp[1])})
+                      {**meta, "quantile_q": _fmt(disp[1])}, shown)
     if scenario is not None:
         inf_curve = scenario.scheme.inf
         outputs.write("inf.csv", write_curve_csv,

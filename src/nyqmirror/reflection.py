@@ -217,20 +217,20 @@ def above_inf_energy_ratio(tfr: TFRepresentation,
     mag = magnitude_rows(tfr.matrix)  # a magnitude matrix is used as it is
     count = sum(int(np.count_nonzero(mask)) for _, mask in row_blocks(above))
 
-    def masses(scale: float) -> tuple[float, float]:
-        """The sums of |matrix| / scale over all cells and above the INF."""
-        def scaled():
-            return ((start, block / scale) for start, block in row_blocks(mag))
-
+    def masses(blocks) -> tuple[float, float]:
+        """The sums over all cells and above the INF of the blocks that
+        ``blocks()`` yields, (start, rows) as from row_blocks."""
         with np.errstate(over="ignore"):  # rescaled below
-            total = streamed_sum((block.ravel() for _, block in scaled()), tfr.matrix.size)
+            total = streamed_sum((block.ravel() for _, block in blocks()), tfr.matrix.size)
             part = streamed_sum((block[above[start:start + len(block)]]
-                                 for start, block in scaled()), count)
+                                 for start, block in blocks()), count)
         return float(total), float(part)
 
-    total, part = masses(1.0)
+    total, part = masses(lambda: row_blocks(mag))
     if not np.isfinite(total):
-        total, part = masses(np.max([m.max() for _, m in row_blocks(mag)]))
+        scale = np.max([m.max() for _, m in row_blocks(mag)])
+        total, part = masses(lambda: ((start, block / scale)
+                                      for start, block in row_blocks(mag)))
     if total == 0.0:
         return 0.0
     return part / total

@@ -316,11 +316,12 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     or the mean over the K tapers of a ``_Ladder`` (SST then always real).
     A first pass makes the tapers' V_g in one batched FFT per block and
     keeps only each taper's max|V_g|, for its floor threshold * max|V_g|
-    (and SST's largest column sum of |V_g| for its overflow refusal).  The
-    second makes V_g again in one batched FFT per block with what the ratios
-    need: a window's own g' (and t g), whose spectra over V_g give V_dg / V_g
-    (and V_tg / V_g), or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and
-    F_{k+1} / F_k give taper k's.  One np.add.at per block, over a flat
+    (and SST's largest column sum of |V_g| for its overflow refusal); RM
+    at threshold 0 reads neither and skips it.  The second makes V_g again
+    in one batched FFT per block with what the ratios need: a window's own
+    g' (and t g), whose spectra over V_g give V_dg / V_g (and V_tg / V_g),
+    or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and F_{k+1} / F_k give
+    taper k's.  One np.add.at per block, over a flat
     index in (frame, taper, bin) order (ufunc.at's fast path), sums each
     kept coefficient (for rm its mass |V_g|^2) into its target cell; a
     dropped one goes to a trash slot past the cells.  RM sums into the whole
@@ -343,13 +344,14 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     n_bins, n_frames = freqs.size, times.size
     mag = np.empty((step, count, n_bins))
     peak, column = np.full(count, -np.inf), 0.0
-    for _, spec in _spectra(sig.values, taps[:count], hop, nfft, step):
-        m = np.abs(spec, out=mag[:spec.shape[0]])
-        peak = np.maximum(peak, m.max(axis=(0, 2)))  # NaN passes, as in ndarray.max
-        if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
-            with np.errstate(over="ignore"):  # refused below
-                column = np.maximum(column, m.sum(axis=2).max())
-    del spec  # the first pass's FFT block
+    if sst or threshold > 0.0:  # RM at threshold 0 reads neither
+        for _, spec in _spectra(sig.values, taps[:count], hop, nfft, step):
+            m = np.abs(spec, out=mag[:spec.shape[0]])
+            peak = np.maximum(peak, m.max(axis=(0, 2)))  # NaN passes, as in ndarray.max
+            if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
+                with np.errstate(over="ignore"):  # refused below
+                    column = np.maximum(column, m.sum(axis=2).max())
+        del spec  # the first pass's FFT block
     if not np.isfinite(column):
         raise _overflow(sig.values)
     floor = (threshold * peak if threshold > 0.0 else np.zeros(count))[:, None]

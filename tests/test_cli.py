@@ -597,6 +597,59 @@ def test_tfr_inf_at_grid_nyquist_writes_every_product(tmp_path):
     assert {freq for _, freq in rows[1:]} == {"nan"}
 
 
+@pytest.mark.parametrize("case", ["display_nan", "display_floor", "mask_none", "mask_some"])
+def test_tfr_csv_lows_equal_the_least_value_of_each_body(tmp_path, monkeypatch, case):
+    # a tfr run passes each matrix CSV its low value: the display's from
+    # the magnitude's and the clip q, the masked product's 0.0 when a cell
+    # is masked; each must be what a pass over the body finds
+    scenario = {**SMALL_SCENARIO, "resample_hz": 5.0 if case == "mask_none" else 16.0}
+    run = cli._run_analysis
+
+    def altered(cfg, sig):
+        tfr, meta = run(cfg, sig)
+        matrix = tfr.matrix.copy()
+        if case == "display_nan":
+            matrix[3, ::4] = np.nan
+        elif case == "display_floor":  # every display cell at 1e-2, none of |R| 0
+            matrix = matrix * 1e-9 + 1e-300
+        elif case == "mask_none":  # no cell 0.0 in the magnitude or its masked twin
+            matrix += 1e-300
+        return TFRepresentation(matrix, tfr.freq_axis, tfr.time_axis, tfr.method,
+                                tfr.window_meta), meta
+
+    bodies, write = [], cli._write_csv
+
+    def recording(fh, meta, header, first, body, low=math.nan):
+        if header.startswith("freq_hz,"):
+            bodies.append((body, low))
+        write(fh, meta, header, first, body, low)
+
+    if case.startswith("mask"):
+        source = [f"scenario={json.dumps(scenario)}", "mitigation.inf_mask=true"]
+    else:  # an input signal: no ridges, which refuse NaN
+        write_file(tmp_path / "sig.csv", write_uniform_csv,
+                   UniformSignal(np.sin(np.arange(192) / 3.0), 16.0), {})
+        source = [f"input={tmp_path / 'sig.csv'}"]
+    monkeypatch.setattr(cli, "_run_analysis", altered)
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    argv = ["tfr", "--out", str(tmp_path / "out")]
+    for assignment in [*source, "analysis.window_s=4", 'output.formats=["csv"]']:
+        argv += ["--set", assignment]
+    assert main(argv) == 0
+    assert len(bodies) == (3 if case.startswith("mask") else 2)
+    lows = [float(low) for _, low in bodies]
+    for body, low in bodies:
+        least = np.fmin.reduce(np.abs(body.array() if isinstance(body, RowBlocks) else body),
+                               axis=None)
+        assert repr(float(low)) == repr(float(least))
+    if case == "display_nan":
+        assert math.isnan(lows[1])
+    elif case == "display_floor":
+        assert lows[1] == 1e-2
+    else:  # masked: 0.0 from the caller, or the magnitude's own low value
+        assert lows[2] == (0.0 if case == "mask_some" else lows[0])
+
+
 def test_tfr_zero_signal_all_zero_pgm(tmp_path):
     src = tmp_path / "zero.csv"
     lines = ["# rate_hz=16", "# t_start_s=0", "time_s,value"]
@@ -1239,6 +1292,16 @@ def _long_floor():
     return np.maximum(mat, 0.012345678901234567)
 
 
+def _low_rows_between():
+    # rows all low past the first column before, between and after mixed
+    # rows (as in a masked body), then a tail long enough to fill blocks
+    mat = np.full((300 + 2 * _CSV_BLOCK_CELLS // 4, 3), 0.012345678901234567)
+    for rows in (slice(40, 90), slice(150, 151), slice(200, 260)):
+        mixed = np.random.default_rng(rows.start).lognormal(-2.0, 1.0, mat[rows].shape)
+        mat[rows] = np.where(mixed < 0.1, mat[rows], mixed)
+    return mat
+
+
 @pytest.mark.parametrize("data", [
     _special_values(),
     np.full((5, 4), 0.3),                                        # all minimum
@@ -1259,13 +1322,14 @@ def _long_floor():
      "index": np.arange(_BLOCK_PLUS // 2 * 2),
      "value": np.random.default_rng(12).normal(size=_BLOCK_PLUS // 2 * 2)},
     _long_floor(),
+    _low_rows_between(),
     {"time_s": np.arange(_BLOCK_PLUS) / 7.0,
      "value": np.random.default_rng(13).lognormal(0.0, 9.0, _BLOCK_PLUS),
      "other": np.random.default_rng(14).normal(size=_BLOCK_PLUS)},
 ], ids=["specials", "all_equal", "one_row", "block_crossing", "dense",
         "complex", "curve_text_first", "curve_integers", "curve_specials",
         "curve_one_row", "curve_block_crossing", "curve_text_first_blocks",
-        "long_low_text_blocks", "no_low_cell_blocks"])
+        "long_low_text_blocks", "low_rows_between", "no_low_cell_blocks"])
 def test_tfr_csv_matches_per_cell_reference(data):
     meta = {"method": "stft", "hop": 2, "quantile_q": "0.5"}
     fh = io.BytesIO()
@@ -1321,8 +1385,51 @@ def _powers_of_ten():
                            np.nextafter(exact, np.inf), -exact])
 
 
+def _digits(x: float) -> str:
+    """The 17 significant digits of ``format(x, ".17g")``, d0 to d16."""
+    return format(x, ".16e")[:18].replace(".", "").lstrip("-")
+
+
+def _group_edges():
+    # 0000 and 9999 as each of the four 4-digit groups d1..d4 to d13..d16,
+    # in fixed and exponent notation: the doubles next to a 17-digit text
+    # with that group, the first whose own digits keep it
+    rng = np.random.default_rng(17)
+    values = []
+    # (no exponent from 10 to 17: there a double has few bits after the
+    # point, so its exact decimal is short and fixes the last digits)
+    for place, group, exponent in itertools.product(range(4), ("0000", "9999"),
+                                                    (-7, -3, 0, 6, 9, 21, 150)):
+        where = slice(1 + 4 * place, 5 + 4 * place)
+        for _ in range(100):
+            digits = [str(d) for d in rng.integers(0, 10, 17)]
+            digits[0] = str(rng.integers(1, 10))
+            digits[where] = group
+            near = float(f"{digits[0]}.{''.join(digits[1:])}e{exponent}")
+            hits = [x for x in [near, *np.nextafter(near, [-np.inf, np.inf]).tolist()]
+                    if _digits(x)[where] == group]
+            if hits:
+                values += [hits[0], -hits[0]]
+                break
+        else:
+            raise AssertionError(f"no double with {group} at d{where.start}, e={exponent}")
+    return np.array(values)
+
+
+def _trailing_zeros():
+    # exactly 0 to 16 trailing zeros of the 17 digits: 2**j has the digits
+    # of 2**j (fixed notation), 2**j * 10**m (m <= 22, an exact product) the
+    # same digits in exponent notation
+    values = np.array([2.0**j * 10.0**m for j in range(57) for m in (0, 19)])
+    found = {(17 - len(_digits(x).rstrip("0")), "e" in format(x, ".17g")) for x in values}
+    assert found == set(itertools.product(range(17), (False, True)))
+    return values
+
+
 @pytest.mark.parametrize("values", [
     _powers_of_ten(),
+    _group_edges(),
+    _trailing_zeros(),
     # k/8 next to 1e14: x * 10**2 is exact and its last digit often a tie
     (np.arange(8 * 10**14 - 3000, 8 * 10**14 + 3000) / 8.0),
     # integers from 2**53 on, and above 1e17 where 10**(16 - e) is no double
@@ -1330,7 +1437,8 @@ def _powers_of_ten():
     np.round(10.0 ** np.random.default_rng(15).uniform(17.0, 22.0, 2000)),
     # k/2**j over many octaves: few significant bits, many trailing zeros
     np.concatenate([np.arange(1, 200) / 2.0**j for j in range(-40, 60)]),
-], ids=["powers_of_ten", "ties_near_1e14", "integers_past_2_53",
+], ids=["powers_of_ten", "group_edges", "trailing_zeros", "ties_near_1e14",
+        "integers_past_2_53",
         "integers_past_1e17", "dyadic"])
 def test_csv_numbers_match_format_on_hard_cases(values):
     got, want = _curve_bytes(values)

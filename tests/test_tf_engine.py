@@ -307,6 +307,21 @@ def test_multitaper_is_chunk_invariant_at_any_taper_count(method, tapers, chunk)
 def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
     # the FFT budget: sst and rm transform V_g twice; the multitaper K
     # taper rows, then those and the ladder's helper row w_K
+    assert _fft_rows_per_frame(monkeypatch, method, tapers, 1e-8) == rows
+
+
+@pytest.mark.parametrize("method, tapers, rows", [
+    ("sst", 1, 3), ("rm", 1, 3),
+    *[(m, k, (2 if m == "mt_sst" else 1) * k + 1)
+      for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
+])
+def test_fft_rows_per_frame_at_threshold_0(monkeypatch, method, tapers, rows):
+    # at threshold 0 RM has no floor to find, so it skips the first pass;
+    # SST keeps it for the column sums of its overflow refusal
+    assert _fft_rows_per_frame(monkeypatch, method, tapers, 0.0) == rows
+
+
+def _fft_rows_per_frame(monkeypatch, method, tapers, threshold):
     from nyqmirror.tf_analysis import tf_magnitude
 
     counted = []
@@ -317,8 +332,9 @@ def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
         return rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counting)
-    tfr = tf_magnitude(chirp_noise(611), method, 1.0, 4, 256, tapers, 1e-8)
-    assert sum(counted) == rows * tfr.time_axis.size
+    tfr = tf_magnitude(chirp_noise(611), method, 1.0, 4, 256, tapers, threshold)
+    assert sum(counted) % tfr.time_axis.size == 0
+    return sum(counted) // tfr.time_axis.size
 
 
 def test_zero_signal_matches_oracle():

@@ -64,7 +64,6 @@ from .tf_analysis import (
     TF_METHODS,
     TFRepresentation,
     display_rows,
-    magnitude_rows,
     ridge_extract,
     tf_magnitude,
 )
@@ -576,7 +575,7 @@ def write_tfr_binary(fh, matrix, freq_axis, time_axis):
     fh.write(b"TFR1" + np.asarray(matrix.shape, dtype="<u8").tobytes())
     fh.write(freq_axis.astype("<f8").tobytes())
     fh.write(time_axis.astype("<f8").tobytes())
-    for _, block in row_blocks(magnitude_rows(matrix)):  # no full-size copy
+    for _, block in row_blocks(matrix):  # no full-size copy
         fh.write(block.astype("<f8", copy=False))
 
 
@@ -600,21 +599,20 @@ def read_tfr_binary(path: Path):
 
 
 def _least(mag) -> float:
-    """The least value of the magnitude ``mag`` (RowBlocks), NaN cells
-    skipped (NaN if all are).  Equal floats format alike once np.abs has
-    turned -0.0 into 0.0."""
+    """The least value of the magnitude ``mag`` (an array or RowBlocks),
+    NaN cells skipped (NaN if all are).  Equal floats format alike, as a
+    magnitude holds no -0.0."""
     lows = [np.fmin.reduce(block, axis=None) for _, block in row_blocks(mag) if block.size]
     return np.fmin.reduce(lows) if lows else np.nan
 
 
 def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict, low: float | None = None):
-    """The CSV of |matrix|; ``low`` is its least value (NaN cells skipped)
-    if the caller knows it, else it takes a pass of its own."""
-    mag = magnitude_rows(matrix)
+    """The CSV of the magnitude ``matrix``; ``low`` is its least value (NaN
+    cells skipped) if the caller knows it, else it takes a pass of its own."""
     if low is None:
-        low = _least(mag)
+        low = _least(matrix)
     _write_csv(fh, meta, "freq_hz," + ",".join(_fmt(t) for t in time_axis),
-               freq_axis, mag, low)
+               freq_axis, matrix, low)
 
 
 def write_pgm(fh, display, meta: dict) -> None:
@@ -827,7 +825,7 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
     meta.update(source)
     axes = tfr.freq_axis, tfr.time_axis
     disp = display_rows(tfr.matrix) if outputs.wants("csv", "pgm") else None
-    low = _least(magnitude_rows(tfr.matrix)) if outputs.wants("csv") else None
+    low = _least(tfr.matrix) if outputs.wants("csv") else None
     _write_tfr_products(outputs, "tfr", tfr.matrix, axes, meta, disp, low)
     if outputs.wants("csv"):
         # the display is monotone in |R|: its least value is the display of

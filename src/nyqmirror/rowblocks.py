@@ -99,7 +99,8 @@ def exact_quantile(mag, q: float) -> float:
     to n - low.  NaN sorts last there, so it is never dropped, and a kept
     NaN makes the quantile NaN.  The two least kept values meet as in
     numpy's ``_lerp``, its form for t >= 0.5 included.  Of tied 0.0 and
-    -0.0 either may be picked, as partition does not order them."""
+    -0.0 either may be picked, as partition does not order them; a real
+    ``TFRepresentation`` matrix, a magnitude, holds no -0.0."""
     n = mag.shape[0] * mag.shape[1]
     if n == 0:
         raise ValueError("empty TF matrix")

@@ -492,7 +492,7 @@ class PchipInterpolant:
     order = 3
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.knots = times
+        self.knots = times = frozen(times)
         self.domain = (float(times[0]), float(times[-1]))
         # imported here: scipy.interpolate would add ~0.5 s to every import
         from scipy.interpolate import PchipInterpolator

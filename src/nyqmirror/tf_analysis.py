@@ -23,7 +23,7 @@ from .spline_interp import UniformSignal, check_memory, frozen
 
 __all__ = [
     "DisplayMatrix", "MULTITAPER_TAPERS", "TF_METHODS", "TFRepresentation", "Window",
-    "WindowMeta", "as_magnitude", "display_rows", "log_display", "magnitude_rows",
+    "WindowMeta", "display_rows", "log_display", "magnitude_rows",
     "make_windows", "multitaper", "reassign", "ridge_extract", "stft", "synchrosqueeze",
     "tf_magnitude",
 ]
@@ -189,7 +189,9 @@ def _hermite_ladder(duration_s: float, rate: float, taper_count: int) -> _Ladder
 
 @dataclass(frozen=True, eq=False)
 class TFRepresentation:
-    """Matrix over (frequency bins x time frames) with axis metadata."""
+    """Matrix over (frequency bins x time frames) with axis metadata.  A
+    real matrix, of any method, is a magnitude: no value has its sign bit
+    set.  Only 'stft' and 'sst' may be complex."""
 
     matrix: np.ndarray
     freq_axis: np.ndarray
@@ -209,10 +211,21 @@ class TFRepresentation:
             raise ValueError("matrix dimensions inconsistent with axes")
         if np.any(np.diff(f) <= 0.0) or np.any(np.diff(t) <= 0.0):
             raise ValueError("axes must be strictly increasing")
-        if self.method in ("rm", "mt_rm", "mt_sst"):
-            # fmin skips NaN, as m < 0.0 does; a reduction makes no full-size mask
-            if np.iscomplexobj(m) or m.size and np.fmin.reduce(m, axis=None) < 0.0:
-                raise ValueError(f"{self.method} matrix must be real nonnegative")
+        if np.iscomplexobj(m) and self.method not in ("stft", "sst"):
+            raise ValueError(f"{self.method} matrix must be real nonnegative")
+        if np.isrealobj(m) and _sign_bit_set(m):  # a real matrix is a magnitude
+            raise ValueError(f"a real {self.method} matrix must be nonnegative, "
+                             f"with no sign bit set")
+
+
+def _sign_bit_set(matrix: np.ndarray) -> bool:
+    """Whether a real ``matrix`` holds a value with its sign bit set (a
+    negative number, -0.0 or a negative NaN); a float's bits read as a
+    signed integer are negative exactly then, so one reduction decides
+    without a full-size temporary."""
+    if matrix.dtype.kind == "f" and matrix.dtype.itemsize in (2, 4, 8):
+        return bool(matrix.size) and matrix.view(f"i{matrix.dtype.itemsize}").min() < 0
+    return bool(np.signbit(matrix).any())
 
 
 def _frame_plan(sig: UniformSignal, w_len: int, hop: int, nfft: int,
@@ -474,24 +487,6 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     return _sharpened(sig, ladder, hop, nfft, threshold, chunk, method, magnitude=True)
 
 
-def _sign_bit_set(matrix: np.ndarray) -> bool:
-    """Whether a real ``matrix`` holds a value with its sign bit set (a
-    negative number, -0.0 or a negative NaN); a float's bits read as a
-    signed integer are negative exactly then, so one reduction decides
-    without a full-size temporary."""
-    if matrix.dtype.kind == "f" and matrix.dtype.itemsize in (2, 4, 8):
-        return bool(matrix.size) and matrix.view(f"i{matrix.dtype.itemsize}").min() < 0
-    return bool(np.signbit(matrix).any())
-
-
-def as_magnitude(matrix: np.ndarray) -> np.ndarray:
-    """|matrix|: ``matrix`` itself when it is real with no sign bit set
-    (no negative value, no -0.0), else a new ``np.abs`` of it."""
-    if np.isrealobj(matrix) and not _sign_bit_set(matrix):
-        return matrix
-    return np.abs(matrix)
-
-
 def tf_magnitude(sig: UniformSignal, method: str, window_s: float, hop: int,
                  nfft: int, tapers: int = 3, threshold: float = 0.0) -> TFRepresentation:
     """The real, nonnegative |matrix| of one of ``TF_METHODS`` on a
@@ -511,18 +506,19 @@ def tf_magnitude(sig: UniformSignal, method: str, window_s: float, hop: int,
     return _sharpened(sig, window, hop, nfft, threshold, 128, method, magnitude=True)
 
 
-def magnitude_rows(matrix) -> RowBlocks:
-    """|matrix| (an array or RowBlocks) a block of rows at a time, each
-    block by ``as_magnitude``: a real block with no sign bit as it is."""
-    return RowBlocks(matrix.shape, lambda a, b: as_magnitude(matrix[a:b]))
+def magnitude_rows(matrix: np.ndarray):
+    """|matrix| of a TFRepresentation's matrix: a real one, a magnitude,
+    as it is; a complex one by ``np.abs`` a block of rows at a time."""
+    if np.isrealobj(matrix):
+        return matrix
+    return RowBlocks(matrix.shape, lambda a, b: np.abs(matrix[a:b]))
 
 
-def display_rows(matrix) -> tuple[RowBlocks, float]:
-    """The log display of ``matrix`` (an array or RowBlocks) a block of
-    rows at a time, and its clip q: max(1e-2, log(1 + min(|R|, q))) with
-    q the exact 99.8% quantile of |R| over all entries (zeros included),
-    linear between order statistics, found in one read of |R|."""
-    mag = magnitude_rows(matrix)
+def display_rows(mag) -> tuple[RowBlocks, float]:
+    """The log display of the magnitude ``mag`` (an array or RowBlocks) a
+    block of rows at a time, and its clip q: max(1e-2, log(1 + min(|R|,
+    q))) with q the exact 99.8% quantile of |R| over all entries (zeros
+    included), linear between order statistics, found in one read of |R|."""
     q = exact_quantile(mag, _DISPLAY_QUANTILE)
 
     def make(a: int, b: int) -> np.ndarray:
@@ -553,7 +549,7 @@ def log_display(tfr: TFRepresentation) -> DisplayMatrix:
     is filled a block of rows at a time, with no full-size |R|.  An empty
     matrix has no quantile: a ValueError.
     """
-    rows, q = display_rows(tfr.matrix)
+    rows, q = display_rows(magnitude_rows(tfr.matrix))
     out = rows.array()
     out.setflags(write=False)
     return DisplayMatrix(matrix=out, quantile_q=q)

@@ -9,6 +9,7 @@ from nyqmirror import UniformSignal
 from nyqmirror.tf_analysis import (
     TF_METHODS,
     TFRepresentation,
+    display_rows,
     log_display,
     make_windows,
     multitaper,
@@ -332,6 +333,25 @@ def test_tf_magnitude_is_the_transforms_magnitude(method):
     np.testing.assert_array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("method", TF_METHODS)
+def test_magnitude_products_have_no_sign_bit(method):
+    # the writers encode what they are given: tf_magnitude's container
+    # accepts its matrix, and the masked and display products built from
+    # it keep the rule, on an all-zero signal, a tone with nearly every cell
+    # under the threshold and a subnormal tone
+    from nyqmirror.mitigation import inf_masked_rows
+    from nyqmirror.rowblocks import row_blocks
+
+    for sig, threshold in ((tone(6.0, 4.0, amp=0.0), 1e-8),
+                           (tone(6.0, 4.0), np.nextafter(1.0, 0.0)),
+                           (tone(6.0, 4.0, amp=1e-310), 1e-8)):
+        tfr = tf_magnitude(sig, method, 1.0, 4, 256, 3, threshold)
+        assert isinstance(tfr, TFRepresentation)
+        masked = inf_masked_rows(tfr, lambda t: np.full_like(t, 16.0))
+        for product in (masked, display_rows(tfr.matrix)[0], display_rows(masked)[0]):
+            assert not any(np.signbit(block).any() for _, block in row_blocks(product))
+
+
 def test_tf_magnitude_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'cwt'"):
         tf_magnitude(tone(2.5), "cwt", 4.0, 8, 2048)
@@ -629,21 +649,20 @@ def test_tf_magnitude_peak_is_about_its_real_output(method, ratio):
 
 
 def test_sign_checks_make_no_full_size_temporary():
-    # as_magnitude's sign-bit test and the nonnegativity check of a
-    # TFRepresentation are reductions: no mask as large as the matrix
-    from nyqmirror.tf_analysis import WindowMeta, as_magnitude
+    # the container's sign-bit check is one reduction: no mask as large as
+    # the matrix, for any method
+    from nyqmirror.tf_analysis import WindowMeta
 
     mag = np.random.default_rng(2).random((4097, 640))
     mag.setflags(write=False)  # shared, not copied, by the container
     freqs, times = np.arange(4097.0), np.arange(640.0)
     meta = WindowMeta("gaussian", 1.0, 1, 1)
-    same, peak = traced_peak(as_magnitude, mag)
-    assert same is mag and peak < 0.01 * mag.nbytes
-    tfr, peak = traced_peak(TFRepresentation, mag, freqs, times, "rm", meta)
-    assert tfr.matrix is mag and peak < 0.01 * mag.nbytes
+    for method in TF_METHODS:
+        tfr, peak = traced_peak(TFRepresentation, mag, freqs, times, method, meta)
+        assert tfr.matrix is mag and peak < 0.01 * mag.nbytes
 
 
-@pytest.mark.parametrize("values, copied, refused", [
+@pytest.mark.parametrize("values, sign_bit, negative", [
     ([0.0, 1.0], False, False),
     ([np.nan, 2.0], False, False),         # NaN has no sign bit and is not < 0
     ([-0.0, 1.0], True, False),            # -0.0 has a sign bit and is not < 0
@@ -652,20 +671,37 @@ def test_sign_checks_make_no_full_size_temporary():
     ([-np.inf, np.nan], True, True),
     ([], False, False),
 ])
-def test_sign_checks_keep_their_semantics(values, copied, refused):
-    from nyqmirror.tf_analysis import WindowMeta, as_magnitude
+def test_sign_checks_keep_their_semantics(values, sign_bit, negative):
+    # a real matrix of any method is a magnitude: the container refuses
+    # every value with its sign bit set, -0.0 and -NaN too, though neither
+    # is below zero
+    from nyqmirror.tf_analysis import WindowMeta
 
     mat = np.array(values, dtype=float).reshape(-1, 1)
-    mag = as_magnitude(mat)
-    assert (mag is not mat) == copied
-    assert not np.signbit(mag).any()
+    assert bool((mat < 0.0).any()) == negative
     axes = np.arange(float(mat.shape[0])), np.arange(1.0)
-    make = lambda: TFRepresentation(mat, *axes, "rm", WindowMeta("gaussian", 1.0, 1, 1))  # noqa: E731
-    if refused:
-        with pytest.raises(ValueError, match="nonnegative"):
+    for method in TF_METHODS:
+        make = lambda: TFRepresentation(mat, *axes, method, WindowMeta("gaussian", 1.0, 1, 1))  # noqa: E731
+        if sign_bit:
+            with pytest.raises(ValueError, match=f"real {method} matrix must be nonnegative"):
+                make()
+        else:
             make()
-    else:
-        make()
+
+
+def test_complex_matrix_only_for_stft_and_sst():
+    # the public stft and synchrosqueeze are complex; every other method's
+    # matrix is real
+    from nyqmirror.tf_analysis import WindowMeta
+
+    mat = np.array([[1.0 - 2.0j, -0.0j], [np.nan, 3.0j]])
+    axes = np.arange(2.0), np.arange(2.0)
+    meta = WindowMeta("gaussian", 1.0, 1, 1)
+    for method in ("stft", "sst"):
+        assert TFRepresentation(mat, *axes, method, meta).matrix.dtype == complex
+    for method in ("rm", "mt_rm", "mt_sst"):
+        with pytest.raises(ValueError, match=f"{method} matrix must be real"):
+            TFRepresentation(mat, *axes, method, meta)
 
 
 @pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm", "stft",

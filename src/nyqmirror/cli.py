@@ -773,16 +773,9 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
 
 def _masked_ratio(masked) -> float:
     """``above_inf_energy_ratio`` of a matrix (an array or RowBlocks)
-    masked above the INF from one sum: those cells are 0.0, so the ratio
-    is 0.0 whenever the total is a number after its overflow rescale (by
-    max|matrix|), else NaN."""
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for _, block in row_blocks(masked):
-            total += float(block.sum())
-    if not math.isfinite(total):
-        total = float(np.max([block.max() for _, block in row_blocks(masked)]))
-    return 0.0 * total
+    masked above the INF: those cells are 0.0, so the ratio is 0.0 when
+    every cell is finite, else NaN, which is 0.0 times the largest cell."""
+    return 0.0 * float(np.max([block.max() for _, block in row_blocks(masked)]))
 
 
 # ---------------------------------------------------------------------------

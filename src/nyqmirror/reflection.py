@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mitigation import above_inf_rows
-from .rowblocks import row_blocks, streamed_sum
+from .rowblocks import row_blocks
 from .sampling import SamplingScheme, sample_signal
 from .signal_model import IMTSignal, Scenario
 from .spline_interp import (
@@ -209,28 +209,29 @@ def above_inf_energy_ratio(tfr: TFRepresentation,
 
     Returns 0 for an all-zero matrix.  Magnitudes whose sum overflows,
     though finite, give the same ratio over |matrix| / max |matrix|.  The
-    magnitude, the above-INF mask and the cells it selects are read a
-    block of rows at a time, never in full, and summed as np.sum sums the
-    whole matrix and its selected cells.
+    magnitude and the above-INF mask are read once, a block of rows at a
+    time.  Each C-ordered row is summed whole, over all its cells and over
+    those above the INF, and then the row sums: no sum depends on the block
+    size or the matrix's memory order.
     """
     above = above_inf_rows(tfr, inf_curve)
     mag = magnitude_rows(tfr.matrix)  # a magnitude matrix is used as it is
-    count = sum(int(np.count_nonzero(mask)) for _, mask in row_blocks(above))
 
-    def masses(blocks) -> tuple[float, float]:
-        """The sums over all cells and above the INF of the blocks that
-        ``blocks()`` yields, (start, rows) as from row_blocks."""
+    def masses(scale=None) -> tuple[float, float]:
+        """The sums over all cells and above the INF of |matrix| / scale."""
+        sums = np.empty((2, len(mag)))
         with np.errstate(over="ignore"):  # rescaled below
-            total = streamed_sum((block.ravel() for _, block in blocks()), tfr.matrix.size)
-            part = streamed_sum((block[above[start:start + len(block)]]
-                                 for start, block in blocks()), count)
+            for start, block in row_blocks(mag):
+                rows = np.ascontiguousarray(block if scale is None else block / scale)
+                stop = start + len(rows)
+                sums[0, start:stop] = rows.sum(axis=1)
+                sums[1, start:stop] = np.where(above[start:stop], rows, 0.0).sum(axis=1)
+            total, part = sums.sum(axis=1)
         return float(total), float(part)
 
-    total, part = masses(lambda: row_blocks(mag))
+    total, part = masses()
     if not np.isfinite(total):
-        scale = np.max([m.max() for _, m in row_blocks(mag)])
-        total, part = masses(lambda: ((start, block / scale)
-                                      for start, block in row_blocks(mag)))
+        total, part = masses(np.max([m.max() for _, m in row_blocks(mag)]))
     if total == 0.0:
         return 0.0
     return part / total

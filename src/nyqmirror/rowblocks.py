@@ -4,8 +4,8 @@ A product of a time-frequency magnitude (the magnitude masked above the
 INF, or its log display) is a ``RowBlocks``: each block of rows is made
 when it is read, so no full-size product is built.  ``row_blocks`` reads
 an array or a RowBlocks by blocks of about ``_BLOCK_CELLS`` cells;
-``exact_quantile`` and ``streamed_sum`` give numpy's quantile and sum of
-values read that way, bit for bit, without holding the matrix.
+``exact_quantile`` gives numpy's quantile of values read that way, bit for
+bit, without holding the matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["RowBlocks", "exact_quantile", "row_blocks", "streamed_sum"]
+__all__ = ["RowBlocks", "exact_quantile", "row_blocks"]
 
 # matrix cells per block of rows: keeps a block's temporaries in cache
 _BLOCK_CELLS = 1 << 15
@@ -53,39 +53,6 @@ def row_blocks(matrix):
     step = max(1, _BLOCK_CELLS // max(cols, 1))
     for start in range(0, rows, step):
         yield start, matrix[start:start + step]
-
-
-def streamed_sum(chunks, count: int):
-    """``np.sum`` of the concatenation of ``chunks``, 1-d float arrays of
-    ``count`` values in all, bit for bit, holding about a block of values
-    at a time.  numpy sums n values as a pairwise tree: halves of n // 2
-    rounded down to a multiple of 8 values, down to leaves of at most 128
-    values summed in one loop.  So every subtree of at most
-    ``_BLOCK_CELLS`` (>= 128) values is one np.sum of its values."""
-    chunks, rest = iter(chunks), np.empty(0)
-
-    def take(n: int) -> np.ndarray:
-        nonlocal rest
-        parts, have = [rest], rest.size
-        while have < n:
-            parts.append(next(chunks))
-            have += parts[-1].size
-        values = np.concatenate(parts)
-        rest = values[n:]
-        return values[:n]
-
-    return _pairwise_sum(count, take)
-
-
-def _pairwise_sum(n: int, take):
-    """np.sum's pairwise tree over the next ``n`` values from ``take``.  A
-    module function, not a closure calling itself: such a closure is a
-    reference cycle, and would keep ``take``, its chunks and the matrix they
-    are read from alive until the cyclic GC runs."""
-    if n <= _BLOCK_CELLS:
-        return np.sum(take(n))
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(half, take) + _pairwise_sum(n - half, take)
 
 
 def exact_quantile(mag, q: float) -> float:

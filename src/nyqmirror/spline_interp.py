@@ -247,6 +247,12 @@ class UniformSignal:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if not np.isfinite(self.t_start):
             raise ValueError(f"t_start must be finite, got {self.t_start}")
+        with np.errstate(over="ignore"):  # a step 1/rate past the float range
+            times = self.times
+        if not np.all(times[1:] > times[:-1]):  # or below the float spacing
+            raise ValueError(f"the sample times t_start + k/rate do not strictly increase at "
+                             f"t_start={self.t_start:.6g} s, rate={self.rate:.6g} Hz: "
+                             f"shift the time origin or change the rate")
 
     def __len__(self) -> int:
         return self.values.size

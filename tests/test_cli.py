@@ -1566,7 +1566,16 @@ def _bits(values):
        t_start=st.floats(allow_nan=False, allow_infinity=False))
 @example(values=[-0.0, 5e-324, -2.2250738585072014e-309, 1e308],
          rate=2.5e-310, t_start=-0.0)
+@example(values=[1.0, 2.0, 3.0, 4.0], rate=10.0, t_start=1e15)  # 1e15 + 0.25 twice
 def test_uniform_csv_roundtrip(tmp_path_factory, values, rate, t_start):
+    # a grid whose times do not strictly increase (a subnormal rate gives
+    # 0, inf, inf, ...) is refused; any other round-trips bit for bit
+    with np.errstate(over="ignore"):
+        times = t_start + np.arange(len(values)) / rate
+    if not np.all(times[1:] > times[:-1]):
+        with pytest.raises(ValueError, match="do not strictly increase"):
+            UniformSignal(values, rate, t_start)
+        return
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
     with np.errstate(over="ignore", invalid="ignore"):
         write_file(path, write_uniform_csv, UniformSignal(values, rate, t_start),

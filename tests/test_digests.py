@@ -38,8 +38,7 @@ def test_whole_run_bytes_do_not_depend_on_block_sizes(tmp_path, monkeypatch):
     assert {"tfr.csv", "tfr.tfr1", "tfr.pgm", "tfr_masked.csv"} <= set(first["tfr"]["files"])
     assert {"edr_tfr.csv", "edr_tfr_masked.tfr1"} <= set(first["physio"]["files"])
     assert digests.run_jobs(JOBS, tmp_path / "again") == first
-    # streamed_sum's leaves must hold at least numpy's 128-value blocks
-    monkeypatch.setattr(rowblocks, "_BLOCK_CELLS", 200)
+    monkeypatch.setattr(rowblocks, "_BLOCK_CELLS", 1)
     monkeypatch.setattr(tf_analysis, "_BLOCK_CELLS", 64)
     monkeypatch.setattr(cli, "_CSV_BLOCK_OWN", 97)
     monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 300)

@@ -17,6 +17,7 @@ from nyqmirror import (
     fundamental_spline_spectrum,
     interpolate_nonuniform,
     resample_uniform,
+    rowblocks,
     sample_signal,
 )
 from nyqmirror.reflection import (
@@ -257,8 +258,28 @@ def test_ratio_survives_a_sum_that_overflows(scale):
     assert got == pytest.approx(12.0 / 16.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_ratio_does_not_depend_on_block_size_or_memory_order(order, rows, monkeypatch):
+    # rows are summed whole and then the row sums: one bit pattern whatever
+    # the blocks or the layout (numpy sums an F-ordered block's rows
+    # differently at different block sizes)
+    mat = np.random.default_rng(32).lognormal(0.0, 2.0, (37, 29))
+    inf = lambda t: 9.0 + 0.5 * t  # noqa: E731
+    want = above_inf_energy_ratio(flat_tfr(mat), inf)
+    copy = np.array(mat, order=order)
+    copy.setflags(write=False)  # kept as it is, not copied to C order
+    tfr = flat_tfr(copy)
+    assert tfr.matrix.flags.f_contiguous == (order == "F")
+    if rows is not None:  # blocks of that many rows; else the default
+        monkeypatch.setattr(rowblocks, "_BLOCK_CELLS", rows * mat.shape[1])
+    got = above_inf_energy_ratio(tfr, inf)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    assert 0.0 < got < 1.0
+
+
 def test_ratio_leaves_no_reference_to_its_representation():
-    # the streamed sums make no reference cycle: the representation and its
+    # the row sums make no reference cycle: the representation and its
     # matrix are freed as soon as the caller drops them, without the cyclic GC
     mat = np.zeros((8, 4))
     mat[6, :] = 3.0

@@ -1,14 +1,13 @@
-"""Row blocks: numpy's quantile and sum, bit for bit, in a block's memory."""
+"""Row blocks: numpy's quantile, bit for bit, in a block's memory."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from nyqmirror import rowblocks
-from nyqmirror.rowblocks import RowBlocks, exact_quantile, row_blocks, streamed_sum
+from nyqmirror.rowblocks import RowBlocks, exact_quantile, row_blocks
 
 _TOP = 0x7FFFFFFFFFFFFFFF  # the largest nonnegative pattern, a NaN
 # 0, the least subnormal, the largest subnormal, the least normal, 1, the
@@ -65,22 +64,6 @@ def test_exact_quantile_reads_each_block_once():
         got = exact_quantile(lazy, 0.998)
     assert _same(got, float(np.quantile(mat, 0.998)))
     assert made == list(range(0, 40, 3))
-
-
-@settings(max_examples=200, deadline=None)
-@given(values=arrays(np.float64, st.integers(0, 5000),
-                     elements=st.floats(0.0, 1e300, allow_subnormal=True)),
-       chunk=st.integers(1, 700), cells=st.sampled_from([128, 200, 1024, 1 << 15]))
-def test_streamed_sum_is_numpy_sum(values, chunk, cells):
-    # numpy sums blocks of up to 128 values in one loop: leaves of at
-    # least that many follow its pairwise tree exactly
-    values = np.abs(values)
-    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
-        patch.setattr(rowblocks, "_BLOCK_CELLS", cells)
-        got = streamed_sum((values[i:i + chunk] for i in range(0, values.size, chunk)),
-                           values.size)
-        want = np.sum(values)
-    assert _same(float(got), float(want))
 
 
 def test_row_blocks_cover_the_matrix_once():

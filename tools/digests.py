@@ -8,13 +8,16 @@ Usage (from the root of a checkout)::
     python3 tools/digests.py --check DIGESTS.json
 
 ``--write`` runs the jobs through ``nyqmirror.cli.main`` in-process and
-records, per job, its argv, its exit code and the sha256 of each artifact
-and of its stdout, with the working directory masked as ``<dir>``, plus
-the Python, numpy and scipy versions.  ``--check`` runs them again and
-exits 0 when every digest matches, 1 when any differs, naming each file
-(``<stdout>`` for the printed paths), and 2, without running, when the
-versions differ from the file's: pocketfft and libm bits are only
-promised on one platform.
+records, per job, its argv, its exit code, the sha256 of each artifact
+and of its stdout, with the working directory masked as ``<dir>``, and the
+parsed content of each ``.json`` report, plus the Python, numpy and scipy
+versions.  ``--check`` runs them again and exits 0 when every digest
+matches, 1 when any differs, and 2, without running, when the versions
+differ from the file's: pocketfft and libm bits are only promised on one
+platform.  A differing report is named with each key that changed, as
+``job/file: key old -> new``; any other differing file (``<stdout>`` for
+the printed paths), or a report whose values were not recorded, as
+``job/file: differs``.
 
 The job list is the benchmark's 7 jobs at seed 1, ``tfr`` fig2 under every
 method with ``inf_mask``, ``predict`` fig1 and fig2 at orders 3 and 12
@@ -86,9 +89,9 @@ def _sha256(data: bytes) -> str:
 
 def run_jobs(jobs: dict[str, list[str]], workdir: Path) -> dict[str, dict]:
     """Run each job into ``workdir / "out" / name`` and return, by name,
-    its argv and stdout with ``workdir`` masked as ``<dir>``, its exit code
-    and the sha256 of each file it wrote (by path under its directory)
-    and of its stdout."""
+    its argv and stdout with ``workdir`` masked as ``<dir>``, its exit code,
+    the sha256 of each file it wrote (by path under its directory) and of
+    its stdout, and the parsed content of each ``.json`` file."""
     from nyqmirror.cli import main
 
     def masked(text: str) -> str:
@@ -106,6 +109,8 @@ def run_jobs(jobs: dict[str, list[str]], workdir: Path) -> dict[str, dict]:
             "exit": code,
             "stdout": _sha256(masked(printed.getvalue()).encode("utf-8")),
             "files": {p.relative_to(out).as_posix(): _sha256(p.read_bytes()) for p in files},
+            "values": {p.relative_to(out).as_posix(): json.loads(p.read_bytes())
+                       for p in files if p.suffix == ".json"},
         }
     return record
 
@@ -136,8 +141,24 @@ def differences(want: dict[str, dict], got: dict[str, dict]) -> list[str]:
             elif path not in a["files"]:
                 found.append(f"{name}/{path}: new")
             elif a["files"][path] != b["files"][path]:
-                found.append(f"{name}/{path}: differs")
+                found += _changed_keys(f"{name}/{path}", a.get("values", {}).get(path),
+                                       b.get("values", {}).get(path)) \
+                    or [f"{name}/{path}: differs"]
     return found
+
+
+def _changed_keys(where: str, old, new) -> list[str]:
+    """``where: key old -> new`` for each key whose value differs between
+    two parsed JSON reports, compared as JSON text (NaN equals NaN); none
+    when either was not recorded."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return []
+
+    def text(report: dict, key: str) -> str:
+        return json.dumps(report[key]) if key in report else "<none>"
+
+    return [f"{where}: {key} {text(old, key)} -> {text(new, key)}"
+            for key in sorted(set(old) | set(new)) if text(old, key) != text(new, key)]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -472,14 +472,15 @@ def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
     """Every CSV: the metadata lines, the ``header`` row, then one row per
     entry of the column ``first`` (numbers or text) followed by that row of
     the float matrix ``body``, every number as ``format(x, ".17g")``.  A
-    ``body`` cell equal to ``low`` (sharpened and masked matrices are mostly
-    zeros, display matrices mostly their floor; NaN equals no value) is one
-    constant text, and in a block whose rows are all low past their first
-    cell each row is its first cell's text and one constant row;
-    _csv_numbers writes the others, CRLF as each row's prefix."""
+    ``body`` cell with the float64 bits of ``low`` (sharpened and masked
+    matrices are mostly zeros, display matrices mostly their floor; equal
+    bits format alike, so 0.0 and -0.0 stay apart) is one constant text,
+    and in a block whose rows are all low past their first cell each row is
+    its first cell's text and one constant row; _csv_numbers writes the
+    others, CRLF as each row's prefix."""
     rows, cols = body.shape
     text_first = first.dtype.kind == "U"
-    low_text = ("," + _fmt(low)).encode()
+    low_text, low_bits = ("," + _fmt(low)).encode(), np.float64(low).view(np.int64)
     low_row = low_text * cols
     fill = np.empty(0, np.uint8)  # low texts, as many as a block has needed
     fh.write((_meta_lines(meta) + header).encode("utf-8"))
@@ -487,7 +488,8 @@ def _write_csv(fh, meta: dict, header: str, first: np.ndarray,
     while start < rows:
         block = body[start:start + step]
         head = first[start:start + len(block)]
-        own = np.concatenate([np.ones((len(block), 1), bool), block != low], 1).ravel()
+        bits = np.asarray(block, float).view(np.int64)
+        own = np.concatenate([np.ones((len(block), 1), bool), bits != low_bits], 1).ravel()
         where = own.nonzero()[0]  # the cells not low
         if where.size == len(block):  # only the first cells
             fh.write(b"".join(("\r\n" + (v if text_first else _fmt(v))).encode() + low_row
@@ -600,8 +602,7 @@ def read_tfr_binary(path: Path):
 
 def _least(mag) -> float:
     """The least value of the magnitude ``mag`` (an array or RowBlocks),
-    NaN cells skipped (NaN if all are).  Equal floats format alike, as a
-    magnitude holds no -0.0."""
+    NaN cells skipped (NaN if all are)."""
     lows = [np.fmin.reduce(block, axis=None) for _, block in row_blocks(mag) if block.size]
     return np.fmin.reduce(lows) if lows else np.nan
 

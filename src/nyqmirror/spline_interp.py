@@ -253,6 +253,10 @@ class UniformSignal:
             raise ValueError(f"the sample times t_start + k/rate do not strictly increase at "
                              f"t_start={self.t_start:.6g} s, rate={self.rate:.6g} Hz: "
                              f"shift the time origin or change the rate")
+        if not np.isfinite(times[-1]):
+            raise ValueError(f"the grid's end t_start + {v.size - 1}/rate overflows float64 at "
+                             f"t_start={self.t_start:.6g} s, rate={self.rate:.6g} Hz: "
+                             f"shift the time origin or change the rate")
 
     def __len__(self) -> int:
         return self.values.size

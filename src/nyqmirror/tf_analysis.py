@@ -330,15 +330,17 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     in one batched FFT per block with what the ratios need: a window's own
     g' (and t g), whose spectra over V_g give V_dg / V_g (and V_tg / V_g),
     or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and F_{k+1} / F_k give
-    taper k's.  One np.add.at per block, over a flat
-    index in (frame, taper, bin) order (ufunc.at's fast path), sums each
-    kept coefficient (for rm its mass |V_g|^2) into its target cell; a
-    dropped one goes to a trash slot past the cells.  RM sums into the whole
-    flat bins-major output.  SST coefficients stay in their frame and taper,
-    so SST sums into a block-local buffer, a slice per taper, and hands the
-    block's sums (with ``magnitude``, their moduli added taper by taper: a
-    real output) to its frames of the output.  Every sum has one order for
-    any ``chunk``, and no full V_g, |V_g| or index is kept."""
+    taper k's.  It works only on the block's kept bin span, from the first
+    to the last bin where some frame and taper clears the floor (none: the
+    block's sums stay 0).  One np.add.at per block, over a flat index in
+    (frame, taper, bin) order (ufunc.at's fast path), sums each kept
+    coefficient (for rm its mass |V_g|^2) into its target cell; a dropped
+    one in the span goes to a trash slot past the cells.  RM sums into the
+    whole flat bins-major output.  SST coefficients stay in their frame and
+    taper, so SST sums into a block-local buffer, a slice per taper, and
+    hands the block's sums (with ``magnitude``, their moduli added taper by
+    taper: a real output) to its frames of the output.  Every sum has one
+    order for any ``chunk``, and no full V_g, |V_g| or index is kept."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     sst = method == "sst"
@@ -365,8 +367,9 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
         raise _overflow(sig.values)
     floor = (threshold * peak if threshold > 0.0 else np.zeros(count))[:, None]
 
-    est = np.empty((1 if sst else 2, step, count, n_bins))  # bin (and frame) targets
-    cells = np.empty((step, count, n_bins), dtype=np.intp)
+    size = step * count * n_bins  # flat buffers: a block's span is a leading view
+    est = np.empty((1 if sst else 2, size))  # bin (and frame) targets
+    cells = np.empty(size, dtype=np.intp)
     grid = np.arange(max(n_bins, n_frames), dtype=float)  # own bin or frame index
     if sst:  # block-local sums: target (bin * count + taper) * width + frame - start
         width = min(step, n_frames)
@@ -377,7 +380,7 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     else:  # the flat output: target bin * n_frames + frame
         stride, acc = n_frames, np.zeros(n_bins * n_frames + 1)
     if ladder is not None:  # the ratios, and the ladder's factors per Hz and per s
-        ratio = np.empty((step, count, n_bins), dtype=complex)
+        ratio = np.empty(size, dtype=complex)
         freq_lo, freq_hi = (np.divide(c, 2.0 * np.pi * ladder.scale)[:, None]
                             for c in (ladder.lower[1:], -ladder.upper))
         time_lo, time_hi = (np.multiply(c, ladder.scale)[:, None]
@@ -386,37 +389,42 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
         for start, spec in _spectra(sig.values, taps, hop, nfft, step):
             n = spec.shape[0]
             frames = slice(start, start + n)
-            v, fbin = spec[:, :count], est[0, :n]
-            m = np.abs(v, out=mag[:n])
-            if not sst:
-                col = est[1, :n]
-            if ladder is None:  # each ratio overwrites its spectrum
-                r = np.divide(spec[:, 1:2], v, out=spec[:, 1:2])
-                np.divide(r.imag, 2.0 * np.pi, out=fbin)
+            keep = np.abs(spec[:, :count], out=mag[:n]) > floor
+            kept = np.flatnonzero(keep.any(axis=(0, 1)))
+            if kept.size:  # the ratios, targets and sums over the kept bin span only
+                lo, hi = kept[0], kept[-1] + 1
+                spec, keep, m = spec[..., lo:hi], keep[..., lo:hi], mag[:n, :, lo:hi]
+                shape = (n, count, hi - lo)
+                v, fbin = spec[:, :count], est[0, :m.size].reshape(shape)
                 if not sst:
-                    np.add(times[frames, None, None],
-                           np.divide(spec[:, 2:], v, out=spec[:, 2:]).real, out=col)
-            else:  # F_{k+1} / F_k, then F_{k-1} / F_k for k >= 1
-                r = np.divide(spec[:, 1:], v, out=ratio[:n])
-                np.multiply(r.imag, freq_hi, out=fbin)
-                if not sst:
-                    np.multiply(r.real, time_hi, out=col)
-                r = np.divide(spec[:, :count - 1], v[:, 1:], out=ratio[:n, 1:])
-                fbin[:, 1:] += np.multiply(r.imag, freq_lo, out=r.imag)
-                if not sst:
-                    col[:, 1:] += np.multiply(r.real, time_lo, out=r.real)
-                    np.add(times[frames, None, None], col, out=col)
-            np.subtract(freqs, fbin, out=fbin)
-            _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[:n_bins], n_bins)
-            if sst:  # each coefficient stays in its own frame and taper
-                col = own[:n]
-            else:
-                np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
-                _nearest(np.divide(col, hop, out=col), grid[frames, None, None], n_frames)
-            np.add(np.multiply(fbin, stride, out=fbin), col, out=fbin)
-            np.copyto(fbin, acc.size - 1, where=~(m > floor))
-            np.copyto(cells[:n], fbin, casting="unsafe")
-            np.add.at(acc, cells[:n].ravel(), (v if sst else np.square(m, out=m)).ravel())
+                    col = est[1, :m.size].reshape(shape)
+                if ladder is None:  # each ratio overwrites its spectrum
+                    r = np.divide(spec[:, 1:2], v, out=spec[:, 1:2])
+                    np.divide(r.imag, 2.0 * np.pi, out=fbin)
+                    if not sst:
+                        np.add(times[frames, None, None],
+                               np.divide(spec[:, 2:], v, out=spec[:, 2:]).real, out=col)
+                else:  # F_{k+1} / F_k, then F_{k-1} / F_k for k >= 1
+                    r = np.divide(spec[:, 1:], v, out=ratio[:m.size].reshape(shape))
+                    np.multiply(r.imag, freq_hi, out=fbin)
+                    if not sst:
+                        np.multiply(r.real, time_hi, out=col)
+                    r = np.divide(spec[:, :count - 1], v[:, 1:], out=r[:, 1:])
+                    fbin[:, 1:] += np.multiply(r.imag, freq_lo, out=r.imag)
+                    if not sst:
+                        col[:, 1:] += np.multiply(r.real, time_lo, out=r.real)
+                        np.add(times[frames, None, None], col, out=col)
+                np.subtract(freqs[lo:hi], fbin, out=fbin)
+                _nearest(np.divide(fbin, sig.rate / nfft, out=fbin), grid[lo:hi], n_bins)
+                if sst:  # each coefficient stays in its own frame and taper
+                    col = own[:n]
+                else:
+                    np.multiply(np.subtract(col, sig.t_start, out=col), sig.rate, out=col)
+                    _nearest(np.divide(col, hop, out=col), grid[frames, None, None], n_frames)
+                np.add(np.multiply(fbin, stride, out=fbin), col, out=fbin)
+                np.copyto(fbin, acc.size - 1, where=~keep)
+                np.copyto(cells[:m.size], fbin.ravel(), casting="unsafe")
+                np.add.at(acc, cells[:m.size], (v if sst else np.square(m, out=m)).ravel())
             if sst:
                 sums = acc[:-1].reshape(n_bins, count, width)[:, :, :n]
                 if not magnitude:

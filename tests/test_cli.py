@@ -1370,8 +1370,7 @@ def test_csv_numbers_match_format_on_raw_bit_patterns(bits):
     got, want = _curve_bytes(values)
     assert got == want
     # and as a matrix with low cells around it: -inf, the least value, so
-    # that only an equal cell takes the low text (a low 0.0 would also
-    # stand for -0.0, which a magnitude never holds)
+    # that only a cell with its bits takes the low text
     matrix = np.full((values.size, 3), -np.inf)
     matrix[:, 1] = values
     freq, times = _axes(matrix)
@@ -1569,11 +1568,16 @@ def _bits(values):
 @example(values=[1.0, 2.0, 3.0, 4.0], rate=10.0, t_start=1e15)  # 1e15 + 0.25 twice
 def test_uniform_csv_roundtrip(tmp_path_factory, values, rate, t_start):
     # a grid whose times do not strictly increase (a subnormal rate gives
-    # 0, inf, inf, ...) is refused; any other round-trips bit for bit
+    # 0, inf, inf, ...) or that ends at inf is refused; any other
+    # round-trips bit for bit
     with np.errstate(over="ignore"):
         times = t_start + np.arange(len(values)) / rate
     if not np.all(times[1:] > times[:-1]):
         with pytest.raises(ValueError, match="do not strictly increase"):
+            UniformSignal(values, rate, t_start)
+        return
+    if not np.isfinite(times[-1]):
+        with pytest.raises(ValueError, match="grid's end"):
             UniformSignal(values, rate, t_start)
         return
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
@@ -1584,6 +1588,38 @@ def test_uniform_csv_roundtrip(tmp_path_factory, values, rate, t_start):
     np.testing.assert_array_equal(_bits(back.values), _bits(values))
     assert _bits([back.rate, back.t_start]).tolist() \
         == _bits([rate, t_start]).tolist()
+
+
+def test_grid_whose_end_overflows_is_refused_by_name(tmp_path, capsys):
+    # t_start + 1/rate overflows: the grid [1.79e308, inf] strictly increases,
+    # and was accepted, with an overflow warning when its times were read
+    src = tmp_path / "input.csv"
+    src.write_text("# rate_hz=1e-306\n# t_start_s=1.79e308\ntime_s,value\n0,1.0\n0,2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"grid's end t_start \+ 1/rate overflows"):
+            UniformSignal([1.0, 2.0], 1e-306, 1.79e308)
+        with pytest.raises(ValueError, match="input.csv: the grid's end"):
+            read_uniform_csv(src)
+        out = tmp_path / "x"
+        assert main(["tfr", "--set", f"input={src}", "--out", str(out)]) == 2
+    assert "the grid's end" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("low", [None, 0.0, -0.0])
+@pytest.mark.parametrize("matrix", [[[0.0, -0.0, 1.0]], [[-0.0, 0.0, 1.0]],
+                                    [[0.0, 0.0], [-0.0, -0.0]], [[-0.0, -0.0], [0.0, 0.0]]])
+def test_tfr_csv_keeps_signed_zeros_apart(matrix, low):
+    # 0.0 and -0.0 compare equal but format apart: only a cell with the
+    # bits of the least value takes its text, in mixed rows and in rows
+    # that are all low
+    matrix = np.array(matrix)
+    freq, times = _axes(matrix)
+    fh = io.BytesIO()
+    write_tfr_csv(fh, matrix, freq, times, {}, low)
+    assert fh.getvalue() == reference_csv({}, "freq_hz," + ",".join(
+        format(t, ".17g") for t in times), ([f, *row] for f, row in zip(freq, matrix)))
 
 
 def _increasing(size):

@@ -9,7 +9,8 @@ from pathlib import Path
 from nyqmirror import cli, rowblocks, tf_analysis
 
 # a 20 s cosine-warped tone, mt_rm masked above the INF, every format; and
-# a 60 s synthetic beat train
+# a 60 s synthetic beat train, its EDR also at order 12 under mt_sst, whose
+# blocks keep part of their bins
 _SCENARIO = {"signal": {"kind": "harmonic", "freq_hz": 2.5},
              "scheme": {"kind": "cosine", "base_hz": 7.0, "depth_hz": 0.5, "period_s": 10.0},
              "duration_s": 20.0, "resample_hz": 16.0}
@@ -20,6 +21,9 @@ JOBS = {
     "physio": ["physio", "--set", 'physio.synth={"duration_s": 60}',
                "--set", "analysis.window_s=8", "--set", "analysis.hop=4",
                "--set", "mitigation.inf_mask=true"],
+    "physio12": ["physio", "--set", 'physio.synth={"duration_s": 60}',
+                 "--set", "analysis.window_s=8", "--set", "analysis.hop=4",
+                 "--set", "analysis.method=mt_sst", "--set", "physio.edr_scheme=12"],
 }
 
 

@@ -1,12 +1,13 @@
 """The frames-major transform engine against the per-window transforms it
 replaced, kept here as the bit-exact oracle, the multitaper against its
-Hermite-ladder oracle and the per-taper transforms before it, its FFT
-budget, and its non-finite targets."""
+Hermite-ladder oracle and the per-taper transforms before it, blocks that
+keep part of their bins or none, its FFT budget, and its non-finite
+targets."""
 
 import numpy as np
 import pytest
 
-from nyqmirror import UniformSignal
+from nyqmirror import UniformSignal, tf_analysis
 from nyqmirror.tf_analysis import (
     MULTITAPER_TAPERS,
     Window,
@@ -298,6 +299,70 @@ def test_multitaper_is_chunk_invariant_at_any_taper_count(method, tapers, chunk)
     assert_same_bits(
         multitaper(sig, 1.0, tapers, 4, 256, method, 1e-8, chunk=chunk).matrix,
         oracle_multitaper(sig, 1.0, tapers, 4, 256, method, 1e-8))
+
+
+def gap_tone(length=701):
+    # a slow chirp, silent from 4 to 7.5 s: above a floor a block keeps a
+    # span of low bins (or one past bin 0), and a silent block keeps none
+    t = np.arange(length) / RATE
+    values = np.cos(2.0 * np.pi * (1.0 * t + 0.3 * t * t))
+    values[(t > 4.0) & (t < 7.5)] = 0.0
+    return UniformSignal(values, rate=RATE, t_start=1.25)
+
+
+def _span_kinds(blocks, spectra, threshold):
+    """The kinds of kept bin span of the blocks (start, frames): 'empty',
+    'full', 'low' (from bin 0, short of the top) or 'inner' (past bin 0).
+    A block keeps the bins where some frame and taper clears that taper's
+    floor threshold * max|V_g|."""
+    mags = np.abs(np.asarray(spectra))  # (tapers, bins, frames)
+    keep = mags > threshold * mags.max(axis=(1, 2))[:, None, None]
+    kinds = set()
+    for start, frames in blocks:
+        kept = np.flatnonzero(keep[:, :, start:start + frames].any(axis=(0, 2)))
+        if not kept.size:
+            kinds.add("empty")
+        elif kept[0] > 0:
+            kinds.add("inner")
+        else:
+            kinds.add("full" if kept[-1] == keep.shape[1] - 1 else "low")
+    return kinds
+
+
+@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
+@pytest.mark.parametrize("threshold, partial", [(1e-8, "low"), (0.2, "inner")])
+def test_partial_and_empty_bin_spans_match_oracle(monkeypatch, method, threshold, partial):
+    # the second pass works on each block's kept bin span only: spans that
+    # stop short of the top bin or start past bin 0, and empty ones, keep
+    # every bit at every block size
+    sig, hop, nfft = gap_tone(), 4, 256
+    if method.startswith("mt_"):
+        want = oracle_multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold)
+        spectra = [oracle_spectrum(sig, row, hop, nfft)
+                   for row in _hermite_ladder(1.0, RATE, 3).rows[:3]]
+
+        def transform(chunk):
+            return multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold, chunk=chunk)
+    else:
+        win = WINDOWS["gaussian"]
+        engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
+                          "rm": (reassign, oracle_reassign)}[method]
+        want, spectra = oracle(sig, win, hop, nfft, threshold), [oracle_stft(sig, win, hop, nfft)]
+
+        def transform(chunk):
+            return engine(sig, win, hop, nfft, threshold, chunk=chunk)
+
+    blocks, spectra_of = set(), tf_analysis._spectra
+
+    def recording(*args):
+        for start, spec in spectra_of(*args):
+            blocks.add((start, spec.shape[0]))
+            yield start, spec
+
+    monkeypatch.setattr(tf_analysis, "_spectra", recording)
+    for chunk in (1, 7, 4096):
+        assert_same_bits(transform(chunk).matrix, want)
+    assert {partial, "empty"} <= _span_kinds(blocks, spectra, threshold)
 
 
 @pytest.mark.parametrize("method, tapers, rows", [

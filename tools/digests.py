@@ -20,10 +20,12 @@ the printed paths), or a report whose values were not recorded, as
 ``job/file: differs``.
 
 The job list is the benchmark's 7 jobs at seed 1, ``tfr`` fig2 under every
-method with ``inf_mask``, ``predict`` fig1 and fig2 at orders 3 and 12
-with and without ``predict.k_min=-3`` (two of them benchmark jobs),
-``simulate`` fig2, and a 240 s
-``physio`` synth under ``mt_sst`` with and without ``inf_mask``.
+method with ``inf_mask`` (and ``sst`` again at ``interpolation.order=12``),
+``predict`` fig1 and fig2 at orders 3 and 12 with and without
+``predict.k_min=-3`` (two of them benchmark jobs), ``simulate`` fig2, and a
+240 s ``physio`` synth under ``mt_sst`` with and without ``inf_mask`` and
+with ``physio.edr_scheme=12``.  The order-12 transforms keep part of their
+bins in most blocks.
 ``nyqmirror`` is imported from ``PYTHONPATH`` when it is found there, else
 from this checkout's ``src``, so the same jobs can be run on another commit.
 """
@@ -69,6 +71,7 @@ def job_list(inputs: Path) -> dict[str, list[str]]:
     for method in _METHODS:
         jobs[f"tfr-fig2-{method}"] = ["tfr", "--set", "scenario=fig2",
                                       "--set", f"analysis.method={method}", *_MASKED]
+    jobs["tfr-fig2-sst-order12"] = [*jobs["tfr-fig2-sst"], "--set", "interpolation.order=12"]
     for scenario in ("fig1", "fig2"):
         for order in (3, 12):
             argv = ["predict", "--set", f"scenario={scenario}",
@@ -80,6 +83,7 @@ def job_list(inputs: Path) -> dict[str, list[str]]:
     physio = ["physio", "--set", "physio.synth={}", "--set", "analysis.method=mt_sst"]
     jobs["physio-synth-mt_sst"] = physio
     jobs["physio-synth-mt_sst-masked"] = [*physio, *_MASKED]
+    jobs["physio-synth-mt_sst-edr12"] = [*physio, "--set", "physio.edr_scheme=12"]
     return jobs
 
 

@@ -16,22 +16,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nyqmirror import UniformSignal, __version__, cli, spline_interp
+from nyqmirror import UniformSignal, __version__, cli, config, spline_interp
 from nyqmirror.cli import (
     _CSV_BLOCK_CELLS,
-    DEFAULT_CONFIG,
-    load_config,
     main,
     read_tfr_binary,
     read_uniform_csv,
-    scenario_from_config,
     write_curve_csv,
     write_pgm,
     write_tfr_binary,
     write_tfr_csv,
     write_uniform_csv,
-    ConfigError,
 )
+from nyqmirror.config import DEFAULT_CONFIG, ConfigError, load_config, scenario_from_config
 from nyqmirror import rowblocks
 from nyqmirror.mitigation import inf_hard_threshold, inf_masked_rows
 from nyqmirror.reflection import above_inf_energy_ratio
@@ -279,15 +276,15 @@ def _table_words(fields) -> set:
     return words
 
 
-_WORDS = sorted(_table_words(cli._LEAVES) | {"bogus"})
-_SET_KEYS = sorted(set(cli._LEAVES) | set(DEFAULT_CONFIG)
+_WORDS = sorted(_table_words(config._LEAVES) | {"bogus"})
+_SET_KEYS = sorted(set(config._LEAVES) | set(DEFAULT_CONFIG)
                    | {"seed", "analysis.bogus", "mitigation.lowpass.cutoff_hz"})
 
 
 def _good(leaf):
     """Values that ``leaf`` allows, numbers within 40 of zero."""
     kinds = leaf.kind or (type(leaf.default),)
-    options = [] if leaf.default is cli._MISSING else [st.just(leaf.default)]
+    options = [] if leaf.default is config._MISSING else [st.just(leaf.default)]
     if str in kinds:
         options.append(st.sampled_from(leaf.choices) if leaf.choices else st.text())
     if list in kinds:
@@ -308,7 +305,7 @@ def _good(leaf):
 def _object(fields, values, kind=None, bogus=st.nothing()):
     """Objects with ``fields``' required keys and some of the others."""
     required = {key: values(field) for key, field in fields.items()
-                if field.default is cli._MISSING}
+                if field.default is config._MISSING}
     optional = {key: values(field) for key, field in fields.items()
                 if key not in required}
     if kind is not None:
@@ -336,10 +333,10 @@ def _values(leaf, numbers):
 
 def _values_for(key, numbers):
     if key in DEFAULT_CONFIG and isinstance(DEFAULT_CONFIG[key], dict):
-        fields = {where.partition(".")[2]: leaf for where, leaf in cli._LEAVES.items()
+        fields = {where.partition(".")[2]: leaf for where, leaf in config._LEAVES.items()
                   if where.startswith(key + ".")}
         return _object(fields, lambda leaf: _values(leaf, numbers))
-    return _values(cli._LEAVES.get(key), numbers)
+    return _values(config._LEAVES.get(key), numbers)
 
 
 _SMALL = (st.integers(-3, 40) | st.floats(-3.0, 40.0)
@@ -377,7 +374,7 @@ def test_loaded_config_satisfies_the_table(data, key):
         cfg = load_config(None, [f"{key}={json.dumps(value)}"])
     except ConfigError:
         return
-    for where, leaf in cli._LEAVES.items():
+    for where, leaf in config._LEAVES.items():
         section, _, name = where.rpartition(".")
         assert _satisfies((cfg[section] if section else cfg)[name], leaf), where
 

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nyqmirror import UniformSignal, __version__, cli, config, spline_interp
-from nyqmirror.cli import (
+from nyqmirror import UniformSignal, __version__, cli, config, formats, spline_interp
+from nyqmirror.cli import main
+from nyqmirror.config import DEFAULT_CONFIG, ConfigError, load_config, scenario_from_config
+from nyqmirror.formats import (
     _CSV_BLOCK_CELLS,
-    main,
     read_tfr_binary,
     read_uniform_csv,
     write_curve_csv,
@@ -28,7 +29,6 @@ from nyqmirror.cli import (
     write_tfr_csv,
     write_uniform_csv,
 )
-from nyqmirror.config import DEFAULT_CONFIG, ConfigError, load_config, scenario_from_config
 from nyqmirror import rowblocks
 from nyqmirror.mitigation import inf_hard_threshold, inf_masked_rows
 from nyqmirror.reflection import above_inf_energy_ratio
@@ -614,7 +614,7 @@ def test_tfr_csv_lows_equal_the_least_value_of_each_body(tmp_path, monkeypatch, 
         return TFRepresentation(matrix, tfr.freq_axis, tfr.time_axis, tfr.method,
                                 tfr.window_meta), meta
 
-    bodies, write = [], cli._write_csv
+    bodies, write = [], formats._write_csv
 
     def recording(fh, meta, header, first, body, low=math.nan):
         if header.startswith("freq_hz,"):
@@ -628,7 +628,7 @@ def test_tfr_csv_lows_equal_the_least_value_of_each_body(tmp_path, monkeypatch, 
                    UniformSignal(np.sin(np.arange(192) / 3.0), 16.0), {})
         source = [f"input={tmp_path / 'sig.csv'}"]
     monkeypatch.setattr(cli, "_run_analysis", altered)
-    monkeypatch.setattr(cli, "_write_csv", recording)
+    monkeypatch.setattr(formats, "_write_csv", recording)
     argv = ["tfr", "--out", str(tmp_path / "out")]
     for assignment in [*source, "analysis.window_s=4", 'output.formats=["csv"]']:
         argv += ["--set", assignment]
@@ -1447,7 +1447,7 @@ def _oracle_pow10():
     """_csv_pow10 built from scratch for each exponent: 10**|k| and the
     correctly rounded parse of "1e{k}"."""
     parts = []
-    for k in range(16 + cli._POW10_E, 15 - cli._POW10_E, -1):
+    for k in range(16 + formats._POW10_E, 15 - formats._POW10_E, -1):
         n = 10 ** abs(k)
         hi = float(f"1e{k}")
         m, d = hi.as_integer_ratio()
@@ -1506,7 +1506,7 @@ def _oracle_layouts():
 
 
 def test_csv_tables_equal_their_text_built_oracles():
-    tables = [cli._csv_pow10.__wrapped__(), *cli._csv_layouts.__wrapped__()]
+    tables = [formats._csv_pow10.__wrapped__(), *formats._csv_layouts.__wrapped__()]
     oracles = [_oracle_pow10(), *_oracle_layouts()]
     for got, want in zip(tables, oracles, strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -1718,7 +1718,7 @@ def test_csv_writer_peak_is_set_by_the_block():
         tfr = _tfr_of(np.random.default_rng(bins).random((bins, 96)))
         tracemalloc.start()
         try:
-            cli._write_csv(_NullSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
+            formats._write_csv(_NullSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
                            tfr.matrix.min())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -1738,8 +1738,8 @@ def test_csv_bytes_do_not_depend_on_block_size(monkeypatch, own, cells):
     # the per-cell reference's inputs, cut to their first 300 rows: at
     # blocks of a few cells these cross hundreds of block boundaries.  One
     # more has a text first column wider than a cell's 36-byte slot
-    monkeypatch.setattr(cli, "_CSV_BLOCK_OWN", own)
-    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
+    monkeypatch.setattr(formats, "_CSV_BLOCK_OWN", own)
+    monkeypatch.setattr(formats, "_CSV_BLOCK_CELLS", cells)
     wide = {"kind": np.array(["a_label_longer_than_a_thirty_six_byte_slot", "k"] * 20),
             "value": np.random.default_rng(16).lognormal(0.0, 9.0, 40)}
     for data in [*_REFERENCE_INPUTS, wide]:
@@ -1754,12 +1754,12 @@ def test_csv_writer_memory_per_cell(monkeypatch):
     # arrays (about 600 B with a per-byte gather index)
     import tracemalloc
 
-    monkeypatch.setattr(cli, "_CSV_BLOCK_OWN", 2048)
-    cli._csv_layouts(), cli._csv_pow10()  # tables, not per cell
+    monkeypatch.setattr(formats, "_CSV_BLOCK_OWN", 2048)
+    formats._csv_layouts(), formats._csv_pow10()  # tables, not per cell
     tfr = _tfr_of(np.random.default_rng(16385).random((16385, 96)))
     tracemalloc.start()
     try:
-        cli._write_csv(_NullSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
+        formats._write_csv(_NullSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
                        tfr.matrix.min())
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -6,7 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from nyqmirror import cli, rowblocks, tf_analysis
+from nyqmirror import formats, rowblocks, tf_analysis
 
 # a 20 s cosine-warped tone, mt_rm masked above the INF, every format; and
 # a 60 s synthetic beat train, its EDR also at order 12 under mt_sst, whose
@@ -44,6 +44,6 @@ def test_whole_run_bytes_do_not_depend_on_block_sizes(tmp_path, monkeypatch):
     assert digests.run_jobs(JOBS, tmp_path / "again") == first
     monkeypatch.setattr(rowblocks, "_BLOCK_CELLS", 1)
     monkeypatch.setattr(tf_analysis, "_BLOCK_CELLS", 64)
-    monkeypatch.setattr(cli, "_CSV_BLOCK_OWN", 97)
-    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 300)
+    monkeypatch.setattr(formats, "_CSV_BLOCK_OWN", 97)
+    monkeypatch.setattr(formats, "_CSV_BLOCK_CELLS", 300)
     assert digests.run_jobs(JOBS, tmp_path / "small_blocks") == first

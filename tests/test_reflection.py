@@ -170,6 +170,18 @@ def test_synthesis_matches_pipeline_fig1():
     assert rel <= 0.05
 
 
+@pytest.mark.parametrize("rate", [1e13, np.inf, np.nan, 0.0, -64.0])
+def test_synthesis_refuses_a_grid_rate_by_name(rate):
+    # the series takes resample_uniform's grid and its refusals: no numpy
+    # MemoryError, OverflowError, cast error or warning comes first
+    sc = builtin_scenario("fig1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"rate must be positive and finite|"
+                                             r"series points need .* lower the rate"):
+            synthesize_prediction(sc.signal, sc.scheme, 3, 3, rate, (0.0, 80.0))
+
+
 # ---------------------------------------------------------------------------
 # verify_reflection_theorem
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Package modules use only each other's public names: a ``_``-prefixed
-name is private to its module (dunders such as ``__version__`` are not)."""
+name is private to its module (dunders such as ``__version__`` are not).
+Each import points one way, and each public name has a caller."""
 
 import ast
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parents[1] / "src" / "nyqmirror"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "nyqmirror"
 
 
 def _private(name: str) -> bool:
@@ -232,3 +234,103 @@ def test_csv_writer_has_no_percent_template():
     assert not [ast.unparse(node) for node in ast.walk(writer)
                 if isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.Mod)]
+
+
+def imports(source: str) -> set[str]:
+    """``module.name`` for each name ``source`` imports from the package
+    (``.name`` from the package itself), and each module it imports from
+    outside the package and the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module])
+            found |= {name for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names}
+    return found
+
+
+def test_scan_finds_each_import():
+    source = ("from __future__ import annotations\n"
+              "import json, numpy as np\n"
+              "from scipy.fft import rfft\n"
+              "from . import __version__\n"
+              "def f():\n"
+              "    from .rowblocks import row_blocks as blocks\n")
+    assert imports(source) == {"numpy", "scipy.fft", ".__version__", "rowblocks.row_blocks"}
+
+
+def test_config_and_formats_import_neither_cli_nor_each_other():
+    # the config table and the artifact encoders sit below the commands:
+    # formats needs only numpy, the version, the row blocks and the signal
+    # it reads back; config only the modules whose names its table checks
+    read = {name: imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+            for name in ("config", "formats")}
+    assert read["formats"] == {"numpy", ".__version__", "rowblocks.row_blocks",
+                               "spline_interp.UniformSignal"}
+    assert {name.split(".")[0] for name in read["config"]} == {
+        "sampling", "signal_model", "tf_analysis"}
+
+
+def top_level_reads(source: str):
+    """Each top-level statement of ``source`` as (the function or class it
+    defines, else "", every identifier it reads: a bare name or an
+    attribute's name)."""
+    for node in ast.parse(source).body:
+        defines = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else ""
+        yield defines, {sub.id if isinstance(sub, ast.Name) else sub.attr
+                        for sub in ast.walk(node)
+                        if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def uncalled_public_names(package: dict[str, str], others: list[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class in the
+    ``package`` sources (file name to text) that neither another top-level
+    statement of the package nor any source in ``others`` reads; imports
+    and ``__all__`` do not read a name."""
+    readers, public = {}, []
+    for file, source in package.items():
+        for defines, names in top_level_reads(source):
+            if defines and not defines.startswith("_"):
+                public.append((file, defines))
+            for name in names:
+                readers.setdefault(name, set()).add((file, defines))
+    outside = {name for source in others for _, names in top_level_reads(source)
+               for name in names}
+    return [f"{file.removesuffix('.py')}.{name}" for file, name in public
+            if name not in outside and not readers.get(name, set()) - {(file, name)}]
+
+
+def test_scan_finds_each_uncalled_public_name():
+    package = {"a.py": ("__all__ = ['lonely', 'used']\n"
+                        "def lonely(n):\n    return lonely(n - 1)\n"
+                        "def used():\n    pass\n"
+                        "class _Private:\n    pass\n"),
+               "b.py": ("from .a import lonely\n"
+                        "class Model:\n    x = used()\n"
+                        "def unread():\n    pass\n")}
+    assert uncalled_public_names(package, ["print(b.Model)"]) == ["a.lonely", "b.unread"]
+
+
+# public names whose only callers are unit tests, and why each stays
+UNCALLED = {
+    "sampling.check_inr": "the INR run diagnostic of ROADMAP item 4 will call it",
+    "signal_model.validate_imt": "the same run diagnostic will call it",
+    "formats.read_tfr_binary": "the package's TFR1 reader, which the README names",
+    "tf_analysis.log_display": "the benchmark tracer names it only as a string in LAYERS",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    # a caller in the package, the benchmark, the tools or the acceptance
+    # suite: a public name that only unit tests use is dead code or belongs
+    # on UNCALLED with its reason
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    others = [path.read_text(encoding="utf-8") for path in [
+        *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "tools").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py"]]
+    assert sorted(uncalled_public_names(package, others)) == sorted(UNCALLED)

@@ -538,8 +538,6 @@ def resample_uniform(interp, rate: float, t_start: float,
     span must lie inside the interpolant domain, and a grid too large for
     physical memory is refused before it is allocated.
     """
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
     _clip_to_domain([t_start, t_end], interp.domain,
                    f"resampling span [{t_start}, {t_end}]")
     # measured 24 (n + 1) + 56 bytes per point at order n; allow over twice that
@@ -552,11 +550,13 @@ def uniform_grid(rate: float, t_start: float, t_end: float, point_bytes: float,
                  what: str) -> np.ndarray:
     """t_start + k/rate for k = 0 .. floor((t_end - t_start) * rate): the one
     grid of a resampled signal and of the image series it is compared with.
-    A rate that is not positive and finite is refused, and so is a grid of
-    ``what`` whose ``point_bytes`` per point exceed physical memory, before
-    it is allocated."""
+    A rate that is not positive and finite is refused, and so are a span
+    without positive length (NaN included) and a grid of ``what`` whose
+    ``point_bytes`` per point exceed physical memory, before it is allocated."""
     if not 0.0 < rate < np.inf:
         raise ValueError(f"rate must be positive and finite, got {rate}")
+    if not t_end > t_start:
+        raise ValueError(f"span [{t_start}, {t_end}] must have positive length")
     count = np.floor(float(t_end - t_start) * float(rate) + 1e-9) + 1.0  # inf, no warning
     check_memory(count * point_bytes, f"{count:.3g} {what}",
                  f"lower the rate ({rate}) or the span [{t_start}, {t_end}]")

@@ -557,6 +557,16 @@ def test_resample_outside_domain():
         resample_uniform(interp, 8.0, 0.0, 4.5)
 
 
+@pytest.mark.parametrize("t_start, t_end", [(2.0, 2.0), (3.0, 1.0), (np.nan, 3.0),
+                                            (1.0, np.nan)])
+def test_resample_refuses_a_span_without_length_by_name(t_start, t_end):
+    # a NaN end fails every comparison: refused as a span, not as memory
+    t = np.linspace(0.0, 4.0, 11)
+    interp = interpolate_nonuniform(SampleSet(times=t, values=np.sin(t)), 3)
+    with pytest.raises(ValueError, match=r"^span \[.*\] must have positive length"):
+        resample_uniform(interp, 8.0, t_start, t_end)
+
+
 def test_uniform_signal_validation():
     with pytest.raises(ValueError):
         UniformSignal(values=np.array([1.0]), rate=4.0)

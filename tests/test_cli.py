@@ -1719,7 +1719,7 @@ def test_csv_writer_peak_is_set_by_the_block():
         tracemalloc.start()
         try:
             formats._write_csv(_NullSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
-                           tfr.matrix.min())
+                               tfr.matrix.min())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1760,7 +1760,7 @@ def test_csv_writer_memory_per_cell(monkeypatch):
     tracemalloc.start()
     try:
         formats._write_csv(_NullSink(), {}, "freq_hz", tfr.freq_axis, tfr.matrix,
-                       tfr.matrix.min())
+                           tfr.matrix.min())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config, scenario_from_config
-from .formats import (fmt, least, read_uniform_csv, write_curve_csv, write_json, write_pgm,
+from .formats import (fmt, read_uniform_csv, write_curve_csv, write_json, write_pgm,
                       write_tfr_binary, write_tfr_csv, write_uniform_csv)
-from .mitigation import above_inf_rows, inf_masked_rows, lowpass_prefilter
+from .mitigation import inf_masked_rows, lowpass_prefilter
 from .physio_io import edr_signal, ihr_signal, parse_rpeaks, synth_rpeaks
 from .reflection import (
     above_inf_energy_ratio,
@@ -157,13 +157,13 @@ def _scenario_pipeline(cfg):
 
 
 def _write_tfr_products(outputs: _Outputs, stem: str, mag, axes, meta: dict,
-                        display=None, low=None):
+                        display=None):
     """TFR1, CSV and PGM products of the magnitude ``mag``, an array or
     RowBlocks, on the (frequency, time) ``axes``; ``display`` is its
-    ``display_rows`` and ``low`` its least value, when the caller already
-    knows them."""
+    ``display_rows``, when the caller already has it.  Dropped, unreached
+    and masked cells of a magnitude are 0.0: the CSV's common value."""
     outputs.write(f"{stem}.tfr1", write_tfr_binary, mag, *axes)
-    outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta, low)
+    outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta, 0.0)
     if outputs.wants("pgm"):
         outputs.write(f"{stem}.pgm", write_pgm,
                       display_rows(mag) if display is None else display, meta)
@@ -199,11 +199,8 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
     before and after.  The masked magnitude is made a block of rows at a
     time for each product: never in full."""
     masked = inf_masked_rows(tfr, inf_curve)
-    # a masked cell is 0.0, the least a magnitude can be; the top bin is
-    # masked in some frame if any bin is
-    low = 0.0 if above_inf_rows(tfr, inf_curve)[-1:].any() else None
     _write_tfr_products(outputs, f"{stem}_masked", masked, (tfr.freq_axis, tfr.time_axis),
-                        {**meta, "inf_mask": True}, low=low)
+                        {**meta, "inf_mask": True})
     outputs.write("mask_report.json", write_json, {
         "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
         "above_inf_ratio_after": _masked_ratio(masked),
@@ -257,14 +254,10 @@ def cmd_tfr(cfg: dict, outputs: _Outputs):
     meta.update(source)
     axes = tfr.freq_axis, tfr.time_axis
     disp = display_rows(tfr.matrix) if outputs.wants("csv", "pgm") else None
-    low = least(tfr.matrix) if outputs.wants("csv") else None
-    _write_tfr_products(outputs, "tfr", tfr.matrix, axes, meta, disp, low)
+    _write_tfr_products(outputs, "tfr", tfr.matrix, axes, meta, disp)
     if outputs.wants("csv"):
-        # the display is monotone in |R|: its least value is the display of
-        # |R|'s, made by display_rows' ufuncs on a one-cell array
-        shown = np.maximum(1e-2, np.log1p(np.minimum([low], disp[1])))[0]
-        outputs.write("display.csv", write_tfr_csv, disp[0], *axes,
-                      {**meta, "quantile_q": fmt(disp[1])}, shown)
+        outputs.write("display.csv", write_tfr_csv, disp.rows, *axes,
+                      {**meta, "quantile_q": fmt(disp.q)}, disp.floor)
     if scenario is not None:
         inf_curve = scenario.scheme.inf
         outputs.write("inf.csv", write_curve_csv,

@@ -8,7 +8,7 @@ CRLF), TFR1 binary (magic ``TFR1``, little-endian uint64 dims
 ``freq_bins, frames``, float64 frequency axis, float64 time axis, then
 row-major float64 magnitudes; the reader checks the file length against
 the dims), and 8-bit binary PGM (P5) images of the log-scale display
-matrix (1e-2 maps to 0, the display maximum to 255, linear in between;
+matrix (the display's floor maps to 0, its top to 255, linear in between;
 row 0 is the highest frequency).
 """
 
@@ -25,7 +25,7 @@ from . import __version__
 from .rowblocks import row_blocks
 from .spline_interp import UniformSignal
 
-__all__ = ["fmt", "least", "read_tfr_binary", "read_uniform_csv", "write_curve_csv",
+__all__ = ["fmt", "read_tfr_binary", "read_uniform_csv", "write_curve_csv",
            "write_json", "write_pgm", "write_tfr_binary", "write_tfr_csv",
            "write_uniform_csv"]
 
@@ -332,36 +332,25 @@ def read_tfr_binary(path: Path):
     return mat, freq, times
 
 
-def least(mag) -> float:
-    """The least value of the magnitude ``mag`` (an array or RowBlocks),
-    NaN cells skipped (NaN if all are)."""
-    lows = [np.fmin.reduce(block, axis=None) for _, block in row_blocks(mag) if block.size]
-    return np.fmin.reduce(lows) if lows else np.nan
-
-
-def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict, low: float | None = None):
-    """The CSV of the magnitude ``matrix``; ``low`` is its least value (NaN
-    cells skipped) if the caller knows it, else it takes a pass of its own."""
-    if low is None:
-        low = least(matrix)
+def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict, low: float = math.nan):
+    """The CSV of the magnitude ``matrix``; its cells with the bits of ``low``, the
+    product's common value, take one constant text: no ``low`` changes a byte."""
     _write_csv(fh, meta, "freq_hz," + ",".join(fmt(t) for t in time_axis),
                freq_axis, matrix, low)
 
 
 def write_pgm(fh, display, meta: dict) -> None:
-    """The 8-bit PGM of ``display_rows``' pair (rows, clip q).  Its span is
-    the display's maximum less 1e-2: some cell has min(|R|, q) = q, as q is
-    at most the upper order statistic, and the display is monotone, so the
-    maximum is max(1e-2, log1p(q)), NaN when q is."""
-    matrix, q = display
-    span = np.maximum(1e-2, np.log1p(q)) - 1e-2
+    """The 8-bit PGM of a ``tf_analysis.display_rows`` display: its floor
+    maps to 0 and its top to 255, linear in between."""
+    matrix, _, floor, top = display
+    span = top - floor
     pixels = np.zeros(matrix.shape, dtype=np.uint8)
     flipped = pixels[::-1]  # highest frequency on top
     if not span <= 0.0:
-        # rint((matrix - 1e-2) / span * 255) in place, a block of rows at a
+        # rint((matrix - floor) / span * 255) in place, a block of rows at a
         # time: no full-size float temporary
         for start, block in row_blocks(matrix):
-            scaled = np.subtract(block, 1e-2)
+            scaled = np.subtract(block, floor)
             np.divide(scaled, span, out=scaled)
             np.multiply(scaled, 255.0, out=scaled)
             flipped[start:start + len(block)] = np.rint(scaled, out=scaled)

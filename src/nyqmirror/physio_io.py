@@ -38,6 +38,7 @@ __all__ = [
 # the root scan peak at 200 to 250 B on a 1 h train; twice that leaves
 # room for the temporaries of the caller's curves
 _BYTES_PER_PANEL = 512
+_AMPLITUDE_MAX = np.finfo(float).max / 2.0**24  # the EDR's, with room for its spline and mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +62,9 @@ class RPeakRecord:
             object.__setattr__(self, "amplitudes", a)
             if a.shape != t.shape:
                 raise ValueError("amplitudes must match times in length")
-            if not np.all(np.isfinite(a)):
-                raise ValueError("R-peak amplitudes must be finite")
+            if not (peak := np.max(np.abs(a))) <= _AMPLITUDE_MAX:
+                raise ValueError(f"R-peak amplitudes, the EDR's samples, must be finite and "
+                                 f"at most {_AMPLITUDE_MAX:.3g} in magnitude, got {peak:.3g}")
 
     def __len__(self) -> int:
         return self.times.size
@@ -74,7 +76,7 @@ def parse_rpeaks(data: bytes | str) -> RPeakRecord:
     Raises ValueError naming the offending row for malformed, non-finite
     or non-monotone input; an empty file is an error.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
     # the non-blank rows, each with its file line number
     rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
@@ -205,12 +207,15 @@ def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
     step, 0.5 / max rate, and psi' is ``ihr_curve`` itself.  Stands in for
     clinical recordings in closed-loop tests.
 
-    Raises ValueError for a non-finite or non-positive ``duration``, a
-    non-finite curve value, a rate that is not strictly positive, and, before
-    allocating, a train whose panels would not fit in physical memory.
+    Raises ValueError for a non-finite or non-positive ``duration`` or rate,
+    a depth past the EDR's amplitudes, a non-finite curve value or phase,
+    and, before allocating, a train whose panels would not fit in memory.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and positive, got {duration}")
+    if not abs(modulation_depth) < _AMPLITUDE_MAX:  # the EDR's bound
+        raise ValueError(f"|modulation_depth| must be below {_AMPLITUDE_MAX:.3g}, "
+                         f"got {modulation_depth}")
     probe = np.linspace(0.0, duration, 1025)
     rates = _curve_values(ihr_curve, probe, "ihr_curve")
     if np.any(rates <= 0.0):
@@ -227,6 +232,9 @@ def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
         psi=warp, psi_prime=lambda t: _curve_values(ihr_curve, t, "ihr_curve"))
     peaks = sampling_times(scheme, 0.0, duration)
 
-    resp_phase = _antiderivative(resp_if, duration, n_panels, "resp_if")
-    amplitudes = 1.0 + modulation_depth * np.cos(2.0 * np.pi * resp_phase(peaks))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        phase = 2.0 * np.pi * _antiderivative(resp_if, duration, n_panels, "resp_if")(peaks)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"the phase of resp_if overflows float64 over {duration} s")
+    amplitudes = 1.0 + modulation_depth * np.cos(phase)
     return RPeakRecord(times=peaks, amplitudes=amplitudes)

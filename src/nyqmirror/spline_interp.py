@@ -294,7 +294,7 @@ def _clip_to_domain(x, domain: tuple[float, float], what: str) -> np.ndarray:
 
     Points beyond the domain by more than a relative 1e-12 slack raise
     ValueError("``what`` outside domain [lo, hi]"); points within it are
-    clipped, since resampling grids can overshoot the last knot by ulps.
+    clipped, since a span's ends can miss the knots by ulps.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = domain
@@ -542,6 +542,7 @@ def resample_uniform(interp, rate: float, t_start: float,
                    f"resampling span [{t_start}, {t_end}]")
     # measured 24 (n + 1) + 56 bytes per point at order n; allow over twice that
     grid = uniform_grid(rate, t_start, t_end, 64.0 * (interp.order + 2), "resampled points")
+    np.minimum(grid, interp.domain[1], out=grid)  # its end may pass t_end by 1e-9 of a step
     return UniformSignal(values=np.asarray(interp(grid), dtype=float),
                          rate=float(rate), t_start=float(t_start))
 

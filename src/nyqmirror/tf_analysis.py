@@ -22,8 +22,8 @@ from .rowblocks import RowBlocks, exact_quantile
 from .spline_interp import UniformSignal, check_memory, frozen
 
 __all__ = [
-    "DisplayMatrix", "MULTITAPER_TAPERS", "TF_METHODS", "TFRepresentation", "Window",
-    "WindowMeta", "display_rows", "log_display", "magnitude_rows",
+    "Display", "DisplayMatrix", "MULTITAPER_TAPERS", "TF_METHODS", "TFRepresentation",
+    "Window", "WindowMeta", "display_rows", "log_display", "magnitude_rows",
     "make_windows", "multitaper", "reassign", "ridge_extract", "stft", "synchrosqueeze",
     "tf_magnitude",
 ]
@@ -37,8 +37,8 @@ MULTITAPER_TAPERS = (2, 10)
 # in cache; past _BLOCK_TAPERS tapers a block has fewer frames
 _BLOCK_CELLS = 1 << 15
 _BLOCK_TAPERS = 3
-# the display clips |R| at this quantile
-_DISPLAY_QUANTILE = 0.998
+# the display clips |R| at this quantile and is never below its floor
+_DISPLAY_QUANTILE, _DISPLAY_FLOOR = 0.998, 1e-2
 # bytes per cell live at once in the largest transform, traced at 2049 x
 # 512 cells: the complex SST output 19.7 (16 of them the output), the
 # multitaper 18.4 (sst) and 16.2 (rm) at 3 tapers and 16.5 and 14.7 at 10,
@@ -518,19 +518,25 @@ def magnitude_rows(matrix: np.ndarray):
     return RowBlocks(matrix.shape, lambda a, b: np.abs(matrix[a:b]))
 
 
-def display_rows(mag) -> tuple[RowBlocks, float]:
-    """The log display of the magnitude ``mag`` (an array or RowBlocks) a
-    block of rows at a time, and its clip q: max(1e-2, log(1 + min(|R|,
-    q))) with q the exact 99.8% quantile of |R| over all entries (zeros
-    included), linear between order statistics, found in one read of |R|."""
+Display = NamedTuple("Display", [("rows", RowBlocks), ("q", float), ("floor", float),
+                                 ("top", float)])
+
+
+def display_rows(mag) -> Display:
+    """The log display of the magnitude ``mag`` (an array or RowBlocks), its
+    rows made a block at a time: max(1e-2, log(1 + min(|R|, q))) with q the
+    99.8% quantile of |R| (zeros included), exactly as ``np.quantile``,
+    found in one read of |R|.  Its top, the display of q (NaN when q is),
+    is its maximum: it is monotone and some cell has min(|R|, q) = q."""
     q = exact_quantile(mag, _DISPLAY_QUANTILE)
 
     def make(a: int, b: int) -> np.ndarray:
         out = np.minimum(mag[a:b], q)
         np.log1p(out, out=out)
-        return np.maximum(1e-2, out, out=out)
+        return np.maximum(_DISPLAY_FLOOR, out, out=out)
 
-    return RowBlocks(mag.shape, make), q
+    return Display(RowBlocks(mag.shape, make), q, _DISPLAY_FLOOR,
+                   np.maximum(_DISPLAY_FLOOR, np.log1p(q)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,15 +551,10 @@ class DisplayMatrix:
 
 
 def log_display(tfr: TFRepresentation) -> DisplayMatrix:
-    """max(1e-2, log(1 + min(|R|, q))) with q the 99.8% quantile of |R|.
-
-    The quantile runs over all entries of |R| (zeros included) with linear
-    interpolation between order statistics, exactly as ``np.quantile``;
-    it is found by ``display_rows`` in one read of |R|, and the display
-    is filled a block of rows at a time, with no full-size |R|.  An empty
-    matrix has no quantile: a ValueError.
-    """
-    rows, q = display_rows(magnitude_rows(tfr.matrix))
+    """The whole ``display_rows`` display of |R| and its clip q, filled a
+    block of rows at a time with no full-size |R|.  An empty matrix has no
+    quantile: a ValueError."""
+    rows, q, *_ = display_rows(magnitude_rows(tfr.matrix))
     out = rows.array()
     out.setflags(write=False)
     return DisplayMatrix(matrix=out, quantile_q=q)

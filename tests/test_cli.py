@@ -594,26 +594,12 @@ def test_tfr_inf_at_grid_nyquist_writes_every_product(tmp_path):
     assert {freq for _, freq in rows[1:]} == {"nan"}
 
 
-@pytest.mark.parametrize("case", ["display_nan", "display_floor", "mask_none", "mask_some"])
+@pytest.mark.parametrize("case", ["mask_none", "mask_some"])
 def test_tfr_csv_lows_equal_the_least_value_of_each_body(tmp_path, monkeypatch, case):
-    # a tfr run passes each matrix CSV its low value: the display's from
-    # the magnitude's and the clip q, the masked product's 0.0 when a cell
-    # is masked; each must be what a pass over the body finds
+    # a tfr run names each matrix CSV's common value: 0.0 for the magnitude
+    # and its masked twin, the floor for the display; on these engine-made
+    # matrices each is what a pass over the body finds, masked cells or none
     scenario = {**SMALL_SCENARIO, "resample_hz": 5.0 if case == "mask_none" else 16.0}
-    run = cli._run_analysis
-
-    def altered(cfg, sig):
-        tfr, meta = run(cfg, sig)
-        matrix = tfr.matrix.copy()
-        if case == "display_nan":
-            matrix[3, ::4] = np.nan
-        elif case == "display_floor":  # every display cell at 1e-2, none of |R| 0
-            matrix = matrix * 1e-9 + 1e-300
-        elif case == "mask_none":  # no cell 0.0 in the magnitude or its masked twin
-            matrix += 1e-300
-        return TFRepresentation(matrix, tfr.freq_axis, tfr.time_axis, tfr.method,
-                                tfr.window_meta), meta
-
     bodies, write = [], formats._write_csv
 
     def recording(fh, meta, header, first, body, low=math.nan):
@@ -621,30 +607,17 @@ def test_tfr_csv_lows_equal_the_least_value_of_each_body(tmp_path, monkeypatch, 
             bodies.append((body, low))
         write(fh, meta, header, first, body, low)
 
-    if case.startswith("mask"):
-        source = [f"scenario={json.dumps(scenario)}", "mitigation.inf_mask=true"]
-    else:  # an input signal: no ridges, which refuse NaN
-        write_file(tmp_path / "sig.csv", write_uniform_csv,
-                   UniformSignal(np.sin(np.arange(192) / 3.0), 16.0), {})
-        source = [f"input={tmp_path / 'sig.csv'}"]
-    monkeypatch.setattr(cli, "_run_analysis", altered)
     monkeypatch.setattr(formats, "_write_csv", recording)
     argv = ["tfr", "--out", str(tmp_path / "out")]
-    for assignment in [*source, "analysis.window_s=4", 'output.formats=["csv"]']:
+    for assignment in [f"scenario={json.dumps(scenario)}", "mitigation.inf_mask=true",
+                       "analysis.window_s=4", 'output.formats=["csv"]']:
         argv += ["--set", assignment]
     assert main(argv) == 0
-    assert len(bodies) == (3 if case.startswith("mask") else 2)
-    lows = [float(low) for _, low in bodies]
+    assert [float(low) for _, low in bodies] == [0.0, 1e-2, 0.0]
     for body, low in bodies:
         least = np.fmin.reduce(np.abs(body.array() if isinstance(body, RowBlocks) else body),
                                axis=None)
         assert repr(float(low)) == repr(float(least))
-    if case == "display_nan":
-        assert math.isnan(lows[1])
-    elif case == "display_floor":
-        assert lows[1] == 1e-2
-    else:  # masked: 0.0 from the caller, or the magnitude's own low value
-        assert lows[2] == (0.0 if case == "mask_some" else lows[0])
 
 
 def test_tfr_zero_signal_all_zero_pgm(tmp_path):
@@ -1147,6 +1120,42 @@ def test_physio_overflowing_input_is_data_error(tmp_path, capsys):
     assert not list(out.glob("edr_tfr*"))
 
 
+@pytest.mark.parametrize("source, message", [
+    ('physio.synth={"duration_s": 30, "modulation_depth": 1e308}',
+     "|modulation_depth| must be below 1.07e+301, got 1e+308"),
+    ('physio.synth={"duration_s": 30, "resp_hz": 1e308}',
+     "the phase of resp_if overflows float64 over 30.0 s"),
+    ("input={peaks}", "{peaks}: R-peak amplitudes, the EDR's samples, must be finite and "
+                      "at most 1.07e+301 in magnitude, got 1e+308"),
+], ids=["modulation_depth", "resp_if", "edr_amplitudes"])
+def test_physio_extreme_input_is_refused_by_name(tmp_path, capsys, source, message):
+    # each used to print numpy's RuntimeWarning, then a refusal that named
+    # neither the setting nor the amplitudes
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("time_s,amplitude\n" + "".join(
+        f"{0.7 * k!r},{(-1) ** k * 1e308!r}\n" for k in range(60)))
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["physio", "--set", source.replace("{peaks}", str(peaks)),
+                   "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err == [f"nyqmirror: data error: {message}".replace("{peaks}", str(peaks))]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["tfr", "--set", "analysis.window_s=4"]])
+def test_resampling_grid_past_the_last_sample_runs(tmp_path, command):
+    # the last sample lies 3.05e-11 s before 20 s and the 16 Hz grid, which
+    # may pass t_end by 1e-9 of a step, ends at 20.0: its evaluation was
+    # refused as outside the interpolant's domain
+    scenario = {"signal": {"kind": "harmonic"}, "duration_s": 20, "resample_hz": 16,
+                "scheme": {"kind": "cosine", "base_hz": 8, "depth_hz": -7.9999}}
+    assert main([*command, "--set", f"scenario={json.dumps(scenario)}",
+                 "--out", str(tmp_path / "x")]) == 0
+
+
 def test_physio_overflowing_beat_rate_is_data_error(tmp_path, capsys):
     # beats 1e-320 s apart: 1/gap overflows, which used to print numpy's
     # overflow warning and then a message naming neither gap nor rate
@@ -1609,9 +1618,34 @@ def test_grid_whose_end_overflows_is_refused_by_name(tmp_path, capsys):
                                     [[0.0, 0.0], [-0.0, -0.0]], [[-0.0, -0.0], [0.0, 0.0]]])
 def test_tfr_csv_keeps_signed_zeros_apart(matrix, low):
     # 0.0 and -0.0 compare equal but format apart: only a cell with the
-    # bits of the least value takes its text, in mixed rows and in rows
-    # that are all low
+    # bits of the low value takes its text, in mixed rows and in rows
+    # that are all low; None gives the writer's default low, NaN
     matrix = np.array(matrix)
+    freq, times = _axes(matrix)
+    fh = io.BytesIO()
+    write_tfr_csv(fh, matrix, freq, times, {}, *([] if low is None else [low]))
+    assert fh.getvalue() == reference_csv({}, "freq_hz," + ",".join(
+        format(t, ".17g") for t in times), ([f, *row] for f, row in zip(freq, matrix)))
+
+
+# float64 bit patterns: +-0.0, NaNs with either sign and payload, +-inf,
+# subnormals of either sign, and any other
+_CELL_BITS = st.one_of(
+    st.sampled_from([0, 2**63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFFFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000]),
+    st.integers(1, 2**52 - 1), st.integers(2**63 + 1, 2**63 + 2**52 - 1),
+    st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 5), frames=st.integers(1, 5))
+def test_tfr_csv_bytes_do_not_depend_on_low(data, bins, frames):
+    # the low value only chooses which cells share one constant text: for a
+    # low drawn from the matrix's own cells, +-0.0 or NaN, the bytes are the
+    # per-cell format(x, ".17g") of every cell
+    bits = data.draw(st.lists(_CELL_BITS, min_size=bins * frames, max_size=bins * frames))
+    matrix = np.array(bits, dtype=np.uint64).view(np.float64).reshape(bins, frames)
+    low = data.draw(st.sampled_from([*matrix.ravel(), 0.0, -0.0, math.nan]))
     freq, times = _axes(matrix)
     fh = io.BytesIO()
     write_tfr_csv(fh, matrix, freq, times, {}, low)
@@ -1654,12 +1688,12 @@ def test_writers_encode_a_magnitude_without_a_full_copy():
     shape = (16385, 64)
     mag = np.where(rng.random(shape) < 0.9, 0.0, rng.lognormal(0.0, 3.0, shape))
     tfr = _tfr_of(mag)
-    display = log_display(tfr)
+    display = display_rows(tfr.matrix)._replace(rows=log_display(tfr).matrix)
     meta = {"method": "stft", "window_s": "3", "hop": 2}
     for name, encode, args in (
             ("tfr1", write_tfr_binary, (tfr.matrix, tfr.freq_axis, tfr.time_axis)),
             ("csv", write_tfr_csv, (tfr.matrix, tfr.freq_axis, tfr.time_axis, meta)),
-            ("pgm", write_pgm, ((display.matrix, display.quantile_q), meta))):
+            ("pgm", write_pgm, (display, meta))):
         tracemalloc.start()
         try:
             encode(_NullSink(), *args)
@@ -1700,11 +1734,12 @@ def test_pgm_span_is_the_display_maximum(case):
 
 def test_pgm_reads_each_display_block_once(monkeypatch):
     mag = np.random.default_rng(27).lognormal(0.0, 2.0, (50, 7))
-    rows, q = display_rows(mag)
+    display = display_rows(mag)
     made = []
-    counted = RowBlocks(rows.shape, lambda a, b: made.append(a) or rows[a:b])
+    counted = RowBlocks(mag.shape, lambda a, b: made.append(a) or display.rows[a:b])
     monkeypatch.setattr(rowblocks, "_BLOCK_CELLS", 21)
-    write_pgm(io.BytesIO(), (counted, q), {"method": "stft", "window_s": "3", "hop": 2})
+    write_pgm(io.BytesIO(), display._replace(rows=counted),
+              {"method": "stft", "window_s": "3", "hop": 2})
     assert made == list(range(0, 50, 3))
 
 

@@ -334,3 +334,33 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
         *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "tools").glob("*.py")),
         ROOT / "tests" / "test_acceptance.py"]]
     assert sorted(uncalled_public_names(package, others)) == sorted(UNCALLED)
+
+
+def display_formula_uses(source: str) -> list[str]:
+    """``scope: node`` for each name ``log1p`` (bare or as an attribute) and
+    each float literal equal to the display's floor, 1e-2, in ``source``, in
+    source order; scope as in ``scoped``."""
+    return [f"{scope}: {ast.unparse(node)}" for scope, node in scoped(source)
+            if "log1p" in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(node, ast.Constant) and type(node.value) is float
+            and node.value == 1e-2]
+
+
+def test_scan_finds_each_display_formula_use():
+    source = ("import numpy as np\n"
+              "from numpy import log1p\n"
+              "FLOOR = 1e-2\n"
+              "def f(q, x):\n"
+              "    return np.maximum(0.01, np.log1p(q)), log1p(x), 1e-3, 1\n")
+    assert display_formula_uses(source) == [
+        ": 0.01", "f: 0.01", "f: np.log1p", "f: log1p"]
+
+
+def test_only_tf_analysis_holds_the_display_formula():
+    # display_rows names the display's floor and top: the writers and the
+    # commands take them from it and never redo log1p or the floor; the
+    # harmonic's class constant is a 0.01 of its own
+    found = [f"{path.name}: {where}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "tf_analysis.py"
+             for where in display_formula_uses(path.read_text(encoding="utf-8"))]
+    assert found == ["signal_model.py: harmonic: 0.01"]

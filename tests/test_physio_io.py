@@ -63,6 +63,15 @@ def test_record_rejects_non_finite():
                     amplitudes=np.array([1.0, np.nan, 1.0]))
 
 
+def test_parse_reads_a_byte_order_mark():
+    # Excel's "CSV UTF-8" export starts the file with a BOM, which made an
+    # invisible first character of the header
+    text = "time_s,amplitude\r\n0.0,1.0\r\n0.8,1.1\r\n1.7,0.9\r\n"
+    plain, marked = parse_rpeaks(text.encode()), parse_rpeaks(b"\xef\xbb\xbf" + text.encode())
+    np.testing.assert_array_equal(marked.times, plain.times)
+    np.testing.assert_array_equal(marked.amplitudes, plain.amplitudes)
+
+
 def test_parse_empty_and_bad_header():
     with pytest.raises(ValueError, match="empty"):
         parse_rpeaks(b"")

@@ -550,6 +550,18 @@ def test_resample_count_80s_64hz():
     assert len(sig) == 5121
 
 
+def test_resample_grid_past_the_domain_takes_its_end():
+    # uniform_grid admits a point 1e-9 of a step past t_end: at 16 Hz a
+    # domain ending 3.05e-11 s short of 20 s gets the grid point 20.0,
+    # past the evaluation's slack of 1e-12 of the domain
+    end = 19.999999999969532
+    t = np.linspace(0.0, end, 41)
+    interp = interpolate_nonuniform(SampleSet(times=t, values=np.cos(t)), 3)
+    sig = resample_uniform(interp, 16.0, 0.0, end)
+    assert len(sig) == 321 and sig.times[-1] == 20.0
+    assert sig.values[-1] == interp(np.array([end]))[0]
+
+
 def test_resample_outside_domain():
     t = np.linspace(0.0, 4.0, 11)
     interp = interpolate_nonuniform(SampleSet(times=t, values=np.sin(t)), 3)

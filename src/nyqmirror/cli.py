@@ -156,12 +156,10 @@ def _scenario_pipeline(cfg):
     return scenario, samples, interp, sig, meta
 
 
-def _write_tfr_products(outputs: _Outputs, stem: str, mag, axes, meta: dict,
-                        display=None):
-    """TFR1, CSV and PGM products of the magnitude ``mag``, an array or
-    RowBlocks, on the (frequency, time) ``axes``; ``display`` is its
-    ``display_rows``, when the caller already has it.  Dropped, unreached
-    and masked cells of a magnitude are 0.0: the CSV's common value."""
+def _write_tfr_products(outputs: _Outputs, stem: str, mag, axes, meta: dict, display=None):
+    """TFR1, CSV and PGM products of the magnitude ``mag`` (an array or RowBlocks) on
+    the (frequency, time) ``axes``; ``display`` is its ``display_rows`` if the caller has
+    it.  The CSV's common value is 0.0, that of dropped, unreached and masked cells."""
     outputs.write(f"{stem}.tfr1", write_tfr_binary, mag, *axes)
     outputs.write(f"{stem}.csv", write_tfr_csv, mag, *axes, meta, 0.0)
     if outputs.wants("pgm"):

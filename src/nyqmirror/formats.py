@@ -342,8 +342,7 @@ def write_tfr_csv(fh, matrix, freq_axis, time_axis, meta: dict, low: float = mat
 def write_pgm(fh, display, meta: dict) -> None:
     """The 8-bit PGM of a ``tf_analysis.display_rows`` display: its floor
     maps to 0 and its top to 255, linear in between."""
-    matrix, _, floor, top = display
-    span = top - floor
+    matrix, floor, span = display.rows, display.floor, display.top - display.floor
     pixels = np.zeros(matrix.shape, dtype=np.uint8)
     flipped = pixels[::-1]  # highest frequency on top
     if not span <= 0.0:

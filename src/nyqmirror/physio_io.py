@@ -38,7 +38,6 @@ __all__ = [
 # the root scan peak at 200 to 250 B on a 1 h train; twice that leaves
 # room for the temporaries of the caller's curves
 _BYTES_PER_PANEL = 512
-_AMPLITUDE_MAX = np.finfo(float).max / 2.0**24  # the EDR's, with room for its spline and mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +61,8 @@ class RPeakRecord:
             object.__setattr__(self, "amplitudes", a)
             if a.shape != t.shape:
                 raise ValueError("amplitudes must match times in length")
-            if not (peak := np.max(np.abs(a))) <= _AMPLITUDE_MAX:
-                raise ValueError(f"R-peak amplitudes, the EDR's samples, must be finite and "
-                                 f"at most {_AMPLITUDE_MAX:.3g} in magnitude, got {peak:.3g}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("R-peak amplitudes must be finite")
 
     def __len__(self) -> int:
         return self.times.size
@@ -146,12 +144,16 @@ def edr_signal(rec: RPeakRecord, rate: float = 8.0,
     else:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
 
-    samples = SampleSet(times=rec.times, values=rec.amplitudes)
+    # every step is homogeneous: from the amplitudes over 2^e (|a| <= 1) it is exact and finite
+    e = np.frexp(np.max(np.abs(rec.amplitudes)))[1]
+    samples = SampleSet(times=rec.times, values=np.ldexp(rec.amplitudes, -e))
     interp = interpolate_pchip(samples) if order is None \
         else interpolate_nonuniform(samples, order)
     sig = resample_uniform(interp, rate, rec.times[0], rec.times[-2])
     centered = sig.values - np.mean(sig.values)
-    return UniformSignal(values=centered, rate=sig.rate, t_start=sig.t_start)
+    if np.frexp(np.max(np.abs(centered)))[1] + e > 1024:  # 2^e times it passes float64
+        raise ValueError("the EDR of these R-peak amplitudes overflows float64")
+    return UniformSignal(values=np.ldexp(centered, e), rate=sig.rate, t_start=sig.t_start)
 
 
 def _curve_values(curve: Callable[[np.ndarray], np.ndarray], t, name: str):
@@ -208,14 +210,13 @@ def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
     clinical recordings in closed-loop tests.
 
     Raises ValueError for a non-finite or non-positive ``duration`` or rate,
-    a depth past the EDR's amplitudes, a non-finite curve value or phase,
-    and, before allocating, a train whose panels would not fit in memory.
+    a depth of 1e300 or more, a non-finite curve value or phase, and, before
+    allocating, a train whose panels would not fit in memory.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and positive, got {duration}")
-    if not abs(modulation_depth) < _AMPLITUDE_MAX:  # the EDR's bound
-        raise ValueError(f"|modulation_depth| must be below {_AMPLITUDE_MAX:.3g}, "
-                         f"got {modulation_depth}")
+    if not abs(modulation_depth) < 1e300:  # named here; edr_signal refuses what still overflows
+        raise ValueError(f"|modulation_depth| must be below 1e300, got {modulation_depth}")
     probe = np.linspace(0.0, duration, 1025)
     rates = _curve_values(ihr_curve, probe, "ihr_curve")
     if np.any(rates <= 0.0):
@@ -236,5 +237,4 @@ def synth_rpeaks(ihr_curve: Callable[[np.ndarray], np.ndarray],
         phase = 2.0 * np.pi * _antiderivative(resp_if, duration, n_panels, "resp_if")(peaks)
     if not np.all(np.isfinite(phase)):
         raise ValueError(f"the phase of resp_if overflows float64 over {duration} s")
-    amplitudes = 1.0 + modulation_depth * np.cos(phase)
-    return RPeakRecord(times=peaks, amplitudes=amplitudes)
+    return RPeakRecord(times=peaks, amplitudes=1.0 + modulation_depth * np.cos(phase))

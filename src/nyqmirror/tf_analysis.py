@@ -525,9 +525,8 @@ Display = NamedTuple("Display", [("rows", RowBlocks), ("q", float), ("floor", fl
 def display_rows(mag) -> Display:
     """The log display of the magnitude ``mag`` (an array or RowBlocks), its
     rows made a block at a time: max(1e-2, log(1 + min(|R|, q))) with q the
-    99.8% quantile of |R| (zeros included), exactly as ``np.quantile``,
-    found in one read of |R|.  Its top, the display of q (NaN when q is),
-    is its maximum: it is monotone and some cell has min(|R|, q) = q."""
+    99.8% quantile of |R| (zeros included) as ``np.quantile``, found in one
+    read of |R|.  Its top, the display of q, is its maximum (NaN if q is)."""
     q = exact_quantile(mag, _DISPLAY_QUANTILE)
 
     def make(a: int, b: int) -> np.ndarray:

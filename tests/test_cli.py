@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1120,28 +1121,32 @@ def test_physio_overflowing_input_is_data_error(tmp_path, capsys):
     assert not list(out.glob("edr_tfr*"))
 
 
-@pytest.mark.parametrize("source, message", [
-    ('physio.synth={"duration_s": 30, "modulation_depth": 1e308}',
-     "|modulation_depth| must be below 1.07e+301, got 1e+308"),
-    ('physio.synth={"duration_s": 30, "resp_hz": 1e308}',
+@pytest.mark.parametrize("settings, message", [
+    (['physio.synth={"duration_s": 30, "modulation_depth": 1e308}'],
+     "|modulation_depth| must be below 1e300, got 1e+308"),
+    (['physio.synth={"duration_s": 30, "resp_hz": 1e308}'],
      "the phase of resp_if overflows float64 over 30.0 s"),
-    ("input={peaks}", "{peaks}: R-peak amplitudes, the EDR's samples, must be finite and "
-                      "at most 1.07e+301 in magnitude, got 1e+308"),
-], ids=["modulation_depth", "resp_if", "edr_amplitudes"])
-def test_physio_extreme_input_is_refused_by_name(tmp_path, capsys, source, message):
+    (["input={peaks}", "physio.edr_scheme=12"],
+     "the EDR of these R-peak amplitudes overflows float64"),
+    (["input={peaks}"],  # the cubic EDR fits: the transform is refused
+     "the transform overflows float64 on a signal peaking at 1.43e+308; scale the signal down"),
+], ids=["modulation_depth", "resp_if", "edr_amplitudes", "edr_fits_transform_overflows"])
+def test_physio_extreme_input_is_refused_by_name(tmp_path, capsys, settings, message):
     # each used to print numpy's RuntimeWarning, then a refusal that named
     # neither the setting nor the amplitudes
     peaks = tmp_path / "peaks.csv"
     peaks.write_text("time_s,amplitude\n" + "".join(
         f"{0.7 * k!r},{(-1) ** k * 1e308!r}\n" for k in range(60)))
     out = tmp_path / "x"
+    argv = ["physio", "--out", str(out)]
+    for assignment in settings:
+        argv += ["--set", assignment.replace("{peaks}", str(peaks))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["physio", "--set", source.replace("{peaks}", str(peaks)),
-                   "--out", str(out)])
+        rc = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
-    assert err == [f"nyqmirror: data error: {message}".replace("{peaks}", str(peaks))]
+    assert err == [f"nyqmirror: data error: {message}"]
     assert not out.exists()
 
 
@@ -1344,9 +1349,10 @@ def test_tfr_csv_matches_per_cell_reference(data):
         write_curve_csv(fh, data, meta)
         want = reference_csv(meta, ",".join(data), zip(*data.values()))
     else:
-        # the writer encodes the values it is given, signed ones included
+        # the writer encodes the values it is given, signed ones included;
+        # the least value as low puts its low-text path to work
         freq, times = _axes(data)
-        write_tfr_csv(fh, data, freq, times, meta)
+        write_tfr_csv(fh, data, freq, times, meta, np.fmin.reduce(data, axis=None))
         want = reference_csv(meta, "freq_hz," + ",".join(format(t, ".17g") for t in times),
                              ([f, *row] for f, row in zip(freq, data)))
     assert fh.getvalue() == want
@@ -1375,13 +1381,13 @@ def test_csv_numbers_match_format_on_raw_bit_patterns(bits):
         assert got == want, value
     got, want = _curve_bytes(values)
     assert got == want
-    # and as a matrix with low cells around it: -inf, the least value, so
-    # that only a cell with its bits takes the low text
+    # and as a matrix with low cells around it: -inf, passed as the low
+    # value, so that only a cell with its bits takes the low text
     matrix = np.full((values.size, 3), -np.inf)
     matrix[:, 1] = values
     freq, times = _axes(matrix)
     fh = io.BytesIO()
-    write_tfr_csv(fh, matrix, freq, times, {})
+    write_tfr_csv(fh, matrix, freq, times, {}, -np.inf)
     assert fh.getvalue() == reference_csv({}, "freq_hz," + ",".join(
         format(t, ".17g") for t in times), ([f, *row] for f, row in zip(freq, matrix)))
 
@@ -1638,17 +1644,20 @@ _CELL_BITS = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), bins=st.integers(1, 5), frames=st.integers(1, 5))
-def test_tfr_csv_bytes_do_not_depend_on_low(data, bins, frames):
+@given(data=st.data(), bins=st.integers(1, 12), frames=st.integers(1, 5),
+       own=st.integers(1, 8), cells=st.integers(1, 16))
+def test_tfr_csv_bytes_do_not_depend_on_low(data, bins, frames, own, cells):
     # the low value only chooses which cells share one constant text: for a
     # low drawn from the matrix's own cells, +-0.0 or NaN, the bytes are the
-    # per-cell format(x, ".17g") of every cell
+    # per-cell format(x, ".17g") of every cell, at blocks of a few cells too
     bits = data.draw(st.lists(_CELL_BITS, min_size=bins * frames, max_size=bins * frames))
     matrix = np.array(bits, dtype=np.uint64).view(np.float64).reshape(bins, frames)
     low = data.draw(st.sampled_from([*matrix.ravel(), 0.0, -0.0, math.nan]))
     freq, times = _axes(matrix)
     fh = io.BytesIO()
-    write_tfr_csv(fh, matrix, freq, times, {}, low)
+    with mock.patch.object(formats, "_CSV_BLOCK_OWN", own), \
+            mock.patch.object(formats, "_CSV_BLOCK_CELLS", cells):
+        write_tfr_csv(fh, matrix, freq, times, {}, low)
     assert fh.getvalue() == reference_csv({}, "freq_hz," + ",".join(
         format(t, ".17g") for t in times), ([f, *row] for f, row in zip(freq, matrix)))
 
@@ -1692,7 +1701,7 @@ def test_writers_encode_a_magnitude_without_a_full_copy():
     meta = {"method": "stft", "window_s": "3", "hop": 2}
     for name, encode, args in (
             ("tfr1", write_tfr_binary, (tfr.matrix, tfr.freq_axis, tfr.time_axis)),
-            ("csv", write_tfr_csv, (tfr.matrix, tfr.freq_axis, tfr.time_axis, meta)),
+            ("csv", write_tfr_csv, (tfr.matrix, tfr.freq_axis, tfr.time_axis, meta, 0.0)),
             ("pgm", write_pgm, (display, meta))):
         tracemalloc.start()
         try:

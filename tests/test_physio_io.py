@@ -1,5 +1,7 @@
 """R-peak parsing and the heart-rate / respiration pipelines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from nyqmirror.physio_io import (
     rri_series,
     synth_rpeaks,
 )
-from nyqmirror.sampling import estimate_isr
+from nyqmirror.sampling import SampleSet, estimate_isr
+from nyqmirror.spline_interp import interpolate_nonuniform, interpolate_pchip, resample_uniform
 from nyqmirror.tf_analysis import make_windows, ridge_extract, synchrosqueeze
 
 
@@ -61,6 +64,41 @@ def test_record_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         RPeakRecord(times=np.array([0.0, 0.8, 1.7]),
                     amplitudes=np.array([1.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("scheme", ["cubic", "pchip", 12])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_edr_keeps_the_bits_of_the_direct_computation(scheme, scale):
+    # the EDR is made from the amplitudes over a power of two and scaled
+    # back: the same bits as resampling the amplitudes themselves
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.3, 1.5, 80))
+    a = rng.normal(1.0, 0.1, t.size) * scale
+    samples = SampleSet(times=t, values=a)
+    interp = interpolate_pchip(samples) if scheme == "pchip" else \
+        interpolate_nonuniform(samples, 3 if scheme == "cubic" else scheme)
+    direct = resample_uniform(interp, 8.0, t[0], t[-2]).values
+    got = edr_signal(RPeakRecord(t, a), 8.0, scheme).values
+    assert got.tobytes() == (direct - np.mean(direct)).tobytes()
+
+
+def test_edr_past_float64_is_refused_by_name():
+    # alternating amplitudes of 1e308: the order-12 EDR passes the float64
+    # range, the cubic one fits; an order-12 EDR of 1e301 on uneven gaps,
+    # which a fixed amplitude bound once let overflow, fits too
+    t = 0.7 * np.arange(60)
+    rec = RPeakRecord(t, (-1.0) ** np.arange(60) * 1e308)
+    rng = np.random.default_rng(1)
+    gaps = [rng.choice([0.25, 2.0], 200) * rng.uniform(0.9, 1.1, 200) for _ in range(4)][-1]
+    uneven = RPeakRecord(np.concatenate([[0.0], np.cumsum(gaps)]),
+                         (-1.0) ** np.arange(201) * 1e301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the EDR of these R-peak amplitudes overflows"):
+            edr_signal(rec, 8.0, 12)
+        assert np.all(np.isfinite(edr_signal(rec, 8.0, "cubic").values))
+        assert np.all(np.isfinite(edr_signal(uneven, 8.0, 12).values))
+        ihr_signal(rec)  # amplitudes play no part in the heart rate
 
 
 def test_parse_reads_a_byte_order_mark():

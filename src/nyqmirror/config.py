@@ -178,8 +178,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     flat = {where: leaf.default for where, leaf in _LEAVES.items()}
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+            user = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -265,7 +265,7 @@ def write_curve_csv(fh, columns: dict[str, np.ndarray], meta: dict):
 def read_uniform_csv(path: Path) -> UniformSignal:
     """Read back a uniform-signal CSV produced by this tool."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     meta = {}

@@ -46,6 +46,13 @@ _DISPLAY_QUANTILE, _DISPLAY_FLOOR = 0.998, 1e-2
 # output's 8 or 16 the rest is per-block buffers, which do not grow with
 # the matrix.
 _LIVE_BYTES_PER_CELL = 24
+# _sharpened's cap on a computed |V_g| is max|values| sum|taps_k| times 1 +
+# this: the FFT's rounding adds at most c u log2(nfft) sqrt(nfft) of the first
+# factor (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
+# Thm 24.2; c < 100 for pocketfft's radices and Bluestein), 4.6e-7 at nfft =
+# 2^40, past any transform that fits in memory, and the tap products, sums
+# and modulus a few u; subnormal roundings stay under the tiny the cap adds.
+_CEILING_MARGIN = 2.0 ** -20
 
 
 class WindowMeta(NamedTuple):
@@ -255,14 +262,15 @@ def _overflow(values: np.ndarray) -> ValueError:
                       f"{np.max(np.abs(values)):.3g}; scale the signal down")
 
 
-def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: int):
-    """Yield (start, spec) per block of ``step`` frames: ``spec[:, k]`` is
-    the (frames, bins) STFT block of window ``taps[k]``, in a buffer the
-    next block reuses.  One gather of frames and one batched FFT serve all
-    windows; the FFT buffer is rotated so that phase is measured from the
-    frame center.  Spectrum values, their moduli and the FFT's partial sums
-    stay within 2 max|values| sum|tap|: refused if that reaches half the
-    float64 range."""
+def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: int,
+             begin: int = 0):
+    """Yield (start, spec) per block of ``step`` frames from frame ``begin``:
+    ``spec[:, k]`` is the (frames, bins) STFT block of window ``taps[k]``,
+    in a buffer the next block reuses.  One gather of frames and one batched
+    FFT serve all windows; the FFT buffer is rotated so that phase is
+    measured from the frame center.  Spectrum values, their moduli and the
+    FFT's partial sums stay within 2 max|values| sum|tap|: refused if that
+    reaches half the float64 range."""
     bound = float(np.max(np.abs(values))) * float(np.abs(taps).sum(axis=1).max())
     if not bound < np.finfo(float).max / 4:
         raise _overflow(values)
@@ -273,7 +281,7 @@ def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: in
     frames = np.lib.stride_tricks.sliding_window_view(padded, w_len)[::hop]
     buf = np.zeros((step, count, nfft))
     spec = np.empty((step, count, nfft // 2 + 1), dtype=complex)
-    for start in range(0, frames.shape[0], step):
+    for start in range(begin, frames.shape[0], step):
         blk = frames[start:start + step, None]
         n = blk.shape[0]
         np.multiply(blk[..., half:], taps[:, half:], out=buf[:n, :, :half + 1])
@@ -323,24 +331,28 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
                magnitude: bool = False) -> TFRepresentation:
     """Synchrosqueezed ('sst') or reassigned ('rm') transform of one window,
     or the mean over the K tapers of a ``_Ladder`` (SST then always real).
-    A first pass makes the tapers' V_g in one batched FFT per block and
-    keeps only each taper's max|V_g|, for its floor threshold * max|V_g|
-    (and SST's largest column sum of |V_g| for its overflow refusal); RM
-    at threshold 0 reads neither and skips it.  The second makes V_g again
-    in one batched FFT per block with what the ratios need: a window's own
-    g' (and t g), whose spectra over V_g give V_dg / V_g (and V_tg / V_g),
-    or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and F_{k+1} / F_k give
-    taper k's.  It works only on the block's kept bin span, from the first
-    to the last bin where some frame and taper clears the floor (none: the
-    block's sums stay 0).  One np.add.at per block, over a flat index in
-    (frame, taper, bin) order (ufunc.at's fast path), sums each kept
-    coefficient (for rm its mass |V_g|^2) into its target cell; a dropped
-    one in the span goes to a trash slot past the cells.  RM sums into the
-    whole flat bins-major output.  SST coefficients stay in their frame and
-    taper, so SST sums into a block-local buffer, a slice per taper, and
-    hands the block's sums (with ``magnitude``, their moduli added taper by
-    taper: a real output) to its frames of the output.  Every sum has one
-    order for any ``chunk``, and no full V_g, |V_g| or index is kept."""
+    One pass makes V_g in one batched FFT per block with what the ratios
+    need: a window's own g' (and t g), whose spectra over V_g give V_dg / V_g
+    (and V_tg / V_g), or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and
+    F_{k+1} / F_k give taper k's.  Taper k's floor threshold * max|V_g| is
+    at most its ceiling, threshold times the cap on every |V_g| of taper k,
+    and at least threshold times the running max|V_g| of the blocks read so
+    far: a cell above the ceiling is kept and one at or below that running
+    floor dropped under any floor.  So blocks with no cell between the two
+    are decided without the floor (at threshold 0 every block is); at the
+    first block with one, a pass over the later frames' taper rows alone
+    finishes max|V_g|, and the floor decides that block and the rest.  Each
+    block works only on its kept bin span, from the first to the last bin
+    where some frame and taper is kept (none: the block's sums stay 0).  One
+    np.add.at per block, over a flat index in (frame, taper, bin) order
+    (ufunc.at's fast path), sums each kept coefficient (for rm its mass
+    |V_g|^2) into its target cell; a dropped one in the span goes to a trash
+    slot past the cells.  RM sums into the whole flat bins-major output.
+    SST coefficients stay in their frame and taper, so SST sums into a
+    block-local buffer, a slice per taper, and hands the block's sums (with
+    ``magnitude``, their moduli added taper by taper: a real output) to its
+    frames of the output.  Every sum has one order for any ``chunk``, and no
+    full V_g, |V_g| or index is kept."""
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     sst = method == "sst"
@@ -354,18 +366,7 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     freqs, times, step = _frame_plan(sig, taps.shape[1], hop, nfft, chunk, count)
     n_bins, n_frames = freqs.size, times.size
     mag = np.empty((step, count, n_bins))
-    peak, column = np.full(count, -np.inf), 0.0
-    if sst or threshold > 0.0:  # RM at threshold 0 reads neither
-        for _, spec in _spectra(sig.values, taps[:count], hop, nfft, step):
-            m = np.abs(spec, out=mag[:spec.shape[0]])
-            peak = np.maximum(peak, m.max(axis=(0, 2)))  # NaN passes, as in ndarray.max
-            if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
-                with np.errstate(over="ignore"):  # refused below
-                    column = np.maximum(column, m.sum(axis=2).max())
-        del spec  # the first pass's FFT block
-    if not np.isfinite(column):
-        raise _overflow(sig.values)
-    floor = (threshold * peak if threshold > 0.0 else np.zeros(count))[:, None]
+    peak, column, floor = np.zeros(count), 0.0, None
 
     size = step * count * n_bins  # flat buffers: a block's span is a leading view
     est = np.empty((1 if sst else 2, size))  # bin (and frame) targets
@@ -386,14 +387,27 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
         time_lo, time_hi = (np.multiply(c, ladder.scale)[:, None]
                             for c in (ladder.lower[1:], ladder.upper))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cap = (float(np.max(np.abs(sig.values))) * np.abs(taps[:count]).sum(axis=1)
+               + np.finfo(float).tiny) * (1.0 + _CEILING_MARGIN)
+        ceiling = (threshold * cap)[:, None]  # not finite only where _spectra refuses
         for start, spec in _spectra(sig.values, taps, hop, nfft, step):
             n = spec.shape[0]
             frames = slice(start, start + n)
-            keep = np.abs(spec[:, :count], out=mag[:n]) > floor
+            m = np.abs(spec[:, :count], out=mag[:n])
+            if sst:  # coefficients stay in their frame: no cell's sum exceeds its sum|V_g|
+                column = max(column, m.sum(axis=2).max())
+            keep = m > (ceiling if floor is None else floor)
+            if floor is None:  # a cell between the running floor and the ceiling?
+                peak = np.maximum(peak, m.max(axis=(0, 2)))
+                if np.count_nonzero(m > threshold * peak[:, None]) > np.count_nonzero(keep):
+                    for _, rest in _spectra(sig.values, taps[:count], hop, nfft, step, start + n):
+                        peak = np.maximum(peak, np.abs(rest).max(axis=(0, 2)))
+                    floor = threshold * peak[:, None]
+                    keep = m > floor
             kept = np.flatnonzero(keep.any(axis=(0, 1)))
             if kept.size:  # the ratios, targets and sums over the kept bin span only
                 lo, hi = kept[0], kept[-1] + 1
-                spec, keep, m = spec[..., lo:hi], keep[..., lo:hi], mag[:n, :, lo:hi]
+                spec, keep, m = spec[..., lo:hi], keep[..., lo:hi], m[..., lo:hi]
                 shape = (n, count, hi - lo)
                 v, fbin = spec[:, :count], est[0, :m.size].reshape(shape)
                 if not sst:
@@ -439,8 +453,8 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
         out = acc[:-1].reshape(n_bins, n_frames)
     if count > 1:  # the mean over tapers
         np.divide(out, count, out=out)
-    # a squared |V_g|, or a sum of masses or of taper moduli, may overflow
-    if (count > 1 or not sst) and not np.isfinite(out.max()):
+    # a frame's sum|V_g|, a squared |V_g|, or a sum of masses or of taper moduli, may overflow
+    if not np.isfinite(column) or ((count > 1 or not sst) and not np.isfinite(out.max())):
         raise _overflow(sig.values)
     out.setflags(write=False)
     return TFRepresentation(out, freqs, times, method if ladder is None else f"mt_{method}", meta)
@@ -480,8 +494,10 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     The output is the elementwise arithmetic mean over tapers of the
     magnitude (sst) or mass (rm) matrices; needs taper_count >= 2.  All
     tapers run in one pass over the frames, each taper's g' and t g taken
-    from the Hermite ladder of its neighbours (``_Ladder``): 2K + 1 FFT rows
-    per frame, and the one output matrix plus per-block buffers are live.
+    from the Hermite ladder of its neighbours (``_Ladder``): K + 1 FFT rows
+    per frame, and K more on the frames after the first block holding a cell
+    near the floor, which that floor needs; the one output matrix plus
+    per-block buffers are live.
     """
     if taper_count < MULTITAPER_TAPERS[0]:
         raise ValueError(f"multitaper needs at least {MULTITAPER_TAPERS[0]} tapers")

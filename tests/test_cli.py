@@ -237,6 +237,27 @@ def test_bad_leaf_is_config_error(tmp_path, capsys, small_config, command,
     assert not out.exists()
 
 
+def test_config_with_a_byte_order_mark_is_read(tmp_path, small_config):
+    # a config saved as "UTF-8 with BOM" used to be refused: "is not valid
+    # JSON: Unexpected UTF-8 BOM"
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + small_config.read_bytes())
+    assert load_config(str(marked), []) == load_config(str(small_config), [])
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, small_config):
+    # it used to be a data error (exit 2) that named no file
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff" + small_config.read_bytes())
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"config error: cannot read config {bad}" in err and "0xff" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_file_keys_are_not_dotted(tmp_path):
     path = tmp_path / "dotted.json"
     path.write_text(json.dumps({"analysis.window_s": 4.0}))
@@ -431,6 +452,20 @@ def test_simulate_records_order_in_metadata(tmp_path, small_config):
     assert rc == 0
     for name in ("interpolated.csv", "interpolant.csv"):
         assert "# order=12" in (out / name).read_text()
+
+
+def test_uniform_csv_with_a_byte_order_mark_is_read(tmp_path, capsys, small_config):
+    # a uniform CSV saved as "UTF-8 with BOM" used to be refused: tfr exited
+    # 2 with "line 1: value '\ufeff# artifact=nyqmirror ...' is not a number"
+    main(["simulate", "--config", str(small_config)])
+    plain, marked = tmp_path / "out" / "interpolated.csv", tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = read_uniform_csv(plain), read_uniform_csv(marked)
+    assert (a.rate, a.t_start) == (b.rate, b.t_start)
+    np.testing.assert_array_equal(a.values, b.values)
+    rc = main(["tfr", "--set", f"input={marked}", "--set", "analysis.window_s=3.0",
+               "--out", str(tmp_path / "x")])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_simulate_unknown_scenario_exit_1(tmp_path):

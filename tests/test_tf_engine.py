@@ -4,6 +4,8 @@ Hermite-ladder oracle and the per-taper transforms before it, blocks that
 keep part of their bins or none, its FFT budget, and its non-finite
 targets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from nyqmirror.tf_analysis import (
     reassign,
     stft,
     synchrosqueeze,
+    tf_magnitude,
 )
 
 RATE = 64.0
@@ -370,36 +373,156 @@ def test_partial_and_empty_bin_spans_match_oracle(monkeypatch, method, threshold
     *[(m, k, 2 * k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
 ])
 def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
-    # the FFT budget: sst and rm transform V_g twice; the multitaper K
-    # taper rows, then those and the ladder's helper row w_K
-    assert _fft_rows_per_frame(monkeypatch, method, tapers, 1e-8) == rows
+    # at threshold 0.5 a cell lies between the running floor and the
+    # ceiling in the first block, so every later frame pays the floor pass:
+    # sst and rm transform V_g twice; the multitaper K taper rows, then
+    # those and the ladder's helper row w_K.  The first block's frames skip
+    # the floor pass (the stft has none).
+    paid = _fft_rows_per_frame(monkeypatch, method, tapers, 0.5)
+    skipped = 0 if method == "stft" else tapers
+    assert paid[-1] == rows and np.all(np.diff(paid) >= 0)
+    assert np.unique(paid).tolist() == sorted({rows - skipped, rows})
 
 
 @pytest.mark.parametrize("method, tapers, rows", [
-    ("sst", 1, 3), ("rm", 1, 3),
-    *[(m, k, (2 if m == "mt_sst" else 1) * k + 1)
-      for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
+    ("sst", 1, 2), ("rm", 1, 3),
+    *[(m, k, k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
 ])
 def test_fft_rows_per_frame_at_threshold_0(monkeypatch, method, tapers, rows):
-    # at threshold 0 RM has no floor to find, so it skips the first pass;
-    # SST keeps it for the column sums of its overflow refusal
-    assert _fft_rows_per_frame(monkeypatch, method, tapers, 0.0) == rows
+    # at threshold 0 the floor and its bounds are all 0, so no block holds
+    # a cell between them and no frame pays the floor pass
+    assert np.all(_fft_rows_per_frame(monkeypatch, method, tapers, 0.0) == rows)
+
+
+@pytest.mark.parametrize("method, tapers, rows", [
+    ("sst", 1, 2), ("rm", 1, 3),
+    *[(m, k, k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
+])
+def test_fft_rows_per_frame_when_every_cell_clears_the_ceiling(monkeypatch, method, tapers,
+                                                               rows):
+    # at threshold 1e-8 every cell of chirp_noise lies above its ceiling,
+    # so the floor is never needed and no frame pays its pass
+    assert np.all(_fft_rows_per_frame(monkeypatch, method, tapers, 1e-8) == rows)
 
 
 def _fft_rows_per_frame(monkeypatch, method, tapers, threshold):
-    from nyqmirror.tf_analysis import tf_magnitude
-
-    counted = []
-    rfft = np.fft.rfft
+    """The FFT rows that each frame of chirp_noise pays: the rows of every
+    block of ``_spectra`` that reads it, which together are the rows that
+    numpy's rfft transforms."""
+    counted, blocks = [], []
+    rfft, spectra_of = np.fft.rfft, tf_analysis._spectra
 
     def counting(a, *args, **kwargs):
         counted.append(int(np.prod(np.shape(a)[:-1])))
         return rfft(a, *args, **kwargs)
 
+    def recording(values, taps, *args):
+        for start, spec in spectra_of(values, taps, *args):
+            blocks.append((start, spec.shape[0], taps.shape[0]))
+            yield start, spec
+
     monkeypatch.setattr(np.fft, "rfft", counting)
+    monkeypatch.setattr(tf_analysis, "_spectra", recording)
     tfr = tf_magnitude(chirp_noise(611), method, 1.0, 4, 256, tapers, threshold)
-    assert sum(counted) % tfr.time_axis.size == 0
-    return sum(counted) // tfr.time_axis.size
+    paid = np.zeros(tfr.time_axis.size, dtype=int)
+    for start, frames, rows in blocks:
+        paid[start:start + frames] += rows
+    assert paid.sum() == sum(counted)
+    return paid
+
+
+def late_floor(threshold, width=65):
+    """Twelve frames of ``width`` samples at hop ``width``, so that each
+    frame sees one segment: silence; three frames of 1.0, the peak, whose
+    window spectrum falls from above the ceiling to at or below the running
+    floor between two bins; silence; 1.5 * threshold, whose bin 0 lies
+    between the floor and the ceiling (twice the floor, set by the spike);
+    a spike of 2.0, the signal's largest value; silence."""
+    values = np.zeros(12 * width - width // 2)
+    for frame, level in ((1, 1.0), (2, 1.0), (3, 1.0), (9, 1.5 * threshold)):
+        values[frame * width - width // 2:(frame + 1) * width - width // 2] = level
+    values[10 * width] = 2.0
+    return UniformSignal(values, rate=RATE)
+
+
+@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_floor_found_after_its_peak_matches_oracle(monkeypatch, method, chunk):
+    # blocks before the floor is known keep only cells above the ceiling,
+    # and the floor pass starts past the first block holding a cell between
+    # the running floor and the ceiling: the peak read before that block
+    # counts towards the floor, and the cells dropped before it stay
+    # dropped.  Every bit is the oracle's, at every block size.
+    threshold, hop, nfft = 1e-5, 65, 65
+    sig = late_floor(threshold)
+    if method.startswith("mt_"):
+        want = oracle_multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold)
+        spectra = [oracle_spectrum(sig, row, hop, nfft)
+                   for row in _hermite_ladder(1.0, RATE, 3).rows[:3]]
+
+        def transform():
+            return multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold, chunk=chunk)
+    else:
+        win = WINDOWS["gaussian"]
+        engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
+                          "rm": (reassign, oracle_reassign)}[method]
+        want, spectra = oracle(sig, win, hop, nfft, threshold), [oracle_stft(sig, win, hop, nfft)]
+
+        def transform():
+            return engine(sig, win, hop, nfft, threshold, chunk=chunk)
+
+    passes, spectra_of = [], tf_analysis._spectra
+
+    def recording(values, taps, hop, nfft, step, begin=0):
+        passes.append((begin, []))
+        blocks = passes[-1][1]
+        for start, spec in spectra_of(values, taps, hop, nfft, step, begin):
+            blocks.append((start, start + spec.shape[0]))
+            yield start, spec
+
+    monkeypatch.setattr(tf_analysis, "_spectra", recording)
+    assert_same_bits(transform().matrix, want)
+    (first, blocks), (rest, _) = passes  # the transform's pass and the floor's
+    if chunk == 4096:  # one block: the floor is found in it
+        assert blocks == [(0, 12)] and rest == 12
+        return
+    assert first == 0
+    resolved = next(a for a, b in blocks if b == rest)  # the block holding the first
+    assert resolved == (9 if chunk == 1 else 7)  # cell between the bounds: 1.5 * threshold's
+    mags = np.abs(np.asarray(spectra))  # (tapers, bins, frames)
+    floor = threshold * mags.max(axis=(1, 2))[:, None, None]
+    assert np.argmax(mags[0].max(axis=0)) < resolved  # the peak, before it
+    early = mags[..., :resolved]
+    assert np.any((early > 0.0) & (early <= floor))  # cells dropped before it
+
+
+@pytest.mark.parametrize("method, refused", [
+    ("sst", None), ("rm", "its masses |V_g|^2"), ("mt_sst", "a frame's sum |V_g|"),
+    ("mt_rm", "its masses |V_g|^2"),
+])
+def test_ceiling_at_the_extremes_raises_no_warning(method, refused):
+    """A threshold just under 1 on a signal just under ``_spectra``'s
+    quarter-range refusal: the ceiling threshold * max|values| sum|taps_k|
+    stays finite, and no product on the way to it warns (warnings are
+    errors).  The transform is refused after its pass where ``refused``
+    overflows.  A NaN |V_g| never reaches a block decided before the floor
+    is known, where it would be kept or dropped by the ceiling alone (at a
+    NaN floor, every cell is dropped): the values are finite, and under that
+    refusal every spectrum value is too."""
+    threshold = np.nextafter(1.0, 0.0)
+    win = make_windows("gaussian", 1.0, RATE)[0]
+    taps = (_hermite_ladder(1.0, RATE, 3).rows if method.startswith("mt_")
+            else np.stack([win.samples, win.derivative, win.t_weighted]))
+    amp = np.finfo(float).max / 4 / np.abs(taps).sum(axis=1).max() * (1.0 - 2.0 ** -20)
+    values = chirp_noise(611).values
+    sig = UniformSignal(amp / np.max(np.abs(values)) * values, rate=RATE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(ValueError, match="transform overflows float64"):
+                tf_magnitude(sig, method, 1.0, 4, 256, 3, threshold)
+        else:
+            assert np.isfinite(tf_magnitude(sig, method, 1.0, 4, 256, 3, threshold).matrix).all()
 
 
 def test_zero_signal_matches_oracle():

@@ -41,7 +41,7 @@ from .reflection import (
     verify_reflection_theorem,
 )
 from .rowblocks import row_blocks
-from .sampling import estimate_isr, sample_signal
+from .sampling import IsrEstimate, estimate_isr, sample_signal
 from .spline_interp import (
     UniformSignal,
     interpolate_nonuniform,
@@ -288,7 +288,7 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
             "k": np.repeat([comp.k for comp in comps], grid.size),
             "time_s": np.tile(grid, len(comps)),
             "if_hz": np.concatenate([comp.if_curve(grid) for comp in comps]),
-            "amplitude": np.concatenate([comp.amp_curve(grid) for comp in comps]),
+            "amplitude": np.concatenate([comp.amplitude for comp in comps]),
         }, meta)
     outputs.write("residual_report.json", write_json, {
         "residual": report.residual,
@@ -298,6 +298,23 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
         "span_s": list(report.span),
         "trimmed_span_s": list(report.trimmed_span),
     })
+
+
+def _refuse_non_rates(est: IsrEstimate, isr, times: np.ndarray) -> None:
+    """Refuse an ISR estimate ``isr`` that is not a positive, finite rate at
+    some of ``times``, as a data error naming the time where it is least (or
+    NaN) and the shortest of the four R-R intervals around it, from which
+    the cubic overshoots: one beat detected twice, say."""
+    rates = isr(times)
+    bad = np.flatnonzero(~((rates > 0.0) & (rates < np.inf)))
+    if bad.size:
+        worst = bad[np.argmin(rates[bad])]
+        near = max(int(np.searchsorted(est.knot_times, times[worst])) - 2, 0)
+        beat = near + int(np.argmax(est.knot_rates[near:near + 4]))
+        raise ValueError(
+            f"the ISR estimate is {rates[worst]:.4g} Hz at t = {times[worst]:.6g} s, not a "
+            f"rate: R-R interval {1e3 / est.knot_rates[beat]:.4g} ms between beats "
+            f"{beat + 1} and {beat + 2} (t = {est.knot_times[beat]:.6g} s)")
 
 
 def cmd_physio(cfg: dict, outputs: _Outputs):
@@ -331,6 +348,12 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
         target = UniformSignal(ihr_sig.values - np.mean(ihr_sig.values),
                                rate=ihr_sig.rate, t_start=ihr_sig.t_start)
         stem = "ihr_centered"
+    def isr(t):  # the last frame may pass the domain's end by 1e-9 of a step
+        return est.isr(np.minimum(t, est.domain[1]))
+
+    # the estimate is used on the grid and at the frame times
+    _refuse_non_rates(est, isr, np.concatenate(
+        [grid, target.times[::_analysis_params(cfg, target.rate)[1]]]))
     tfr, meta = _run_analysis(cfg, target)
     meta.update(shaped)
 
@@ -347,7 +370,7 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
     _write_tfr_products(outputs, f"{stem}_tfr", tfr.matrix, (tfr.freq_axis, tfr.time_axis),
                         meta)
     if cfg["mitigation"]["inf_mask"]:
-        _mask_products(outputs, f"{stem}_tfr", tfr, est.inf, meta)
+        _mask_products(outputs, f"{stem}_tfr", tfr, lambda t: isr(t) / 2.0, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ class ConfigError(Exception):
 
 _MISSING = object()  # the value of an object key left out, if it has no default
 # bounds on work: spline collocation fails its 1e12 condition check near
-# order 40 on fig2, and predict costs about 10 ms per reflection order k
+# order 40 on fig2, and predict costs about 1.2 ms per reflection order k
 _MAX_ORDER = 31
 _MAX_K = 64
 

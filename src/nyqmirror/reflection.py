@@ -26,7 +26,8 @@ from .sampling import SamplingScheme, sample_signal
 from .signal_model import IMTSignal, Scenario
 from .spline_interp import (
     UniformSignal,
-    fundamental_spline_spectrum,
+    frozen,
+    image_kernel,
     interpolate_nonuniform,
     resample_uniform,
     uniform_grid,
@@ -48,13 +49,15 @@ class PredictedComponent:
     """One image component of the interpolated signal.
 
     ``if_curve`` maps time to |k psi'(t) - phi'(t)| in Hz; ``amp_curve``
-    to the signed amplitude a(t) * eta_hat_n(k - beta(t)).  ``peak_amp``
-    is the maximum |amp_curve| on the prediction grid, used for ranking.
+    to the signed amplitude a(t) * eta_hat_n(k - beta(t)).  ``amplitude``
+    is ``amp_curve`` on the prediction grid, and ``peak_amp`` its maximum
+    magnitude, used for ranking.
     """
 
     k: int
     if_curve: Callable[[np.ndarray], np.ndarray]
     amp_curve: Callable[[np.ndarray], np.ndarray]
+    amplitude: np.ndarray
     peak_amp: float
 
 
@@ -77,20 +80,24 @@ def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
     def make_if(k):
         return lambda t: np.abs(k * scheme.psi_prime(t) - signal.iff(t))
 
-    def make_amp(k):
-        def amp(t):
-            beta = signal.iff(t) / scheme.psi_prime(t)
-            return signal.am(t) * fundamental_spline_spectrum(n, k - beta)
-        return amp
+    def amplitudes(t):
+        """k -> a(t) eta_hat_n(k - beta(t)), beta = phi' / psi': one kernel for every k"""
+        am, kernel = signal.am(t), image_kernel(n, signal.iff(t) / scheme.psi_prime(t))
+        return lambda k: am * kernel(k)
 
+    def make_amp(k):
+        return lambda t: amplitudes(t)(k)
+
+    on_grid = amplitudes(g)
     components = []
     for k in range(k_lo, k_hi + 1):
-        if_curve, amp_curve = make_if(k), make_amp(k)
+        amplitude = frozen(on_grid(k))
         components.append(PredictedComponent(
             k=k,
-            if_curve=if_curve,
-            amp_curve=amp_curve,
-            peak_amp=float(np.max(np.abs(amp_curve(g)))),
+            if_curve=make_if(k),
+            amp_curve=make_amp(k),
+            amplitude=amplitude,
+            peak_amp=float(np.max(np.abs(amplitude))),
         ))
 
     # drop k whose |IF| curve duplicates an earlier, stronger component
@@ -113,23 +120,22 @@ def synthesize_prediction(signal: IMTSignal, scheme: SamplingScheme, n: int,
     """Evaluate the truncated image series on a uniform grid over ``span``.
 
     Uses the exact amplitude, phase and warp of the inputs; the series
-    keeps every k with |k| <= k_max.
+    keeps every k with |k| <= k_max, whose kernels eta_hat_n(k - beta) come
+    from one ``image_kernel`` of beta = phi' / psi'.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     t0, t1 = float(span[0]), float(span[1])
-    # measured 97 bytes per point, whatever n and k_max; allow twice that
-    t = uniform_grid(rate, t0, t1, 200.0, "series points")
+    # measured 105 bytes per point, whatever n and k_max; allow twice that
+    t = uniform_grid(rate, t0, t1, 210.0, "series points")
 
+    kernel = image_kernel(n, signal.iff(t) / scheme.psi_prime(t))
     am = signal.am(t)
     phi = signal.phase(t)
     psi = scheme.psi(t)
-    beta = signal.iff(t) / scheme.psi_prime(t)
-
     total = np.zeros_like(t)
     for k in range(-k_max, k_max + 1):
-        total += fundamental_spline_spectrum(n, k - beta) \
-            * np.cos(2.0 * np.pi * (k * psi - phi))
+        total += kernel(k) * np.cos(2.0 * np.pi * (k * psi - phi))
     return UniformSignal(values=am * total, rate=float(rate), t_start=t0)
 
 

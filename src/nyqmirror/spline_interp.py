@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "curve",
     "frozen",
     "fundamental_spline_spectrum",
+    "image_kernel",
     "interpolate_nonuniform",
     "interpolate_pchip",
     "nonuniform_bspline",
@@ -162,40 +164,52 @@ def nonuniform_bspline(n: int, j: int, knots, x) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 def fundamental_spline_spectrum(n: int, xi) -> np.ndarray | float:
-    """Fourier transform of the order-``n`` fundamental cardinal spline.
+    """eta_hat_n(xi) at ``xi`` cycles per sample (a float or an array):
+    ``image_kernel(n, -xi)`` at k = 0, so 1 to rounding at xi = 0 and
+    exactly 0 at nonzero integers."""
+    out = image_kernel(n, -np.asarray(xi, dtype=float))(0)
+    return out if out.ndim else float(out)
 
-    eta_hat_n(xi) = sinc(xi)^(n+1) / sum_l sinc(xi - l)^(n+1)
-    with sinc(u) = sin(pi u)/(pi u) and sinc(0) = 1.
 
-    By Poisson summation the periodized denominator is the finite cosine
-    series b(0) + 2 sum_{m=1}^{floor((n+1)/2)} b(m) cos(2 pi m xi), where
-    b(m) is the centred order-``n`` B-spline at the integer m (the
-    Euler-Frobenius polynomial; Unser, Aldroubi & Eden, IEEE TSP 1993), so
-    the spectrum is exact rather than a truncated sum.  The b(m) of each
-    order are computed once per process and shared read-only.
+def image_kernel(n: int, beta) -> Callable[[int], np.ndarray]:
+    """k -> eta_hat_n(k - beta) for any integer k, where eta_hat_n is the
+    Fourier transform of the order-``n`` fundamental cardinal spline and
+    ``beta`` an array of normalized frequencies: the work that does not
+    depend on k is done once.
 
-    Parameters
-    ----------
-    n : int
-        Spline order, n >= 1.
-    xi : float or array_like
-        Frequency in cycles per sample.
+    eta_hat_n(xi) = sinc(xi)^(n+1) / D_n(xi), D_n(xi) = sum_l sinc(xi - l)^(n+1).
+    By Poisson summation D_n is the finite cosine series b(0) + 2 sum_{m=1}^
+    {floor((n+1)/2)} b(m) cos(2 pi m xi), b(m) the centred order-``n``
+    B-spline at the integer m, computed once per order (the Euler-Frobenius
+    polynomial; Unser, Aldroubi & Eden, IEEE TSP 1993): exact, not a
+    truncated sum.  With the exact split beta = j + f, j = rint(beta), D_n
+    is 1-periodic and sin(pi (k - beta)) = (-1)^(k+1) s, s = (-1)^j sin(pi f),
+    so D_n(f) and s are evaluated once for
 
-    Returns
-    -------
-    float or ndarray
-        eta_hat_n(xi); equals 1 at xi = 0 and 0 at nonzero integers.
+        eta_hat_n(k - beta) = ((-1)^(k+1) s / (pi (k - beta)))^(n+1) / D_n(f),
+
+    1 / D_n(0) at k = beta, with the power taken by repeated squaring.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"spline order must be >= 1, got {n}")
-    xa = np.asarray(xi, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    j = np.rint(beta)
+    f = beta - j
     b = _centred_bspline_samples(n)
-    den = np.full_like(xa, b[0])
+    den = np.full_like(f, b[0])
     for m in range(1, b.size):
-        den += 2.0 * b[m] * np.cos(2.0 * np.pi * m * xa)
-    out = np.sinc(xa) ** (n + 1) / den
-    return out if out.ndim else float(out)
+        den += 2.0 * b[m] * np.cos(2.0 * np.pi * m * f)
+    s = np.where(np.fmod(j, 2.0) == 0.0, 1.0, -1.0) * np.sin(np.pi * f)
+
+    def at(k: int) -> np.ndarray:
+        arg = np.pi * (k - beta if k % 2 else beta - k)  # -s / arg = s / -arg, bit for bit
+        x = np.divide(s, arg, out=np.ones_like(arg), where=arg != 0.0)
+        power = x
+        for bit in bin(n + 1)[3:]:
+            power = power * power * x if bit == "1" else power * power
+        return power / den
+    return at
 
 
 @functools.cache

@@ -1185,6 +1185,63 @@ def test_physio_extreme_input_is_refused_by_name(tmp_path, capsys, settings, mes
     assert not out.exists()
 
 
+def beat_train(extra_s=None, missed=False):
+    """400 R-peaks at about 1.4 Hz, with breathing in their amplitudes; beat
+    201 (from 1) missed, or followed by an extra beat ``extra_s`` later."""
+    times = [k / 1.4 + 0.03 * math.sin(2 * math.pi * 0.1 * k / 1.4) for k in range(400)]
+    if missed:
+        del times[200]
+    if extra_s is not None:
+        times.insert(201, times[200] + extra_s)
+    return "time_s,amplitude\n" + "".join(
+        f"{t!r},{1.0 + 0.1 * math.cos(math.pi * t)!r}\n" for t in times)
+
+
+@pytest.mark.parametrize("extra_s, missed, message", [
+    (0.005, False, "the ISR estimate is -4670 Hz at t = 143.125 s, not a rate: "
+                   "R-R interval 5 ms between beats 201 and 202 (t = 142.886 s)"),
+    (0.05, False, "the ISR estimate is -38.01 Hz at t = 143.215 s, not a rate: "
+                  "R-R interval 50 ms between beats 201 and 202 (t = 142.886 s)"),
+    (0.3, False, None),  # a T wave taken for a beat
+    (None, True, None),
+], ids=["extra-5ms", "extra-50ms", "extra-300ms", "missed"])
+def test_physio_refuses_an_isr_estimate_that_is_not_a_rate(tmp_path, capsys, extra_s, missed,
+                                                           message):
+    # a beat detected twice makes the not-a-knot cubic through 1/R-R
+    # overshoot below 0 Hz: refused by name before any file, where it used
+    # to write negative rates and mask whole frames without a word.  A
+    # T-wave beat or a missed beat only bends the estimate.
+    src = tmp_path / "peaks.csv"
+    src.write_text(beat_train(extra_s, missed))
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["physio", "--set", f"input={src}", "--set", "mitigation.inf_mask=true",
+                   "--set", "analysis.window_s=15", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if message is None:
+        assert rc == 0 and err == []
+        isr = np.loadtxt(out / "isr_estimate.csv", delimiter=",", comments="#", skiprows=2)
+        assert np.all(isr[:, 1] > 0.5)
+    else:
+        assert rc == 2 and err == [f"nyqmirror: data error: {message}"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("inf_mask", ["false", "true"])
+def test_physio_frame_past_the_estimate_domain_runs(tmp_path, inf_mask):
+    # the ISR estimate ends at the second-to-last beat, 30 - 5e-11 s; the
+    # 8 Hz grid from 0 may pass it by 1e-9 of a step and ends at 30.0, a
+    # frame time beyond the evaluation slack: the masked run exited 2 with
+    # "spline evaluation outside domain"
+    times = [*np.linspace(0.0, 30.0, 43)[:-2].tolist(), 30.0 - 5e-11, 30.7]
+    src = tmp_path / "peaks.csv"
+    src.write_text("time_s,amplitude\n" + "".join(
+        f"{t!r},{1.0 + 0.1 * math.cos(math.pi * t)!r}\n" for t in times))
+    assert main(["physio", "--set", f"input={src}", "--set", f"mitigation.inf_mask={inf_mask}",
+                 "--set", "analysis.window_s=5", "--out", str(tmp_path / "x")]) == 0
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["tfr", "--set", "analysis.window_s=4"]])
 def test_resampling_grid_past_the_last_sample_runs(tmp_path, command):
     # the last sample lies 3.05e-11 s before 20 s and the 16 Hz grid, which

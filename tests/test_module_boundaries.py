@@ -364,3 +364,31 @@ def test_only_tf_analysis_holds_the_display_formula():
              if path.name != "tf_analysis.py"
              for where in display_formula_uses(path.read_text(encoding="utf-8"))]
     assert found == ["signal_model.py: harmonic: 0.01"]
+
+
+def kernel_uses(source: str) -> list[str]:
+    """``scope: node`` for each use of the name ``sinc`` or
+    ``fundamental_spline_spectrum`` (bare or as an attribute; an import is
+    not a use) in ``source``, in source order; scope as in ``scoped``."""
+    return [f"{scope}: {ast.unparse(node)}" for scope, node in scoped(source)
+            if {getattr(node, "id", None), getattr(node, "attr", None)}
+            & {"sinc", "fundamental_spline_spectrum"}]
+
+
+def test_scan_finds_each_kernel_use():
+    source = ("import numpy as np\n"
+              "from .spline_interp import fundamental_spline_spectrum, image_kernel\n"
+              "def f(n, x, sinc):\n"
+              "    return np.sinc(x), fundamental_spline_spectrum(n, x), sinc, image_kernel\n")
+    assert kernel_uses(source) == [
+        "f: np.sinc", "f: fundamental_spline_spectrum", "f: sinc"]
+
+
+def test_only_spline_interp_evaluates_the_kernel():
+    # eta_hat_n is written once, in spline_interp.image_kernel: the other
+    # modules take it from there, made once per beta array for every k, and
+    # never call the per-point spectrum or a sinc of their own
+    found = [f"{path.name}: {where}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "spline_interp.py"
+             for where in kernel_uses(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -9,6 +9,7 @@ import pytest
 
 from nyqmirror import (
     IMTSignal,
+    reflection,
     SampleSet,
     SamplingScheme,
     UniformSignal,
@@ -27,6 +28,7 @@ from nyqmirror.reflection import (
     synthesize_prediction,
     verify_reflection_theorem,
 )
+from nyqmirror.spline_interp import image_kernel
 from nyqmirror.tf_analysis import TFRepresentation, WindowMeta
 
 
@@ -168,6 +170,49 @@ def test_synthesis_matches_pipeline_fig1():
     rel = np.linalg.norm(actual.values[keep] - predicted.values[keep]) \
         / np.linalg.norm(actual.values[keep])
     assert rel <= 0.05
+
+
+def counted_kernels(monkeypatch):
+    """The beta arrays that reflection hands to ``image_kernel``."""
+    made = []
+
+    def counting(n, beta):
+        made.append(beta)
+        return image_kernel(n, beta)
+
+    monkeypatch.setattr(reflection, "image_kernel", counting)
+    return made
+
+
+@pytest.mark.parametrize("name, n", [("fig1", 3), ("fig2", 12)])
+def test_synthesis_makes_one_kernel_for_every_k(monkeypatch, name, n):
+    # the series is the per-k spectrum's, to rounding: only the kernel's
+    # periodic factors moved out of the loop over k
+    sc = builtin_scenario(name)
+    made = counted_kernels(monkeypatch)
+    out = synthesize_prediction(sc.signal, sc.scheme, n, 4, 64.0, (0.0, 20.0))
+    assert len(made) == 1
+    t = out.times
+    beta = sc.signal.iff(t) / sc.scheme.psi_prime(t)
+    per_k = sc.signal.am(t) * sum(
+        fundamental_spline_spectrum(n, k - beta)
+        * np.cos(2.0 * np.pi * (k * sc.scheme.psi(t) - sc.signal.phase(t)))
+        for k in range(-4, 5))
+    assert np.max(np.abs(out.values - per_k)) <= 1e-14 * np.max(np.abs(per_k))
+
+
+def test_components_make_one_kernel_for_every_k(monkeypatch):
+    # the grid amplitudes of every k come from one kernel; each is its
+    # amp_curve on the grid, bit for bit, and its peak ranks it
+    sc = builtin_scenario("fig2")
+    made = counted_kernels(monkeypatch)
+    comps = predict_components(sc.signal, sc.scheme, 12, (-3, 3), GRID)
+    assert len(made) == 1 and len(comps) == 7
+    for comp in comps:
+        assert comp.amplitude.tobytes() == comp.amp_curve(GRID).tobytes()
+        assert not comp.amplitude.flags.writeable
+        assert comp.peak_amp == np.max(np.abs(comp.amplitude))
+    assert len(made) == 1 + len(comps)
 
 
 @pytest.mark.parametrize("rate", [1e13, np.inf, np.nan, 0.0, -64.0])

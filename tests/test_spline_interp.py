@@ -22,6 +22,8 @@ from nyqmirror import (
     UniformSignal,
     estimate_isr,
 )
+from nyqmirror.config import _MAX_K, _MAX_ORDER
+from nyqmirror.spline_interp import image_kernel
 
 
 def random_knots(rng, count, lo=0.0, hi=10.0, min_gap=0.02):
@@ -234,29 +236,61 @@ def test_spectrum_rejects_order_zero():
         fundamental_spline_spectrum(0, 0.5)
 
 
-def uncached_spectrum(n, xi):
-    """The spectrum's formula with a fresh Cox-de Boor run for b(m) on every
-    call: the reference the cached b(m) must reproduce bit for bit."""
+def direct_spectrum(n, xi):
+    """The spectrum's formula at xi itself, with a fresh Cox-de Boor run for
+    b(m): sinc(xi)^(n+1) over the cosine series in xi.  The kernel reduces
+    its argument first, so this is its oracle to a stated tolerance."""
     xa = np.asarray(xi, dtype=float)
     m = np.arange((n + 1) // 2 + 1)
     b = nonuniform_bspline(n, 0, np.arange(n + 2.0), m + (n + 1) / 2.0)
     den = np.full_like(xa, b[0])
     for mi in m[1:]:
         den += 2.0 * b[mi] * np.cos(2.0 * np.pi * mi * xa)
-    out = np.sinc(xa) ** (n + 1) / den
-    return out if out.ndim else float(out)
+    return np.sinc(xa) ** (n + 1) / den
 
 
 @pytest.mark.parametrize("n", range(1, 32))
-def test_spectrum_keeps_the_bits_of_the_uncached_formula(n):
+def test_spectrum_keeps_the_bits_of_the_uncached_formula(monkeypatch, n):
+    # the cached b(m) give the bits of a fresh Cox-de Boor run, for any
+    # shape, and a scalar gives a float
     xi = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -7.0, 0.5, -0.5, 0.25, 0.499999,
                    -1.3, 3.7, 123.456, -1e6, 1e12, np.nan])
-    for x in (xi, xi.reshape(4, 4)):
-        got, want = fundamental_spline_spectrum(n, x), uncached_spectrum(n, x)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    for x in xi:
-        got, want = fundamental_spline_spectrum(n, x), uncached_spectrum(n, x)
-        assert type(got) is float and np.array_equal(got, want, equal_nan=True), x
+    cached = [fundamental_spline_spectrum(n, x) for x in (xi, xi.reshape(4, 4), *xi)]
+    monkeypatch.setattr(spline_interp, "_centred_bspline_samples",
+                        spline_interp._centred_bspline_samples.__wrapped__)
+    for x, got in zip((xi, xi.reshape(4, 4), *xi), cached):
+        want = fundamental_spline_spectrum(n, x)
+        if np.ndim(x):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is float and np.array_equal(got, want, equal_nan=True), x
+    np.testing.assert_allclose(cached[0], direct_spectrum(n, xi), rtol=0.0,
+                               atol=1e-14 if n <= 12 else 1e-10)
+
+
+def near_integers():
+    """Integers, their float neighbours and the halves between them."""
+    whole = st.integers(-_MAX_K - 2, _MAX_K + 2).map(float)
+    return st.one_of(whole, whole.map(lambda v: np.nextafter(v, np.inf)),
+                     whole.map(lambda v: np.nextafter(v, -np.inf)), whole.map(lambda v: v + 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, _MAX_ORDER), k=st.integers(-_MAX_K, _MAX_K),
+       beta=st.lists(st.one_of(st.floats(-_MAX_K - 2.0, _MAX_K + 2.0), near_integers()),
+                     min_size=1, max_size=8))
+@example(n=31, k=1, beta=[0.5, -0.5, 1.0, 0.0])
+def test_image_kernel_matches_the_direct_formula(n, k, beta):
+    # one reduction of beta serves every k: each value is finite and within
+    # 1e-14 (n <= 12) or 1e-10 (n <= 31) of the formula at k - beta; the
+    # denominator falls to about 2 (2/pi)^(n+1) at half-integers, where
+    # both forms lose digits to its cancellation
+    beta = np.array(beta)
+    got = image_kernel(n, beta)(k)
+    assert got.shape == beta.shape and np.isfinite(got).all()
+    want = direct_spectrum(n, k - beta)
+    assert np.max(np.abs(got - want)) <= (1e-14 if n <= 12 else 1e-10)
+    np.testing.assert_array_equal(got[k - beta == 0.0], direct_spectrum(n, 0.0))  # 1 / D_n(0)
 
 
 def test_spectrum_runs_cox_de_boor_once_per_order(monkeypatch):

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nyqmirror import UniformSignal, tf_analysis
 from nyqmirror.tf_analysis import (
@@ -533,6 +534,92 @@ def test_zero_signal_matches_oracle():
                      oracle_synchrosqueeze(sig, win, 4, 128))
     assert_same_bits(reassign(sig, win, 4, 128).matrix,
                      oracle_reassign(sig, win, 4, 128))
+
+
+# ---------------------------------------------------------------------------
+# drawn inputs
+# ---------------------------------------------------------------------------
+
+THRESHOLDS = [0.0, 1e-300, 1e-12, 1e-8, 1e-4, 0.1, 0.5, float(np.nextafter(1.0, 0.0))]
+SEGMENTS = ["noise", "tone", "spike", "constant"]
+
+
+@st.composite
+def drawn_signal(draw, method, tapers):
+    """70 to 400 samples: 1 to 4 segments of noise, a tone, a spike or a
+    constant, each at 2^-40 to 2^40, or subnormal, with silence between;
+    or the whole signal scaled to just under ``_spectra``'s quarter-range
+    refusal for the method's taps."""
+    values = []
+    for kind, length, gap, level in draw(st.lists(st.tuples(
+            st.sampled_from(SEGMENTS), st.integers(1, 150), st.integers(0, 100),
+            st.one_of(st.integers(-40, 40).map(lambda e: 2.0 ** e), st.just(1e-310))),
+            min_size=1, max_size=4)):
+        values.append(np.zeros(gap))
+        if kind == "noise":
+            segment = np.random.default_rng(draw(st.integers(0, 99))).normal(size=length)
+        elif kind == "tone":
+            cycles = draw(st.floats(0.0, 0.5))
+            segment = np.cos(2.0 * np.pi * cycles * np.arange(length))
+        else:
+            segment = np.ones(1 if kind == "spike" else length)
+        values.append(level * segment)
+    values = np.concatenate(values)[:400]
+    values = np.concatenate([values, np.zeros(max(0, 70 - values.size))])
+    if draw(st.booleans()):
+        if method.startswith("mt_"):
+            taps = _hermite_ladder(1.0, RATE, tapers).rows
+        else:
+            win = WINDOWS["gaussian"]
+            taps = np.stack([win.samples, win.derivative, win.t_weighted])
+        peak = np.finfo(float).max / 4 / np.abs(taps).sum(axis=1).max() * (1.0 - 2.0 ** -20)
+        values = values / np.max(np.abs(values)) * peak
+    return UniformSignal(values, rate=RATE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["sst", "rm", "mt_sst", "mt_rm"]),
+       threshold=st.sampled_from(THRESHOLDS), chunk=st.sampled_from([1, 2, 3, 7, 4096]),
+       hop=st.integers(1, 70), nfft=st.sampled_from([128, 256, 512]))
+def test_engine_matches_oracle_on_drawn_inputs(data, method, threshold, chunk, hop, nfft):
+    # the kept bin span and the floor's two bounds hold on signals nobody
+    # wrote down: every bit is the oracle's.  A run refused by name passes
+    # only where the oracle overflows too.  About 2 s on a 2-vCPU VM.
+    tapers = data.draw(st.integers(2, 4)) if method.startswith("mt_") else 1
+    sig = data.draw(drawn_signal(method, tapers))
+    if method.startswith("mt_"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = oracle_multitaper(sig, 1.0, tapers, hop, nfft, method[3:], threshold)
+        rows = _hermite_ladder(1.0, RATE, tapers).rows[:tapers]
+
+        def transform():
+            return multitaper(sig, 1.0, tapers, hop, nfft, method[3:], threshold, chunk=chunk)
+    else:
+        win = WINDOWS["gaussian"]
+        engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
+                          "rm": (reassign, oracle_reassign)}[method]
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = oracle(sig, win, hop, nfft, threshold)
+            except ValueError:  # a NaN target, which only the ladder's oracle places
+                assume(False)
+        rows = win.samples[None]
+
+        def transform():
+            return engine(sig, win, hop, nfft, threshold, chunk=chunk)
+
+    try:
+        got = transform().matrix
+    except ValueError as exc:
+        # refused by name where the oracle overflows, or (SST) where its
+        # stated bound does: a frame's sum |V_g| over the bins of a taper
+        assert "transform overflows float64" in str(exc)
+        with np.errstate(over="ignore"):
+            column = max(np.abs(oracle_spectrum(sig, row, hop, nfft)).sum(axis=0).max()
+                         for row in rows)
+        assert not np.isfinite(want).all() or method.endswith("sst") and np.isinf(column)
+        return
+    assert_same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,17 @@ def test_readme_config_defaults_match():
     assert json.loads(block.split("```", 1)[0]) == DEFAULT_CONFIG
 
 
+def test_readme_tour_rows_stay_short():
+    # each library-tour row names a module's entry points; mechanism lives
+    # in the docstrings.  The cap is the longest row, so no row can grow.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert len(rows) >= 11
+    for row in rows:
+        assert len(row.split()) <= 275, row.split("|")[1]
+
+
 def _table_words(fields) -> set:
     """Every key, variant name and choice the leaf table mentions."""
     words = set()

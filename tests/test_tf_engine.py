@@ -1,14 +1,15 @@
 """The frames-major transform engine against the per-window transforms it
 replaced, kept here as the bit-exact oracle, the multitaper against its
 Hermite-ladder oracle and the per-taper transforms before it, blocks that
-keep part of their bins or none, its FFT budget, and its non-finite
-targets."""
+keep part of their bins or none, its FFT budget, its one overflow rule
+(a result that is not finite is refused), exact amplitude scaling up to
+that refusal, and its non-finite targets."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nyqmirror import UniformSignal, tf_analysis
 from nyqmirror.tf_analysis import (
@@ -70,8 +71,10 @@ def _oracle_targets(v_blk, vd_blk, freqs, df, floor):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = vd_blk / np.where(mask, v_blk, 1.0)
         omega = freqs[None, :] - np.imag(ratio) / (2.0 * np.pi)
-    omega = np.where(mask, omega, 0.0)
-    tbin = np.clip(np.rint(omega / df), 0, freqs.size - 1).astype(np.intp)
+    est = np.where(mask, omega, 0.0) / df
+    own_bin = np.broadcast_to(np.arange(freqs.size), est.shape)
+    tbin = np.where(np.isnan(est), own_bin,
+                    np.clip(np.rint(est), 0, freqs.size - 1)).astype(np.intp)
     return tbin, mask
 
 
@@ -113,8 +116,10 @@ def oracle_reassign(sig, window, hop, nfft, threshold=0.0, chunk=128):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             shift = np.real(np.where(mask, vt.T, 0.0) / np.where(mask, v_blk, 1.0))
         that = times[start:start + width, None] + np.where(mask, shift, 0.0)
-        tfrm = np.clip(np.rint((that - sig.t_start) * sig.rate / hop),
-                       0, n_frames - 1).astype(np.intp)
+        tau = (that - sig.t_start) * sig.rate / hop
+        own_frame = np.broadcast_to(np.arange(start, start + width)[:, None], tau.shape)
+        tfrm = np.where(np.isnan(tau), own_frame,
+                        np.clip(np.rint(tau), 0, n_frames - 1)).astype(np.intp)
         sl = slice(start * n_bins, (start + width) * n_bins)
         flat_all[sl] = (tbin * n_frames + tfrm).ravel()
         mass_all[sl] = np.where(mask, np.abs(v_blk) ** 2, 0.0).ravel()
@@ -498,7 +503,7 @@ def test_floor_found_after_its_peak_matches_oracle(monkeypatch, method, chunk):
 
 
 @pytest.mark.parametrize("method, refused", [
-    ("sst", None), ("rm", "its masses |V_g|^2"), ("mt_sst", "a frame's sum |V_g|"),
+    ("sst", None), ("rm", "its masses |V_g|^2"), ("mt_sst", None),
     ("mt_rm", "its masses |V_g|^2"),
 ])
 def test_ceiling_at_the_extremes_raises_no_warning(method, refused):
@@ -506,10 +511,11 @@ def test_ceiling_at_the_extremes_raises_no_warning(method, refused):
     quarter-range refusal: the ceiling threshold * max|values| sum|taps_k|
     stays finite, and no product on the way to it warns (warnings are
     errors).  The transform is refused after its pass where ``refused``
-    overflows.  A NaN |V_g| never reaches a block decided before the floor
-    is known, where it would be kept or dropped by the ceiling alone (at a
-    NaN floor, every cell is dropped): the values are finite, and under that
-    refusal every spectrum value is too."""
+    overflows, and the oracle's matrix is not finite there; elsewhere it is
+    the oracle's, bit for bit.  A NaN |V_g| never reaches a block decided
+    before the floor is known, where it would be kept or dropped by the
+    ceiling alone (at a NaN floor, every cell is dropped): the values are
+    finite, and under that refusal every spectrum value is too."""
     threshold = np.nextafter(1.0, 0.0)
     win = make_windows("gaussian", 1.0, RATE)[0]
     taps = (_hermite_ladder(1.0, RATE, 3).rows if method.startswith("mt_")
@@ -517,13 +523,35 @@ def test_ceiling_at_the_extremes_raises_no_warning(method, refused):
     amp = np.finfo(float).max / 4 / np.abs(taps).sum(axis=1).max() * (1.0 - 2.0 ** -20)
     values = chirp_noise(611).values
     sig = UniformSignal(amp / np.max(np.abs(values)) * values, rate=RATE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.startswith("mt_"):
+            want = oracle_multitaper(sig, 1.0, 3, 4, 256, method[3:], threshold)
+        else:
+            oracle = {"sst": oracle_synchrosqueeze, "rm": oracle_reassign}[method]
+            want = np.abs(oracle(sig, win, 4, 256, threshold))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if refused:
             with pytest.raises(ValueError, match="transform overflows float64"):
                 tf_magnitude(sig, method, 1.0, 4, 256, 3, threshold)
+            assert not np.isfinite(want).all()
         else:
-            assert np.isfinite(tf_magnitude(sig, method, 1.0, 4, 256, 3, threshold).matrix).all()
+            assert_same_bits(tf_magnitude(sig, method, 1.0, 4, 256, 3, threshold).matrix, want)
+
+
+def test_complex_sst_is_refused_where_only_a_least_part_overflows():
+    # a negative constant just under _spectra's refusal: each frame's
+    # coefficients, with negative real parts, pile into the lowest bins,
+    # whose sums reach -inf while the greatest part stays finite
+    win = WINDOWS["gaussian"]
+    taps = np.stack([win.samples, win.derivative])
+    amp = np.finfo(float).max / 4 / np.abs(taps).sum(axis=1).max() * (1.0 - 2.0 ** -20)
+    sig = UniformSignal(np.full(300, -amp), rate=RATE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = oracle_synchrosqueeze(sig, win, 4, 1024).view(float)
+    assert np.isfinite(parts.max()) and parts.min() == -np.inf
+    with pytest.raises(ValueError, match="transform overflows float64"):
+        synchrosqueeze(sig, win, 4, 1024)
 
 
 def test_zero_signal_matches_oracle():
@@ -582,15 +610,15 @@ def drawn_signal(draw, method, tapers):
        threshold=st.sampled_from(THRESHOLDS), chunk=st.sampled_from([1, 2, 3, 7, 4096]),
        hop=st.integers(1, 70), nfft=st.sampled_from([128, 256, 512]))
 def test_engine_matches_oracle_on_drawn_inputs(data, method, threshold, chunk, hop, nfft):
-    # the kept bin span and the floor's two bounds hold on signals nobody
-    # wrote down: every bit is the oracle's.  A run refused by name passes
-    # only where the oracle overflows too.  About 2 s on a 2-vCPU VM.
+    # the kept bin span, the floor's two bounds and NaN targets hold on
+    # signals nobody wrote down: every bit is the oracle's.  A run refused
+    # by name passes only where the oracle's matrix is not finite.  About
+    # 2 s on a 2-vCPU VM.
     tapers = data.draw(st.integers(2, 4)) if method.startswith("mt_") else 1
     sig = data.draw(drawn_signal(method, tapers))
     if method.startswith("mt_"):
         with np.errstate(over="ignore", invalid="ignore"):
             want = oracle_multitaper(sig, 1.0, tapers, hop, nfft, method[3:], threshold)
-        rows = _hermite_ladder(1.0, RATE, tapers).rows[:tapers]
 
         def transform():
             return multitaper(sig, 1.0, tapers, hop, nfft, method[3:], threshold, chunk=chunk)
@@ -599,11 +627,7 @@ def test_engine_matches_oracle_on_drawn_inputs(data, method, threshold, chunk, h
         engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
                           "rm": (reassign, oracle_reassign)}[method]
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                want = oracle(sig, win, hop, nfft, threshold)
-            except ValueError:  # a NaN target, which only the ladder's oracle places
-                assume(False)
-        rows = win.samples[None]
+            want = oracle(sig, win, hop, nfft, threshold)
 
         def transform():
             return engine(sig, win, hop, nfft, threshold, chunk=chunk)
@@ -611,15 +635,73 @@ def test_engine_matches_oracle_on_drawn_inputs(data, method, threshold, chunk, h
     try:
         got = transform().matrix
     except ValueError as exc:
-        # refused by name where the oracle overflows, or (SST) where its
-        # stated bound does: a frame's sum |V_g| over the bins of a taper
         assert "transform overflows float64" in str(exc)
-        with np.errstate(over="ignore"):
-            column = max(np.abs(oracle_spectrum(sig, row, hop, nfft)).sum(axis=0).max()
-                         for row in rows)
-        assert not np.isfinite(want).all() or method.endswith("sst") and np.isinf(column)
+        assert not np.isfinite(want).all()
         return
+    assert np.isfinite(got).all()
     assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# exact amplitude scaling
+# ---------------------------------------------------------------------------
+
+SCALED_METHODS = ["synchrosqueeze", "sst", "rm", "mt_sst", "mt_rm"]
+
+
+def _scaled_run(method, sig, threshold, oracle=False):
+    """``method``'s matrix on ``sig`` (hop 4, nfft 512, a 1 s window, 2
+    tapers), from the engine or from its oracle: 'synchrosqueeze' is the
+    complex transform, the rest ``tf_magnitude``'s real one."""
+    win = WINDOWS["gaussian"]
+    if not oracle:
+        if method == "synchrosqueeze":
+            return synchrosqueeze(sig, win, 4, 512, threshold).matrix
+        return tf_magnitude(sig, method, 1.0, 4, 512, 2, threshold).matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.startswith("mt_"):
+            return oracle_multitaper(sig, 1.0, 2, 4, 512, method[3:], threshold)
+        if method == "rm":
+            return oracle_reassign(sig, win, 4, 512, threshold)
+        want = oracle_synchrosqueeze(sig, win, 4, 512, threshold)
+        return want if method == "synchrosqueeze" else np.abs(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(method=st.sampled_from(SCALED_METHODS), threshold=st.sampled_from([0.0, 1e-8, 0.5]),
+       seed=st.one_of(st.just(None), st.integers(0, 9)), below=st.integers(0, 60))
+@example(method="mt_sst", threshold=0.0, seed=None, below=4)
+@example(method="mt_sst", threshold=0.5, seed=3, below=6)
+def test_amplitude_scaling_is_exact_up_to_the_refusal(method, threshold, seed, below):
+    # a spike (no seed) or chirp_noise(300, seed) times 2^k, its peak 2^-below
+    # of the float64 range's edge: the transform is 2^k times the unscaled
+    # one (2^2k for the masses of rm and mt_rm), bit for bit, or refused
+    # where _spectra's bound refuses the scaled signal or the oracle's
+    # scaled matrix is not finite.  The examples are finite transforms that
+    # a frame's sum |V_g| over its bins once refused.  About 1 s on a 2-vCPU VM.
+    if seed is None:
+        values = np.zeros(300)
+        values[150] = 1.0
+    else:
+        values = chirp_noise(300, seed).values
+    k = 1024 - np.frexp(np.max(np.abs(values)))[1] - below
+    sig = UniformSignal(np.ldexp(values, k), rate=RATE)
+    try:
+        got = _scaled_run(method, sig, threshold)
+    except ValueError as exc:
+        assert "transform overflows float64" in str(exc)
+        win, rows = WINDOWS["gaussian"], 3 if method == "rm" else 2
+        taps = (_hermite_ladder(1.0, RATE, 2).rows if method.startswith("mt_")
+                else np.stack([win.samples, win.derivative, win.t_weighted][:rows]))
+        with np.errstate(over="ignore"):
+            bound = np.max(np.abs(sig.values)) * np.abs(taps).sum(axis=1).max()
+        assert not bound < np.finfo(float).max / 4 or not np.isfinite(
+            _scaled_run(method, sig, threshold, oracle=True)).all()
+        return
+    assert np.isfinite(got).all()
+    want = _scaled_run(method, UniformSignal(values, rate=RATE), threshold)
+    factor = 2 * k if method.endswith("rm") else k
+    assert_same_bits(got, np.ldexp(want.view(float), factor).view(want.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +721,25 @@ def test_nan_estimates_stay_in_their_own_cell():
     np.testing.assert_array_equal(_nearest(est, own, 9), [[4, 8], [0, 5]])
 
 
-def test_subnormal_coefficients_conserve_mass():
+def spike_and_subnormal():
     # frames that see only the subnormal sample have subnormal V_g, whose
     # ratios are nan at threshold 0; those cells keep their own cell
     values = np.zeros(400)
     values[100], values[300] = 1.0, 1e-310
-    sig = UniformSignal(values, rate=RATE)
-    win = WINDOWS["gaussian"]
+    return UniformSignal(values, rate=RATE)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_subnormal_frames_match_oracle(chunk):
+    sig, win = spike_and_subnormal(), WINDOWS["gaussian"]
+    assert_same_bits(synchrosqueeze(sig, win, 4, 128, chunk=chunk).matrix,
+                     oracle_synchrosqueeze(sig, win, 4, 128))
+    assert_same_bits(reassign(sig, win, 4, 128, chunk=chunk).matrix,
+                     oracle_reassign(sig, win, 4, 128))
+
+
+def test_subnormal_coefficients_conserve_mass():
+    sig, win = spike_and_subnormal(), WINDOWS["gaussian"]
     base = stft(sig, win, 4, 128).matrix
     deriv = Window(win.derivative, win.derivative, win.t_weighted, "gaussian",
                    win.duration_s)

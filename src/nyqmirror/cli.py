@@ -377,6 +377,10 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
 # entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {"simulate": cmd_simulate, "tfr": cmd_tfr, "predict": cmd_predict,
+             "physio": cmd_physio}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -385,15 +389,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nyqmirror", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", cmd_simulate), ("tfr", cmd_tfr),
-                     ("predict", cmd_predict), ("physio", cmd_physio)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (dotted path)")
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key (dotted path)")
     return parser
 
 
@@ -404,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg["output"]["directory"] = args.out
         outputs = _Outputs(cfg)
-        args.fn(cfg, outputs)
+        _COMMANDS[args.command](cfg, outputs)
     except ConfigError as exc:
         print(f"nyqmirror: config error: {exc}", file=sys.stderr)
         return 1

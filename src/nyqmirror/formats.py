@@ -135,7 +135,8 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
     ascii4, kind, prefix, tail, text_mask, length, shift = _csv_layouts()
     a = np.abs(x)
     fast = (a >= _CSV_FAST[0]) & (a <= _CSV_FAST[1])
-    a[~fast] = 1.0
+    a[~fast] = 1.0  # a zero takes 1.0's slot
+    fast |= (zero := x == 0.0)
     e = np.floor(np.log10(a)).astype(np.intp)  # off by at most one
     p, q = _scaled_pow10(a, e)
     step = ((p > 1e17) | (p == 1e17) & (q >= 0)).view(np.int8) \
@@ -157,7 +158,7 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
     e += top
     digits[top] = 10 ** 16
     del top
-    key = (lead * 2 + (x < 0)) * 25 + kind.take(e + 300)  # its prefix's row
+    key = (lead * 2 + np.signbit(x)) * 25 + kind.take(e + 300)  # its prefix's row
     slots = np.empty((x.size, 9), np.uint32)
     for j in range(3):
         slots[:, j] = prefix[j].take(key)
@@ -168,7 +169,7 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
         slots[:, j] = ascii4.take(digits)
         digits = rest
     rows = slots.view(np.uint8)
-    rows[:, 10] = digits + 48  # d0
+    rows[:, 10] = digits + 48 - zero  # d0, "0" for a zero
     del digits, rest
     zeros = (rows[:, 27:10:-1] != 48).argmax(axis=1)  # trailing, of 17 digits
     layout = key * 17 + 16 - zeros
@@ -179,7 +180,7 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
         row[np.arange(mid.size), point] = 46
         rows[mid, 11:28] = row
     cells = rows, text_mask.take(layout, 0), length.take(layout)
-    if (slow := (~fast).nonzero()[0]).size:  # 0, NaN, inf, extremes, ties
+    if (slow := (~fast).nonzero()[0]).size:  # NaN, inf, extremes, ties
         cells = _put_text(cells, slow, [("\r\n" if first else ",") + fmt(v)
                                         for v, first in zip(x[slow], lead[slow])])
     return cells

@@ -39,13 +39,15 @@ _BLOCK_CELLS = 1 << 15
 _BLOCK_TAPERS = 3
 # the display clips |R| at this quantile and is never below its floor
 _DISPLAY_QUANTILE, _DISPLAY_FLOOR = 0.998, 1e-2
-# bytes per cell live at once in the largest transform, traced at 2049 x
-# 512 cells: the complex SST output 19.7 (16 of them the output), the
-# multitaper 18.4 (sst) and 16.2 (rm) at 3 tapers and 16.5 and 14.7 at 10,
-# the RM 11.9 and tf_magnitude's real stft 9.2 and sst 11.6.  Past the
-# output's 8 or 16 the rest is per-block buffers, which do not grow with
-# the matrix.
-_LIVE_BYTES_PER_CELL = 24
+# bytes per cell live at once in each transform, by method and whether its
+# output is complex: 1.17x (24 B over the largest, 20.6) those traced at 2049
+# x 512 cells, the stft 17.1 (complex) and 9.2 (real), the SST 20.6 and 12.6,
+# the RM 13.0, and the multitaper 20.6 (sst) and 19.7 (rm) at 3 tapers, 16.8
+# and 16.1 at 2 and 18.5 and 17.8 at 10.  Past the output's 8 or 16 the rest
+# is per-block buffers, which do not grow with the matrix.
+_LIVE_BYTES_PER_CELL = {("stft", True): 20, ("stft", False): 11, ("sst", True): 24,
+                        ("sst", False): 15, ("rm", False): 16, ("mt_sst", False): 24,
+                        ("mt_rm", False): 23}
 # _sharpened's cap on a computed |V_g| is max|values| sum|taps_k| times 1 +
 # this: the FFT's rounding adds at most c u log2(nfft) sqrt(nfft) of the first
 # factor (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
@@ -236,10 +238,11 @@ def _sign_bit_set(matrix: np.ndarray) -> bool:
 
 
 def _frame_plan(sig: UniformSignal, w_len: int, hop: int, nfft: int,
-                chunk: int, tapers: int = 1):
+                chunk: int, live: tuple, tapers: int = 1):
     """Axes and frames per block (about ``_BLOCK_CELLS`` cells a taper, and
     fewer frames past ``_BLOCK_TAPERS`` tapers; at most ``chunk``); refuses,
-    before allocating, a transform over physical memory."""
+    before allocating, a transform over physical memory at the
+    ``_LIVE_BYTES_PER_CELL`` of ``live``, its (method, complex output)."""
     length = len(sig)
     if hop < 1:
         raise ValueError("hop must be >= 1 sample")
@@ -248,7 +251,7 @@ def _frame_plan(sig: UniformSignal, w_len: int, hop: int, nfft: int,
     if length < w_len:
         raise ValueError(f"signal ({length} samples) shorter than window ({w_len})")
     n_bins, n_frames = nfft // 2 + 1, -(-length // hop)
-    check_memory(_LIVE_BYTES_PER_CELL * n_bins * n_frames, f"{n_bins} x {n_frames} cells",
+    check_memory(_LIVE_BYTES_PER_CELL[live] * n_bins * n_frames, f"{n_bins} x {n_frames} cells",
                  f"raise hop ({hop}) or lower nfft ({nfft})")
     freqs = np.arange(n_bins) * (sig.rate / nfft)
     times = sig.t_start + np.arange(0, length, hop) / sig.rate
@@ -292,7 +295,8 @@ def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: in
 def _stft(sig: UniformSignal, window: Window, hop: int, nfft: int, chunk: int,
           magnitude: bool) -> TFRepresentation:
     """``stft``, or with ``magnitude`` its real modulus filled a block at a time."""
-    freqs, times, step = _frame_plan(sig, len(window), hop, nfft, chunk)
+    freqs, times, step = _frame_plan(sig, len(window), hop, nfft, chunk,
+                                     ("stft", not magnitude))
     out = np.empty((freqs.size, times.size), dtype=float if magnitude else complex)
     for start, spec in _spectra(sig.values, window.samples[None], hop, nfft, step):
         dest = out[:, start:start + spec.shape[0]]
@@ -366,7 +370,9 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     else:
         ladder, taps, count = window, window.rows, window.lower.size
         meta = WindowMeta("hermite", window.duration_s, hop, count)
-    freqs, times, step = _frame_plan(sig, taps.shape[1], hop, nfft, chunk, count)
+    name = method if ladder is None else f"mt_{method}"
+    freqs, times, step = _frame_plan(sig, taps.shape[1], hop, nfft, chunk,
+                                     (name, sst and not magnitude), count)
     n_bins, n_frames = freqs.size, times.size
     mag = np.empty((step, count, n_bins))
     peak, floor = np.zeros(count), None
@@ -458,7 +464,7 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     if not np.isfinite(parts.max()) or (out.dtype == complex and not np.isfinite(parts.min())):
         raise _overflow(sig.values)
     out.setflags(write=False)
-    return TFRepresentation(out, freqs, times, method if ladder is None else f"mt_{method}", meta)
+    return TFRepresentation(out, freqs, times, name, meta)
 
 
 def synchrosqueeze(sig: UniformSignal, window: Window, hop: int, nfft: int,

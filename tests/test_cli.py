@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from nyqmirror.cli import main
 from nyqmirror.config import DEFAULT_CONFIG, ConfigError, load_config, scenario_from_config
 from nyqmirror.formats import (
     _CSV_BLOCK_CELLS,
+    fmt,
     read_tfr_binary,
     read_uniform_csv,
     write_curve_csv,
@@ -126,6 +128,44 @@ def test_seed_key_removed(tmp_path, capsys):
     rc = main(["simulate", "--set", "seed=0", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "unknown config key: seed" in capsys.readouterr().err
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys, small_config):
+    # one parser: --config, --out and --set are read on either side of the
+    # command, with the same files and the same stdout list
+    out = tmp_path / "p"
+    options = ["--config", str(small_config), "--out", str(out), "--set", "predict.k_max=1"]
+    runs = []
+    for argv in (["predict", *options], [*options, "predict"]):
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out, read_all(out)))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+
+
+def test_unknown_command_is_config_error_naming_the_choices(tmp_path, capsys):
+    assert main(["bogus", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nyqmirror: config error: ")
+    assert "'bogus'" in err[0]
+    assert all(name in err[0] for name in ("simulate", "tfr", "predict", "physio"))
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--set", "predict.k_max=1"]])
+def test_missing_command_is_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nyqmirror: config error: ") and "command" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_help_exits_0_with_the_usage_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: nyqmirror ") and "{simulate,tfr,predict,physio}" in out
 
 
 def test_scenario_roundtrip_through_config():
@@ -1004,6 +1044,23 @@ def test_predict_k_max_zero_single_curve(tmp_path, small_config):
     assert ks == {0}
 
 
+def test_predict_sends_no_zero_through_format(tmp_path, monkeypatch):
+    # components.csv's k = 0 and t = 0 cells take the vectorised path: no
+    # number the CSV encoder hands to ``fmt`` is +-0.0
+    calls = []
+
+    def spy(x):
+        calls.append(float(x))
+        return fmt(x)
+
+    monkeypatch.setattr(formats, "fmt", spy)
+    out = tmp_path / "p"
+    assert main(["predict", "--out", str(out), "--set", 'output.formats=["csv"]']) == 0
+    text = (out / "components.csv").read_bytes()
+    assert b"\r\n0,0," in text  # k = 0 at t = 0
+    assert [x for x in calls if x == 0.0] == []
+
+
 # ---------------------------------------------------------------------------
 # physio
 # ---------------------------------------------------------------------------
@@ -1553,12 +1610,22 @@ def _trailing_zeros():
     np.round(10.0 ** np.random.default_rng(15).uniform(17.0, 22.0, 2000)),
     # k/2**j over many octaves: few significant bits, many trailing zeros
     np.concatenate([np.arange(1, 200) / 2.0**j for j in range(-40, 60)]),
+    # +-0.0 at row leads, beside the least subnormal and the fast range's edge
+    np.array([0.0, -0.0, 5e-324, 0.0, -1e-280, -0.0, 1e-280, -5e-324, -0.0, 0.0, 1.0]),
 ], ids=["powers_of_ten", "group_edges", "trailing_zeros", "ties_near_1e14",
         "integers_past_2_53",
-        "integers_past_1e17", "dyadic"])
+        "integers_past_1e17", "dyadic", "signed_zeros"])
 def test_csv_numbers_match_format_on_hard_cases(values):
+    for value in values[:2]:  # alone in its CSV
+        got, want = _curve_bytes(np.array([value]))
+        assert got == want, value
     got, want = _curve_bytes(values)
     assert got == want
+    # after a first column of text
+    names = np.array([f"r{i}" for i in range(values.size)])
+    fh = io.BytesIO()
+    write_curve_csv(fh, {"name": names, "x": values, "y": values[::-1]}, {})
+    assert fh.getvalue() == reference_csv({}, "name,x,y", zip(names, values, values[::-1]))
 
 
 def _oracle_pow10():

@@ -1,5 +1,7 @@
 """Windows, STFT, synchrosqueezing, reassignment, display, ridges."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -705,25 +707,46 @@ def test_complex_matrix_only_for_stft_and_sst():
 
 
 @pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm", "stft",
-                                    "mt_sst-10", "mt_rm-10"])
+                                    "mt_sst-10", "mt_rm-10", "mt_sst-2", "mt_rm-2",
+                                    "sst-magnitude", "stft-complex"])
 def test_transform_peak_within_memory_refusal_estimate(method):
-    # the memory refusal multiplies the cell count by _LIVE_BYTES_PER_CELL:
-    # no transform, and no magnitude the CLI asks for, may need more; the
-    # multitaper at 3 tapers and at the most, 10
+    # the memory refusal multiplies the cell count by the method's own
+    # _LIVE_BYTES_PER_CELL: no transform, and no magnitude the CLI asks for,
+    # may need more; the complex synchrosqueeze and stft and the magnitudes
+    # of tf_magnitude, the multitaper at 3 tapers and at the least and most
     from nyqmirror.tf_analysis import _LIVE_BYTES_PER_CELL
 
-    method, _, tapers = method.partition("-")
-    tapers = int(tapers or 3)
+    method, _, variant = method.partition("-")
+    tapers = int(variant) if variant.isdigit() else 3
+    win = make_windows("gaussian", 4.0, RATE)[0]
     if method.startswith("mt_"):
         tfr, peak = traced_peak(multitaper, MEMORY_SIG, 4.0, tapers, 1, MEMORY_NFFT,
                                 method[3:], 1e-8)
-    elif method == "stft":
-        tfr, peak = traced_peak(tf_magnitude, MEMORY_SIG, "stft", 4.0, 1, MEMORY_NFFT)
+    elif method == "stft" and variant == "complex":
+        tfr, peak = traced_peak(stft, MEMORY_SIG, win, 1, MEMORY_NFFT)
+    elif method == "stft" or variant == "magnitude":
+        tfr, peak = traced_peak(tf_magnitude, MEMORY_SIG, method, 4.0, 1, MEMORY_NFFT, 3, 1e-8)
     else:
-        win = make_windows("gaussian", 4.0, RATE)[0]
         fn = synchrosqueeze if method == "sst" else reassign
         tfr, peak = traced_peak(fn, MEMORY_SIG, win, 1, MEMORY_NFFT, 1e-8)
-    assert peak <= _LIVE_BYTES_PER_CELL * tfr.matrix.size
+    assert peak <= _LIVE_BYTES_PER_CELL[tfr.method, tfr.matrix.dtype == complex] * tfr.matrix.size
+
+
+def test_memory_refusal_is_each_methods_own(monkeypatch):
+    # with memory for 15 bytes a cell, a magnitude stft (11) runs and the
+    # complex synchrosqueeze (24) is refused as before: one figure, the
+    # complex SST's, used to refuse every method
+    from nyqmirror import spline_interp
+
+    win = make_windows("gaussian", 4.0, RATE)[0]
+    cells = (MEMORY_NFFT // 2 + 1) * len(MEMORY_SIG)
+    monkeypatch.setattr(spline_interp, "_physical_memory", lambda: 15.0 * cells)
+    assert tf_magnitude(MEMORY_SIG, "stft", 4.0, 1, MEMORY_NFFT).matrix.size == cells
+    refusal = (f"{MEMORY_NFFT // 2 + 1} x {len(MEMORY_SIG)} cells need ~{24.0 * cells:.3g} "
+               f"bytes, over the {15.0 * cells} bytes of memory: raise hop (1) or lower "
+               f"nfft ({MEMORY_NFFT})")
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        synchrosqueeze(MEMORY_SIG, win, 1, MEMORY_NFFT)
 
 
 @pytest.mark.parametrize("family, tapers", [("gaussian", 1), ("hermite", 10)])

@@ -27,7 +27,6 @@ from .signal_model import (
     validate_imt,
 )
 from .spline_interp import (
-    PchipInterpolant,
     SplineInterpolant,
     UniformSignal,
     fundamental_spline_spectrum,

@@ -228,13 +228,10 @@ def cmd_simulate(cfg: dict, outputs: _Outputs):
     outputs.write("interpolated.csv", write_uniform_csv, sig, meta)
 
     # debugging dump of the interpolant internals (long format: the knot
-    # sequence and, for B-splines, the basis coefficients)
-    parts = [np.asarray(interp.knots, dtype=float)]
-    if (coeffs := getattr(interp, "coefficients", None)) is not None:
-        parts.append(np.asarray(coeffs, dtype=float))
+    # sequence, then the basis coefficients)
+    parts = (interp.knots, interp.coefficients)
     outputs.write("interpolant.csv", write_curve_csv,
-                  {"kind": np.repeat(["knot", "coefficient"][:len(parts)],
-                                     [len(part) for part in parts]),
+                  {"kind": np.repeat(["knot", "coefficient"], [len(part) for part in parts]),
                    "index": np.concatenate([np.arange(len(part)) for part in parts]),
                    "value": np.concatenate(parts)}, meta)
 

@@ -131,7 +131,10 @@ def _typed(value, leaf: _Leaf, where: str):
         return _typed_object(value, leaf, where)
     elif number or not (value is None and leaf.default is None or type(value) in kinds):
         names = [_KIND_NAMES[k] for k in kinds] + ["null"] * (leaf.default is None)
-        got = "nothing" if value is _MISSING else json.dumps(value)
+        try:
+            got = "nothing" if value is _MISSING else json.dumps(value)
+        except RecursionError:  # nested just short of what json.loads refuses
+            got = "a value that nests too deeply"
         raise ConfigError(f"{where} must be {' or '.join(names)}, got {got}")
     if isinstance(value, str) and leaf.choices and value not in leaf.choices:
         raise ConfigError(f"{where} must be one of {', '.join(leaf.choices)}, "
@@ -183,6 +186,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"config {path} nests too deeply") from None
         _assign(flat, "", user)
     for item in overrides:
         if "=" not in item:
@@ -192,6 +197,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError:
+            raise ConfigError(f"--set {dotted}: value nests too deeply") from None
         _assign(flat, dotted, value)  # like a config file: a section stays an object
     return _nest({where: _typed(flat[where], leaf, where)
                   for where, leaf in _LEAVES.items()})

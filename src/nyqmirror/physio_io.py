@@ -76,8 +76,10 @@ def parse_rpeaks(data: bytes | str) -> RPeakRecord:
     """
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
-    # the non-blank rows, each with its file line number
-    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    try:  # the non-blank rows, each with its file line number
+        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("empty R-peak file")
     header = [c.strip() for c in rows[0][1]]

@@ -48,15 +48,13 @@ __all__ = [
 class PredictedComponent:
     """One image component of the interpolated signal.
 
-    ``if_curve`` maps time to |k psi'(t) - phi'(t)| in Hz; ``amp_curve``
-    to the signed amplitude a(t) * eta_hat_n(k - beta(t)).  ``amplitude``
-    is ``amp_curve`` on the prediction grid, and ``peak_amp`` its maximum
-    magnitude, used for ranking.
+    ``if_curve`` maps time to |k psi'(t) - phi'(t)| in Hz.  ``amplitude``
+    is the signed amplitude a(t) * eta_hat_n(k - beta(t)) on the prediction
+    grid, and ``peak_amp`` its maximum magnitude, used for ranking.
     """
 
     k: int
     if_curve: Callable[[np.ndarray], np.ndarray]
-    amp_curve: Callable[[np.ndarray], np.ndarray]
     amplitude: np.ndarray
     peak_amp: float
 
@@ -80,22 +78,14 @@ def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
     def make_if(k):
         return lambda t: np.abs(k * scheme.psi_prime(t) - signal.iff(t))
 
-    def amplitudes(t):
-        """k -> a(t) eta_hat_n(k - beta(t)), beta = phi' / psi': one kernel for every k"""
-        am, kernel = signal.am(t), image_kernel(n, signal.iff(t) / scheme.psi_prime(t))
-        return lambda k: am * kernel(k)
-
-    def make_amp(k):
-        return lambda t: amplitudes(t)(k)
-
-    on_grid = amplitudes(g)
+    # a(t) eta_hat_n(k - beta(t)), beta = phi' / psi': one kernel for every k
+    am, kernel = signal.am(g), image_kernel(n, signal.iff(g) / scheme.psi_prime(g))
     components = []
     for k in range(k_lo, k_hi + 1):
-        amplitude = frozen(on_grid(k))
+        amplitude = frozen(am * kernel(k))
         components.append(PredictedComponent(
             k=k,
             if_curve=make_if(k),
-            amp_curve=make_amp(k),
             amplitude=amplitude,
             peak_amp=float(np.max(np.abs(amplitude))),
         ))

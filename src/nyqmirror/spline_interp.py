@@ -5,9 +5,9 @@ not-a-knot cubic that ``sampling.estimate_isr`` uses too),
 shape-preserving (PCHIP) interpolation, uniform resampling, and the
 size check that the package's large allocations pass first.
 
-Basis evaluation uses the Cox-de Boor recursion; the explicit
-truncated-power formula is kept as an independent oracle that sums
-exactly in rationals.
+Every spline, PCHIP's too, is evaluated by one Cox-de Boor recursion;
+the explicit truncated-power formula is kept as an independent oracle
+that sums exactly in rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "PchipInterpolant",
     "SplineInterpolant",
     "UniformSignal",
     "check_memory",
@@ -114,7 +113,7 @@ def nonuniform_bspline_truncated_power(n: int, j: int, knots, x) -> np.ndarray |
 
 
 def nonuniform_bspline(n: int, j: int, knots, x) -> np.ndarray | float:
-    """Non-uniform B-spline N_{n,j} evaluated by the Cox-de Boor recursion.
+    """Non-uniform B-spline N_{n,j}, read off ``_basis_matrix_rows``.
 
     Parameters
     ----------
@@ -130,33 +129,26 @@ def nonuniform_bspline(n: int, j: int, knots, x) -> np.ndarray | float:
     Returns
     -------
     float or ndarray
-        N_{n,j}(x), zero outside [t_j, t_{j+n+1}].
+        N_{n,j}(x), zero outside the half-open support [t_j, t_{j+n+1}).
     """
     if n < 1:
         raise ValueError(f"spline order must be >= 1, got {n}")
     t = np.asarray(knots, dtype=float)
     if j < 0 or j + n + 1 >= t.size:
         raise ValueError("knot sequence does not cover the requested basis index")
-    if np.any(np.diff(t[j:j + n + 2]) <= 0.0):
+    sup = t[j:j + n + 2]
+    if np.any(np.diff(sup) <= 0.0):
         raise ValueError("repeated or decreasing knots in the support")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-
-    # degree-0 seed on half-open cells [t_i, t_{i+1})
-    vals = [
-        np.where((t[j + i] <= xa) & (xa < t[j + i + 1]), 1.0, 0.0)
-        for i in range(n + 1)
-    ]
-    for d in range(1, n + 1):
-        nxt = []
-        for i in range(n + 1 - d):
-            left = (xa - t[j + i]) / (t[j + i + d] - t[j + i]) * vals[i]
-            right = (t[j + i + d + 1] - xa) / (t[j + i + d + 1] - t[j + i + 1]) * vals[i + 1]
-            nxt.append(left + right)
-        vals = nxt
-    out = vals[0]
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    xa = np.asarray(x, dtype=float)
+    # N_{n,j} is basis n of its support clamped, so row 2n - span of the
+    # n+1 values that are nonzero at a point
+    ext = np.pad(sup, n, mode="edge")
+    inside = ((sup[0] <= xa) & (xa < sup[-1])).ravel()
+    flat = np.where(inside, xa.ravel(), sup[0])
+    spans = _find_spans(ext, n, flat)
+    rows = _basis_matrix_rows(ext, n, flat, spans)[2 * n - spans, np.arange(flat.size)]
+    out = np.where(inside, rows, 0.0).reshape(xa.shape)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +344,12 @@ def _find_spans(ext_knots: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SplineInterpolant:
-    """Order-n spline through non-uniform samples, defined by a banded
-    Schoenberg-Whitney solve.  Immutable; evaluation never extrapolates.
+    """Order-n spline through non-uniform samples.  Immutable; evaluation
+    never extrapolates.
 
-    ``knots`` is the clamped (end-knots repeated n+1 times) generalized
-    not-a-knot sequence, which makes the square system reproduce degree-n
-    polynomials on the whole sampled span.
+    ``knots`` is clamped (end-knots repeated n+1 times): the generalized
+    not-a-knot sequence of ``interpolate_nonuniform``'s banded solve, or
+    PCHIP's sample times with each interior one doubled.
     """
 
     order: int
@@ -510,38 +502,42 @@ def interpolate_nonuniform(samples, n: int) -> SplineInterpolant:
     )
 
 
-class PchipInterpolant:
-    """Shape-preserving (Fritsch-Carlson) piecewise cubic interpolant with
-    the same domain discipline as :class:`SplineInterpolant`."""
-
-    order = 3
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.knots = times = frozen(times)
-        self.domain = (float(times[0]), float(times[-1]))
-        # imported here: scipy.interpolate would add ~0.5 s to every import
-        from scipy.interpolate import PchipInterpolator
-        self._pchip = PchipInterpolator(times, values, extrapolate=False)
-
-    def __call__(self, x) -> np.ndarray | float:
-        out = self._pchip(_clip_to_domain(x, self.domain, "PCHIP evaluation"))
-        if np.ndim(x) == 0:
-            return float(out[0])
-        return out
-
-
-def interpolate_pchip(samples) -> PchipInterpolant:
+def interpolate_pchip(samples) -> SplineInterpolant:
     """Monotone piecewise cubic Hermite interpolation of the samples.
 
-    Never overshoots between monotone knot runs; needs >= 3 samples.
+    Never overshoots between monotone knot runs; needs >= 3 samples.  The
+    slopes d are those of scipy's ``PchipInterpolator`` (Fritsch-Carlson): 0
+    where the secants beside a sample differ in sign or either is 0, else
+    their weighted harmonic mean, and the shape-preserving three-point rule
+    at the ends.  The C1 cubic is the order-3 spline with each interior
+    sample time a double knot and, per interval, the Bezier points
+    y_i + h_i d_i / 3 and y_{i+1} - h_i d_{i+1} / 3 as coefficients.
     """
     times = np.asarray(samples.times, dtype=float)
     values = np.asarray(samples.values, dtype=float)
     if times.size < 3:
         raise ValueError(f"PCHIP needs at least 3 samples, got {times.size}")
-    if np.any(np.diff(times) <= 0.0):
+    h = np.diff(times)
+    if np.any(h <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    return PchipInterpolant(times, values)
+    m = np.diff(values) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    # a zero secant divides by 0, and a tiny one overflows the mean to a 0 slope
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    ends = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
+    ends = np.where(np.sign(ends) != np.sign(m0), 0.0, np.where(steep, 3.0 * m0, ends))
+    d = np.concatenate([ends[:1], inner, ends[1:]])
+    bezier = np.column_stack([values[:-1] + h * d[:-1] / 3.0, values[1:] - h * d[1:] / 3.0])
+    return SplineInterpolant(
+        order=3,
+        knots=np.pad(np.repeat(times, 2), 2, mode="edge"),
+        coefficients=np.concatenate([values[:1], bezier.ravel(), values[-1:]]),
+        domain=(float(times[0]), float(times[-1])),
+    )
 
 
 def resample_uniform(interp, rate: float, t_start: float,

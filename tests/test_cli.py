@@ -204,8 +204,8 @@ def _loaded_heavy_scipy(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_signal_and_interpolate_unloaded():
-    # scipy.signal and scipy.interpolate load on first use only (the
-    # low-pass filter, PCHIP), and the banded LU comes from scipy's LAPACK
+    # scipy.signal loads on first use only (the low-pass filter), PCHIP
+    # needs no scipy.interpolate, and the banded LU comes from scipy's LAPACK
     # extension without the scipy.linalg package, so no default command
     # pays for their import
     assert _loaded_heavy_scipy("import nyqmirror.cli") == "[]"
@@ -215,13 +215,14 @@ def test_commands_leave_heavy_scipy_unloaded(tmp_path):
     # nor does running the commands move those imports into the run
     jobs = [
         ["predict", "--set", "interpolation.order=3"],
+        ["simulate", "--set", _scenario_with(), "--set", "interpolation.scheme=pchip"],
         ["tfr", "--set", _scenario_with(), "--set", "analysis.window_s=3",
          "--set", "analysis.method=sst", "--set", "mitigation.inf_mask=true"],
         ["physio", "--set", _SYNTH, "--set", "analysis.window_s=8",
          "--set", "analysis.method=mt_rm", "--set", "mitigation.inf_mask=true"],
     ]
     jobs = [[*job, "--out", str(tmp_path / job[0])] for job in jobs]
-    code = f"from nyqmirror.cli import main\nassert [main(j) for j in {jobs!r}] == [0, 0, 0]"
+    code = f"from nyqmirror.cli import main\nassert [main(j) for j in {jobs!r}] == [0] * 4"
     assert _loaded_heavy_scipy(code) == "[]"
 
 
@@ -778,6 +779,49 @@ def test_input_file_errors_name_the_file(tmp_path, capsys, command, content, mes
     err = capsys.readouterr().err
     assert rc == 2
     assert str(src) in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_oversized_rpeak_field_is_data_error(tmp_path, capsys):
+    # a field past the csv module's 131,072-character limit used to end in
+    # a _csv.Error traceback
+    src = tmp_path / "peaks.csv"
+    src.write_text("time_s\n" + "1" * 200_000 + "\n")
+    out = tmp_path / "x"
+    rc = main(["physio", "--set", f"input={src}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"nyqmirror: data error: {src}: row 2: field larger than")
+    assert not out.exists()
+
+
+def test_deeply_nested_config_file_is_config_error(tmp_path, capsys):
+    # json.loads' RecursionError used to escape as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", str(deep), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"nyqmirror: config error: config {deep} nests too deeply"]
+    assert not out.exists()
+
+
+def test_deeply_nested_set_value_is_config_error(tmp_path, capsys):
+    # 5,000 brackets are past what json.loads decodes; the depths just short
+    # of the recursion limit decode, and used to fail when the refusal
+    # encoded the value back into its message
+    out = tmp_path / "x"
+    limit = sys.getrecursionlimit()
+    for depth in [5_000, *range(limit - 100, limit + 1)]:
+        rc = main(["simulate", "--set", "scenario=" + "[" * depth + "]" * depth,
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("nyqmirror: config error: ") and "scenario" in line
+    assert line == "nyqmirror: config error: --set scenario: value nests too deeply"
     assert not out.exists()
 
 

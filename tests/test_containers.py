@@ -18,7 +18,7 @@ from nyqmirror import (
 )
 from nyqmirror.physio_io import RPeakRecord
 from nyqmirror.reflection import predict_components
-from nyqmirror.spline_interp import PchipInterpolant, frozen
+from nyqmirror.spline_interp import frozen, interpolate_pchip
 from nyqmirror.tf_analysis import DisplayMatrix, TFRepresentation, Window, WindowMeta
 
 # each container's array fields, with valid values, and its other fields
@@ -62,16 +62,19 @@ def test_container_arrays_are_read_only(cls):
     assert all(np.shares_memory(getattr(shared, name), a) for name, a in inputs.items())
 
 
-def test_pchip_interpolant_knots_are_read_only():
-    # its knots come in as ``times``, so ARRAYS' constructor names do not fit
+def test_pchip_spline_arrays_are_read_only():
+    # PCHIP builds its knots and coefficients from the samples, so the
+    # spline it returns holds neither of the caller's arrays
     times, values = np.arange(4.0), np.array([0.0, 1.0, 0.0, 1.0])
-    interp = PchipInterpolant(times, values)
-    assert not interp.knots.flags.writeable
+    interp = interpolate_pchip(SampleSet(times=times, values=values))
+    assert isinstance(interp, SplineInterpolant)
+    assert not interp.knots.flags.writeable and not interp.coefficients.flags.writeable
+    knots, coefficients = interp.knots.copy(), interp.coefficients.copy()
     times += 10.0
-    np.testing.assert_array_equal(interp.knots, np.arange(4.0))
+    values += 1.0
+    np.testing.assert_array_equal(interp.knots, knots)
+    np.testing.assert_array_equal(interp.coefficients, coefficients)
     assert interp.domain == (0.0, 3.0) and interp(1.5) == 0.5
-    times.setflags(write=False)
-    assert np.shares_memory(PchipInterpolant(times, values).knots, times)
 
 
 def test_frozen_keeps_read_only_views():

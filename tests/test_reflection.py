@@ -55,10 +55,10 @@ def test_harmonic_uniform_components():
     np.testing.assert_allclose(by_k[0].if_curve(t), 2.5, atol=1e-12)
     np.testing.assert_allclose(by_k[1].if_curve(t), 3.5, atol=1e-12)
     np.testing.assert_allclose(
-        by_k[0].amp_curve(t), fundamental_spline_spectrum(3, beta), rtol=1e-9
+        by_k[0].amplitude, fundamental_spline_spectrum(3, beta), rtol=1e-9
     )
     np.testing.assert_allclose(
-        by_k[1].amp_curve(t), fundamental_spline_spectrum(3, 1.0 - beta), rtol=1e-9
+        by_k[1].amplitude, fundamental_spline_spectrum(3, 1.0 - beta), rtol=1e-9
     )
     # strongest first: the k = 0 base dominates
     assert comps[0].k == 0
@@ -69,10 +69,9 @@ def test_harmonic_uniform_components_order_12():
     comps = predict_components(sc.signal, uniform_scheme(6.0), 12, (-2, 2), GRID)
     by_k = {c.k: c for c in comps}
     beta = 2.5 / 6.0
-    t = np.array([1.0, 40.0])
     for k in (0, 1, -1, 2):
         np.testing.assert_allclose(
-            by_k[k].amp_curve(t), fundamental_spline_spectrum(12, k - beta),
+            by_k[k].amplitude, fundamental_spline_spectrum(12, k - beta),
             rtol=1e-9,
         )
 
@@ -202,17 +201,17 @@ def test_synthesis_makes_one_kernel_for_every_k(monkeypatch, name, n):
 
 
 def test_components_make_one_kernel_for_every_k(monkeypatch):
-    # the grid amplitudes of every k come from one kernel; each is its
-    # amp_curve on the grid, bit for bit, and its peak ranks it
+    # the grid amplitudes of every k come from one kernel; each is
+    # a(t) eta_hat_n(k - beta) on the grid, bit for bit, and its peak ranks it
     sc = builtin_scenario("fig2")
     made = counted_kernels(monkeypatch)
     comps = predict_components(sc.signal, sc.scheme, 12, (-3, 3), GRID)
     assert len(made) == 1 and len(comps) == 7
+    kernel = image_kernel(12, sc.signal.iff(GRID) / sc.scheme.psi_prime(GRID))
     for comp in comps:
-        assert comp.amplitude.tobytes() == comp.amp_curve(GRID).tobytes()
+        assert comp.amplitude.tobytes() == (sc.signal.am(GRID) * kernel(comp.k)).tobytes()
         assert not comp.amplitude.flags.writeable
         assert comp.peak_amp == np.max(np.abs(comp.amplitude))
-    assert len(made) == 1 + len(comps)
 
 
 @pytest.mark.parametrize("rate", [1e13, np.inf, np.nan, 0.0, -64.0])

@@ -527,6 +527,30 @@ def test_knot_exactness_random_sets(n, seed):
 # PCHIP
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), size=st.integers(3, 40),
+       kind=st.sampled_from(["random", "flat runs", "sign changes"]),
+       scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]))
+@example(seed=5, size=3, kind="random", scale=1.0)
+@example(seed=6, size=3, kind="sign changes", scale=1e-200)
+@example(seed=7, size=12, kind="flat runs", scale=1e200)
+def test_pchip_matches_scipy(seed, size, kind, scale):
+    # the Fritsch-Carlson slopes of scipy's PchipInterpolator (the oracle,
+    # imported here only) on the order-3 spline with double interior knots
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(seed)
+    t = random_knots(rng, size)
+    v = {"random": lambda: rng.normal(size=size),
+         "flat runs": lambda: rng.integers(-2, 3, size).astype(float),
+         "sign changes": lambda: (-1.0) ** np.arange(size) * rng.uniform(0.5, 2.0, size),
+         }[kind]() * scale
+    interp = interpolate_pchip(SampleSet(times=t, values=v))
+    x = np.concatenate([t, np.linspace(t[0], t[-1], 500)])
+    want = PchipInterpolator(t, v)(x)
+    assert np.max(np.abs(interp(x) - want)) <= 1e-14 * np.max(np.abs(v))
+
+
 def test_pchip_monotone_preserved():
     t = np.array([0.0, 0.5, 1.2, 2.0, 3.5, 4.0])
     v = np.array([0.0, 0.1, 0.9, 1.0, 3.0, 3.1])

@@ -22,10 +22,10 @@ the printed paths), or a report whose values were not recorded, as
 The job list is the benchmark's 7 jobs at seed 1, ``tfr`` fig2 under every
 method with ``inf_mask`` (and ``sst`` again at ``interpolation.order=12``),
 ``predict`` fig1 and fig2 at orders 3 and 12 with and without
-``predict.k_min=-3`` (two of them benchmark jobs), ``simulate`` fig2, and a
-240 s ``physio`` synth under ``mt_sst`` with and without ``inf_mask`` and
-with ``physio.edr_scheme=12``.  The order-12 transforms keep part of their
-bins in most blocks.
+``predict.k_min=-3`` (two of them benchmark jobs), ``simulate`` fig2 with
+the B-spline and with PCHIP, and a 240 s ``physio`` synth under ``mt_sst``
+with and without ``inf_mask`` and with ``physio.edr_scheme=12`` and
+``pchip``.  The order-12 transforms keep part of their bins in most blocks.
 ``nyqmirror`` is imported from ``PYTHONPATH`` when it is found there, else
 from this checkout's ``src``, so the same jobs can be run on another commit.
 """
@@ -80,10 +80,12 @@ def job_list(inputs: Path) -> dict[str, list[str]]:
                 jobs[f"predict-{scenario}-{order}"] = argv
             jobs[f"predict-{scenario}-{order}-kmin3"] = [*argv, "--set", "predict.k_min=-3"]
     jobs["simulate-fig2"] = ["simulate", "--set", "scenario=fig2"]
+    jobs["simulate-fig2-pchip"] = [*jobs["simulate-fig2"], "--set", "interpolation.scheme=pchip"]
     physio = ["physio", "--set", "physio.synth={}", "--set", "analysis.method=mt_sst"]
     jobs["physio-synth-mt_sst"] = physio
     jobs["physio-synth-mt_sst-masked"] = [*physio, *_MASKED]
     jobs["physio-synth-mt_sst-edr12"] = [*physio, "--set", "physio.edr_scheme=12"]
+    jobs["physio-synth-mt_sst-edrpchip"] = [*physio, "--set", "physio.edr_scheme=pchip"]
     return jobs
 
 

@@ -32,6 +32,7 @@ _MISSING = object()  # the value of an object key left out, if it has no default
 # order 40 on fig2, and predict costs about 1.2 ms per reflection order k
 _MAX_ORDER = 31
 _MAX_K = 64
+_SHOWN = 80  # characters of a refused value that its message echoes
 
 
 class _Leaf(NamedTuple):
@@ -114,6 +115,16 @@ def _nest(flat: dict) -> dict:
 DEFAULT_CONFIG = _nest({where: leaf.default for where, leaf in _LEAVES.items()})
 
 
+def _shown(value) -> str:
+    """A refused ``value`` as its message shows it: its JSON, or past
+    ``_SHOWN`` characters their start and the whole length."""
+    try:
+        text = "nothing" if value is _MISSING else json.dumps(value)
+    except RecursionError:  # nested just short of what json.loads refuses
+        return "a value that nests too deeply"
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text):,} characters)"
+
+
 def _typed(value, leaf: _Leaf, where: str):
     """``value`` as the type ``leaf`` allows (an integral number as an int,
     an int as a float, an object with its defaults filled in) and within
@@ -131,17 +142,13 @@ def _typed(value, leaf: _Leaf, where: str):
         return _typed_object(value, leaf, where)
     elif number or not (value is None and leaf.default is None or type(value) in kinds):
         names = [_KIND_NAMES[k] for k in kinds] + ["null"] * (leaf.default is None)
-        try:
-            got = "nothing" if value is _MISSING else json.dumps(value)
-        except RecursionError:  # nested just short of what json.loads refuses
-            got = "a value that nests too deeply"
-        raise ConfigError(f"{where} must be {' or '.join(names)}, got {got}")
+        raise ConfigError(f"{where} must be {' or '.join(names)}, got {_shown(value)}")
     if isinstance(value, str) and leaf.choices and value not in leaf.choices:
         raise ConfigError(f"{where} must be one of {', '.join(leaf.choices)}, "
-                          f"got {json.dumps(value)}")
+                          f"got {_shown(value)}")
     if number and (not leaf.lo <= value <= leaf.hi or leaf.positive and value <= 0):
         bounds = "> 0" if leaf.positive else f"in [{leaf.lo}, {leaf.hi}]"
-        raise ConfigError(f"{where} must be {bounds}, got {value}")
+        raise ConfigError(f"{where} must be {bounds}, got {_shown(value)}")
     return value
 
 
@@ -184,7 +191,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past 4,300 digits
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         except RecursionError:
             raise ConfigError(f"config {path} nests too deeply") from None
@@ -195,7 +202,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         dotted, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int past 4,300 digits: a string
             value = raw
         except RecursionError:
             raise ConfigError(f"--set {dotted}: value nests too deeply") from None

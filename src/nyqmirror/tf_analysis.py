@@ -7,8 +7,9 @@ phase is referenced to the frame center (so Im[V_dg / V_g] is direct), and
 one gather and one batched FFT per block of frames give all windows' spectra
 frames-major.  A block holds about ``_BLOCK_CELLS`` cells a window whatever
 the bin count (fewer frames for many tapers), so the reductions' temporaries
-stay in cache.  Identical inputs give bit-identical matrices for any block
-size.
+stay in cache.  A sharpened transform checks its floor after one pass and
+runs again only the blocks it decided wrongly.  Identical inputs give
+bit-identical matrices for any block size.
 """
 
 from __future__ import annotations
@@ -40,21 +41,14 @@ _BLOCK_TAPERS = 3
 # the display clips |R| at this quantile and is never below its floor
 _DISPLAY_QUANTILE, _DISPLAY_FLOOR = 0.998, 1e-2
 # bytes per cell live at once in each transform, by method and whether its
-# output is complex: 1.17x (24 B over the largest, 20.6) those traced at 2049
-# x 512 cells, the stft 17.1 (complex) and 9.2 (real), the SST 20.6 and 12.6,
-# the RM 13.0, and the multitaper 20.6 (sst) and 19.7 (rm) at 3 tapers, 16.8
-# and 16.1 at 2 and 18.5 and 17.8 at 10.  Past the output's 8 or 16 the rest
-# is per-block buffers, which do not grow with the matrix.
+# output is complex: at least 1.17x those traced at 2049 x 512 cells, the
+# stft 17.1 (complex) and 9.2 (real), the SST 19.9 and 11.9, the RM 12.2, and
+# the multitaper 18.5 (sst) and 16.5 (rm) at 3 tapers, 15.4 and 14.1 at 2 and
+# 16.6 and 14.8 at 10.  Past the output's 8 or 16 the rest is per-block
+# buffers, which do not grow with the matrix.
 _LIVE_BYTES_PER_CELL = {("stft", True): 20, ("stft", False): 11, ("sst", True): 24,
                         ("sst", False): 15, ("rm", False): 16, ("mt_sst", False): 24,
                         ("mt_rm", False): 23}
-# _sharpened's cap on a computed |V_g| is max|values| sum|taps_k| times 1 +
-# this: the FFT's rounding adds at most c u log2(nfft) sqrt(nfft) of the first
-# factor (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
-# Thm 24.2; c < 100 for pocketfft's radices and Bluestein), 4.6e-7 at nfft =
-# 2^40, past any transform that fits in memory, and the tap products, sums
-# and modulus a few u; subnormal roundings stay under the tiny the cap adds.
-_CEILING_MARGIN = 2.0 ** -20
 
 
 class WindowMeta(NamedTuple):
@@ -266,14 +260,14 @@ def _overflow(values: np.ndarray) -> ValueError:
 
 
 def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: int,
-             begin: int = 0):
-    """Yield (start, spec) per block of ``step`` frames from frame ``begin``:
-    ``spec[:, k]`` is the (frames, bins) STFT block of window ``taps[k]``,
-    in a buffer the next block reuses.  One gather of frames and one batched
-    FFT serve all windows; the FFT buffer is rotated so that phase is
-    measured from the frame center.  Spectrum values, their moduli and the
-    FFT's partial sums stay within 2 max|values| sum|tap|: refused if that
-    reaches half the float64 range."""
+             starts=None):
+    """Yield (start, spec) per block of ``step`` frames, every block or those
+    from the frames ``starts``: ``spec[:, k]`` is the (frames, bins) STFT
+    block of window ``taps[k]``, in a buffer the next block reuses.  One
+    gather of frames and one batched FFT serve all windows; the FFT buffer
+    is rotated so that phase is measured from the frame center.  Spectrum
+    values, their moduli and the FFT's partial sums stay within 2
+    max|values| sum|tap|: refused if that reaches half the float64 range."""
     bound = float(np.max(np.abs(values))) * float(np.abs(taps).sum(axis=1).max())
     if not bound < np.finfo(float).max / 4:
         raise _overflow(values)
@@ -284,12 +278,23 @@ def _spectra(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int, step: in
     frames = np.lib.stride_tricks.sliding_window_view(padded, w_len)[::hop]
     buf = np.zeros((step, count, nfft))
     spec = np.empty((step, count, nfft // 2 + 1), dtype=complex)
-    for start in range(begin, frames.shape[0], step):
+    for start in range(0, frames.shape[0], step) if starts is None else starts:
         blk = frames[start:start + step, None]
         n = blk.shape[0]
         np.multiply(blk[..., half:], taps[:, half:], out=buf[:n, :, :half + 1])
         np.multiply(blk[..., :half], taps[:, :half], out=buf[:n, :, nfft - half:])
         yield start, np.fft.rfft(buf[:n], axis=-1, out=spec[:n])
+
+
+def _peak_blocks(values: np.ndarray, taps: np.ndarray, hop: int, nfft: int,
+                 step: int) -> list:
+    """The first frames, sorted and distinct, of the blocks of ``step`` frames
+    holding each window's largest |V| on a coarse grid: the least power of
+    two >= the window length (at most ``nfft``), in blocks of equal size."""
+    coarse = min(nfft, 1 << (taps.shape[1] - 1).bit_length())
+    top = np.concatenate([np.abs(spec).max(axis=2) for _, spec  # (frames, windows)
+                          in _spectra(values, taps, hop, coarse, step * (nfft // coarse))])
+    return sorted(set((top.argmax(axis=0) // step * step).tolist()))
 
 
 def _stft(sig: UniformSignal, window: Window, hop: int, nfft: int, chunk: int,
@@ -338,14 +343,17 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     One pass makes V_g in one batched FFT per block with what the ratios
     need: a window's own g' (and t g), whose spectra over V_g give V_dg / V_g
     (and V_tg / V_g), or the ladder's w_0 .. w_K, whose F_{k-1} / F_k and
-    F_{k+1} / F_k give taper k's.  Taper k's floor threshold * max|V_g| is
-    at most its ceiling, threshold times the cap on every |V_g| of taper k,
-    and at least threshold times the running max|V_g| of the blocks read so
-    far: a cell above the ceiling is kept and one at or below that running
-    floor dropped under any floor.  So blocks with no cell between the two
-    are decided without the floor (at threshold 0 every block is); at the
-    first block with one, a pass over the later frames' taper rows alone
-    finishes max|V_g|, and the floor decides that block and the rest.  Each
+    F_{k+1} / F_k give taper k's.  Taper k keeps the cells above its floor
+    threshold * max|V_g| (0 at threshold 0).  Above 0, the exact max|V_g| of
+    the blocks where a coarse scan (``_peak_blocks``) finds each taper's
+    largest |V| seeds a running peak; each block, read in order, keeps the
+    cells above threshold times that peak (its own max included) and notes
+    its least kept |V_g|.  The pass reads each frame's taper rows once, so
+    its peak gives the exact floor, and a block whose least kept |V_g| is at
+    or below it runs again under it: for SST that block alone, for RM, whose
+    masses cross blocks, the whole pass from zero.  The seed's rows are the
+    pass's, bit for bit (rfft transforms each row alone), so no running
+    floor is above the floor, and the scan only decides the speed.  Each
     block works only on its kept bin span, from the first to the last bin
     where some frame and taper is kept (none: the block's sums stay 0; an
     order-12 R-peak mt_sst keeps 31 to 42 % of its cells, in 34 to 47 % of
@@ -374,8 +382,14 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
     freqs, times, step = _frame_plan(sig, taps.shape[1], hop, nfft, chunk,
                                      (name, sst and not magnitude), count)
     n_bins, n_frames = freqs.size, times.size
+    seed = np.zeros(count)  # the exact max|V_g| of the blocks the coarse scan picks
+    if threshold > 0.0:
+        picked = _peak_blocks(sig.values, taps[:count], hop, nfft, step)
+        seed = np.max([np.abs(spec).max(axis=(0, 2)) for _, spec
+                       in _spectra(sig.values, taps[:count], hop, nfft, step, picked)], axis=0)
     mag = np.empty((step, count, n_bins))
-    peak, floor = np.zeros(count), None
+    top, floor = np.zeros(count), None if threshold > 0.0 else np.zeros((count, 1))
+    low = np.full((-(-n_frames // step), count), np.inf)  # least kept |V_g| per block
 
     size = step * count * n_bins  # flat buffers: a block's span is a leading view
     est = np.empty((1 if sst else 2, size))  # bin (and frame) targets
@@ -395,28 +409,34 @@ def _sharpened(sig: UniformSignal, window: Window | _Ladder, hop: int, nfft: int
                             for c in (ladder.lower[1:], -ladder.upper))
         time_lo, time_hi = (np.multiply(c, ladder.scale)[:, None]
                             for c in (ladder.lower[1:], ladder.upper))
+
+    def blocks():  # the pass, then each block that kept a cell the exact floor drops
+        nonlocal floor
+        yield from _spectra(sig.values, taps, hop, nfft, step)
+        if floor is None:  # exact: the pass read each frame's taper rows once
+            floor = threshold * top[:, None]
+            missed = np.flatnonzero((low <= floor.T).any(axis=1))
+            if missed.size:  # RM masses cross blocks: all run again, from zero
+                acc.fill(0.0)
+                yield from _spectra(sig.values, taps, hop, nfft, step,
+                                    missed * step if sst else None)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cap = (float(np.max(np.abs(sig.values))) * np.abs(taps[:count]).sum(axis=1)
-               + np.finfo(float).tiny) * (1.0 + _CEILING_MARGIN)
-        ceiling = (threshold * cap)[:, None]  # not finite only where _spectra refuses
-        for start, spec in _spectra(sig.values, taps, hop, nfft, step):
+        for start, spec in blocks():
             n = spec.shape[0]
             frames = slice(start, start + n)
             m = np.abs(spec[:, :count], out=mag[:n])
-            keep = m > (ceiling if floor is None else floor)
-            if floor is None:  # a cell between the running floor and the ceiling?
-                peak = np.maximum(peak, m.max(axis=(0, 2)))
-                if np.count_nonzero(m > threshold * peak[:, None]) > np.count_nonzero(keep):
-                    for _, rest in _spectra(sig.values, taps[:count], hop, nfft, step, start + n):
-                        peak = np.maximum(peak, np.abs(rest).max(axis=(0, 2)))
-                    floor = threshold * peak[:, None]
-                    keep = m > floor
+            if floor is None:  # the running peak's floor, checked after the pass
+                top = np.maximum(top, m.max(axis=(0, 2)))
+            keep = m > (threshold * np.maximum(seed, top)[:, None] if floor is None else floor)
             kept = np.flatnonzero(keep.any(axis=(0, 1)))
             if kept.size:  # the ratios, targets and sums over the kept bin span only
                 lo, hi = kept[0], kept[-1] + 1
                 spec, keep, m = spec[..., lo:hi], keep[..., lo:hi], m[..., lo:hi]
                 shape = (n, count, hi - lo)
                 v, fbin = spec[:, :count], est[0, :m.size].reshape(shape)
+                if floor is None:  # m / keep: a kept |V_g|, else inf (NaN at 0)
+                    low[start // step] = np.fmin.reduce(np.divide(m, keep, out=fbin), (0, 2))
                 if not sst:
                     col = est[1, :m.size].reshape(shape)
                 if ladder is None:  # each ratio overwrites its spectrum
@@ -499,9 +519,9 @@ def multitaper(sig: UniformSignal, duration_s: float, taper_count: int,
     the elementwise arithmetic mean over tapers of the magnitude (sst) or
     mass (rm) matrices; needs taper_count >= 2.  All tapers run in one pass
     over the frames, each taper's g' and t g taken from the Hermite ladder
-    of its neighbours (``_Ladder``): K + 1 FFT rows per frame, and K more on
-    the frames after the first block holding a cell near the floor, which
-    that floor needs; the one output matrix plus per-block buffers are live.
+    of its neighbours (``_Ladder``): K + 1 FFT rows per frame, and above
+    threshold 0 the floor's K more on a coarse grid and on at most K blocks
+    (``_sharpened``); the one output matrix plus per-block buffers are live.
     A mean with a cell past float64 is refused, a ValueError naming the
     peak; one that float64 holds is returned, whatever a frame's sum |V_g|."""
     if taper_count < MULTITAPER_TAPERS[0]:

@@ -825,6 +825,26 @@ def test_deeply_nested_set_value_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("assignment, key", [
+    ("analysis.window_s=" + json.dumps(list(range(3000))), "analysis.window_s"),
+    ("scenario=" + "[" * 900 + "]" * 900, "scenario"),
+    ("analysis.method=" + "x" * 5000, "analysis.method"),
+    ("predict.k_max=" + "9" * 1000, "predict.k_max"),
+    ("predict.k_max=" + "9" * 5000, "predict.k_max"),  # past int's 4,300-digit parse
+])
+def test_long_refused_value_is_echoed_short(tmp_path, capsys, assignment, key):
+    # the refusal used to echo the whole value: 16,962 characters for the
+    # list, 1,869 for the brackets; a 5,000-digit number was a data error
+    out = tmp_path / "x"
+    rc = main(["simulate", "--set", assignment, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"nyqmirror: config error: {key} must be ")
+    assert line.endswith(" characters)") and len(line) <= 200
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["tfr", "physio"])
 def test_frame_times_that_do_not_increase_are_refused_by_name(tmp_path, capsys, command):
     # 0.1 s steps at 1e15 s and 0.125 s steps at 1e16 s are below the float

@@ -1,12 +1,22 @@
-"""Relations between two CLI runs that the mathematics ties together."""
+"""Relations between two runs that the mathematics ties together: through
+the CLI (amplitude) and through the library (time)."""
 
 import json
 
 import numpy as np
 import pytest
 
+from nyqmirror import (
+    SampleSet,
+    builtin_scenario,
+    interpolate_nonuniform,
+    interpolate_pchip,
+    resample_uniform,
+    sample_signal,
+)
 from nyqmirror.cli import main
 from nyqmirror.formats import read_tfr_binary
+from nyqmirror.tf_analysis import TF_METHODS, tf_magnitude
 
 # a cosine-scheme scenario small enough for a run in tens of ms: 513 bins x
 # 161 frames at the default nfft
@@ -49,3 +59,37 @@ def test_amplitude_times_a_power_of_two_scales_the_matrices_exactly(tmp_path, me
         for name in ("inf.csv", "ridge_below_inf.csv", "ridge_above_inf.csv",
                      "mask_report.json"):
             assert scaled[name].read_bytes() == base[name].read_bytes(), (name, k)
+
+
+# fig2's first 30 s of samples: about 240 of them, 241 frames x 513 bins
+# at 32 Hz, a 10 s window, hop 4 and nfft 1024
+FIG2 = builtin_scenario("fig2")
+FIG2_SAMPLES = sample_signal(FIG2.signal, FIG2.scheme, 0.0, 30.0)
+
+
+def _time_scaled_run(scale: float, interpolation) -> dict:
+    """Each TF method's matrix of fig2's samples at times ``scale`` times
+    theirs, resampled at 32 Hz / ``scale`` with a 10 s * ``scale`` window;
+    ``interpolation`` is a spline order or 'pchip'."""
+    samples = SampleSet(FIG2_SAMPLES.times * scale, FIG2_SAMPLES.values)
+    interp = (interpolate_pchip(samples) if interpolation == "pchip"
+              else interpolate_nonuniform(samples, interpolation))
+    sig = resample_uniform(interp, 32.0 / scale, samples.times[0], samples.times[-1])
+    return {method: tf_magnitude(sig, method, 10.0 * scale, 4, 1024, 3, 1e-8)
+            for method in TF_METHODS}
+
+
+@pytest.mark.parametrize("interpolation", [3, 12, "pchip"])
+def test_time_times_a_power_of_two_keeps_the_matrices_exactly(interpolation):
+    # time and rate scale exactly by a power of two, and every step is
+    # scale-free: the B-spline's knot ratios, the resampling grid in
+    # samples, the window in samples, the reassigned bin and frame in grid
+    # units.  So each matrix keeps its bits, and its axes scale exactly
+    base = _time_scaled_run(1.0, interpolation)
+    for k in (-3, 2, 5):
+        for method, tfr in _time_scaled_run(2.0 ** k, interpolation).items():
+            want = base[method]
+            assert np.count_nonzero(want.matrix), method
+            assert np.array_equal(tfr.matrix, want.matrix), (method, k)
+            assert np.array_equal(tfr.time_axis, want.time_axis * 2.0 ** k), (method, k)
+            assert np.array_equal(tfr.freq_axis, want.freq_axis / 2.0 ** k), (method, k)

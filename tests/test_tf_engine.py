@@ -319,12 +319,28 @@ def gap_tone(length=701):
     return UniformSignal(values, rate=RATE, t_start=1.25)
 
 
+def _oracle_case(method, sig, threshold, hop=65, nfft=65):
+    """The oracle matrix of ``method`` on ``sig``, the spectra of its tapers
+    (tapers, bins, frames) and the engine as a function of chunk."""
+    if method.startswith("mt_"):
+        rows = _hermite_ladder(1.0, RATE, 3).rows[:3]
+        return (oracle_multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold),
+                np.array([oracle_spectrum(sig, row, hop, nfft) for row in rows]),
+                lambda chunk: multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold,
+                                         chunk=chunk))
+    win = WINDOWS["gaussian"]
+    engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
+                      "rm": (reassign, oracle_reassign)}[method]
+    return (oracle(sig, win, hop, nfft, threshold), oracle_stft(sig, win, hop, nfft)[None],
+            lambda chunk: engine(sig, win, hop, nfft, threshold, chunk=chunk))
+
+
 def _span_kinds(blocks, spectra, threshold):
     """The kinds of kept bin span of the blocks (start, frames): 'empty',
     'full', 'low' (from bin 0, short of the top) or 'inner' (past bin 0).
     A block keeps the bins where some frame and taper clears that taper's
     floor threshold * max|V_g|."""
-    mags = np.abs(np.asarray(spectra))  # (tapers, bins, frames)
+    mags = np.abs(spectra)  # (tapers, bins, frames)
     keep = mags > threshold * mags.max(axis=(1, 2))[:, None, None]
     kinds = set()
     for start, frames in blocks:
@@ -344,23 +360,7 @@ def test_partial_and_empty_bin_spans_match_oracle(monkeypatch, method, threshold
     # the second pass works on each block's kept bin span only: spans that
     # stop short of the top bin or start past bin 0, and empty ones, keep
     # every bit at every block size
-    sig, hop, nfft = gap_tone(), 4, 256
-    if method.startswith("mt_"):
-        want = oracle_multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold)
-        spectra = [oracle_spectrum(sig, row, hop, nfft)
-                   for row in _hermite_ladder(1.0, RATE, 3).rows[:3]]
-
-        def transform(chunk):
-            return multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold, chunk=chunk)
-    else:
-        win = WINDOWS["gaussian"]
-        engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
-                          "rm": (reassign, oracle_reassign)}[method]
-        want, spectra = oracle(sig, win, hop, nfft, threshold), [oracle_stft(sig, win, hop, nfft)]
-
-        def transform(chunk):
-            return engine(sig, win, hop, nfft, threshold, chunk=chunk)
-
+    want, spectra, transform = _oracle_case(method, gap_tone(), threshold, 4, 256)
     blocks, spectra_of = set(), tf_analysis._spectra
 
     def recording(*args):
@@ -379,15 +379,16 @@ def test_partial_and_empty_bin_spans_match_oracle(monkeypatch, method, threshold
     *[(m, k, 2 * k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
 ])
 def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
-    # at threshold 0.5 a cell lies between the running floor and the
-    # ceiling in the first block, so every later frame pays the floor pass:
-    # sst and rm transform V_g twice; the multitaper K taper rows, then
-    # those and the ladder's helper row w_K.  The first block's frames skip
-    # the floor pass (the stft has none).
-    paid = _fft_rows_per_frame(monkeypatch, method, tapers, 0.5)
-    skipped = 0 if method == "stft" else tapers
-    assert paid[-1] == rows and np.all(np.diff(paid) >= 0)
-    assert np.unique(paid).tolist() == sorted({rows - skipped, rows})
+    # above threshold 0 each frame pays its rows once at nfft 256 and its K
+    # taper rows once on the coarse scan's grid (128, the least power of two
+    # over the 65-sample window): sst and rm 1, the multitaper K.  The
+    # frames of the blocks the scan picks pay the K taper rows once more at
+    # 256, and no block runs again on chirp_noise (the stft has no floor)
+    scan = 0 if method == "stft" else tapers
+    for threshold in (0.5, 1e-8):
+        full, coarse = _fft_rows_per_frame(monkeypatch, method, tapers, threshold)
+        assert np.all(coarse == scan) and np.all(full >= rows - scan)
+        assert set(np.unique(full - (rows - scan))) == ({0, scan} if scan else {0})
 
 
 @pytest.mark.parametrize("method, tapers, rows", [
@@ -395,26 +396,17 @@ def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
     *[(m, k, k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
 ])
 def test_fft_rows_per_frame_at_threshold_0(monkeypatch, method, tapers, rows):
-    # at threshold 0 the floor and its bounds are all 0, so no block holds
-    # a cell between them and no frame pays the floor pass
-    assert np.all(_fft_rows_per_frame(monkeypatch, method, tapers, 0.0) == rows)
-
-
-@pytest.mark.parametrize("method, tapers, rows", [
-    ("sst", 1, 2), ("rm", 1, 3),
-    *[(m, k, k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
-])
-def test_fft_rows_per_frame_when_every_cell_clears_the_ceiling(monkeypatch, method, tapers,
-                                                               rows):
-    # at threshold 1e-8 every cell of chirp_noise lies above its ceiling,
-    # so the floor is never needed and no frame pays its pass
-    assert np.all(_fft_rows_per_frame(monkeypatch, method, tapers, 1e-8) == rows)
+    # at threshold 0 the floor is 0: no scan, and no frame pays more than
+    # one transform of its rows
+    full, coarse = _fft_rows_per_frame(monkeypatch, method, tapers, 0.0)
+    assert np.all(full == rows) and not coarse.any()
 
 
 def _fft_rows_per_frame(monkeypatch, method, tapers, threshold):
-    """The FFT rows that each frame of chirp_noise pays: the rows of every
-    block of ``_spectra`` that reads it, which together are the rows that
-    numpy's rfft transforms."""
+    """The FFT rows that each frame of chirp_noise pays at the transform's
+    nfft (256) and on the coarse scan's grid (128): the rows of every block
+    of ``_spectra`` that reads it, which together are the rows that numpy's
+    rfft transforms."""
     counted, blocks = [], []
     rfft, spectra_of = np.fft.rfft, tf_analysis._spectra
 
@@ -422,100 +414,134 @@ def _fft_rows_per_frame(monkeypatch, method, tapers, threshold):
         counted.append(int(np.prod(np.shape(a)[:-1])))
         return rfft(a, *args, **kwargs)
 
-    def recording(values, taps, *args):
-        for start, spec in spectra_of(values, taps, *args):
-            blocks.append((start, spec.shape[0], taps.shape[0]))
+    def recording(values, taps, hop, nfft, *args):
+        for start, spec in spectra_of(values, taps, hop, nfft, *args):
+            blocks.append((start, spec.shape[0], taps.shape[0], nfft))
             yield start, spec
 
     monkeypatch.setattr(np.fft, "rfft", counting)
     monkeypatch.setattr(tf_analysis, "_spectra", recording)
     tfr = tf_magnitude(chirp_noise(611), method, 1.0, 4, 256, tapers, threshold)
-    paid = np.zeros(tfr.time_axis.size, dtype=int)
-    for start, frames, rows in blocks:
-        paid[start:start + frames] += rows
-    assert paid.sum() == sum(counted)
-    return paid
+    paid = {nfft: np.zeros(tfr.time_axis.size, dtype=int) for nfft in (256, 128)}
+    for start, frames, rows, nfft in blocks:
+        paid[nfft][start:start + frames] += rows
+    assert sum(p.sum() for p in paid.values()) == sum(counted)
+    return paid[256], paid[128]
 
 
 def late_floor(threshold, width=65):
     """Twelve frames of ``width`` samples at hop ``width``, so that each
-    frame sees one segment: silence; three frames of 1.0, the peak, whose
-    window spectrum falls from above the ceiling to at or below the running
-    floor between two bins; silence; 1.5 * threshold, whose bin 0 lies
-    between the floor and the ceiling (twice the floor, set by the spike);
-    a spike of 2.0, the signal's largest value; silence."""
+    frame sees one segment: silence; 1.5 * threshold, whose bin 0 lies
+    just above the floor and whose other bins lie under it, some above
+    threshold times their own frame's max; silence; three frames of 1.0,
+    the peak; silence."""
     values = np.zeros(12 * width - width // 2)
-    for frame, level in ((1, 1.0), (2, 1.0), (3, 1.0), (9, 1.5 * threshold)):
+    for frame, level in ((2, 1.5 * threshold), (8, 1.0), (9, 1.0), (10, 1.0)):
         values[frame * width - width // 2:(frame + 1) * width - width // 2] = level
-    values[10 * width] = 2.0
     return UniformSignal(values, rate=RATE)
+
+
+def _record_passes(monkeypatch):
+    """Each ``_spectra`` call as it runs: its window count, nfft and the
+    starts of the blocks it reads."""
+    passes, spectra_of = [], tf_analysis._spectra
+
+    def recording(values, taps, hop, nfft, step, starts=None):
+        read = []
+        passes.append((taps.shape[0], nfft, read))
+        for start, spec in spectra_of(values, taps, hop, nfft, step, starts):
+            read.append(start)
+            yield start, spec
+
+    monkeypatch.setattr(tf_analysis, "_spectra", recording)
+    return passes
 
 
 @pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_floor_found_after_its_peak_matches_oracle(monkeypatch, method, chunk):
-    # blocks before the floor is known keep only cells above the ceiling,
-    # and the floor pass starts past the first block holding a cell between
-    # the running floor and the ceiling: the peak read before that block
-    # counts towards the floor, and the cells dropped before it stay
-    # dropped.  Every bit is the oracle's, at every block size.
-    threshold, hop, nfft = 1e-5, 65, 65
-    sig = late_floor(threshold)
-    if method.startswith("mt_"):
-        want = oracle_multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold)
-        spectra = [oracle_spectrum(sig, row, hop, nfft)
-                   for row in _hermite_ladder(1.0, RATE, 3).rows[:3]]
-
-        def transform():
-            return multitaper(sig, 1.0, 3, hop, nfft, method[3:], threshold, chunk=chunk)
-    else:
-        win = WINDOWS["gaussian"]
-        engine, oracle = {"sst": (synchrosqueeze, oracle_synchrosqueeze),
-                          "rm": (reassign, oracle_reassign)}[method]
-        want, spectra = oracle(sig, win, hop, nfft, threshold), [oracle_stft(sig, win, hop, nfft)]
-
-        def transform():
-            return engine(sig, win, hop, nfft, threshold, chunk=chunk)
-
-    passes, spectra_of = [], tf_analysis._spectra
-
-    def recording(values, taps, hop, nfft, step, begin=0):
-        passes.append((begin, []))
-        blocks = passes[-1][1]
-        for start, spec in spectra_of(values, taps, hop, nfft, step, begin):
-            blocks.append((start, start + spec.shape[0]))
-            yield start, spec
-
-    monkeypatch.setattr(tf_analysis, "_spectra", recording)
-    assert_same_bits(transform().matrix, want)
-    (first, blocks), (rest, _) = passes  # the transform's pass and the floor's
-    if chunk == 4096:  # one block: the floor is found in it
-        assert blocks == [(0, 12)] and rest == 12
-        return
-    assert first == 0
-    resolved = next(a for a, b in blocks if b == rest)  # the block holding the first
-    assert resolved == (9 if chunk == 1 else 7)  # cell between the bounds: 1.5 * threshold's
-    mags = np.abs(np.asarray(spectra))  # (tapers, bins, frames)
+    # the peak comes late, yet the scan picks its block and seeds the
+    # floor with its exact max|V_g|: the pass reads every block once, in
+    # order, and the blocks before the peak drop the cells that a floor of
+    # the peak read so far would keep.  Every bit is the oracle's.
+    threshold = 1e-5
+    want, spectra, transform = _oracle_case(method, late_floor(threshold), threshold)
+    passes = _record_passes(monkeypatch)
+    assert_same_bits(transform(chunk).matrix, want)
+    count = spectra.shape[0]
+    (_, coarse, _), (windows, _, seeded), (rows, _, read) = passes  # scan, seed, pass
+    step = min(chunk, 12)
+    assert coarse == 65 and windows == count  # the coarse grid is nfft itself here
+    assert rows == {"sst": 2, "rm": 3}.get(method, count + 1)
+    assert seeded == [8 // step * step] and read == list(range(0, 12, step))
+    mags = np.abs(spectra)
     floor = threshold * mags.max(axis=(1, 2))[:, None, None]
-    assert np.argmax(mags[0].max(axis=0)) < resolved  # the peak, before it
-    early = mags[..., :resolved]
-    assert np.any((early > 0.0) & (early <= floor))  # cells dropped before it
+    early = mags[..., :seeded[0]]
+    if chunk < 12:  # cells above threshold times the peak read so far, under the floor
+        so_far = threshold * early.max(axis=(1, 2))[:, None, None]
+        assert np.any((early > so_far) & (early <= floor))
+
+
+@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_a_missed_peak_runs_again_the_blocks_it_decided_wrongly(monkeypatch, method, chunk):
+    # with the scan's pick forced to the first block, each block's floor is
+    # threshold times the peak read so far: SST runs again exactly the
+    # blocks that kept a cell at or below the exact floor, and RM, whose
+    # masses cross blocks, runs a second whole pass.  Every bit is the
+    # oracle's.
+    threshold = 1e-5
+    want, spectra, transform = _oracle_case(method, late_floor(threshold), threshold)
+    monkeypatch.setattr(tf_analysis, "_peak_blocks", lambda *args: [0])
+    passes = _record_passes(monkeypatch)
+    assert_same_bits(transform(chunk).matrix, want)
+    count, step = spectra.shape[0], min(chunk, 12)
+    mags = np.abs(spectra)
+    floor = threshold * mags.max(axis=(1, 2))
+    wrong, peak = [], mags[..., :step].max(axis=(1, 2))  # the forced seed
+    for start in range(0, 12, step):
+        block = mags[..., start:start + step]
+        peak = np.maximum(peak, block.max(axis=(1, 2)))
+        kept = block > threshold * peak[:, None, None]
+        if np.any(kept & (block <= floor[:, None, None])):
+            wrong.append(start)
+    assert bool(wrong) == (chunk < 12)
+    (windows, _, seeded), *runs = passes  # the forced pick runs no scan
+    assert windows == count and seeded == [0]
+    blocks = list(range(0, 12, step))
+    again = [wrong] if method.endswith("sst") else [blocks]
+    assert [read for _, _, read in runs] == [blocks] + (again if wrong else [])
+
+
+@pytest.mark.parametrize("method", ["sst", "rm", "mt_sst", "mt_rm"])
+def test_a_kept_cell_at_the_floor_itself_runs_again(monkeypatch, method):
+    # a centred spike's |V_g| is w(0) times its height in every bin; at
+    # threshold 0.5 a half-height spike before the full one has every cell
+    # at the floor bit for bit (a power-of-two scale is exact).  With the
+    # scan's pick forced to the first block, its own running floor keeps
+    # them all, so its least kept |V_g| is the floor: it must run again
+    values = np.zeros(6 * 65 - 32)
+    values[65], values[4 * 65] = 0.5, 1.0
+    want, spectra, transform = _oracle_case(method, UniformSignal(values, rate=RATE), 0.5)
+    mags = np.abs(spectra)
+    assert np.all(mags[..., 1] == 0.5 * mags.max(axis=(1, 2))[:, None])
+    monkeypatch.setattr(tf_analysis, "_peak_blocks", lambda *args: [0])
+    assert_same_bits(transform(1).matrix, want)
 
 
 @pytest.mark.parametrize("method, refused", [
     ("sst", None), ("rm", "its masses |V_g|^2"), ("mt_sst", None),
     ("mt_rm", "its masses |V_g|^2"),
 ])
-def test_ceiling_at_the_extremes_raises_no_warning(method, refused):
+def test_floor_at_the_extremes_raises_no_warning(method, refused):
     """A threshold just under 1 on a signal just under ``_spectra``'s
-    quarter-range refusal: the ceiling threshold * max|values| sum|taps_k|
-    stays finite, and no product on the way to it warns (warnings are
-    errors).  The transform is refused after its pass where ``refused``
-    overflows, and the oracle's matrix is not finite there; elsewhere it is
-    the oracle's, bit for bit.  A NaN |V_g| never reaches a block decided
-    before the floor is known, where it would be kept or dropped by the
-    ceiling alone (at a NaN floor, every cell is dropped): the values are
-    finite, and under that refusal every spectrum value is too."""
+    quarter-range refusal: the coarse scan, the running floors and the
+    floor threshold * max|V_g| stay finite, and no product on the way to
+    them warns (warnings are errors).  The transform is refused after its
+    pass where ``refused`` overflows, and the oracle's matrix is not finite
+    there; elsewhere it is the oracle's, bit for bit.  A NaN |V_g| would
+    fail every comparison, kept by no floor and unseen by the check: the
+    values are finite, and under that refusal every spectrum value is too."""
     threshold = np.nextafter(1.0, 0.0)
     win = make_windows("gaussian", 1.0, RATE)[0]
     taps = (_hermite_ladder(1.0, RATE, 3).rows if method.startswith("mt_")

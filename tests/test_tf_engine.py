@@ -385,10 +385,9 @@ def test_fft_rows_per_frame(monkeypatch, method, tapers, rows):
     # frames of the blocks the scan picks pay the K taper rows once more at
     # 256, and no block runs again on chirp_noise (the stft has no floor)
     scan = 0 if method == "stft" else tapers
-    for threshold in (0.5, 1e-8):
-        full, coarse = _fft_rows_per_frame(monkeypatch, method, tapers, threshold)
-        assert np.all(coarse == scan) and np.all(full >= rows - scan)
-        assert set(np.unique(full - (rows - scan))) == ({0, scan} if scan else {0})
+    full, coarse = _fft_rows_per_frame(monkeypatch, method, tapers, 0.5)
+    assert np.all(coarse == scan) and np.all(full >= rows - scan)
+    assert set(np.unique(full - (rows - scan))) == ({0, scan} if scan else {0})
 
 
 @pytest.mark.parametrize("method, tapers, rows", [
@@ -400,6 +399,21 @@ def test_fft_rows_per_frame_at_threshold_0(monkeypatch, method, tapers, rows):
     # one transform of its rows
     full, coarse = _fft_rows_per_frame(monkeypatch, method, tapers, 0.0)
     assert np.all(full == rows) and not coarse.any()
+
+
+@pytest.mark.parametrize("method, tapers, rows", [
+    ("sst", 1, 2), ("rm", 1, 3),
+    *[(m, k, k + 1) for m in ("mt_sst", "mt_rm") for k in (2, 3, MULTITAPER_TAPERS[1])],
+])
+def test_fft_rows_per_frame_when_every_cell_clears_the_ceiling(monkeypatch, method, tapers,
+                                                               rows):
+    # at threshold 1e-8 every cell of chirp_noise lies above threshold times
+    # its peak, so every cell is kept; the floor still costs only the coarse
+    # scan (the K taper rows once at 128) and, in the blocks the scan picks,
+    # the K taper rows once more at 256: no block runs again
+    full, coarse = _fft_rows_per_frame(monkeypatch, method, tapers, 1e-8)
+    assert np.all(coarse == tapers) and np.all(full >= rows)
+    assert set(np.unique(full - rows)) == {0, tapers}
 
 
 def _fft_rows_per_frame(monkeypatch, method, tapers, threshold):

@@ -20,11 +20,9 @@ from .sampling import (
 from .signal_model import (
     IMTSignal,
     Scenario,
-    ValidationReport,
     builtin_scenario,
     fig2_variant,
     harmonic,
-    validate_imt,
 )
 from .spline_interp import (
     SplineInterpolant,

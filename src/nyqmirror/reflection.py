@@ -44,7 +44,7 @@ __all__ = [
     "verify_reflection_theorem",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictedComponent:
     """One image component of the interpolated signal.
 
@@ -57,6 +57,9 @@ class PredictedComponent:
     if_curve: Callable[[np.ndarray], np.ndarray]
     amplitude: np.ndarray
     peak_amp: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitude", frozen(self.amplitude))
 
 
 def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
@@ -82,7 +85,7 @@ def predict_components(signal: IMTSignal, scheme: SamplingScheme, n: int,
     am, kernel = signal.am(g), image_kernel(n, signal.iff(g) / scheme.psi_prime(g))
     components = []
     for k in range(k_lo, k_hi + 1):
-        amplitude = frozen(am * kernel(k))
+        amplitude = am * kernel(k)
         components.append(PredictedComponent(
             k=k,
             if_curve=make_if(k),

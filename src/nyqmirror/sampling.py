@@ -181,7 +181,7 @@ def sample_signal(signal: "IMTSignal", scheme: SamplingScheme,
     return SampleSet(times=times, values=values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsrEstimate:
     """Not-a-knot cubic-spline ISR estimate from observed sample times.
 
@@ -192,6 +192,10 @@ class IsrEstimate:
     domain: tuple[float, float]
     knot_times: np.ndarray
     knot_rates: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "knot_times", frozen(self.knot_times))
+        object.__setattr__(self, "knot_rates", frozen(self.knot_rates))
 
     def inf(self, t) -> np.ndarray | float:
         """Estimated instantaneous Nyquist frequency isr(t)/2."""

@@ -619,7 +619,8 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     and no NaN magnitude.  Returns the ridge frequency in Hz per frame.
     Ties break toward the lower frequency, so a zero matrix yields the
     lowest band bin.  A zero penalty makes the ridge each frame's band
-    maximum, found directly.
+    maximum, found directly; any penalty past which no jump can pay,
+    ``inf`` included, gives the ridge with the fewest jumps.
     """
     if not jump_penalty >= 0.0:
         raise ValueError(f"jump_penalty must be >= 0, got {jump_penalty}")
@@ -663,18 +664,23 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
     if jump_penalty == 0.0:
         return tfr.freq_axis[hit]
 
+    # no jump pays past twice the summed band maxima (1 for a zero band), so a
+    # larger penalty, inf included, is clamped there, and below where
+    # penalty * row offset leaves the float64 range: the products must
+    # neither round the magnitudes away nor overflow
     mag = band(rows.start, rows.stop)
+    with np.errstate(over="ignore"):
+        bound = 2.0 * float(peak.sum()) or 1.0
+    penalty = min(jump_penalty, bound, np.finfo(float).max / mag.shape[0])
     acc = np.empty_like(mag)
     acc[:, 0] = mag[:, 0]
     for t in range(1, n_frames):
         prev = acc[:, t - 1] - acc[:, t - 1].max()  # bounded: no late-frame rounding
-        acc[:, t] = mag[:, t] + _max_plus_l1(prev, jump_penalty)
+        acc[:, t] = mag[:, t] + _max_plus_l1(prev, penalty)
 
     path = np.empty(n_frames, dtype=np.intp)
     path[-1] = int(np.argmax(acc[:, -1]))
     offsets = np.arange(mag.shape[0])
     for t in range(n_frames - 2, -1, -1):
-        path[t] = int(np.argmax(
-            acc[:, t] - jump_penalty * np.abs(offsets - path[t + 1])
-        ))
+        path[t] = int(np.argmax(acc[:, t] - penalty * np.abs(offsets - path[t + 1])))
     return tfr.freq_axis[rows][path]

@@ -1,5 +1,5 @@
 """Relations between two runs that the mathematics ties together: through
-the CLI (amplitude) and through the library (time)."""
+the CLI (amplitude) and through the library (time and the mirror identity)."""
 
 import json
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nyqmirror import (
+    IMTSignal,
     SampleSet,
     builtin_scenario,
     interpolate_nonuniform,
@@ -93,3 +94,27 @@ def test_time_times_a_power_of_two_keeps_the_matrices_exactly(interpolation):
             assert np.array_equal(tfr.matrix, want.matrix), (method, k)
             assert np.array_equal(tfr.time_axis, want.time_axis * 2.0 ** k), (method, k)
             assert np.array_equal(tfr.freq_axis, want.freq_axis / 2.0 ** k), (method, k)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_the_k1_image_takes_the_signals_samples(name):
+    # the paper's mirror identity: at psi(t_m) = m, a cos 2 pi phi and its
+    # k = 1 image a cos 2 pi (psi - phi) take the same values, so sampling
+    # cannot tell them apart.  The values differ only by the root polish
+    # (|psi(t_m) - m| <= 1e-10) and by rounding psi - phi near psi ~ 480;
+    # measured 3.9e-13 (fig1) and 4.4e-11 (fig2), 4.9e-13 of fig2's peak
+    # amplitude.  The SST runs at the CLI's default threshold, 1e-8: below
+    # it, cells of no energy reassign on rounding noise
+    sc = builtin_scenario(name)
+    sig, scheme = sc.signal, sc.scheme
+    image = IMTSignal(am=sig.am, phase=lambda t: scheme.psi(t) - sig.phase(t),
+                      iff=lambda t: scheme.psi_prime(t) - sig.iff(t))
+    ours, theirs = (sample_signal(s, scheme, 0.0, 60.0) for s in (sig, image))
+    assert np.array_equal(ours.times, theirs.times)
+    peak_amp = np.max(np.abs(sig.am(ours.times)))
+    assert np.max(np.abs(ours.values - theirs.values)) <= 1e-12 * peak_amp
+    ssts = [tf_magnitude(resample_uniform(interpolate_nonuniform(s, 3), 32.0,
+                                          s.times[0], s.times[-1]),
+                         "sst", 10.0, 4, 1024, 3, 1e-8).matrix for s in (ours, theirs)]
+    assert np.max(np.abs(ssts[0] - ssts[1])) <= 1.5e-13 * np.max(ssts[0])
+    assert np.array_equal(ssts[0].argmax(axis=0), ssts[1].argmax(axis=0))

@@ -318,7 +318,6 @@ def test_scan_finds_each_uncalled_public_name():
 # public names whose only callers are unit tests, and why each stays
 UNCALLED = {
     "sampling.check_inr": "the INR run diagnostic of ROADMAP item 4 will call it",
-    "signal_model.validate_imt": "the same run diagnostic will call it",
     "formats.read_tfr_binary": "the package's TFR1 reader, which the README names",
     "tf_analysis.log_display": "the benchmark tracer names it only as a string in LAYERS",
 }
@@ -358,12 +357,11 @@ def test_scan_finds_each_display_formula_use():
 
 def test_only_tf_analysis_holds_the_display_formula():
     # display_rows names the display's floor and top: the writers and the
-    # commands take them from it and never redo log1p or the floor; the
-    # harmonic's class constant is a 0.01 of its own
+    # commands take them from it and never redo log1p or the floor
     found = [f"{path.name}: {where}" for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "tf_analysis.py"
              for where in display_formula_uses(path.read_text(encoding="utf-8"))]
-    assert found == ["signal_model.py: harmonic: 0.01"]
+    assert found == []
 
 
 def kernel_uses(source: str) -> list[str]:

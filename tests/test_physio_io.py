@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from nyqmirror import validate_imt
 from nyqmirror.physio_io import (
     RPeakRecord,
     edr_signal,

@@ -136,7 +136,6 @@ def test_synthesis_zero_amplitude():
         am=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         phase=lambda t: 2.0 * np.asarray(t, dtype=float),
         iff=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-        model_params=(0.1, 2.0, 0.0),
     )
     out = synthesize_prediction(zero, uniform_scheme(8.0), 3, 3, 32.0, (0.0, 10.0))
     np.testing.assert_array_equal(out.values, 0.0)
@@ -249,7 +248,6 @@ def test_zero_signal_residual():
         am=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         phase=lambda t: 2.5 * np.asarray(t, dtype=float),
         iff=lambda t: np.full_like(np.asarray(t, dtype=float), 2.5),
-        model_params=(0.1, 2.5, 0.0),
     )
     report = verify_reflection_theorem(
         zero, uniform_scheme(8.0), 3, 3, 32.0, (0.0, 20.0)

@@ -109,7 +109,6 @@ def test_sample_constant_signal():
         am=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         phase=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         iff=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        model_params=(1.0, 1.0, 0.0),
     )
     samples = sample_signal(const, builtin_scenario("fig2").scheme, 0.0, 10.0)
     np.testing.assert_allclose(samples.values, 1.0, atol=1e-14)

@@ -1,4 +1,4 @@
-"""Adaptive harmonic model types, validation, and built-in scenarios."""
+"""Adaptive harmonic model types and built-in scenarios."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,14 @@ from nyqmirror import (
     IMTSignal,
     builtin_scenario,
     fig2_variant,
-    validate_imt,
 )
 
 
-def make_harmonic(freq=2.5, amp=1.0, eps=0.01):
+def make_harmonic(freq=2.5, amp=1.0):
     return IMTSignal(
         am=lambda t: amp * np.ones_like(np.asarray(t, dtype=float)),
         phase=lambda t: freq * np.asarray(t, dtype=float),
         iff=lambda t: np.full_like(np.asarray(t, dtype=float), freq),
-        model_params=(min(amp, freq), max(amp, freq), eps),
     )
 
 
@@ -48,59 +46,12 @@ def test_evaluate_vectorized_and_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# class validation
+# modulation
 # ---------------------------------------------------------------------------
 
-def test_validate_harmonic_passes():
-    grid = np.arange(0.0, 80.0, 0.01)
-    report = validate_imt(make_harmonic(), grid)
-    assert report.passed
-    assert report.violations == ()
-
-
-def test_validate_detects_fast_amplitude():
-    # a(t) = t has slope 1 >> eps * iff for eps = 1e-6
-    sig = IMTSignal(
-        am=lambda t: np.asarray(t, dtype=float),
-        phase=lambda t: 2.0 * np.asarray(t, dtype=float),
-        iff=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-        model_params=(0.1, 2.0, 1e-6),
-    )
-    report = validate_imt(sig, np.linspace(0.1, 1.0, 91))
-    assert not report.passed
-    assert any(v.constraint == "am_slope" for v in report.violations)
-
-
-def test_validate_detects_range_violation():
-    sig = make_harmonic(freq=5.0)  # iff above c2
-    sig = IMTSignal(sig.am, sig.phase, sig.iff, model_params=(1.0, 2.5, 0.01))
-    report = validate_imt(sig, np.linspace(0.0, 1.0, 11))
-    assert any(v.constraint == "iff_above_c2" for v in report.violations)
-
-
-def test_validate_short_grid_rejected():
-    with pytest.raises(ValueError):
-        validate_imt(make_harmonic(), np.array([0.0, 1.0]))
-
-
-def test_validate_builtin_scenarios_pass_with_stored_params():
-    for name, grid in (("fig1", np.arange(0.0, 80.001, 0.01)),
-                       ("fig2", np.arange(0.0, 80.001, 0.01))):
-        sc = builtin_scenario(name)
-        report = validate_imt(sc.signal, grid)
-        assert report.passed, (name, report.violations[:3])
-
-
 def test_fig2_measured_modulation_rates():
-    # measured class inequalities: the amplitude 0.7 + t^1.1 reaches
-    # ~124.7 and |a'|/phi' ~ 0.58 on [0, 80], so the stored class
-    # constants must be at least (c2, eps) = (125, 0.6); tighter choices
-    # such as eps = 0.25 are genuinely violated
+    # the amplitude 0.7 + t^1.1 reaches ~124.7 and |a'|/phi' ~ 0.58 on [0, 80]
     sig = builtin_scenario("fig2").signal
-    tight = IMTSignal(sig.am, sig.phase, sig.iff, model_params=(0.7, 125.0, 0.25))
-    report = validate_imt(tight, np.arange(1.0, 80.001, 0.01))
-    assert any(v.constraint == "am_slope" for v in report.violations)
-
     grid = np.arange(0.0, 80.001, 0.001)
     am = sig.am(grid)
     assert 124.0 < np.max(am) < 125.0
@@ -170,7 +121,6 @@ def test_builtin_scenarios_are_bit_equal_to_their_closed_forms():
     ]
     for got, want in forms:
         assert np.array_equal(got(g), want)
-    assert fig1.signal.model_params == (1.0, 2.5, 0.01)
 
 
 def test_fig2_variant_scales_modulation():

@@ -1,6 +1,7 @@
 """Windows, STFT, synchrosqueezing, reassignment, display, ridges."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -583,6 +584,32 @@ def test_ridge_band_edges_between_bins_match_full_mask(data, bins, frames, penal
     mag = np.where(inside, tfr.matrix, -np.inf)[rows]
     np.testing.assert_array_equal(ridge_extract(tfr, lo, hi, penalty),
                                   tfr.freq_axis[rows][dp_ridge_rows(mag, penalty)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ridge_large_penalty_keeps_the_best_constant_row(seed):
+    # once penalty * row offset dwarfs the magnitudes, an unclamped DP rounds
+    # them away: a worse constant row, a jumping ridge, or inf * 0 = NaN.
+    # Powers of two scale the matrix and the penalty without rounding, so
+    # the ridge must not move with them; at 2^1018 twice the summed band
+    # maxima times a row offset passes the float64 range.
+    from nyqmirror.tf_analysis import WindowMeta
+
+    mag = np.abs(np.random.default_rng(seed).standard_normal((8, 5)))
+    best = 1.0 + np.argmax(mag[1:7].sum(axis=1))  # band rows 1 .. 6
+    meta = WindowMeta("gaussian", 1.0, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ridges = {}
+        for k in (-70, 0, 70, 1018):
+            tfr = TFRepresentation(mag * 2.0 ** k, np.arange(8.0), np.arange(5.0),
+                                   "sst", meta)
+            for penalty in (0.3, 1.0, 1e16, 1e300, 1e308, np.inf):
+                ridges[k, penalty] = ridge_extract(tfr, 1.0, 6.0, penalty * 2.0 ** k)
+    for (k, penalty), ridge in ridges.items():
+        np.testing.assert_array_equal(ridge, ridges[0, penalty])
+        if penalty >= 1e16:
+            np.testing.assert_array_equal(ridge, best)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .reflection import (
     predict_components,
     verify_reflection_theorem,
 )
-from .rowblocks import row_blocks
 from .sampling import IsrEstimate, estimate_isr, sample_signal
 from .spline_interp import (
     UniformSignal,
@@ -195,21 +194,15 @@ def _mask_products(outputs: _Outputs, stem: str, tfr, inf_curve, meta: dict):
     """Products of the magnitude ``tfr`` masked above the INF, under
     ``{stem}_masked``, then ``mask_report.json`` with the above-INF ratio
     before and after.  The masked magnitude is made a block of rows at a
-    time for each product: never in full."""
+    time for each product: never in full.  The after-ratio is 0.0: the
+    analysis refused any magnitude that is not finite."""
     masked = inf_masked_rows(tfr, inf_curve)
     _write_tfr_products(outputs, f"{stem}_masked", masked, (tfr.freq_axis, tfr.time_axis),
                         {**meta, "inf_mask": True})
     outputs.write("mask_report.json", write_json, {
         "above_inf_ratio_before": above_inf_energy_ratio(tfr, inf_curve),
-        "above_inf_ratio_after": _masked_ratio(masked),
+        "above_inf_ratio_after": 0.0,
     })
-
-
-def _masked_ratio(masked) -> float:
-    """``above_inf_energy_ratio`` of a matrix (an array or RowBlocks)
-    masked above the INF: those cells are 0.0, so the ratio is 0.0 when
-    every cell is finite, else NaN, which is 0.0 times the largest cell."""
-    return 0.0 * float(np.max([block.max() for _, block in row_blocks(masked)]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ row 0 is the highest frequency).
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 from pathlib import Path
@@ -25,7 +27,7 @@ from . import __version__
 from .rowblocks import row_blocks
 from .spline_interp import UniformSignal
 
-__all__ = ["fmt", "read_tfr_binary", "read_uniform_csv", "write_curve_csv",
+__all__ = ["fmt", "read_csv_rows", "read_tfr_binary", "read_uniform_csv", "write_curve_csv",
            "write_json", "write_pgm", "write_tfr_binary", "write_tfr_csv",
            "write_uniform_csv"]
 
@@ -263,28 +265,58 @@ def write_curve_csv(fh, columns: dict[str, np.ndarray], meta: dict):
     _write_csv(fh, meta, ",".join(names), np.asarray(columns[names[0]]), body)
 
 
-def read_uniform_csv(path: Path) -> UniformSignal:
-    """Read back a uniform-signal CSV produced by this tool."""
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    meta = {}
-    values = []
-    for number, line in enumerate(text.splitlines(), 1):
+def read_csv_rows(text: str, headers: tuple[str, ...]):
+    """The one reader of an input CSV: ``# key=value`` metadata lines, then a
+    header that is one of ``headers``, then rows of exactly the header's
+    count of finite numbers; blank lines are skipped but counted.  Returns
+    the metadata, the rows as a float matrix and each row's file line.
+    Raises ValueError naming the row, the key or the header."""
+    lines, meta = io.StringIO(text, newline=None), {}
+    for number, line in enumerate(lines, 1):
         if line.startswith("#"):
-            if "=" in line:
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        if not line or line.startswith("time_s"):
-            continue
-        value = line.split(",")[-1]
-        try:
-            values.append(float(value))
-        except ValueError:
-            raise ValueError(f"{path}, line {number}: value {value!r} is not a "
-                             f"number") from None
+            key, equals, value = (part.strip() for part in line[1:].partition("="))
+            if not (equals and key):
+                raise ValueError(f"row {number}: metadata line is not '# key=value'")
+            if key in meta:
+                raise ValueError(f"row {number}: metadata key {key!r} given twice")
+            meta[key] = value
+        elif line.strip():
+            break
+    else:
+        raise ValueError("empty file: no header " + " or ".join(map(repr, headers)))
+    reader = csv.reader([line, *lines])
+    rows, numbers, offset = [], [], number - 1
+    try:
+        names = [cell.strip() for cell in next(reader)]
+        if names not in [header.split(",") for header in headers]:
+            raise ValueError(f"header must be {' or '.join(map(repr, headers))}, got "
+                             + ",".join(names))
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            number = offset + reader.line_num
+            if len(row) != len(names):
+                raise ValueError(f"row {number}: expected {len(names)} fields")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError(f"row {number}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"row {number}: non-finite value")
+            rows.append(values)
+            numbers.append(number)
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise ValueError(f"row {offset + reader.line_num}: {exc}") from None
+    return meta, np.array(rows).reshape(-1, len(names)), np.array(numbers, int)
+
+
+def read_uniform_csv(path: Path) -> UniformSignal:
+    """read_csv_rows with the header ``time_s,value``; the grid is the
+    ``rate_hz`` and ``t_start_s`` (default 0) metadata's."""
+    try:
+        meta, table, _ = read_csv_rows(path.read_text(encoding="utf-8-sig"), ("time_s,value",))
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if "rate_hz" not in meta:
         raise ValueError(f"{path} lacks the rate_hz metadata of a uniform signal")
     header = {}
@@ -294,10 +326,10 @@ def read_uniform_csv(path: Path) -> UniformSignal:
         except ValueError:
             raise ValueError(f"{path}: {key}={meta[key]} is not a number") from None
     try:
-        return UniformSignal(np.asarray(values), header["rate_hz"], header["t_start_s"])
-    except ValueError as exc:
-        # name the header lines whose values the signal refused
-        bad = [f"{k}={meta[k]}" for k, v in header.items() if not math.isfinite(v)]
+        return UniformSignal(table[:, 1], header["rate_hz"], header["t_start_s"])
+    except ValueError as exc:  # name the metadata lines whose values it refused
+        bad = [f"{k}={meta[k]}" for k, v in header.items()
+               if not (math.isfinite(v) and (v > 0.0 or k == "t_start_s"))]
         raise ValueError(": ".join([str(path), *bad, str(exc)])) from None
 
 

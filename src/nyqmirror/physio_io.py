@@ -6,14 +6,13 @@ generator with known ground truth for closed-loop testing.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .formats import read_csv_rows
 from .sampling import SampleSet, SamplingScheme, sampling_times
 from .spline_interp import (
     UniformSignal,
@@ -69,43 +68,16 @@ class RPeakRecord:
 
 
 def parse_rpeaks(data: bytes | str) -> RPeakRecord:
-    """Parse an R-peak CSV: header ``time_s`` or ``time_s,amplitude``.
-
-    Raises ValueError naming the offending row for malformed, non-finite
-    or non-monotone input; an empty file is an error.
-    """
+    """Parse an R-peak CSV: ``formats.read_csv_rows`` with the header ``time_s``
+    or ``time_s,amplitude``, then strictly increasing times (a ValueError
+    names the row) and at least 2 peaks."""
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    try:  # the non-blank rows, each with its file line number
-        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
-    except csv.Error as exc:  # a field past the csv module's size limit
-        raise ValueError(f"row {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError("empty R-peak file")
-    header = [c.strip() for c in rows[0][1]]
-    if header not in (["time_s"], ["time_s", "amplitude"]):
-        raise ValueError(
-            "header must be 'time_s' or 'time_s,amplitude', got "
-            + ",".join(header)
-        )
-    peaks = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"row {lineno}: expected {len(header)} fields")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            raise ValueError(f"row {lineno}: non-numeric value") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"row {lineno}: non-finite value")
-        if peaks and values[0] <= peaks[-1][0]:
-            raise ValueError(f"row {lineno}: non-increasing time")
-        peaks.append(values)
-    if len(peaks) < 2:
+    _, table, lines = read_csv_rows(text, ("time_s", "time_s,amplitude"))
+    if (back := np.flatnonzero(np.diff(table[:, 0]) <= 0.0)).size:
+        raise ValueError(f"row {lines[back[0] + 1]}: non-increasing time")
+    if len(table) < 2:
         raise ValueError("an R-peak file needs at least 2 peaks")
-    table = np.asarray(peaks)
-    return RPeakRecord(times=table[:, 0],
-                       amplitudes=table[:, 1] if len(header) == 2 else None)
+    return RPeakRecord(table[:, 0], table[:, 1] if table.shape[1] == 2 else None)
 
 
 def rri_series(rec: RPeakRecord) -> SampleSet:

@@ -665,13 +665,14 @@ def ridge_extract(tfr: TFRepresentation, freq_min, freq_max,
         return tfr.freq_axis[hit]
 
     # no jump pays past twice the summed band maxima (1 for a zero band), so a
-    # larger penalty, inf included, is clamped there, and below where
-    # penalty * row offset leaves the float64 range: the products must
-    # neither round the magnitudes away nor overflow
+    # larger penalty, inf included, is clamped there; band and penalty are
+    # divided by a power of two (exact, short of subnormals) that keeps 8 *
+    # frames * rows * the largest cell, and so every sum of the DP, finite
     mag = band(rows.start, rows.stop)
-    with np.errstate(over="ignore"):
-        bound = 2.0 * float(peak.sum()) or 1.0
-    penalty = min(jump_penalty, bound, np.finfo(float).max / mag.shape[0])
+    scale = 2.0 ** min(0, 1023 - int(np.frexp(peak.max())[1])
+                       - (8 * n_frames * mag.shape[0]).bit_length())
+    mag *= scale
+    penalty = min(jump_penalty * scale, 2.0 * float((peak * scale).sum()) or 1.0)
     acc = np.empty_like(mag)
     acc[:, 0] = mag[:, 0]
     for t in range(1, n_frames):

@@ -592,7 +592,8 @@ def test_ridge_large_penalty_keeps_the_best_constant_row(seed):
     # them away: a worse constant row, a jumping ridge, or inf * 0 = NaN.
     # Powers of two scale the matrix and the penalty without rounding, so
     # the ridge must not move with them; at 2^1018 twice the summed band
-    # maxima times a row offset passes the float64 range.
+    # maxima times a row offset passes the float64 range, and from 2^1020
+    # (2^1022 for every seed) the DP's own sums used to overflow
     from nyqmirror.tf_analysis import WindowMeta
 
     mag = np.abs(np.random.default_rng(seed).standard_normal((8, 5)))
@@ -601,9 +602,10 @@ def test_ridge_large_penalty_keeps_the_best_constant_row(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ridges = {}
-        for k in (-70, 0, 70, 1018):
+        for k in (-70, 0, 70, 1018, 1020, 1021, 1022):
             tfr = TFRepresentation(mag * 2.0 ** k, np.arange(8.0), np.arange(5.0),
                                    "sst", meta)
+            assert np.isfinite(tfr.matrix).all()
             for penalty in (0.3, 1.0, 1e16, 1e300, 1e308, np.inf):
                 ridges[k, penalty] = ridge_extract(tfr, 1.0, 6.0, penalty * 2.0 ** k)
     for (k, penalty), ridge in ridges.items():

@@ -23,7 +23,9 @@ The job list is the benchmark's 7 jobs at seed 1, ``tfr`` fig2 under every
 method with ``inf_mask`` (and ``sst`` again at ``interpolation.order=12``),
 ``predict`` fig1 and fig2 at orders 3 and 12 with and without
 ``predict.k_min=-3`` (two of them benchmark jobs), ``simulate`` fig2 with
-the B-spline and with PCHIP, and a 240 s ``physio`` synth under ``mt_sst``
+the B-spline and with PCHIP, ``tfr`` on the ``interpolated.csv`` that the
+B-spline ``simulate`` job wrote (``input=``), ``tfr`` fig2 with
+``mitigation.lowpass``, and a 240 s ``physio`` synth under ``mt_sst``
 with and without ``inf_mask`` and with ``physio.edr_scheme=12`` and
 ``pchip``.  The order-12 transforms keep part of their bins in most blocks.
 ``nyqmirror`` is imported from ``PYTHONPATH`` when it is found there, else
@@ -63,7 +65,9 @@ def _bench_workloads():
 
 def job_list(inputs: Path) -> dict[str, list[str]]:
     """The fixed jobs by name, each an argv without ``--out``; the
-    benchmark's R-peak record (seed 1) is generated into ``inputs``."""
+    benchmark's R-peak record (seed 1) is generated into ``inputs``, and
+    the ``input=`` job reads what ``simulate-fig2`` wrote beside it, under
+    run_jobs' ``out`` directory."""
     workloads = _bench_workloads()
     jobs = {f"{name}.{i}": job["argv"]
             for name in workloads.WORKLOADS
@@ -81,6 +85,10 @@ def job_list(inputs: Path) -> dict[str, list[str]]:
             jobs[f"predict-{scenario}-{order}-kmin3"] = [*argv, "--set", "predict.k_min=-3"]
     jobs["simulate-fig2"] = ["simulate", "--set", "scenario=fig2"]
     jobs["simulate-fig2-pchip"] = [*jobs["simulate-fig2"], "--set", "interpolation.scheme=pchip"]
+    written = inputs.parent / "out" / "simulate-fig2" / "interpolated.csv"
+    jobs["tfr-input-simulate-fig2"] = ["tfr", "--set", f"input={written}"]
+    jobs["tfr-fig2-lowpass"] = ["tfr", "--set", "scenario=fig2", "--set",
+                                'mitigation.lowpass={"cutoff_hz": 3.5, "transition_hz": 0.5}']
     physio = ["physio", "--set", "physio.synth={}", "--set", "analysis.method=mt_sst"]
     jobs["physio-synth-mt_sst"] = physio
     jobs["physio-synth-mt_sst-masked"] = [*physio, *_MASKED]

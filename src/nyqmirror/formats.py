@@ -292,13 +292,13 @@ def read_csv_rows(text: str, headers: tuple[str, ...]):
             raise ValueError(f"header must be {' or '.join(map(repr, headers))}, got "
                              + ",".join(names))
         for row in reader:
-            if not any(cell.strip() for cell in row):
+            if not "".join(row).strip():  # a blank line
                 continue
             number = offset + reader.line_num
             if len(row) != len(names):
                 raise ValueError(f"row {number}: expected {len(names)} fields")
             try:
-                values = [float(cell) for cell in row]
+                values = list(map(float, row))
             except ValueError:
                 raise ValueError(f"row {number}: non-numeric value") from None
             if not all(map(math.isfinite, values)):
@@ -315,20 +315,20 @@ def read_uniform_csv(path: Path) -> UniformSignal:
     ``rate_hz`` and ``t_start_s`` (default 0) metadata's."""
     try:
         meta, table, _ = read_csv_rows(path.read_text(encoding="utf-8-sig"), ("time_s,value",))
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a decoding error included
         raise ValueError(f"{path}: {exc}") from None
     if "rate_hz" not in meta:
         raise ValueError(f"{path} lacks the rate_hz metadata of a uniform signal")
-    header = {}
+    grid = {}
     for key in ("rate_hz", "t_start_s"):
         try:
-            header[key] = float(meta.get(key, 0.0))
+            grid[key] = float(meta.get(key, 0.0))
         except ValueError:
             raise ValueError(f"{path}: {key}={meta[key]} is not a number") from None
     try:
-        return UniformSignal(table[:, 1], header["rate_hz"], header["t_start_s"])
+        return UniformSignal(table[:, 1], grid["rate_hz"], grid["t_start_s"])
     except ValueError as exc:  # name the metadata lines whose values it refused
-        bad = [f"{k}={meta[k]}" for k, v in header.items()
+        bad = [f"{k}={meta[k]}" for k, v in grid.items()
                if not (math.isfinite(v) and (v > 0.0 or k == "t_start_s"))]
         raise ValueError(": ".join([str(path), *bad, str(exc)])) from None
 

@@ -18,8 +18,6 @@ from nyqmirror.spline_interp import UniformSignal
 # metadata key (or the grid it sets), or the whole file's row count
 _NAMED = re.compile(r"row \d+|position \d+|header|rate_hz|t_start_s|t_start=|at least 2 "
                     r"|length >= 2")
-_UNIFORM = ("# artifact=nyqmirror 0.1.0\n# rate_hz=4\n# t_start_s=0\ntime_s,value\n"
-            "0,1.0\n0.25,0.5\n0.5,-0.25\n0.75,0\n")
 
 
 def uniform(tmp_path, text: str) -> UniformSignal:
@@ -82,7 +80,7 @@ def test_uniform_csv_refuses_a_rate_given_twice(tmp_path):
 
 def test_uniform_csv_names_a_refused_rate(tmp_path):
     with pytest.raises(ValueError, match="rate_hz=-4: rate must be positive"):
-        uniform(tmp_path, _UNIFORM.replace("rate_hz=4", "rate_hz=-4"))
+        uniform(tmp_path, "# rate_hz=-4\ntime_s,value\n0,1\n0.25,2\n")
 
 
 def test_rpeak_file_may_start_with_metadata_lines():

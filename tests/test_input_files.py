@@ -152,7 +152,7 @@ def _read_or_refuse(read, raw: bytes):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_rpeak_reader_reads_or_names_the_row(data):
-    # about 0.5 s: any other exception, or a refusal that does not say
+    # about 0.6 s: any other exception, or a refusal that does not say
     # where, fails; a BOM or CRLF line ends leave the record as it was
     valid = _valid_rpeaks(data)
     want = parse_rpeaks(valid)
@@ -166,7 +166,7 @@ def test_rpeak_reader_reads_or_names_the_row(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_uniform_reader_reads_or_names_the_row(tmp_path_factory, data):
-    # about 0.6 s, as the R-peak property: the reader's file is written
+    # about 1 s (a file write per read), as the R-peak property: the reader's file is written
     # as these bytes
     path = tmp_path_factory.getbasetemp() / "property.csv"
 

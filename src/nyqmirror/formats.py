@@ -267,10 +267,11 @@ def write_curve_csv(fh, columns: dict[str, np.ndarray], meta: dict):
 
 def read_csv_rows(text: str, headers: tuple[str, ...]):
     """The one reader of an input CSV: ``# key=value`` metadata lines, then a
-    header that is one of ``headers``, then rows of exactly the header's
-    count of finite numbers; blank lines are skipped but counted.  Returns
-    the metadata, the rows as a float matrix and each row's file line.
-    Raises ValueError naming the row, the key or the header."""
+    header that is one of ``headers``, then at least 2 rows of exactly the
+    header's count of finite numbers; a blank line (no field, or one field
+    of whitespace) is skipped but counted.  Returns the metadata, the rows
+    as a float matrix and each row's file line.  Raises ValueError naming
+    the row, the key or the header."""
     lines, meta = io.StringIO(text, newline=None), {}
     for number, line in enumerate(lines, 1):
         if line.startswith("#"):
@@ -292,7 +293,7 @@ def read_csv_rows(text: str, headers: tuple[str, ...]):
             raise ValueError(f"header must be {' or '.join(map(repr, headers))}, got "
                              + ",".join(names))
         for row in reader:
-            if not "".join(row).strip():  # a blank line
+            if not row or len(row) == 1 and not row[0].strip():  # a blank line
                 continue
             number = offset + reader.line_num
             if len(row) != len(names):
@@ -307,6 +308,8 @@ def read_csv_rows(text: str, headers: tuple[str, ...]):
             numbers.append(number)
     except csv.Error as exc:  # a field past the csv module's size limit
         raise ValueError(f"row {offset + reader.line_num}: {exc}") from None
+    if len(rows) < 2:
+        raise ValueError(f"header {','.join(names)!r} is followed by fewer than 2 rows")
     return meta, np.array(rows).reshape(-1, len(names)), np.array(numbers, int)
 
 
@@ -327,10 +330,11 @@ def read_uniform_csv(path: Path) -> UniformSignal:
             raise ValueError(f"{path}: {key}={meta[key]} is not a number") from None
     try:
         return UniformSignal(table[:, 1], grid["rate_hz"], grid["t_start_s"])
-    except ValueError as exc:  # name the metadata lines whose values it refused
+    except ValueError as exc:  # name the metadata lines it refused, or the grid's
         bad = [f"{k}={meta[k]}" for k, v in grid.items()
                if not (math.isfinite(v) and (v > 0.0 or k == "t_start_s"))]
-        raise ValueError(": ".join([str(path), *bad, str(exc)])) from None
+        raise ValueError(": ".join([str(path), *bad, str(exc)]) + ("" if bad else (
+            f" (rate_hz={meta['rate_hz']}, t_start_s={meta.get('t_start_s', '0')})"))) from None
 
 
 def write_uniform_csv(fh, sig: UniformSignal, meta: dict):

@@ -69,14 +69,11 @@ class RPeakRecord:
 
 def parse_rpeaks(data: bytes | str) -> RPeakRecord:
     """Parse an R-peak CSV: ``formats.read_csv_rows`` with the header ``time_s``
-    or ``time_s,amplitude``, then strictly increasing times (a ValueError
-    names the row) and at least 2 peaks."""
+    or ``time_s,amplitude``, then strictly increasing times."""
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     _, table, lines = read_csv_rows(text, ("time_s", "time_s,amplitude"))
     if (back := np.flatnonzero(np.diff(table[:, 0]) <= 0.0)).size:
         raise ValueError(f"row {lines[back[0] + 1]}: non-increasing time")
-    if len(table) < 2:
-        raise ValueError("an R-peak file needs at least 2 peaks")
     return RPeakRecord(table[:, 0], table[:, 1] if table.shape[1] == 2 else None)
 
 

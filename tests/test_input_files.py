@@ -14,10 +14,9 @@ from nyqmirror.formats import read_csv_rows, read_uniform_csv, write_uniform_csv
 from nyqmirror.physio_io import parse_rpeaks
 from nyqmirror.spline_interp import UniformSignal
 
-# what a refusal names: a file row, a decoding offset, the header, a
-# metadata key (or the grid it sets), or the whole file's row count
-_NAMED = re.compile(r"row \d+|position \d+|header|rate_hz|t_start_s|t_start=|at least 2 "
-                    r"|length >= 2")
+# what a refusal names: a file row, a decoding offset, the header or a
+# metadata key
+_NAMED = re.compile(r"row \d+|position \d+|header|rate_hz|t_start_s")
 
 
 def uniform(tmp_path, text: str) -> UniformSignal:
@@ -28,11 +27,9 @@ def uniform(tmp_path, text: str) -> UniformSignal:
 
 def test_csv_rows_keep_metadata_header_rows_and_file_lines():
     meta, table, lines = read_csv_rows(
-        "# a = 1\r\n\r\n# b=x=y\r\ntime_s , value\r\n0,1\r\n\r\n0.5,-2e3\r\n", ("time_s,value",))
+        "# a = 1\r\n\r\n# b=x=y\r\ntime_s , value\r\n0,1\r\n \t\r\n0.5,-2e3\r\n", ("time_s,value",))
     assert meta == {"a": "1", "b": "x=y"}
     assert table.tolist() == [[0.0, 1.0], [0.5, -2000.0]] and lines.tolist() == [5, 7]
-    _, table, lines = read_csv_rows("time_s\n", ("time_s",))
-    assert table.shape == (0, 1) and lines.size == 0
 
 
 @pytest.mark.parametrize("text, message", [
@@ -49,9 +46,12 @@ def test_csv_rows_keep_metadata_header_rows_and_file_lines():
     ("time_s,value\n0\n", "row 2: expected 2 fields"),
     ("time_s,value\r0,1\r0.5,inf\r", "row 3: non-finite value"),
     ("time_s,value\n0,1\n0.5,\x001\n", "row 3: non-numeric value"),
+    ("time_s,value\n0,1\n,\n0.5,2\n", "row 3: non-numeric value"),
+    ("time_s,value\n0,1\n \n", "header 'time_s,value' is followed by fewer than 2 rows"),
+    ("time_s,value\n", "header 'time_s,value' is followed by fewer than 2 rows"),
 ], ids=["empty", "metadata_only", "bad_header", "quoted_header", "key_twice", "no_equals",
         "empty_key", "metadata_after_header", "comment_row", "three_fields", "one_field",
-        "cr_line_ends", "nul"])
+        "cr_line_ends", "nul", "empty_fields", "one_row", "no_row"])
 def test_csv_rows_refuse_by_row(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         read_csv_rows(text, ("time_s,value",))
@@ -62,11 +62,13 @@ def test_csv_rows_refuse_by_row(text, message):
     ("0,1.0\nabc,2\n", "row 5: non-numeric value"),
     ("0,1.0\ntime_s,value\n0.25,0.5\n", "row 5: non-numeric value"),
     ("0,1.0\n0.25,nan\n", "row 5: non-finite value"),
-], ids=["three_fields", "text_time", "repeated_header", "nan_value"])
+    ("0,1.0\n,\n", "row 5: non-numeric value"),
+], ids=["three_fields", "text_time", "repeated_header", "nan_value", "empty_fields"])
 def test_uniform_csv_reads_every_field_of_every_row(tmp_path, body, message):
     # the reader used to take the last field of each row: a 3-field row and
     # a text time passed, a repeated header line was skipped, and a NaN
-    # value was refused without its row
+    # value was refused without its row; a row of empty fields is no blank
+    # line, since dropping it would move every later sample one grid step
     head = "# rate_hz=4\n# t_start_s=0\ntime_s,value\n"
     with pytest.raises(ValueError, match=f"input.csv: {message}"):
         uniform(tmp_path, head + body + "0.5,0.25\n")
@@ -81,6 +83,16 @@ def test_uniform_csv_refuses_a_rate_given_twice(tmp_path):
 def test_uniform_csv_names_a_refused_rate(tmp_path):
     with pytest.raises(ValueError, match="rate_hz=-4: rate must be positive"):
         uniform(tmp_path, "# rate_hz=-4\ntime_s,value\n0,1\n0.25,2\n")
+    # a grid refused as a whole names both metadata lines that set it
+    with pytest.raises(ValueError, match=re.escape("rate (rate_hz=1e-310, t_start_s=0)")):
+        uniform(tmp_path, "# rate_hz=1e-310\ntime_s,value\n0,1\n0.25,2\n")
+
+
+def test_one_row_is_refused_by_its_header(tmp_path):
+    with pytest.raises(ValueError, match="header 'time_s,amplitude' is followed by fewer than 2"):
+        parse_rpeaks(b"time_s,amplitude\n0.5,1\n\n")
+    with pytest.raises(ValueError, match="input.csv: header 'time_s,value' is followed by fewer"):
+        uniform(tmp_path, "# rate_hz=4\ntime_s,value\n0,1\n")
 
 
 def test_rpeak_file_may_start_with_metadata_lines():

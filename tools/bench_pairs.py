@@ -7,13 +7,14 @@ Usage (from the root of a checkout)::
         --first-seed 301 --pairs 10 --seconds 20
 
 Each workload runs its pairs one after another, the workloads in the order
-given (default: ``BENCHMARK.json``'s).  Pair k (from 1) runs seed
+of the change's ``BENCHMARK.json``.  Pair k (from 1) runs seed
 ``first_seed + k - 1`` on both checkouts, the parent first when k is odd
 and the change first when k is even; each run is ``python3 bench/run.py
 --workload W --seed S --seconds N --trace 0`` with the checkout as its
 working directory, and its last output line is the result.  A run that
 exits non-zero or prints no result line stops the tool with exit code 2,
-naming the run, and no record is written.
+naming the run, and no record is written; else the record is written to
+``BENCH_<label>.json`` in the working directory.
 
 The record gives the commits, the command, the host, the order and the
 claim, and per workload the pairs, the seeds, the exit codes, the failed
@@ -112,12 +113,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
     parser.add_argument("--change", type=Path, required=True, help="the change's checkout")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--workloads", nargs="+", help="default: BENCHMARK.json's, in order")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claim", default="none", help="the metric a gain is claimed on")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json here")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     try:
@@ -126,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_pairs: cannot read the change's BENCHMARK.json: {exc}", file=sys.stderr)
         return 2
     better = {m["name"]: m["better"] for m in bench.get("end_to_end", [])}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     seeds = [args.first_seed + k for k in range(args.pairs)]
     record = {"label": args.label,
               "commits": {side: _commit(checkouts[side]) for side in SIDES},
@@ -149,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     except PairError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"bench_pairs: written to {out}")
     return 0

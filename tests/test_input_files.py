@@ -88,13 +88,6 @@ def test_uniform_csv_names_a_refused_rate(tmp_path):
         uniform(tmp_path, "# rate_hz=1e-310\ntime_s,value\n0,1\n0.25,2\n")
 
 
-def test_one_row_is_refused_by_its_header(tmp_path):
-    with pytest.raises(ValueError, match="header 'time_s,amplitude' is followed by fewer than 2"):
-        parse_rpeaks(b"time_s,amplitude\n0.5,1\n\n")
-    with pytest.raises(ValueError, match="input.csv: header 'time_s,value' is followed by fewer"):
-        uniform(tmp_path, "# rate_hz=4\ntime_s,value\n0,1\n")
-
-
 def test_rpeak_file_may_start_with_metadata_lines():
     rec = parse_rpeaks(b"# source=holter\r\n# lead=II\r\ntime_s\r\n0.5\r\n1.25\r\n")
     assert rec.times.tolist() == [0.5, 1.25]

@@ -21,9 +21,9 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -293,14 +293,16 @@ def cmd_predict(cfg: dict, outputs: _Outputs):
 def _refuse_non_rates(est: IsrEstimate, isr, times: np.ndarray) -> None:
     """Refuse an ISR estimate ``isr`` that is not a positive, finite rate at
     some of ``times``, as a data error naming the time where it is least (or
-    NaN) and the shortest of the four R-R intervals around it, from which
-    the cubic overshoots: one beat detected twice, say."""
+    NaN) and, of the four R-R intervals around it, the one whose rate is
+    furthest from the record's median rate (by |log(rate / median)|), from
+    which the cubic overshoots: one beat detected twice or a dropout, say."""
     rates = isr(times)
     bad = np.flatnonzero(~((rates > 0.0) & (rates < np.inf)))
     if bad.size:
         worst = bad[np.argmin(rates[bad])]
         near = max(int(np.searchsorted(est.knot_times, times[worst])) - 2, 0)
-        beat = near + int(np.argmax(est.knot_rates[near:near + 4]))
+        around = est.knot_rates[near:near + 4] / np.median(est.knot_rates)
+        beat = near + int(np.argmax(np.abs(np.log(around))))
         raise ValueError(
             f"the ISR estimate is {rates[worst]:.4g} Hz at t = {times[worst]:.6g} s, not a "
             f"rate: R-R interval {1e3 / est.knot_rates[beat]:.4g} ms between beats "
@@ -369,32 +371,71 @@ def cmd_physio(cfg: dict, outputs: _Outputs):
 
 _COMMANDS = {"simulate": cmd_simulate, "tfr": cmd_tfr, "predict": cmd_predict,
              "physio": cmd_physio}
+_OPTIONS = ("--config", "--out", "--set")
+_USAGE = ("usage: nyqmirror [-h] [--config FILE] [--out DIR] [--set KEY=VALUE]\n"
+          "                 {" + ",".join(_COMMANDS) + "}")
+_HELP = f"""{_USAGE}
+
+{__doc__}
+options (--opt value or --opt=value, before or after the command):
+  -h, --help       show this help and exit
+  --config FILE    JSON config file
+  --out DIR        output directory override
+  --set KEY=VALUE  override a config key (dotted path); repeatable, the
+                   last of one key wins
+"""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
+def _is_option(word: str) -> bool:
+    """Whether ``word`` reads as an option, not a value: it starts with "-"
+    and is neither "-" nor a negative number."""
+    return word[:1] == "-" and word != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", word)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nyqmirror", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a config key (dotted path)")
-    return parser
+def _read_argv(argv: list[str]) -> tuple[str, str | None, str | None, list[str]]:
+    """The command, ``--config``, ``--out`` (the last of each) and the
+    ``--set`` assignments in ``argv``; ``-h``/``--help`` prints the help and
+    exits 0.  Every refusal is a ConfigError in argparse's wording; option
+    names are never abbreviated and a bare ``--`` is no separator."""
+    values, sets, command, extra = {}, [], None, []
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(_HELP, end="")
+            raise SystemExit(0)
+        name, eq, value = word.partition("=")
+        if name in _OPTIONS:
+            if not eq:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    raise ConfigError(f"argument {name}: expected one argument")
+            if name == "--set":
+                sets.append(value)
+            else:
+                values[name] = value
+        elif _is_option(word) or command is not None:
+            extra.append(word)
+        elif word in _COMMANDS:
+            command = word
+        else:
+            choices = ", ".join(map(repr, _COMMANDS))
+            raise ConfigError(f"argument command: invalid choice: {word!r} "
+                              f"(choose from {choices})")
+    if command is None:
+        raise ConfigError("the following arguments are required: command")
+    if extra:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
+    return command, values.get("--config"), values.get("--out"), sets
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config, args.set)
-        if args.out is not None:
-            cfg["output"]["directory"] = args.out
+        command, config, out, sets = _read_argv(sys.argv[1:] if argv is None else argv)
+        cfg = load_config(config, sets)
+        if out is not None:
+            cfg["output"]["directory"] = out
         outputs = _Outputs(cfg)
-        _COMMANDS[args.command](cfg, outputs)
+        _COMMANDS[command](cfg, outputs)
     except ConfigError as exc:
         print(f"nyqmirror: config error: {exc}", file=sys.stderr)
         return 1

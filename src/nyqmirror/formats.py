@@ -89,11 +89,15 @@ def _csv_layouts():
     e+ddd, e+dd, e-dd, e-ddd; slot columns 0 to 2 per prefix (lead * 2 +
     negative) * 25 + class, and 7 and 8 per e + 300; per layout prefix * 17
     + digits - 1 the text's byte mask, its length, and whether d1..d_e move
-    one byte left onto the "." (fixed notation, 1 <= e, digits after it)."""
+    one byte left onto the "." (fixed notation, 1 <= e, digits after it);
+    last, the trailing zeros of 0000 to 9999 as 4 digits."""
     ascii4, digit = np.empty((10, 10, 10, 10, 4), np.uint8), np.arange(48, 58, dtype=np.uint8)
     for j in range(4):  # thousands first
         ascii4[..., j] = digit.reshape(10, *[1] * (3 - j))
     ascii4 = ascii4.view(np.uint32).ravel()
+    zeros4 = np.zeros(10 ** 4, np.intp)
+    for step in (10, 100, 1000, 10 ** 4):
+        zeros4[::step] += 1
     e = np.arange(-300, 301)
     kind = np.where((e >= -4) & (e <= 16), e + 4, 21 + (e <= 99) + (e <= 0) + (e <= -100))
     tail = np.zeros((601, 8), np.uint8)
@@ -116,7 +120,7 @@ def _csv_layouts():
     mask = mask.reshape(-1, 36)
     shift = np.broadcast_to((c >= 5) & (c <= 20) & (n > w), (4, 25, 17, 1))
     return (ascii4, kind, prefix.view(np.uint32).reshape(-1, 3).T.copy(), tail.T.copy(),
-            mask, np.count_nonzero(mask, axis=1), shift.ravel())
+            mask, np.count_nonzero(mask, axis=1), shift.ravel(), zeros4)
 
 
 def _scaled_pow10(a: np.ndarray, e: np.ndarray):
@@ -134,7 +138,7 @@ def _scaled_pow10(a: np.ndarray, e: np.ndarray):
 def _csv_numbers(x: np.ndarray, lead: np.ndarray):
     """``format(v, ".17g")`` of each float in ``x`` after "\r\n" where
     ``lead``, else ",": 36-byte slots, each slot's text mask and length."""
-    ascii4, kind, prefix, tail, text_mask, length, shift = _csv_layouts()
+    ascii4, kind, prefix, tail, text_mask, length, shift, zeros4 = _csv_layouts()
     a = np.abs(x)
     fast = (a >= _CSV_FAST[0]) & (a <= _CSV_FAST[1])
     a[~fast] = 1.0  # a zero takes 1.0's slot
@@ -169,11 +173,14 @@ def _csv_numbers(x: np.ndarray, lead: np.ndarray):
         rest = digits // 10**4  # by a scalar: faster than np.divmod
         digits -= rest * 10**4
         slots[:, j] = ascii4.take(digits)
+        if j == 6:
+            zeros = zeros4.take(digits)  # trailing, of d13..d16
         digits = rest
     rows = slots.view(np.uint8)
     rows[:, 10] = digits + 48 - zero  # d0, "0" for a zero
     del digits, rest
-    zeros = (rows[:, 27:10:-1] != 48).argmax(axis=1)  # trailing, of 17 digits
+    if (scan := (zeros == 4).nonzero()[0]).size:  # trailing, of all 17 digits
+        zeros[scan] = (rows[scan, 27:10:-1] != 48).argmax(axis=1)
     layout = key * 17 + 16 - zeros
     del key, zeros
     if (mid := shift.take(layout).nonzero()[0]).size:  # d1..d_e onto the "."

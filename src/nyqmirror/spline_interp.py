@@ -316,21 +316,25 @@ def _basis_matrix_rows(ext_knots: np.ndarray, n: int, x: np.ndarray,
 
     Row j holds N_{span[p]-n+j}(x[p]) at each point p, in extended basis
     numbering (basis b is built on ext_knots[b .. b+n+1]), so each step of
-    the recursion reads and writes contiguous rows.
+    the recursion reads and writes contiguous rows.  The inner steps write
+    into preallocated rows (``den``, ``tmp``, ``saved``), not temporaries.
     """
     p = x.size
     vals = np.zeros((n + 1, p))
     vals[0] = 1.0
     left = np.zeros((n + 1, p))
     right = np.zeros((n + 1, p))
+    den, tmp, saved = np.empty(p), np.empty(p), np.empty(p)
     for d in range(1, n + 1):
-        left[d] = x - ext_knots[span + 1 - d]
-        right[d] = ext_knots[span + d] - x
-        saved = np.zeros(p)
+        np.subtract(x, ext_knots[span + 1 - d], out=left[d])
+        np.subtract(ext_knots[span + d], x, out=right[d])
+        saved.fill(0.0)
         for r in range(d):
-            tmp = vals[r] / (right[r + 1] + left[d - r])
-            vals[r] = saved + right[r + 1] * tmp
-            saved = left[d - r] * tmp
+            np.add(right[r + 1], left[d - r], out=den)
+            np.divide(vals[r], den, out=tmp)
+            np.multiply(right[r + 1], tmp, out=den)  # den is free again
+            np.add(saved, den, out=vals[r])
+            np.multiply(left[d - r], tmp, out=saved)
         vals[d] = saved
     return vals
 

@@ -142,6 +142,45 @@ def test_options_may_come_before_the_command(tmp_path, capsys, small_config):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("argv, same_as", [
+    (["--out={out}", "--set=predict.k_max=1"], ["--out", "{out}", "--set", "predict.k_max=1"]),
+    (["--set", "predict.k_max=5", "--set", "predict.k_max=1", "--out", "{out}"],
+     ["--set", "predict.k_max=1", "--out", "{out}"]),
+    (["--out", "{other}", "--set", "predict.k_max=1", "--out", "{out}"],
+     ["--set", "predict.k_max=1", "--out", "{out}"]),
+    (["--set", "predict.k_max=1", "--out"], None),
+    (["--set", "--out", "{out}"], None),
+    (["--frob", "--out", "{out}"], None),
+    (["--conf", "{config}", "--out", "{out}"], None),
+    (["tfr", "--out", "{out}"], None),
+    (["--out", "{out}", "--"], None),
+], ids=["equals-forms", "repeated-set", "repeated-out", "out-last", "set-before-option",
+        "unknown-option", "abbreviation", "second-command", "double-dash"])
+def test_argv_reader_contract(tmp_path, capsys, small_config, argv, same_as):
+    # after "predict --config FILE": the same run as ``same_as``, every file
+    # in {out}; or, where ``same_as`` is None, a one-line config error and
+    # no output directory (the config's own included)
+    out = tmp_path / "p"
+
+    def run(words):
+        words = [w.format(out=out, other=tmp_path / "other", config=small_config)
+                 for w in words]
+        rc = main(["predict", "--config", str(small_config), *words])
+        std = capsys.readouterr()
+        return rc, std.out, std.err, sorted(p.name for p in tmp_path.iterdir())
+
+    rc, stdout, err, names = run(argv)
+    if same_as is None:
+        assert rc == 1 and names == ["config.json"]
+        assert stdout == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("nyqmirror: config error: ")
+        return
+    assert rc == 0 and names == ["config.json", "p"]
+    files = read_all(out)
+    shutil.rmtree(out)
+    assert run(same_as) == (0, stdout, "", names) and read_all(out) == files
+
+
 def test_unknown_command_is_config_error_naming_the_choices(tmp_path, capsys):
     assert main(["bogus", "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -1295,12 +1334,12 @@ def test_physio_extreme_input_is_refused_by_name(tmp_path, capsys, settings, mes
     assert not out.exists()
 
 
-def beat_train(extra_s=None, missed=False):
-    """400 R-peaks at about 1.4 Hz, with breathing in their amplitudes; beat
-    201 (from 1) missed, or followed by an extra beat ``extra_s`` later."""
+def beat_train(extra_s=None, missed=0):
+    """400 R-peaks at about 1.4 Hz, with breathing in their amplitudes;
+    ``missed`` beats from beat 201 (from 1) on missed, or beat 201 followed
+    by an extra beat ``extra_s`` later."""
     times = [k / 1.4 + 0.03 * math.sin(2 * math.pi * 0.1 * k / 1.4) for k in range(400)]
-    if missed:
-        del times[200]
+    del times[200:200 + missed]
     if extra_s is not None:
         times.insert(201, times[200] + extra_s)
     return "time_s,amplitude\n" + "".join(
@@ -1308,19 +1347,25 @@ def beat_train(extra_s=None, missed=False):
 
 
 @pytest.mark.parametrize("extra_s, missed, message", [
-    (0.005, False, "the ISR estimate is -4670 Hz at t = 143.125 s, not a rate: "
-                   "R-R interval 5 ms between beats 201 and 202 (t = 142.886 s)"),
-    (0.05, False, "the ISR estimate is -38.01 Hz at t = 143.215 s, not a rate: "
-                  "R-R interval 50 ms between beats 201 and 202 (t = 142.886 s)"),
-    (0.3, False, None),  # a T wave taken for a beat
-    (None, True, None),
-], ids=["extra-5ms", "extra-50ms", "extra-300ms", "missed"])
+    (0.005, 0, "the ISR estimate is -4670 Hz at t = 143.125 s, not a rate: "
+               "R-R interval 5 ms between beats 201 and 202 (t = 142.886 s)"),
+    (0.05, 0, "the ISR estimate is -38.01 Hz at t = 143.215 s, not a rate: "
+              "R-R interval 50 ms between beats 201 and 202 (t = 142.886 s)"),
+    (0.3, 0, None),  # a T wave taken for a beat
+    (None, 1, None),
+    (None, 3, "the ISR estimate is -0.0374 Hz at t = 142.86 s, not a rate: "
+              "R-R interval 2828 ms between beats 200 and 201 (t = 142.172 s)"),
+    (None, 84, "the ISR estimate is -21.22 Hz at t = 162.125 s, not a rate: "
+               "R-R interval 6.071e+04 ms between beats 200 and 201 (t = 142.172 s)"),
+], ids=["extra-5ms", "extra-50ms", "extra-300ms", "missed", "dropout-3", "dropout-84"])
 def test_physio_refuses_an_isr_estimate_that_is_not_a_rate(tmp_path, capsys, extra_s, missed,
                                                            message):
     # a beat detected twice makes the not-a-knot cubic through 1/R-R
     # overshoot below 0 Hz: refused by name before any file, where it used
     # to write negative rates and mask whole frames without a word.  A
-    # T-wave beat or a missed beat only bends the estimate.
+    # T-wave beat or a missed beat only bends the estimate.  After a dropout
+    # of 3 or 84 beats the refusal names the long interval, where it used to
+    # name a normal neighbour of it.
     src = tmp_path / "peaks.csv"
     src.write_text(beat_train(extra_s, missed))
     out = tmp_path / "x"
@@ -1701,7 +1746,8 @@ def _oracle_layouts():
     prefix (the text before A) ending at byte 10, A and "." at 10 and 11,
     B..Q at 12 to 27, "e" and the sign at 28 and 29 and 0xyz at 32 to 35.
     Where the text is no subsequence of the slot, d1..d_e move onto the "."
-    and a "." follows them; the mask picks the text from the slot."""
+    and a "." follows them; the mask picks the text from the slot.  Last, the
+    trailing "0"s of each group's 4 digits."""
     group, ascii4 = np.arange(10000), np.empty((10000, 4), np.uint8)
     for j, place in enumerate((1000, 100, 10, 1)):
         ascii4[:, j] = 48 + group // place % 10
@@ -1729,7 +1775,8 @@ def _oracle_layouts():
         return np.frombuffer(text.encode(), np.uint32).reshape(-1, columns).T
 
     return (ascii4.view(np.uint32).ravel(), kind, uint32("".join(prefixes), 3),
-            uint32(tail, 2), np.array(masks), np.array(lengths), np.array(shifts))
+            uint32(tail, 2), np.array(masks), np.array(lengths), np.array(shifts),
+            np.array([4 - len(f"{g:04d}".rstrip("0")) for g in group], np.intp))
 
 
 def test_csv_tables_equal_their_text_built_oracles():

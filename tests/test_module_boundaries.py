@@ -211,6 +211,21 @@ def test_cli_import_builds_no_csv_table():
     assert run.stdout.split() == ["0", "0"]
 
 
+def test_cli_run_loads_no_argparse_gettext_or_locale(tmp_path):
+    # the CLI reads its argv itself: argparse's first parser asks gettext for
+    # a translation, which imports locale, a fixed cost of every run
+    code = ("import sys\n"
+            "from nyqmirror import cli\n"
+            f"assert cli.main(['predict', '--set', 'predict.k_max=1', '--out', {str(tmp_path)!r}])"
+            " == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_import_runs_no_scipy_package_code():
     # spline_interp finds scipy's LAPACK extension without importing the
     # scipy package, and only the truncated-power oracle needs fractions
